@@ -79,7 +79,8 @@ struct StreamingStats {
 /// Tuning for ingest_stream()'s producer/queue stage.
 struct IngestOptions {
   std::size_t batch_records = 1024;  ///< records per micro-batch pushed
-  std::size_t queue_capacity = 256;  ///< max queued batches (back-pressure)
+  /// Max queued batches (back-pressure); see util::kDefaultQueueCapacity.
+  std::size_t queue_capacity = util::kDefaultQueueCapacity;
   util::BackpressurePolicy policy = util::BackpressurePolicy::kBlock;
   /// When false, the source is parsed inline on the caller thread with no
   /// producer thread and no queue (the adapter path; also handy in tests).

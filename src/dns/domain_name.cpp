@@ -53,8 +53,9 @@ std::string normalize(std::string_view text) {
 
 DomainName DomainName::parse(std::string_view text) {
   std::string normalized = normalize(text);
-  util::require_data(validate_normalized(normalized),
-                     "DomainName::parse: invalid domain name: '" + std::string(text) + "'");
+  if (!validate_normalized(normalized)) [[unlikely]] {
+    util::throw_parse_error({"DomainName::parse: invalid domain name: '", text, "'"});
+  }
   return DomainName(std::move(normalized));
 }
 

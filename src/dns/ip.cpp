@@ -9,14 +9,17 @@ namespace seg::dns {
 
 IpV4 IpV4::parse(std::string_view text) {
   const auto parts = util::split(text, '.');
-  util::require_data(parts.size() == 4, "IpV4::parse: expected 4 octets in '" + std::string(text) + "'");
+  if (parts.size() != 4) [[unlikely]] {
+    util::throw_parse_error({"IpV4::parse: expected 4 octets in '", text, "'"});
+  }
   std::uint32_t value = 0;
   for (const auto part : parts) {
     unsigned int octet = 0;
     const auto [ptr, ec] = std::from_chars(part.data(), part.data() + part.size(), octet);
-    util::require_data(ec == std::errc() && ptr == part.data() + part.size() && octet <= 255 &&
-                           !part.empty() && part.size() <= 3,
-                       "IpV4::parse: malformed octet in '" + std::string(text) + "'");
+    if (!(ec == std::errc() && ptr == part.data() + part.size() && octet <= 255 &&
+          !part.empty() && part.size() <= 3)) [[unlikely]] {
+      util::throw_parse_error({"IpV4::parse: malformed octet in '", text, "'"});
+    }
     value = (value << 8) | octet;
   }
   return IpV4(value);

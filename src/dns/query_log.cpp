@@ -78,9 +78,9 @@ DayTrace read_trace(const std::string& path) {
   bool first = true;
   std::vector<std::string_view> fields;
   while (reader.next(fields)) {
-    util::require_data(fields.size() == 4,
-                       "read_trace: expected 4 fields at line " +
-                           std::to_string(reader.line_number()));
+    if (fields.size() != 4) [[unlikely]] {
+      util::throw_parse_error({"read_trace: expected 4 fields at line ", reader.line_number()});
+    }
     QueryRecord record;
     record.day = static_cast<Day>(util::parse_u64(fields[0]));
     record.machine = std::string(fields[1]);
@@ -91,10 +91,9 @@ DayTrace read_trace(const std::string& path) {
     if (first) {
       trace.day = record.day;
       first = false;
-    } else {
-      util::require_data(record.day == trace.day,
-                         "read_trace: mixed days in one trace file at line " +
-                             std::to_string(reader.line_number()));
+    } else if (record.day != trace.day) [[unlikely]] {
+      util::throw_parse_error(
+          {"read_trace: mixed days in one trace file at line ", reader.line_number()});
     }
     trace.records.push_back(std::move(record));
   }
@@ -182,9 +181,10 @@ Day for_each_record(const std::string& path,
   std::vector<std::string_view> fields;
   QueryRecord record;
   while (reader.next(fields)) {
-    util::require_data(fields.size() == 4,
-                       "for_each_record: expected 4 fields at line " +
-                           std::to_string(reader.line_number()));
+    if (fields.size() != 4) [[unlikely]] {
+      util::throw_parse_error(
+          {"for_each_record: expected 4 fields at line ", reader.line_number()});
+    }
     record.day = static_cast<Day>(util::parse_u64(fields[0]));
     record.machine = std::string(fields[1]);
     record.qname = std::string(fields[2]);
@@ -195,10 +195,9 @@ Day for_each_record(const std::string& path,
     if (first) {
       day = record.day;
       first = false;
-    } else {
-      util::require_data(record.day == day,
-                         "for_each_record: mixed days in one trace file at line " +
-                             std::to_string(reader.line_number()));
+    } else if (record.day != day) [[unlikely]] {
+      util::throw_parse_error(
+          {"for_each_record: mixed days in one trace file at line ", reader.line_number()});
     }
     callback(record);
   }

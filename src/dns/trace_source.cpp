@@ -83,9 +83,10 @@ class SimCursor {
     if (!reader_.next(fields)) {
       return false;
     }
-    util::require_data(fields.size() == 4,
-                       "sim trace: expected 4 fields at line " +
-                           std::to_string(reader_.line_number()));
+    if (fields.size() != 4) [[unlikely]] {
+      util::throw_parse_error(
+          {"sim trace: expected 4 fields at line ", reader_.line_number()});
+    }
     record.day = static_cast<Day>(util::parse_u64(fields[0]));
     record.machine = std::string(fields[1]);
     record.qname = std::string(fields[2]);

@@ -7,6 +7,13 @@
 // util::ParseError on truncation. Nothing is copied — take() hands back
 // subspans of the underlying mapping, so a multi-gigabyte capture is
 // parsed without ever materializing it.
+//
+// Cold-path rule: a check costs one comparison while it passes. The error
+// text (which names the field and the byte counts) is built only after a
+// check has failed, inside util::throw_parse_error(); a passing read never
+// formats a message or touches the heap. Every check on a per-record path
+// of the readers follows the same rule, so decoding a record allocates
+// nothing beyond the growth of the caller's reused buffers.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +37,10 @@ class ByteCursor {
 
   /// Throws util::ParseError mentioning `what` unless `n` bytes remain.
   void require_bytes(std::size_t n, std::string_view what) const {
-    util::require_data(n <= remaining(),
-                       std::string(what) + ": truncated (need " + std::to_string(n) +
-                           " bytes, have " + std::to_string(remaining()) + ")");
+    if (n > remaining()) [[unlikely]] {
+      util::throw_parse_error(
+          {what, ": truncated (need ", n, " bytes, have ", remaining(), ")"});
+    }
   }
 
   std::uint8_t u8(std::string_view what) {
@@ -94,8 +102,9 @@ class ByteCursor {
   /// bounds-checked random access goes through u8_at/view_at so R-WIRE1
   /// (docs/static-analysis.md) can confine raw subscripts to this header.
   std::uint8_t u8_at(std::size_t offset, std::string_view what) const {
-    util::require_data(offset < data_.size(),
-                       std::string(what) + ": offset past buffer end");
+    if (offset >= data_.size()) [[unlikely]] {
+      util::throw_parse_error({what, ": offset past buffer end"});
+    }
     return data_[offset];
   }
 
@@ -103,9 +112,10 @@ class ByteCursor {
   /// subspan of the underlying buffer, valid as long as the buffer).
   std::span<const unsigned char> view_at(std::size_t offset, std::size_t n,
                                          std::string_view what) const {
-    util::require_data(offset <= data_.size() && n <= data_.size() - offset,
-                       std::string(what) + ": truncated (need " + std::to_string(n) +
-                           " bytes at offset " + std::to_string(offset) + ")");
+    if (offset > data_.size() || n > data_.size() - offset) [[unlikely]] {
+      util::throw_parse_error(
+          {what, ": truncated (need ", n, " bytes at offset ", offset, ")"});
+    }
     return data_.subspan(offset, n);
   }
 

@@ -80,9 +80,13 @@ void read_resource_record(ByteCursor& cursor, std::string& scratch_name,
 
 }  // namespace
 
-DnsSummary summarize(std::span<const unsigned char> message) {
+void summarize(std::span<const unsigned char> message, DnsSummary& summary,
+               std::string& name_scratch) {
   ByteCursor cursor(message);
-  DnsSummary summary;
+  summary.qname.clear();
+  summary.a_records.clear();
+  summary.opt_records = 0;
+  summary.opt_skipped = 0;
   cursor.skip(2, "dns header id");
   const auto flags = cursor.u16be("dns header flags");
   summary.is_response = (flags & 0x8000) != 0;
@@ -92,21 +96,17 @@ DnsSummary summarize(std::span<const unsigned char> message) {
   const auto nscount = cursor.u16be("dns header nscount");
   const auto arcount = cursor.u16be("dns header arcount");
 
-  std::string scratch;
   for (std::uint16_t q = 0; q < qdcount; ++q) {
-    read_name(cursor, scratch);
+    read_name(cursor, q == 0 ? summary.qname : name_scratch);
     cursor.skip(4, "dns question type/class");
-    if (q == 0) {
-      summary.qname = scratch;
-    }
   }
   for (std::uint16_t a = 0; a < ancount; ++a) {
-    read_resource_record(cursor, scratch, &summary);
+    read_resource_record(cursor, name_scratch, &summary);
   }
   // Authority must still parse — a capture that lies about its counts or
   // truncates mid-record is rejected, not silently accepted.
   for (std::uint16_t r = 0; r < nscount; ++r) {
-    read_resource_record(cursor, scratch, nullptr);
+    read_resource_record(cursor, name_scratch, nullptr);
   }
   for (std::uint16_t r = 0; r < arcount; ++r) {
     // EDNS0 OPT pseudo-RRs (RFC 6891, type 41) carry resolver capability
@@ -114,7 +114,7 @@ DnsSummary summarize(std::span<const unsigned char> message) {
     // (snap length). They are skipped leniently and counted; a malformed
     // OPT ends the additional section instead of rejecting the message.
     // Every other additional record stays strict.
-    read_name(cursor, scratch);
+    read_name(cursor, name_scratch);
     const auto rr_type = cursor.u16be("rr type");
     if (rr_type == kOptRrType) {
       if (cursor.remaining() < 8) {  // class(2) + ttl(4) + rdlength(2)
@@ -138,7 +138,6 @@ DnsSummary summarize(std::span<const unsigned char> message) {
     const auto rdlength = cursor.u16be("rr rdlength");
     cursor.skip(rdlength, "rr rdata");
   }
-  return summary;
 }
 
 std::vector<unsigned char> encode_response(std::string_view qname,

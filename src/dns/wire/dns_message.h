@@ -28,7 +28,9 @@
 
 namespace seg::dns::wire {
 
-/// What the resolver said, reduced to Segugio's needs.
+/// What the resolver said, reduced to Segugio's needs. A reader keeps one
+/// across messages: summarize() overwrites every field, and qname and
+/// a_records keep their capacity, so a steady stream stops allocating.
 struct DnsSummary {
   bool is_response = false;   ///< QR bit
   std::uint8_t rcode = 0;     ///< 0 = NOERROR
@@ -41,8 +43,13 @@ struct DnsSummary {
   std::uint32_t opt_skipped = 0;
 };
 
-/// Parses one DNS message. Throws util::ParseError on malformed wire data.
-DnsSummary summarize(std::span<const unsigned char> message);
+/// Parses one DNS message into `summary`, overwriting every field.
+/// `name_scratch` receives the names the summary does not keep (later
+/// questions, resource-record owners); pass the same buffer every call.
+/// Throws util::ParseError on malformed wire data, leaving `summary`
+/// unspecified.
+void summarize(std::span<const unsigned char> message, DnsSummary& summary,
+               std::string& name_scratch);
 
 /// Encodes a well-formed NOERROR response for `qname` with one A record
 /// per address (uncompressed). The capture writers and tests use this; a

@@ -189,8 +189,9 @@ bool DnstapReader::next(QueryRecord& record) {
       }
       continue;
     }
-    util::require_data(length <= kMaxDnstapFrameBytes,
-                       "dnstap: oversized frame (" + std::to_string(length) + " bytes)");
+    if (length > kMaxDnstapFrameBytes) [[unlikely]] {
+      util::throw_parse_error({"dnstap: oversized frame (", length, " bytes)"});
+    }
     const auto frame = cursor.take(length, "dnstap data frame");
     pos_ += cursor.pos();
 
@@ -217,17 +218,17 @@ bool DnstapReader::next(QueryRecord& record) {
       ++skipped_;
       continue;
     }
-    const auto summary = summarize(message.response_message);
-    if (!summary.is_response || summary.rcode != 0 || summary.qname.empty() ||
-        summary.a_records.empty()) {
+    summarize(message.response_message, summary_, name_scratch_);
+    if (!summary_.is_response || summary_.rcode != 0 || summary_.qname.empty() ||
+        summary_.a_records.empty()) {
       ++skipped_;
       continue;
     }
     record.day = static_cast<Day>(static_cast<std::int64_t>(message.response_time_sec) /
                                   kSecondsPerDay);
     record.machine = address_to_string(message.query_address);
-    record.qname = summary.qname;
-    record.resolved_ips = summary.a_records;
+    record.qname = summary_.qname;
+    record.resolved_ips = summary_.a_records;
     return true;
   }
   return false;

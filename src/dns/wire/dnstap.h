@@ -28,6 +28,7 @@
 #include <string>
 
 #include "dns/query_log.h"
+#include "dns/wire/dns_message.h"
 
 namespace seg::dns::wire {
 
@@ -49,7 +50,10 @@ class DnstapReader {
 
   /// Decodes frames until one yields a usable record (written to `record`)
   /// or the stream ends (returns false after the STOP frame or clean EOF).
-  /// Throws util::ParseError on structural damage.
+  /// The record's strings and address list are overwritten in place, so a
+  /// caller that passes the same record every time allocates only when a
+  /// field outgrows its capacity. Throws util::ParseError on structural
+  /// damage.
   bool next(QueryRecord& record);
 
   /// Data frames whose message was well-formed but filtered (queries,
@@ -61,6 +65,8 @@ class DnstapReader {
   std::size_t pos_ = 0;
   bool stopped_ = false;
   std::uint64_t skipped_ = 0;
+  DnsSummary summary_;        // reused across messages
+  std::string name_scratch_;  // reused across messages
 };
 
 /// Writes `trace` as a dnstap capture (START frame, one CLIENT_RESPONSE

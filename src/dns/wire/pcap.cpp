@@ -128,9 +128,9 @@ bool PcapReader::next(QueryRecord& record) {
     cursor.skip(4, "packet ts_frac");
     const auto incl_len = read_u32(cursor, swapped_, "packet incl_len");
     const auto orig_len = read_u32(cursor, swapped_, "packet orig_len");
-    util::require_data(incl_len <= kMaxPcapPacketBytes,
-                       "pcap: oversized packet record (" + std::to_string(incl_len) +
-                           " bytes)");
+    if (incl_len > kMaxPcapPacketBytes) [[unlikely]] {
+      util::throw_parse_error({"pcap: oversized packet record (", incl_len, " bytes)"});
+    }
     const auto packet = cursor.take(incl_len, "packet data");
     pos_ += cursor.pos();
     if (incl_len < orig_len) {
@@ -142,18 +142,18 @@ bool PcapReader::next(QueryRecord& record) {
       ++skipped_;
       continue;
     }
-    const auto summary = summarize(datagram.dns);
-    opt_records_ += summary.opt_records;
-    opt_skipped_ += summary.opt_skipped;
-    if (!summary.is_response || summary.rcode != 0 || summary.qname.empty() ||
-        summary.a_records.empty()) {
+    summarize(datagram.dns, summary_, name_scratch_);
+    opt_records_ += summary_.opt_records;
+    opt_skipped_ += summary_.opt_skipped;
+    if (!summary_.is_response || summary_.rcode != 0 || summary_.qname.empty() ||
+        summary_.a_records.empty()) {
       ++skipped_;
       continue;
     }
     record.day = static_cast<Day>(static_cast<std::int64_t>(ts_sec) / kSecondsPerDay);
     record.machine = datagram.client.to_string();
-    record.qname = summary.qname;
-    record.resolved_ips = summary.a_records;
+    record.qname = summary_.qname;
+    record.resolved_ips = summary_.a_records;
     return true;
   }
 }

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "dns/query_log.h"
+#include "dns/wire/dns_message.h"
 
 namespace seg::dns::wire {
 
@@ -34,8 +35,9 @@ class PcapReader {
   explicit PcapReader(std::span<const unsigned char> capture);
 
   /// Walks packet records until one yields a usable record (a UDP port-53
-  /// response resolving at least one A record) or the capture ends.
-  /// Throws util::ParseError on structural damage.
+  /// response resolving at least one A record) or the capture ends. The
+  /// record is overwritten in place, as in DnstapReader::next(). Throws
+  /// util::ParseError on structural damage.
   bool next(QueryRecord& record);
 
   /// Packets that were well-formed but not Segugio-relevant (non-IPv4,
@@ -56,6 +58,8 @@ class PcapReader {
   std::uint64_t skipped_ = 0;
   std::uint64_t opt_records_ = 0;
   std::uint64_t opt_skipped_ = 0;
+  DnsSummary summary_;        // reused across packets
+  std::string name_scratch_;  // reused across packets
 };
 
 /// Writes `trace` as a classic pcap capture (microsecond magic, Ethernet

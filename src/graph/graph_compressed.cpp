@@ -3,6 +3,7 @@
 #include <cstring>
 #include <istream>
 #include <iterator>
+#include <limits>
 #include <ostream>
 #include <type_traits>
 #include <utility>
@@ -532,7 +533,15 @@ MappedGraph map_graph(const std::string& path) {
   counts.e2ld_name_bytes = fields[7];
 
   std::size_t position = kHeaderBytes + pad8_gap(kHeaderBytes);
-  const auto take = [&](std::size_t section_bytes) {
+  // Claims the next section: `count` elements of `element_bytes` each plus
+  // `extra` trailing bytes. Header counts are untrusted, so the size
+  // arithmetic is overflow-checked before it is compared with the file.
+  const auto take = [&](std::uint64_t count, std::uint64_t element_bytes,
+                        std::uint64_t extra = 0) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    util::require_data(count <= (kMax - extra) / element_bytes,
+                       "map_graph: section size overflows (corrupt header counts)");
+    const std::uint64_t section_bytes = count * element_bytes + extra;
     util::require_data(section_bytes <= size && position <= size - section_bytes,
                        "map_graph: truncated section");
     const unsigned char* begin = base + position;
@@ -540,10 +549,16 @@ MappedGraph map_graph(const std::string& path) {
     position += pad8_gap(position);
     return begin;
   };
+  // An offset table holds count + 1 entries; count must leave room for it.
+  const auto offset_entries = [](std::uint64_t count) {
+    util::require_data(count < std::numeric_limits<std::uint64_t>::max(),
+                       "map_graph: section size overflows (corrupt header counts)");
+    return count + 1;
+  };
 
   const auto name_table = [&](std::uint64_t count, std::uint64_t name_bytes) {
     const auto* offsets = reinterpret_cast<const std::uint64_t*>(
-        take((count + 1) * sizeof(std::uint64_t) + name_bytes) );
+        take(offset_entries(count), sizeof(std::uint64_t), name_bytes));
     const auto* blob = reinterpret_cast<const char*>(offsets + count + 1);
     util::require_data(offsets[0] == 0 && offsets[count] == name_bytes,
                        "map_graph: name offsets inconsistent with blob");
@@ -558,33 +573,43 @@ MappedGraph map_graph(const std::string& path) {
   const auto e2lds = name_table(counts.e2lds, counts.e2ld_name_bytes);
 
   const auto* domain_e2ld =
-      reinterpret_cast<const E2ldId*>(take(counts.domains * sizeof(E2ldId)));
+      reinterpret_cast<const E2ldId*>(take(counts.domains, sizeof(E2ldId)));
   const auto offsets_section = [&](std::uint64_t count, std::uint64_t back_value,
                                    const char* what) {
-    const auto* offsets =
-        reinterpret_cast<const std::uint64_t*>(take((count + 1) * sizeof(std::uint64_t)));
-    util::require_data(offsets[0] == 0 && offsets[count] == back_value,
-                       std::string("map_graph: ") + what + " offsets inconsistent");
+    const auto* offsets = reinterpret_cast<const std::uint64_t*>(
+        take(offset_entries(count), sizeof(std::uint64_t)));
+    if (offsets[0] != 0 || offsets[count] != back_value) [[unlikely]] {
+      util::throw_parse_error({"map_graph: ", what, " offsets inconsistent"});
+    }
     for (std::uint64_t i = 0; i < count; ++i) {
-      util::require_data(offsets[i] <= offsets[i + 1],
-                         std::string("map_graph: ") + what + " offsets not monotone");
+      if (offsets[i] > offsets[i + 1]) [[unlikely]] {
+        util::throw_parse_error({"map_graph: ", what, " offsets not monotone"});
+      }
     }
     return offsets;
   };
   const auto* machine_offsets = offsets_section(counts.machines, counts.edges, "machine");
   const auto* machine_targets =
-      reinterpret_cast<const DomainId*>(take(counts.edges * sizeof(DomainId)));
+      reinterpret_cast<const DomainId*>(take(counts.edges, sizeof(DomainId)));
   const auto* domain_offsets = offsets_section(counts.domains, counts.edges, "domain");
   const auto* domain_targets =
-      reinterpret_cast<const MachineId*>(take(counts.edges * sizeof(MachineId)));
+      reinterpret_cast<const MachineId*>(take(counts.edges, sizeof(MachineId)));
   const auto* ip_offsets = offsets_section(counts.domains, counts.ips, "IP");
   const auto* resolved_ips =
-      reinterpret_cast<const dns::IpV4*>(take(counts.ips * sizeof(dns::IpV4)));
-  const auto* machine_labels = reinterpret_cast<const Label*>(take(counts.machines));
-  const auto* domain_labels = reinterpret_cast<const Label*>(take(counts.domains));
+      reinterpret_cast<const dns::IpV4*>(take(counts.ips, sizeof(dns::IpV4)));
+  const auto* machine_labels = reinterpret_cast<const Label*>(take(counts.machines, 1));
+  const auto* domain_labels = reinterpret_cast<const Label*>(take(counts.domains, 1));
   util::require_data(position == size, "map_graph: file size inconsistent with header counts");
   for (std::uint64_t d = 0; d < counts.domains; ++d) {
     util::require_data(domain_e2ld[d] < counts.e2lds, "map_graph: e2LD id out of range");
+  }
+  // CSR targets index the other side's tables; an id past the end would be
+  // served straight into out-of-bounds reads by every graph consumer.
+  for (std::uint64_t e = 0; e < counts.edges; ++e) {
+    util::require_data(machine_targets[e] < counts.domains,
+                       "map_graph: machine CSR target (domain id) out of range");
+    util::require_data(domain_targets[e] < counts.machines,
+                       "map_graph: domain CSR target (machine id) out of range");
   }
   for (std::uint64_t m = 0; m < counts.machines; ++m) {
     util::require_data(static_cast<unsigned char>(machine_labels[m]) <= 2,

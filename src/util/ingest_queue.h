@@ -4,8 +4,9 @@
 // Continuous ingestion decouples parsing (dnstap/pcap/binlog readers, one
 // or more producer threads) from graph preparation (the pipeline's caller
 // thread) through a bounded queue of record *batches* — micro-batching
-// amortizes the lock so the queue never becomes the bottleneck at the
-// 10^4-10^5 qps the ROADMAP targets.
+// amortizes the lock to one acquisition per 1024 records, so the queue
+// stays far below the millions of records per second the wire readers
+// decode (docs/ingestion.md).
 //
 // Back-pressure is a policy choice made at construction time:
 //
@@ -82,8 +83,15 @@ struct IngestQueueStats {
   std::size_t depth = 0;              ///< batches queued right now
 };
 
+/// Default queue bound, in batches. Decoding outruns graph preparation, so
+/// under kBlock a full queue is the steady state and every queued record is
+/// resident memory and report lag. The bound only has to absorb batch-level
+/// jitter: at any realistic day size no bound buys overlap across a day's
+/// preparation (docs/ingestion.md, "Queue sizing").
+inline constexpr std::size_t kDefaultQueueCapacity = 16;
+
 struct IngestQueueOptions {
-  std::size_t capacity = 256;  ///< max queued batches before back-pressure
+  std::size_t capacity = kDefaultQueueCapacity;  ///< max queued batches before back-pressure
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   /// When non-empty, queue counters are mirrored into the seg::obs
   /// registry as `<prefix>_{pushed,dropped}_batches_total`,

@@ -6,6 +6,9 @@
 // errors use seg::util::ParseError and friends.
 #pragma once
 
+#include <concepts>
+#include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -41,5 +44,33 @@ inline void require_data(bool condition, std::string_view message) {
     throw ParseError(std::string(message));
   }
 }
+
+/// One piece of a throw_parse_error() message: text, or an unsigned integer
+/// printed in decimal exactly as std::to_string prints it.
+class MessagePart {
+ public:
+  // Implicit by design: call sites list their pieces inline.
+  MessagePart(const char* text) : text_(text) {}
+  MessagePart(std::string_view text) : text_(text) {}
+  template <std::unsigned_integral T>
+  MessagePart(T value) : number_(value), is_number_(true) {}
+
+  void append_to(std::string& out) const;
+
+ private:
+  std::string_view text_;
+  std::uint64_t number_ = 0;
+  bool is_number_ = false;
+};
+
+/// Throws ParseError whose message is `parts` concatenated. Out of line and
+/// cold: a check on a per-record path calls it only once the check has
+/// failed, so a passing check never formats (or allocates) its message —
+/// which require_data(cond, std::string(...) + ...) would, every call.
+///
+///   if (n > remaining) [[unlikely]] {
+///     util::throw_parse_error({what, ": truncated (need ", n, " bytes)"});
+///   }
+[[noreturn, gnu::cold]] void throw_parse_error(std::initializer_list<MessagePart> parts);
 
 }  // namespace seg::util

@@ -90,8 +90,9 @@ std::uint64_t parse_u64(std::string_view text) {
   text = trim(text);
   std::uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require_data(ec == std::errc() && ptr == text.data() + text.size(),
-               "parse_u64: malformed unsigned integer: '" + std::string(text) + "'");
+  if (ec != std::errc() || ptr != text.data() + text.size()) [[unlikely]] {
+    throw_parse_error({"parse_u64: malformed unsigned integer: '", text, "'"});
+  }
   return value;
 }
 
@@ -99,8 +100,9 @@ double parse_double(std::string_view text) {
   text = trim(text);
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  require_data(ec == std::errc() && ptr == text.data() + text.size(),
-               "parse_double: malformed floating-point value: '" + std::string(text) + "'");
+  if (ec != std::errc() || ptr != text.data() + text.size()) [[unlikely]] {
+    throw_parse_error({"parse_double: malformed floating-point value: '", text, "'"});
+  }
   return value;
 }
 

@@ -28,6 +28,16 @@ TEST(DomainNameTest, ParseRejectsMalformed) {
   }
 }
 
+TEST(DomainNameTest, ParseErrorQuotesTheInputAsGiven) {
+  try {
+    DomainName::parse("Example..COM.");
+  } catch (const util::ParseError& error) {
+    EXPECT_STREQ(error.what(), "DomainName::parse: invalid domain name: 'Example..COM.'");
+    return;
+  }
+  FAIL() << "DomainName::parse accepted an empty label";
+}
+
 TEST(DomainNameTest, ParseRejectsOverlongNameAndLabel) {
   const std::string long_label(64, 'a');
   EXPECT_THROW(DomainName::parse(long_label + ".com"), util::ParseError);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "dns/trace_source.h"
 #include "util/require.h"
 
 namespace seg::dns {
@@ -79,6 +80,44 @@ TEST_F(QueryLogTest, RejectsMalformedIp) {
     out << "1\tm1\ta.com\tnot-an-ip\n";
   }
   EXPECT_THROW(read_trace(path_), util::ParseError);
+}
+
+// The per-record checks of the TSV readers format their message only once
+// they fail; this pins the text each reader reports.
+TEST_F(QueryLogTest, PerRecordParseErrorsPinTheirText) {
+  const auto write = [this](const char* text) { std::ofstream(path_) << text; };
+  const auto error_of = [](const auto& parse) -> std::string {
+    try {
+      parse();
+    } catch (const util::ParseError& error) {
+      return error.what();
+    }
+    return "no ParseError";
+  };
+  const auto batch = [this] { read_trace(path_); };
+  const auto streamed = [this] { for_each_record(path_, [](const QueryRecord&) {}); };
+  const auto sourced = [this] {
+    FileTraceSource source(path_, TraceFormat::kSim);
+    QueryRecord record;
+    while (source.next(record)) {
+    }
+  };
+
+  write("1\tm1\ta.com\t1.2.3.4\n1\tm1\twww.example.com\n");
+  EXPECT_EQ(error_of(batch), "read_trace: expected 4 fields at line 2");
+  EXPECT_EQ(error_of(streamed), "for_each_record: expected 4 fields at line 2");
+  EXPECT_EQ(error_of(sourced), "sim trace: expected 4 fields at line 2");
+
+  write("1\tm1\ta.com\t1.2.3.4\n2\tm1\tb.com\t1.2.3.4\n");
+  EXPECT_EQ(error_of(batch), "read_trace: mixed days in one trace file at line 2");
+  EXPECT_EQ(error_of(streamed), "for_each_record: mixed days in one trace file at line 2");
+
+  write(" 7x \tm1\ta.com\t1.2.3.4\n");
+  EXPECT_EQ(error_of(batch), "parse_u64: malformed unsigned integer: '7x'");
+  write("1\tm1\ta.com\t1.2.3\n");
+  EXPECT_EQ(error_of(batch), "IpV4::parse: expected 4 octets in '1.2.3'");
+  write("1\tm1\ta.com\t1.2.3.256\n");
+  EXPECT_EQ(error_of(batch), "IpV4::parse: malformed octet in '1.2.3.256'");
 }
 
 }  // namespace

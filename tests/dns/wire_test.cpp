@@ -149,6 +149,41 @@ void append_key(std::vector<unsigned char>& out, std::uint32_t field,
   append_varint(out, (static_cast<std::uint64_t>(field) << 3) | wire_type);
 }
 
+// Classic pcap global header: microsecond magic, little-endian, Ethernet.
+std::vector<unsigned char> pcap_header() {
+  std::vector<unsigned char> capture;
+  append_le32(capture, 0xa1b2c3d4);
+  append_le32(capture, 0x00040002);
+  append_le32(capture, 0);
+  append_le32(capture, 0);
+  append_le32(capture, wire::kMaxPcapPacketBytes);
+  append_le32(capture, 1);
+  return capture;
+}
+
+// Runs `parse`, which must throw util::ParseError, and returns what().
+// The readers format that text only once a check has failed
+// (dns/wire/bytes.h); the cases below pin it exactly.
+template <typename Parse>
+std::string parse_error_text(const Parse& parse) {
+  try {
+    parse();
+  } catch (const util::ParseError& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "no util::ParseError";
+  return {};
+}
+
+std::string read_pcap_error(const std::vector<unsigned char>& capture) {
+  return parse_error_text([&capture] {
+    wire::PcapReader reader(capture);
+    QueryRecord record;
+    while (reader.next(record)) {
+    }
+  });
+}
+
 // --- dnstap ----------------------------------------------------------------
 
 TEST_F(WireTest, DnstapRoundTripPreservesDottedQuadRecords) {
@@ -239,9 +274,12 @@ TEST_F(WireTest, DnstapRejectsOversizedFrames) {
   append_be32(capture, wire::kMaxDnstapFrameBytes + 1);
   capture.push_back(0);  // a length prefix promising a gigabyte needs no body
 
-  wire::DnstapReader reader(capture);
-  QueryRecord record;
-  EXPECT_THROW(reader.next(record), util::ParseError);
+  EXPECT_EQ(parse_error_text([&capture] {
+              wire::DnstapReader reader(capture);
+              QueryRecord record;
+              reader.next(record);
+            }),
+            "dnstap: oversized frame (1048577 bytes)");
 }
 
 TEST_F(WireTest, DnstapStopFrameEndsConcatenatedCaptures) {
@@ -366,9 +404,7 @@ TEST_F(WireTest, PcapRejectsOversizedPacketRecords) {
   append_le32(capture, wire::kMaxPcapPacketBytes + 1);
   append_le32(capture, wire::kMaxPcapPacketBytes + 1);
 
-  wire::PcapReader reader(capture);
-  QueryRecord record;
-  EXPECT_THROW(reader.next(record), util::ParseError);
+  EXPECT_EQ(read_pcap_error(capture), "pcap: oversized packet record (65537 bytes)");
 }
 
 TEST_F(WireTest, PcapSkipsSnaplenTruncatedAndNonDnsPackets) {
@@ -433,7 +469,9 @@ TEST_F(WireTest, SummarizeCountsWellFormedOptRecords) {
   const auto message =
       with_additional(wire::encode_response("cc.example.com", ips), 2, tail);
 
-  const auto summary = wire::summarize(message);
+  wire::DnsSummary summary;
+  std::string scratch;
+  wire::summarize(message, summary, scratch);
   EXPECT_EQ(summary.qname, "cc.example.com");
   ASSERT_EQ(summary.a_records.size(), 1u);
   EXPECT_EQ(summary.opt_records, 2u);
@@ -444,11 +482,16 @@ TEST_F(WireTest, SummarizeToleratesSnaplenTruncatedOpt) {
   const std::vector<IpV4> ips = {IpV4::from_octets(10, 1, 2, 3)};
   const auto base = wire::encode_response("cc.example.com", ips);
 
+  // One summary and scratch buffer across all three messages, as a reader
+  // keeps them: every call starts from fresh counts.
+  wire::DnsSummary summary;
+  std::string scratch;
+
   // Cut right after the OPT's name + type: nothing left for the fixed
   // header. The message still summarizes — answers intact, OPT counted as
   // skipped.
   const auto after_type = with_additional(base, 1, {0x00, 0x00, 0x29});
-  auto summary = wire::summarize(after_type);
+  wire::summarize(after_type, summary, scratch);
   ASSERT_EQ(summary.a_records.size(), 1u);
   EXPECT_EQ(summary.opt_records, 0u);
   EXPECT_EQ(summary.opt_skipped, 1u);
@@ -456,7 +499,7 @@ TEST_F(WireTest, SummarizeToleratesSnaplenTruncatedOpt) {
   // rdlength promises more rdata than the capture holds.
   auto lying = opt_rr(6);
   lying.resize(lying.size() - 6);
-  summary = wire::summarize(with_additional(base, 1, lying));
+  wire::summarize(with_additional(base, 1, lying), summary, scratch);
   ASSERT_EQ(summary.a_records.size(), 1u);
   EXPECT_EQ(summary.opt_records, 0u);
   EXPECT_EQ(summary.opt_skipped, 1u);
@@ -465,24 +508,57 @@ TEST_F(WireTest, SummarizeToleratesSnaplenTruncatedOpt) {
   // is never reached, and that is leniency, not an error.
   auto pair = opt_rr(6);
   pair.resize(pair.size() - 6);
-  summary = wire::summarize(with_additional(base, 2, pair));
+  wire::summarize(with_additional(base, 2, pair), summary, scratch);
   EXPECT_EQ(summary.opt_records, 0u);
   EXPECT_EQ(summary.opt_skipped, 1u);
+}
+
+TEST_F(WireTest, SummarizeOverwritesEveryFieldOfAReusedSummary) {
+  wire::DnsSummary summary;
+  std::string scratch;
+  const std::vector<IpV4> three = {IpV4::from_octets(10, 1, 2, 3),
+                                   IpV4::from_octets(10, 1, 2, 4),
+                                   IpV4::from_octets(10, 1, 2, 5)};
+  wire::summarize(with_additional(wire::encode_response("first.example.com", three), 1,
+                                  opt_rr(0)),
+                  summary, scratch);
+  ASSERT_EQ(summary.a_records.size(), 3u);
+  EXPECT_EQ(summary.opt_records, 1u);
+
+  // A query (QR clear, no questions, no answers) leaves nothing behind.
+  const std::vector<unsigned char> query = {0x12, 0x34, 0x01, 0x00, 0, 0, 0, 0, 0, 0, 0, 0};
+  wire::summarize(query, summary, scratch);
+  EXPECT_FALSE(summary.is_response);
+  EXPECT_EQ(summary.rcode, 0u);
+  EXPECT_TRUE(summary.qname.empty());
+  EXPECT_TRUE(summary.a_records.empty());
+  EXPECT_EQ(summary.opt_records, 0u);
+  EXPECT_EQ(summary.opt_skipped, 0u);
+
+  const std::vector<IpV4> one = {IpV4::from_octets(192, 0, 2, 1)};
+  wire::summarize(wire::encode_response("b.example", one), summary, scratch);
+  EXPECT_TRUE(summary.is_response);
+  EXPECT_EQ(summary.qname, "b.example");
+  EXPECT_EQ(summary.a_records, one);
 }
 
 TEST_F(WireTest, SummarizeKeepsNonOptAdditionalStrict) {
   const std::vector<IpV4> ips = {IpV4::from_octets(10, 1, 2, 3)};
   const auto base = wire::encode_response("cc.example.com", ips);
 
+  wire::DnsSummary summary;
+  std::string scratch;
+
   // arcount lies outright: no additional bytes at all. The name read fails
   // before the OPT leniency can apply.
-  EXPECT_THROW(wire::summarize(with_additional(base, 1, {})), util::ParseError);
+  EXPECT_THROW(wire::summarize(with_additional(base, 1, {}), summary, scratch),
+               util::ParseError);
 
   // A truncated non-OPT additional record (root name, type A, partial
   // class) stays a hard parse error.
-  EXPECT_THROW(
-      wire::summarize(with_additional(base, 1, {0x00, 0x00, 0x01, 0x00})),
-      util::ParseError);
+  EXPECT_THROW(wire::summarize(with_additional(base, 1, {0x00, 0x00, 0x01, 0x00}), summary,
+                               scratch),
+               util::ParseError);
 }
 
 // One UDP/53 response packet (Ethernet + IPv4 + UDP) carrying `dns`,
@@ -540,13 +616,7 @@ TEST_F(WireTest, PcapAccumulatesOptCountsAcrossMessages) {
       wire::encode_response(trace.records[1].qname, trace.records[1].resolved_ips),
       1, {0x00, 0x00, 0x29});  // snaplen ate the OPT header
 
-  std::vector<unsigned char> capture;
-  append_le32(capture, 0xa1b2c3d4);
-  append_le32(capture, 0x00040002);
-  append_le32(capture, 0);
-  append_le32(capture, 0);
-  append_le32(capture, wire::kMaxPcapPacketBytes);
-  append_le32(capture, 1);  // Ethernet
+  auto capture = pcap_header();
   append_udp53_packet(capture, trace.day, trace.records[0].machine, dns0);
   append_udp53_packet(capture, trace.day, trace.records[1].machine, dns1);
 
@@ -560,6 +630,55 @@ TEST_F(WireTest, PcapAccumulatesOptCountsAcrossMessages) {
   EXPECT_EQ(reader.skipped(), 0u);
   EXPECT_EQ(reader.opt_records(), 1u);
   EXPECT_EQ(reader.opt_skipped(), 1u);
+}
+
+// --- parse-error text ------------------------------------------------------
+// These cases truncate inside each kind of ByteCursor read and pin the
+// exact text a caller sees.
+
+// The text a one-packet capture whose UDP/53 payload is `dns` fails with.
+std::string dns_payload_error(const std::vector<unsigned char>& dns) {
+  auto capture = pcap_header();
+  append_udp53_packet(capture, 20, "192.168.0.1", dns);
+  return read_pcap_error(capture);
+}
+
+// A response header announcing one question and nothing else.
+std::vector<unsigned char> one_question_header() {
+  return {0x00, 0x00, 0x81, 0x80, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+}
+
+TEST_F(WireTest, CursorReadsPinTheirTruncationText) {
+  // skip: one byte where the 2-byte header id belongs.
+  EXPECT_EQ(dns_payload_error({0x00}), "dns header id: truncated (need 2 bytes, have 1)");
+  // u16be: the id fits, the flags do not.
+  EXPECT_EQ(dns_payload_error({0x00, 0x00, 0x81}),
+            "dns header flags: truncated (need 2 bytes, have 1)");
+  // u8: the question's first length byte is missing.
+  EXPECT_EQ(dns_payload_error(one_question_header()),
+            "dns name: truncated (need 1 bytes, have 0)");
+  // take: a 5-byte label with 2 bytes left.
+  auto label = one_question_header();
+  label.insert(label.end(), {0x05, 'a', 'b'});
+  EXPECT_EQ(dns_payload_error(label), "dns name label: truncated (need 5 bytes, have 2)");
+  // u32le: a packet record header cut inside ts_sec.
+  auto capture = pcap_header();
+  capture.insert(capture.end(), {0x00, 0x00, 0x00});
+  EXPECT_EQ(read_pcap_error(capture), "packet ts_sec: truncated (need 4 bytes, have 3)");
+}
+
+TEST_F(WireTest, CompressionPointerReadsPinTheirTruncationText) {
+  // The question is a pointer to offset 14, just behind it. u8_at: the
+  // label there (1 byte, "a") ends the message, so the next length byte
+  // lies past the end.
+  auto past_end = one_question_header();
+  past_end.insert(past_end.end(), {0xc0, 0x0e, 0x01, 'a'});
+  EXPECT_EQ(dns_payload_error(past_end), "dns name: offset past buffer end");
+  // view_at: the label there claims 5 bytes with 2 left.
+  auto short_label = one_question_header();
+  short_label.insert(short_label.end(), {0xc0, 0x0e, 0x05, 'a', 'b'});
+  EXPECT_EQ(dns_payload_error(short_label),
+            "dns name label: truncated (need 5 bytes at offset 15)");
 }
 
 TEST_F(WireTest, PcapReadsSwappedByteOrderHeaders) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -176,6 +178,127 @@ TEST_F(GraphCompressedTest, TruncatedMappedFileIsRejected) {
     out << full.substr(0, full.size() - 8);
   }
   EXPECT_THROW(map_graph(path_), util::ParseError);
+}
+
+// A packed file's binary header: "segf1 graphc 1\n", encoding byte, three
+// reserved bytes, the day (i32), then eight u64 counts in the order
+// machines, domains, e2LDs, edges, IPs, and the three name-blob sizes.
+// Sections follow at 8-byte boundaries.
+constexpr std::size_t kCountsAt = 15 + 4 + 4;
+constexpr std::size_t kFirstSectionAt = 88;
+
+std::uint64_t header_count(const std::string& bytes, std::size_t field) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + kCountsAt + 8 * field, sizeof(value));
+  return value;
+}
+
+void set_header_count(std::string& bytes, std::size_t field, std::uint64_t value) {
+  std::memcpy(bytes.data() + kCountsAt + 8 * field, &value, sizeof(value));
+}
+
+// Where the CSR sections start, recomputed from the header the way
+// map_graph walks the file.
+struct CsrSections {
+  std::size_t machine_offsets = 0;  // u64 per machine, plus one
+  std::size_t machine_targets = 0;  // DomainId per edge
+  std::size_t domain_offsets = 0;   // u64 per domain, plus one
+  std::size_t domain_targets = 0;   // MachineId per edge
+};
+
+CsrSections csr_sections(const std::string& bytes) {
+  const auto machines = header_count(bytes, 0);
+  const auto domains = header_count(bytes, 1);
+  const auto e2lds = header_count(bytes, 2);
+  const auto edges = header_count(bytes, 3);
+  std::size_t at = kFirstSectionAt;
+  const auto section = [&at](std::uint64_t size) {
+    const std::size_t begin = at;
+    at = (at + size + 7) / 8 * 8;
+    return begin;
+  };
+  section((machines + 1) * 8 + header_count(bytes, 5));  // machine names
+  section((domains + 1) * 8 + header_count(bytes, 6));   // domain names
+  section((e2lds + 1) * 8 + header_count(bytes, 7));     // e2LD names
+  section(domains * sizeof(E2ldId));                     // domain -> e2LD
+  CsrSections out;
+  out.machine_offsets = section((machines + 1) * 8);
+  out.machine_targets = section(edges * sizeof(DomainId));
+  out.domain_offsets = section((domains + 1) * 8);
+  out.domain_targets = section(edges * sizeof(MachineId));
+  return out;
+}
+
+TEST_F(GraphCompressedTest, MappedFileRejectsOutOfRangeCsrTargets) {
+  const auto graph = make_graph();
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob, GraphcEncoding::kPacked);
+  const auto original = blob.str();
+  const auto sections = csr_sections(original);
+
+  // A machine's edge pointing one past the last domain.
+  auto bad_domain = original;
+  const auto domain_id = static_cast<DomainId>(graph.domain_count());
+  std::memcpy(bad_domain.data() + sections.machine_targets, &domain_id, sizeof(domain_id));
+  // A domain's edge pointing far past the last machine.
+  auto bad_machine = original;
+  const MachineId machine_id = 0x7fffffff;
+  std::memcpy(bad_machine.data() + sections.domain_targets, &machine_id, sizeof(machine_id));
+
+  for (const auto* crafted : {&bad_domain, &bad_machine}) {
+    {
+      std::ofstream out(path_, std::ios::binary);
+      out << *crafted;
+    }
+    EXPECT_THROW(map_graph(path_), util::ParseError);
+  }
+  // The untouched file still maps: the offsets above hit the target sections.
+  {
+    std::ofstream out(path_, std::ios::binary);
+    out << original;
+  }
+  EXPECT_EQ(map_graph(path_).view.edge_count(), graph.edge_count());
+}
+
+TEST_F(GraphCompressedTest, MappedFileRejectsWrappingSectionCounts) {
+  const auto graph = make_graph();
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob, GraphcEncoding::kPacked);
+  const auto original = blob.str();
+  const auto sections = csr_sections(original);
+  const std::uint64_t machines = graph.machine_count();
+  const std::uint64_t domains = graph.domain_count();
+  const std::uint64_t edges = graph.edge_count();
+
+  // edges * 4 wraps to the true target-section size, and both offset
+  // tables are patched to end at the claimed count: every other check
+  // passes, so only the overflow check stops a view of 2^62 + E edges over
+  // a file holding E.
+  auto wrapped_edges = original;
+  const std::uint64_t claimed = edges + (std::uint64_t{1} << 62);
+  set_header_count(wrapped_edges, 3, claimed);
+  std::memcpy(wrapped_edges.data() + sections.machine_offsets + 8 * machines, &claimed, 8);
+  std::memcpy(wrapped_edges.data() + sections.domain_offsets + 8 * domains, &claimed, 8);
+  // (machines + 1) * 8 wraps to the true name-table size.
+  auto wrapped_table = original;
+  set_header_count(wrapped_table, 0, machines + (std::uint64_t{1} << 61));
+  // machines + 1 itself wraps to 0.
+  auto wrapped_entries = original;
+  set_header_count(wrapped_entries, 0, ~std::uint64_t{0});
+
+  for (const auto* crafted : {&wrapped_edges, &wrapped_table, &wrapped_entries}) {
+    {
+      std::ofstream out(path_, std::ios::binary);
+      out << *crafted;
+    }
+    try {
+      map_graph(path_);
+      ADD_FAILURE() << "map_graph accepted a wrapping count";
+    } catch (const util::ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find("section size overflows"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST_F(GraphCompressedTest, CompactEncodingRejectsTrailingGarbage) {

@@ -104,6 +104,34 @@ TEST(ParseDoubleTest, RejectsMalformedInput) {
   EXPECT_THROW(parse_double("x"), ParseError);
 }
 
+// The messages are built only on failure (throw_parse_error); they quote
+// the trimmed text.
+TEST(ParseNumberTest, ErrorTextQuotesTheTrimmedInput) {
+  const auto error_of = [](const auto& parse) -> std::string {
+    try {
+      parse();
+    } catch (const ParseError& error) {
+      return error.what();
+    }
+    return "no ParseError";
+  };
+  EXPECT_EQ(error_of([] { parse_u64(" 12x "); }),
+            "parse_u64: malformed unsigned integer: '12x'");
+  EXPECT_EQ(error_of([] { parse_double("\t1.2.3"); }),
+            "parse_double: malformed floating-point value: '1.2.3'");
+}
+
+TEST(ThrowParseErrorTest, ConcatenatesTextAndDecimalIntegers) {
+  try {
+    throw_parse_error({"n=", std::size_t{18446744073709551615ULL}, std::string_view(" u8="),
+                       std::uint8_t{200}, " u32=", std::uint32_t{0}});
+  } catch (const ParseError& error) {
+    EXPECT_STREQ(error.what(), "n=18446744073709551615 u8=200 u32=0");
+    return;
+  }
+  FAIL() << "throw_parse_error returned";
+}
+
 TEST(FormatTest, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(1.0, 0), "1");

@@ -34,9 +34,11 @@
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
 # producer/consumer interleavings actually vary), the malformed-wire
-# corpus under asan (where "never UB" is checked, not assumed), and the
-# replay benchmark (SEG_BENCH_INGEST_ONLY=1), whose BENCH_pipeline.json
-# "ingest" section is archived under ${LOG_DIR}/ingest/.
+# corpus under asan (where "never UB" is checked, not assumed), the
+# decoders' allocation contract (wire_alloc_test, plain tree: it counts
+# operator new, which the sanitizers replace), and the replay benchmark
+# (SEG_BENCH_INGEST_ONLY=1), whose BENCH_pipeline.json "ingest" section is
+# archived under ${LOG_DIR}/ingest/.
 #
 # Environment:
 #   SEG_CI_JOBS     parallel build/test jobs (default: nproc)
@@ -337,11 +339,17 @@ run_ingest() {
     return 1
   fi
 
-  echo "=== [ingest] replay benchmark (SEG_BENCH_INGEST_ONLY=1) ==="
+  echo "=== [ingest] allocation contract + replay benchmark (plain tree) ==="
   if ! cmake -B build-plain -S . >> "${log}" 2>&1 ||
-     ! cmake --build build-plain -j "${JOBS}" --target bench_perf_efficiency \
+     ! cmake --build build-plain -j "${JOBS}" --target wire_alloc_test bench_perf_efficiency \
          >> "${log}" 2>&1; then
-    echo "    bench build FAILED (see ${log})"
+    echo "    plain build FAILED (see ${log})"
+    return 1
+  fi
+  # Decoding into a reused record must not touch the heap once its buffers
+  # have grown to fit the stream.
+  if ! build-plain/tests/wire_alloc_test >> "${log}" 2>&1; then
+    echo "    wire allocation contract FAILED (see ${log})"
     return 1
   fi
   # The bench writes BENCH_pipeline.json into its cwd and exits non-zero
