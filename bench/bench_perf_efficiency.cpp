@@ -156,13 +156,11 @@ class ChainedTraceSource final : public seg::dns::TraceSource {
 
 // The streaming leg: one core::Pipeline session per ISP, the ISP's days
 // chained into one stream and ingested through the back-pressured queue so
-// the carried name dictionary and sharded stores do their job.
+// the carried name dictionary does its job.
 struct StreamingTotals {
   std::vector<double> ingest_seconds;       // per ISP-day, in run order
   std::vector<double> reuse_ratios;         // name-dictionary reuse per day
   std::size_t cached_names = 0;             // dictionary size after last day
-  double activity_queries_per_second = 0.0; // sharded F2 batch lookup rate
-  double pdns_queries_per_second = 0.0;     // sharded F3 batch lookup rate
   std::vector<double> scores;               // for the bit-identity check
   double stream_wall_seconds = 0.0;         // ingest_stream wall clock, summed
   std::uint64_t stream_records = 0;         // records through the queue
@@ -178,7 +176,6 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
   StreamingTotals totals;
   for (std::size_t isp = 0; isp < std::min(world.isp_count(), max_isps); ++isp) {
     core::Pipeline pipeline(world.psl(), config);
-    core::PreparedDay last_day;
     std::vector<dns::DayTrace> traces;
     std::vector<graph::NameSet> blacklists;
     for (dns::Day day = 10; day <= 13; ++day) {
@@ -204,7 +201,6 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
           for (const auto& scored : report.scores) {
             totals.scores.push_back(scored.score);
           }
-          last_day = std::move(prepared);
         });
     totals.stream_wall_seconds += stream_span.close();
     totals.stream_records += ingest_stats.records;
@@ -220,37 +216,6 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
     totals.reuse_ratios.insert(totals.reuse_ratios.end(), stats.reuse_ratios.begin(),
                                stats.reuse_ratios.end());
     totals.cached_names += stats.cached_names;
-
-    // Batch-lookup throughput, measured on the last ingested day's graph:
-    // the same F2/F3 query mix the feature extractor issues.
-    const auto& graph = last_day.graph;
-    const dns::Day t_now = graph.day();
-    std::vector<dns::ShardedActivityIndex::Query> activity_queries;
-    for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
-      activity_queries.push_back(
-          {graph.domain_name(d), t_now - config.features.activity_window_days + 1, t_now,
-           t_now});
-    }
-    std::vector<dns::ShardedPassiveDnsDb::AbuseQuery> pdns_queries;
-    for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
-      for (const auto ip : graph.resolved_ips(d)) {
-        pdns_queries.push_back({ip, t_now - config.features.pdns_window_days, t_now - 1});
-      }
-    }
-    obs::Span activity_span("bench/activity_batch");
-    (void)pipeline.activity().query_batch(activity_queries);
-    const double activity_seconds = activity_span.close();
-    obs::Span pdns_span("bench/pdns_batch");
-    (void)pipeline.pdns().query_batch(pdns_queries);
-    const double pdns_seconds = pdns_span.close();
-    if (activity_seconds > 0.0) {
-      totals.activity_queries_per_second =
-          static_cast<double>(activity_queries.size()) / activity_seconds;
-    }
-    if (pdns_seconds > 0.0) {
-      totals.pdns_queries_per_second =
-          static_cast<double>(pdns_queries.size()) / pdns_seconds;
-    }
   }
   return totals;
 }
@@ -634,11 +599,7 @@ void write_json(const char* path, const StageTotals& serial, const StageTotals& 
   std::fprintf(out, ",\n    \"intern_reuse_ratio\": ");
   array(streaming.reuse_ratios);
   std::fprintf(out,
-               ",\n    \"cached_names\": %zu,\n"
-               "    \"activity_batch_queries_per_sec\": %.1f,\n"
-               "    \"pdns_batch_queries_per_sec\": %.1f\n  }",
-               streaming.cached_names, streaming.activity_queries_per_second,
-               streaming.pdns_queries_per_second);
+               ",\n    \"cached_names\": %zu\n  }", streaming.cached_names);
   std::fprintf(out, ",\n");
   write_ingest_json(out, ingest);
   std::fprintf(out, ",\n  \"obs\": {\n    \"shard_edge_histogram\": {\n      \"bounds\": ");
@@ -763,9 +724,8 @@ int main() {
         ++reuse_count;
       }
     }
-    std::printf("%.1f%% on average; batch lookups: %.0f activity q/s, %.0f pdns q/s\n",
-                reuse_count > 0 ? 100.0 * reuse_sum / static_cast<double>(reuse_count) : 0.0,
-                streaming.activity_queries_per_second, streaming.pdns_queries_per_second);
+    std::printf("%.1f%% on average\n",
+                reuse_count > 0 ? 100.0 * reuse_sum / static_cast<double>(reuse_count) : 0.0);
   }
 
   if (parallel_threads > 1) {

@@ -5,12 +5,14 @@
 
 namespace seg::core {
 
-namespace {
-
-CalibrationResult calibrate_with_extractor(const Segugio& segugio,
-                                           const graph::MachineDomainGraph& graph,
-                                           const features::FeatureExtractor& extractor,
-                                           double max_fpr) {
+CalibrationResult calibrate_threshold(const Segugio& segugio, const graph::GraphView& graph,
+                                      const dns::DomainActivityIndex& activity,
+                                      const dns::PassiveDnsDb& pdns, double max_fpr) {
+  util::require(segugio.is_trained(), "calibrate_threshold: detector not trained");
+  util::require(max_fpr > 0.0 && max_fpr <= 1.0,
+                "calibrate_threshold: max_fpr must be in (0, 1]");
+  const features::FeatureExtractor extractor(graph, activity, pdns,
+                                             segugio.config().features);
   std::vector<int> labels;
   std::vector<double> scores;
   for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
@@ -31,32 +33,6 @@ CalibrationResult calibrate_with_extractor(const Segugio& segugio,
   result.achieved_tpr = confusion.tpr();
   result.achieved_fpr = confusion.fpr();
   return result;
-}
-
-}  // namespace
-
-CalibrationResult calibrate_threshold(const Segugio& segugio,
-                                      const graph::MachineDomainGraph& graph,
-                                      const dns::DomainActivityIndex& activity,
-                                      const dns::PassiveDnsDb& pdns, double max_fpr) {
-  util::require(segugio.is_trained(), "calibrate_threshold: detector not trained");
-  util::require(max_fpr > 0.0 && max_fpr <= 1.0,
-                "calibrate_threshold: max_fpr must be in (0, 1]");
-  const features::FeatureExtractor extractor(graph, activity, pdns,
-                                             segugio.config().features);
-  return calibrate_with_extractor(segugio, graph, extractor, max_fpr);
-}
-
-CalibrationResult calibrate_threshold(const Segugio& segugio,
-                                      const graph::MachineDomainGraph& graph,
-                                      const dns::ShardedActivityIndex& activity,
-                                      const dns::ShardedPassiveDnsDb& pdns, double max_fpr) {
-  util::require(segugio.is_trained(), "calibrate_threshold: detector not trained");
-  util::require(max_fpr > 0.0 && max_fpr <= 1.0,
-                "calibrate_threshold: max_fpr must be in (0, 1]");
-  const features::FeatureExtractor extractor(graph, activity, pdns,
-                                             segugio.config().features);
-  return calibrate_with_extractor(segugio, graph, extractor, max_fpr);
 }
 
 }  // namespace seg::core

@@ -22,17 +22,9 @@ struct CalibrationResult {
 
 /// Calibrates on `graph`'s known domains (hidden-label scores) for an FP
 /// budget of `max_fpr`. Requires a trained detector and a graph holding
-/// both known classes.
-CalibrationResult calibrate_threshold(const Segugio& segugio,
-                                      const graph::MachineDomainGraph& graph,
+/// both known classes. Any backing works: a heap graph or a mapped view.
+CalibrationResult calibrate_threshold(const Segugio& segugio, const graph::GraphView& graph,
                                       const dns::DomainActivityIndex& activity,
                                       const dns::PassiveDnsDb& pdns, double max_fpr);
-
-/// Sharded-store overload, used by the streaming pipeline. Top-level
-/// calls only (see dns/sharded_store.h).
-CalibrationResult calibrate_threshold(const Segugio& segugio,
-                                      const graph::MachineDomainGraph& graph,
-                                      const dns::ShardedActivityIndex& activity,
-                                      const dns::ShardedPassiveDnsDb& pdns, double max_fpr);
 
 }  // namespace seg::core

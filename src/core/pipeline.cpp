@@ -58,23 +58,6 @@ PreparedDay Pipeline::prepare_one_day(const dns::DayTrace& trace,
   return day;
 }
 
-PreparedDay Pipeline::ingest_day(const dns::DayTrace& trace, const graph::NameSet& cc_blacklist,
-                                 const graph::NameSet& e2ld_whitelist) {
-  if (trace.records.empty()) {
-    // An empty day still yields an (empty) prepared graph; the stream path
-    // below would never fire its day callback.
-    return prepare_one_day(trace, cc_blacklist, e2ld_whitelist);
-  }
-  dns::DayTraceSource source(trace);
-  PreparedDay result;
-  IngestOptions options;
-  options.use_queue = false;  // already in memory: nothing to overlap with
-  ingest_stream(
-      source, [&cc_blacklist](dns::Day) -> const graph::NameSet& { return cc_blacklist; },
-      e2ld_whitelist, [&result](PreparedDay&& day) { result = std::move(day); }, options);
-  return result;
-}
-
 IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
                                     const BlacklistProvider& cc_blacklist,
                                     const graph::NameSet& e2ld_whitelist,
@@ -113,18 +96,6 @@ IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
     }
     current.records.push_back(std::move(record));
   };
-
-  if (!options.use_queue) {
-    dns::QueryRecord record;
-    while (source.next(record)) {
-      deliver(std::move(record));
-    }
-    if (open) {
-      flush_day();
-    }
-    stats.wire_skipped = source.skipped();
-    return stats;
-  }
 
   using Batch = std::vector<dns::QueryRecord>;
   util::IngestQueueOptions queue_options;
@@ -334,7 +305,6 @@ void Pipeline::journal_annotate_classify(const PreparedDay& day,
 
   // Per-feature summary histograms over the day's unknown domains, walked
   // serially in domain-id order: deterministic for every SEG_THREADS (the
-  // sharded extractor's batch precompute is order-independent, and the
   // per-domain extract() calls touch no shared state).
   std::vector<obs::JournalHistogram> feature_hists;
   feature_hists.reserve(features::kNumFeatures);

@@ -1,30 +1,27 @@
 // The streaming multi-day pipeline (Figure 2, run day after day).
 //
 // A Pipeline is a long-lived session over one monitored network. It owns
-// the history stores (domain activity, passive DNS) in their sharded form
-// and a carried name dictionary, so consecutive days share work:
-//
-//   - name validation/normalization/e2LD facts computed on day t are
-//     reused on day t+1 (only genuinely new names pay the full cost);
-//   - F2/F3 history lookups run as parallel batches against the sharded
-//     stores instead of one hash probe at a time.
+// the history stores (domain activity, passive DNS) and a carried name
+// dictionary, so consecutive days share work: name validation,
+// normalization and e2LD facts computed on day t are reused on day t+1
+// (only genuinely new names pay the full cost). F2/F3 read the stores per
+// domain inside the feature extraction's parallel loop; const lookups into
+// a hash map need no sharding to run in parallel.
 //
 // Records enter through ingest_stream(): a TraceSource (dnstap capture,
 // pcap, SEGTRC1 binlog, sim TSV, or an in-memory trace) is parsed on a
 // producer thread, micro-batched through a bounded back-pressured
 // util::IngestQueue, assembled into observation days on the caller
 // thread, and each completed day is prepared and handed to a callback.
-// The legacy one-day batch entry point, ingest_day(), survives as a thin
-// adapter over an in-memory source.
 //
 // Determinism contract: every PreparedDay graph and every classify()
 // score is bit-identical to what a from-scratch Segugio::prepare_graph /
-// train / classify over the same inputs produces, for every thread and
-// shard count (tests/core/pipeline_test.cpp asserts byte equality of the
-// serialized graphs and exact score equality at 1 and 8 threads) — and a
-// streamed session is byte-identical to the equivalent day-batch session
-// under the blocking back-pressure policy, the only policy that never
-// drops records (tests/core/pipeline_stream_test.cpp).
+// train / classify over the same inputs produces, for every thread count
+// (tests/core/pipeline_test.cpp asserts byte equality of the serialized
+// graphs and exact score equality at 1 and 8 threads), under the blocking
+// back-pressure policy, the only policy that never drops records
+// (tests/core/pipeline_stream_test.cpp). tests/core/golden_digest_test.cpp
+// pins a streamed session's scores and model bytes to constants.
 //
 // Typical deployment session:
 //
@@ -47,7 +44,6 @@
 #include <vector>
 
 #include "core/segugio.h"
-#include "dns/sharded_store.h"
 #include "dns/trace_source.h"
 #include "graph/name_cache.h"
 #include "util/ingest_queue.h"
@@ -65,10 +61,8 @@ struct PreparedDay {
   dns::Day day = 0;                 ///< the observation day
 };
 
-/// Cumulative counters over every day the session ingested (through
-/// ingest_stream() or the legacy adapter — both funnel into the same
-/// per-day preparation, so there is exactly one timing mechanism:
-/// ingest_seconds[i] is the close of the i-th "pipeline/ingest_day" span).
+/// Cumulative counters over every day the session ingested:
+/// ingest_seconds[i] is the close of the i-th "pipeline/ingest_day" span.
 struct StreamingStats {
   std::size_t days_ingested = 0;
   std::vector<double> ingest_seconds;  ///< wall clock per ingested day
@@ -82,9 +76,6 @@ struct IngestOptions {
   /// Max queued batches (back-pressure); see util::kDefaultQueueCapacity.
   std::size_t queue_capacity = util::kDefaultQueueCapacity;
   util::BackpressurePolicy policy = util::BackpressurePolicy::kBlock;
-  /// When false, the source is parsed inline on the caller thread with no
-  /// producer thread and no queue (the adapter path; also handy in tests).
-  bool use_queue = true;
   /// kCountAndDrop only: shed overload as a uniform per-record sample
   /// instead of whole contiguous batches (see util::IngestQueueOptions).
   /// Irrelevant under the default kBlock policy, which never drops.
@@ -116,7 +107,7 @@ struct IngestStats {
   std::uint64_t records = 0;       ///< records assembled into days
   std::uint64_t wire_skipped = 0;  ///< filtered wire messages (FileTraceSource)
   std::size_t days = 0;            ///< completed days handed to the callback
-  util::IngestQueueStats queue;    ///< final queue counters (zeros if no queue)
+  util::IngestQueueStats queue;    ///< final queue counters
 };
 
 class Pipeline {
@@ -134,52 +125,46 @@ class Pipeline {
   /// pipeline.
   explicit Pipeline(const dns::PublicSuffixList& psl, SegugioConfig config = {});
 
-  /// Session seeded from existing serial history (e.g. a warmup period or
-  /// stores loaded from disk); the stores are absorbed by copy.
+  /// Session seeded from existing history (e.g. a warmup period or stores
+  /// loaded from disk); the stores are copied in.
   Pipeline(const dns::PublicSuffixList& psl, const dns::DomainActivityIndex& activity,
            const dns::PassiveDnsDb& pdns, SegugioConfig config = {});
 
-  /// Folds serial history into the session's sharded stores. Idempotent:
-  /// absorbing the same snapshot twice changes nothing, so callers may
-  /// re-absorb a growing store after each day.
+  /// Folds history into the session's stores (DomainActivityIndex::absorb,
+  /// PassiveDnsDb::absorb). Idempotent: absorbing the same snapshot twice
+  /// changes nothing, so callers may re-absorb a growing store after each
+  /// day.
   void absorb_history(const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns);
 
   /// Consumes `source` to exhaustion: parses records on a producer thread,
   /// moves them through a bounded back-pressured queue (see IngestOptions),
   /// cuts the stream at day boundaries (days must be non-decreasing;
-  /// util::ParseError otherwise), prepares each completed day exactly as
-  /// ingest_day() would, and hands it to `on_day`. Under the default
-  /// kBlock policy the result is bit-identical to per-day batch ingestion;
+  /// util::ParseError otherwise), builds, labels, (optionally)
+  /// prober-filters and prunes each completed day, and hands it to
+  /// `on_day`. Under the default kBlock policy each day's graph is
+  /// bit-identical to Segugio::prepare_graph over that day's records;
   /// kCountAndDrop trades completeness for liveness and reports drops in
-  /// the returned stats. Exceptions from the producer (malformed wire
-  /// data) or from `on_day` propagate to the caller after the producer
-  /// thread is joined. Top-level calls only (the build uses the shared
-  /// pool).
+  /// the returned stats. History stores are fed separately through
+  /// absorb_history(), keeping feature inputs identical to the one-shot
+  /// flow. Exceptions from the producer (malformed wire data) or from
+  /// `on_day` propagate to the caller after the producer thread is joined.
+  /// Top-level calls only (the build uses the shared pool).
   IngestStats ingest_stream(dns::TraceSource& source, const BlacklistProvider& cc_blacklist,
                             const graph::NameSet& e2ld_whitelist, const DayCallback& on_day,
                             const IngestOptions& options = {});
 
-  /// Builds, labels, (optionally) prober-filters, and prunes one day's
-  /// behavior graph from a materialized trace. History stores are fed
-  /// separately through absorb_history(), keeping feature inputs identical
-  /// to the one-shot flow. Kept as an adapter over ingest_stream() for
-  /// callers that already hold a DayTrace; new code should stream.
-  // seg-deprecated
-  PreparedDay ingest_day(const dns::DayTrace& trace, const graph::NameSet& cc_blacklist,
-                         const graph::NameSet& e2ld_whitelist);
-
   /// Trains the detector from the day's known domains (Figure 5 protocol),
-  /// with history served by the sharded stores.
+  /// with history served by the session's stores.
   void train(const PreparedDay& day);
 
   /// Scores the day's unknown domains; the report is self-contained (see
   /// DetectionReport).
   DetectionReport classify(const PreparedDay& day) const;
 
-  /// Persists the session state that is NOT reconstructible from the serial
+  /// Persists the session state that is NOT reconstructible from the
   /// history stores: the carried name dictionary (`segf1 pipeline-session`
   /// stream embedding a `segf1 namecache` payload). The activity/pdns
-  /// history keeps using the serial stores' own save/load plus
+  /// history keeps using the stores' own save/load plus
   /// absorb_history(), so a restart is:
   ///
   ///   save:  activity.save(a); pdns.save(p); pipeline.save_session(s);
@@ -187,7 +172,7 @@ class Pipeline {
   ///          fresh.absorb_history(load(a), load(p));
   ///          fresh.load_session(s);
   ///
-  /// after which ingest_day() produces bit-identical graphs and reuse
+  /// after which ingest_stream() produces bit-identical graphs and reuse
   /// ratios carry over instead of resetting to zero.
   void save_session(std::ostream& out) const;
 
@@ -222,13 +207,13 @@ class Pipeline {
   const Segugio& detector() const { return detector_; }
   Segugio& detector() { return detector_; }
   const SegugioConfig& config() const { return detector_.config(); }
-  const dns::ShardedActivityIndex& activity() const { return activity_; }
-  const dns::ShardedPassiveDnsDb& pdns() const { return pdns_; }
+  const dns::DomainActivityIndex& activity() const { return activity_; }
+  const dns::PassiveDnsDb& pdns() const { return pdns_; }
   const StreamingStats& streaming_stats() const { return stats_; }
 
  private:
-  /// The one per-day preparation path both entry points share (and the
-  /// single source of StreamingStats::ingest_seconds timings).
+  /// The per-day preparation behind ingest_stream() (and the single source
+  /// of StreamingStats::ingest_seconds timings).
   PreparedDay prepare_one_day(const dns::DayTrace& trace, const graph::NameSet& cc_blacklist,
                               const graph::NameSet& e2ld_whitelist);
 
@@ -244,8 +229,8 @@ class Pipeline {
   const dns::PublicSuffixList* psl_;
   Segugio detector_;
   graph::NameCache cache_;
-  dns::ShardedActivityIndex activity_;
-  dns::ShardedPassiveDnsDb pdns_;
+  dns::DomainActivityIndex activity_;
+  dns::PassiveDnsDb pdns_;
   StreamingStats stats_;
 
   JournalOptions journal_options_;

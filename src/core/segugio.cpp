@@ -1,18 +1,9 @@
 #include "core/segugio.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <string_view>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
-#include "graph/graph_compressed.h"
 #include "graph/labeling.h"
 #include "ml/metrics.h"
 #include "util/obs/metrics.h"
@@ -42,26 +33,6 @@ std::vector<Detection> DetectionReport::detections_at(double threshold) const {
     detection.domain = scores[i];
     for (std::uint32_t k = machine_offsets[i]; k < machine_offsets[i + 1]; ++k) {
       detection.machines.push_back(machine_names[machine_refs[k]]);
-    }
-    detections.push_back(std::move(detection));
-  }
-  std::sort(detections.begin(), detections.end(), [](const Detection& a, const Detection& b) {
-    return a.domain.score > b.domain.score;
-  });
-  return detections;
-}
-
-std::vector<Detection> DetectionReport::detections_at(
-    double threshold, const graph::MachineDomainGraph& graph) const {
-  std::vector<Detection> detections;
-  for (const auto& scored : scores) {
-    if (scored.score < threshold) {
-      continue;
-    }
-    Detection detection;
-    detection.domain = scored;
-    for (const auto m : graph.machines_of(scored.id)) {
-      detection.machines.emplace_back(graph.machine_name(m));
     }
     detections.push_back(std::move(detection));
   }
@@ -120,42 +91,16 @@ PrepareResult Segugio::prepare_graph(const dns::DayTrace& trace,
                              /*cache=*/nullptr, /*carry=*/nullptr);
 }
 
-void Segugio::train(const graph::MachineDomainGraph& graph,
-                    const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns) {
-  train(graph.view(), activity, pdns);
-}
-
-void Segugio::train(const graph::MachineDomainGraph& graph,
-                    const dns::ShardedActivityIndex& activity,
-                    const dns::ShardedPassiveDnsDb& pdns) {
-  train(graph.view(), activity, pdns);
-}
-
 void Segugio::train(const graph::GraphView& graph, const dns::DomainActivityIndex& activity,
                     const dns::PassiveDnsDb& pdns) {
-  obs::Span span("train/features");
-  const features::FeatureExtractor extractor(graph, activity, pdns, config_.features);
-  timings_.train_feature_seconds = span.close();
-  train_impl(graph, extractor);
-}
-
-void Segugio::train(const graph::GraphView& graph, const dns::ShardedActivityIndex& activity,
-                    const dns::ShardedPassiveDnsDb& pdns) {
-  obs::Span span("train/features");
-  const features::FeatureExtractor extractor(graph, activity, pdns, config_.features);
-  timings_.train_feature_seconds = span.close();
-  train_impl(graph, extractor);
-}
-
-void Segugio::train_impl(const graph::GraphView& graph,
-                         const features::FeatureExtractor& extractor) {
   obs::Span features_span("train/features");
+  const features::FeatureExtractor extractor(graph, activity, pdns, config_.features);
   auto training = features::build_training_set(graph, extractor, config_.training);
   util::require(training.malware_rows > 0,
                 "Segugio::train: no known malware domains in the training graph");
   util::require(training.benign_rows > 0,
                 "Segugio::train: no known benign domains in the training graph");
-  timings_.train_feature_seconds += features_span.close();
+  timings_.train_feature_seconds = features_span.close();
   obs::Registry::instance()
       .counter("seg_train_rows_total")
       .add(training.malware_rows + training.benign_rows);
@@ -200,93 +145,14 @@ double Segugio::score(const features::FeatureVector& features) const {
                             : logistic_->predict_proba(selected);
 }
 
-namespace {
-
-// SEG_GRAPH_BACKING=mmap reroutes heap-graph classification through a
-// packed graphc temp file served zero-copy off the mapping; the oocore CI
-// leg runs the whole pipeline suite this way. Scores are asserted
-// bit-identical to the heap path by tests/core/pipeline_mmap_test.
-bool mmap_backing_forced() {
-  const char* env = std::getenv("SEG_GRAPH_BACKING");
-  return env != nullptr && std::string_view(env) == "mmap";
-}
-
-// Deletes the temp graphc file even when classification throws.
-struct TempFileGuard {
-  std::string path;
-  ~TempFileGuard() {
-    if (!path.empty()) {
-      std::remove(path.c_str());
-    }
-  }
-};
-
-}  // namespace
-
-template <typename ActivityT, typename PdnsT>
-DetectionReport Segugio::classify_via_mmap(const graph::MachineDomainGraph& graph,
-                                           const ActivityT& activity, const PdnsT& pdns) const {
-#if defined(__unix__) || defined(__APPLE__)
-  char path_template[] = "/tmp/seg-graphc-XXXXXX";
-  const int fd = mkstemp(path_template);
-  util::require(fd >= 0, "Segugio::classify: cannot create temp graphc file");
-  ::close(fd);
-  TempFileGuard guard{path_template};
-  {
-    std::ofstream out(guard.path, std::ios::binary);
-    graph::save_graph_compressed(graph, out, graph::GraphcEncoding::kPacked);
-    util::require(static_cast<bool>(out), "Segugio::classify: temp graphc write failed");
-  }
-  const graph::MappedGraph mapped = graph::map_graph(guard.path);
-  return classify(mapped.view, activity, pdns);
-#else
-  return classify(graph.view(), activity, pdns);
-#endif
-}
-
-DetectionReport Segugio::classify(const graph::MachineDomainGraph& graph,
-                                  const dns::DomainActivityIndex& activity,
-                                  const dns::PassiveDnsDb& pdns) const {
-  if (mmap_backing_forced()) {
-    return classify_via_mmap(graph, activity, pdns);
-  }
-  return classify(graph.view(), activity, pdns);
-}
-
-DetectionReport Segugio::classify(const graph::MachineDomainGraph& graph,
-                                  const dns::ShardedActivityIndex& activity,
-                                  const dns::ShardedPassiveDnsDb& pdns) const {
-  if (mmap_backing_forced()) {
-    return classify_via_mmap(graph, activity, pdns);
-  }
-  return classify(graph.view(), activity, pdns);
-}
-
 DetectionReport Segugio::classify(const graph::GraphView& graph,
                                   const dns::DomainActivityIndex& activity,
                                   const dns::PassiveDnsDb& pdns) const {
   util::require(is_trained(), "Segugio::classify: classifier not trained");
-  obs::Span span("classify/features");
-  const features::FeatureExtractor extractor(graph, activity, pdns, config_.features);
-  timings_.classify_feature_seconds = span.close();
-  return classify_impl(graph, extractor);
-}
-
-DetectionReport Segugio::classify(const graph::GraphView& graph,
-                                  const dns::ShardedActivityIndex& activity,
-                                  const dns::ShardedPassiveDnsDb& pdns) const {
-  util::require(is_trained(), "Segugio::classify: classifier not trained");
-  obs::Span span("classify/features");
-  const features::FeatureExtractor extractor(graph, activity, pdns, config_.features);
-  timings_.classify_feature_seconds = span.close();
-  return classify_impl(graph, extractor);
-}
-
-DetectionReport Segugio::classify_impl(const graph::GraphView& graph,
-                                       const features::FeatureExtractor& extractor) const {
   obs::Span features_span("classify/features");
+  const features::FeatureExtractor extractor(graph, activity, pdns, config_.features);
   auto unknown = features::build_unknown_set(graph, extractor);
-  timings_.classify_feature_seconds += features_span.close();
+  timings_.classify_feature_seconds = features_span.close();
 
   obs::Span score_span("classify/score");
   DetectionReport report;

@@ -5,19 +5,27 @@
 // core::Pipeline (core/pipeline.h), which owns the history stores and
 // carries the name dictionary across days:
 //
-//   core::Pipeline pipeline(psl, config);
-//   auto day1 = pipeline.ingest_day(trace_t1, blacklist_t1, whitelist);
-//   pipeline.train(day1);
-//   auto day2 = pipeline.ingest_day(trace_t2, blacklist_t2, whitelist);
-//   auto report = pipeline.classify(day2);
-//   for (auto& hit : report.detections_at(threshold)) ...
+//   core::Pipeline pipeline(psl, activity, pdns, config);
+//   dns::FileTraceSource tap("resolver.dnstap");
+//   pipeline.ingest_stream(tap, blacklist_for_day, whitelist,
+//                          [&](core::PreparedDay&& day) {
+//                            if (!pipeline.detector().is_trained()) {
+//                              pipeline.train(day);
+//                            }
+//                            auto report = pipeline.classify(day);
+//                            for (auto& hit : report.detections_at(threshold)) ...
+//                          });
 //
-// The lower-level one-shot flow used by the experiments keeps working:
+// The lower-level one-shot flow used by the experiments:
 //
 //   auto prep = Segugio::prepare_graph(trace, psl, blacklist, whitelist,
 //                                      config.prepare_options());
 //   Segugio segugio(config);
 //   segugio.train(prep.graph, activity, pdns);
+//
+// train() and classify() take a graph::GraphView: a heap graph converts
+// implicitly, and an mmap-resident graph (graph::map_graph) passes its
+// view. Scores and the fitted model are bit-identical for either backing.
 #pragma once
 
 #include <iosfwd>
@@ -30,7 +38,6 @@
 #include "dns/pdns.h"
 #include "dns/public_suffix_list.h"
 #include "dns/query_log.h"
-#include "dns/sharded_store.h"
 #include "features/training_set.h"
 #include "graph/prober_filter.h"
 #include "graph/pruning.h"
@@ -144,12 +151,6 @@ struct DetectionReport {
   /// Domains with score >= threshold, most suspicious first, with the
   /// querying machines from the attribution captured at classify() time.
   std::vector<Detection> detections_at(double threshold) const;
-
-  /// Transitional overload for callers still holding the graph; the
-  /// attribution captured in the report makes the graph redundant.
-  // seg-deprecated
-  std::vector<Detection> detections_at(double threshold,
-                                       const graph::MachineDomainGraph& graph) const;
 };
 
 /// Everything prepare_graph() produces for one day of traffic.
@@ -174,46 +175,16 @@ class Segugio {
 
   /// Trains the behavior-based classifier from the known domains of a
   /// prepared graph (hidden-label protocol of Figure 5).
-  void train(const graph::MachineDomainGraph& graph, const dns::DomainActivityIndex& activity,
-             const dns::PassiveDnsDb& pdns);
-
-  /// Sharded-store overload: history lookups go through the stores'
-  /// parallel query_batch. Top-level calls only (see dns/sharded_store.h).
-  void train(const graph::MachineDomainGraph& graph,
-             const dns::ShardedActivityIndex& activity, const dns::ShardedPassiveDnsDb& pdns);
-
-  /// GraphView overloads: train from any backing — a heap graph's view()
-  /// or an mmap-resident graph (graph::map_graph). Scores and the fitted
-  /// model are bit-identical to the heap overloads.
   void train(const graph::GraphView& graph, const dns::DomainActivityIndex& activity,
              const dns::PassiveDnsDb& pdns);
-  void train(const graph::GraphView& graph, const dns::ShardedActivityIndex& activity,
-             const dns::ShardedPassiveDnsDb& pdns);
 
   bool is_trained() const;
 
   /// Scores every unknown domain of a prepared graph and captures the
   /// machine attribution into the report.
-  DetectionReport classify(const graph::MachineDomainGraph& graph,
-                           const dns::DomainActivityIndex& activity,
-                           const dns::PassiveDnsDb& pdns) const;
-
-  /// Sharded-store overload: history lookups go through the stores'
-  /// parallel query_batch. Top-level calls only (see dns/sharded_store.h).
-  DetectionReport classify(const graph::MachineDomainGraph& graph,
-                           const dns::ShardedActivityIndex& activity,
-                           const dns::ShardedPassiveDnsDb& pdns) const;
-
-  /// GraphView overloads: classify any backing. Setting SEG_GRAPH_BACKING=mmap
-  /// in the environment makes the heap-graph classify overloads reroute
-  /// through a packed graphc temp file and one of these (zero-copy view),
-  /// which the oocore CI leg uses to assert score bit-identity.
   DetectionReport classify(const graph::GraphView& graph,
                            const dns::DomainActivityIndex& activity,
                            const dns::PassiveDnsDb& pdns) const;
-  DetectionReport classify(const graph::GraphView& graph,
-                           const dns::ShardedActivityIndex& activity,
-                           const dns::ShardedPassiveDnsDb& pdns) const;
 
   /// Malware score of a single feature vector (full 11 features; the
   /// configured subset is applied internally).
@@ -245,13 +216,6 @@ class Segugio {
 
  private:
   std::vector<double> apply_subset(std::span<const double> features) const;
-  void train_impl(const graph::GraphView& graph,
-                  const features::FeatureExtractor& extractor);
-  DetectionReport classify_impl(const graph::GraphView& graph,
-                                const features::FeatureExtractor& extractor) const;
-  template <typename ActivityT, typename PdnsT>
-  DetectionReport classify_via_mmap(const graph::MachineDomainGraph& graph,
-                                    const ActivityT& activity, const PdnsT& pdns) const;
 
   SegugioConfig config_;
   std::unique_ptr<ml::RandomForest> forest_;
@@ -261,8 +225,8 @@ class Segugio {
 
 namespace detail {
 
-/// Shared implementation behind Segugio::prepare_graph and
-/// Pipeline::ingest_day. With a non-null `cache`, the graph build runs in
+/// Shared implementation behind Segugio::prepare_graph and the Pipeline's
+/// per-day preparation. With a non-null `cache`, the graph build runs in
 /// streaming mode (name facts carried across days; see
 /// graph/sharded_builder.h) and `carry`, when non-null, receives the
 /// dictionary-reuse counters.

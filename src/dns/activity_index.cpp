@@ -15,18 +15,7 @@ void DomainActivityIndex::mark_active(std::string_view name, Day day) {
   if (it == days_.end()) {
     it = days_.emplace(std::string(name), std::vector<Day>{}).first;
   }
-  auto& days = it->second;
-  if (days.empty() || days.back() < day) {
-    days.push_back(day);
-    return;
-  }
-  if (days.back() == day) {
-    return;
-  }
-  const auto pos = std::lower_bound(days.begin(), days.end(), day);
-  if (pos == days.end() || *pos != day) {
-    days.insert(pos, day);
-  }
+  insert_day(it->second, day);
 }
 
 int DomainActivityIndex::active_days(std::string_view name, Day from, Day to) const {
@@ -71,10 +60,19 @@ std::optional<Day> DomainActivityIndex::first_seen(std::string_view name) const 
   return it->second.front();
 }
 
-void DomainActivityIndex::visit(
-    const std::function<void(std::string_view, std::span<const Day>)>& fn) const {
-  for (const auto& [name, days] : days_) {
-    fn(name, days);
+void DomainActivityIndex::absorb(const DomainActivityIndex& other) {
+  if (&other == this) {
+    return;
+  }
+  for (const auto& [name, days] : other.days_) {
+    // A new name takes an exact-size copy of its days, so absorbing into
+    // an empty index costs what a plain copy costs.
+    const auto [it, inserted] = days_.try_emplace(name, days);
+    if (!inserted) {
+      for (const auto day : days) {
+        insert_day(it->second, day);
+      }
+    }
   }
 }
 

@@ -11,7 +11,6 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -41,10 +40,10 @@ class DomainActivityIndex {
 
   std::size_t tracked_names() const { return days_.size(); }
 
-  /// Enumerates every (name, sorted days) pair in unspecified order (used
-  /// by the sharded store's absorb and merged save paths).
-  void visit(const std::function<void(std::string_view name, std::span<const Day> days)>& fn)
-      const;
+  /// Folds `other`'s observations into this index: afterwards every name
+  /// holds the union of both day sets. Idempotent: absorbing the same index
+  /// twice changes nothing.
+  void absorb(const DomainActivityIndex& other);
 
   /// Text serialization: one `name day day ...` line per tracked name,
   /// prefixed with the versioned `segf1 activity <version>` header

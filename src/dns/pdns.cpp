@@ -63,20 +63,6 @@ std::size_t PassiveDnsDb::distinct_ip_count() const {
   return count;
 }
 
-void PassiveDnsDb::insert_day(std::vector<Day>& days, Day day) {
-  if (days.empty() || days.back() < day) {
-    days.push_back(day);
-    return;
-  }
-  if (days.back() == day) {
-    return;  // duplicate same-day observation
-  }
-  const auto it = std::lower_bound(days.begin(), days.end(), day);
-  if (it == days.end() || *it != day) {
-    days.insert(it, day);
-  }
-}
-
 bool PassiveDnsDb::any_in_range(const DayIndex& index, std::uint32_t key, Day from, Day to) {
   const auto it = index.find(key);
   if (it == index.end()) {
@@ -87,33 +73,26 @@ bool PassiveDnsDb::any_in_range(const DayIndex& index, std::uint32_t key, Day fr
   return lo != days.end() && *lo <= to;
 }
 
-void PassiveDnsDb::visit(
-    PdnsIndexKind kind,
-    const std::function<void(std::uint32_t, std::span<const Day>)>& fn) const {
-  const DayIndex* index = nullptr;
-  switch (kind) {
-    case PdnsIndexKind::kIpMalware: index = &ip_malware_; break;
-    case PdnsIndexKind::kIpUnknown: index = &ip_unknown_; break;
-    case PdnsIndexKind::kPrefixMalware: index = &prefix_malware_; break;
-    case PdnsIndexKind::kPrefixUnknown: index = &prefix_unknown_; break;
+void PassiveDnsDb::absorb(const PassiveDnsDb& other) {
+  if (&other != this) {
+    absorb_index(ip_malware_, other.ip_malware_);
+    absorb_index(ip_unknown_, other.ip_unknown_);
+    absorb_index(prefix_malware_, other.prefix_malware_);
+    absorb_index(prefix_unknown_, other.prefix_unknown_);
   }
-  for (const auto& [key, days] : *index) {
-    fn(key, days);
-  }
+  observations_ = std::max(observations_, other.observations_);
 }
 
-void PassiveDnsDb::merge_index_days(PdnsIndexKind kind, std::uint32_t key,
-                                    std::span<const Day> days) {
-  DayIndex* index = nullptr;
-  switch (kind) {
-    case PdnsIndexKind::kIpMalware: index = &ip_malware_; break;
-    case PdnsIndexKind::kIpUnknown: index = &ip_unknown_; break;
-    case PdnsIndexKind::kPrefixMalware: index = &prefix_malware_; break;
-    case PdnsIndexKind::kPrefixUnknown: index = &prefix_unknown_; break;
-  }
-  auto& stored = (*index)[key];
-  for (const auto day : days) {
-    insert_day(stored, day);
+void PassiveDnsDb::absorb_index(DayIndex& into, const DayIndex& from) {
+  for (const auto& [key, days] : from) {
+    // A new key takes an exact-size copy of its days, so absorbing into an
+    // empty database costs what a plain copy costs.
+    const auto [it, inserted] = into.try_emplace(key, days);
+    if (!inserted) {
+      for (const auto day : days) {
+        insert_day(it->second, day);
+      }
+    }
   }
 }
 

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <unordered_map>
@@ -23,9 +22,6 @@ namespace seg::dns {
 /// Label of the domain that pointed at an IP, as known when the passive DNS
 /// observation was stored.
 enum class PdnsAssociation { kMalware, kUnknown, kBenign };
-
-/// One of the four (ip | /24 prefix) x (malware | unknown) day indexes.
-enum class PdnsIndexKind { kIpMalware, kIpUnknown, kPrefixMalware, kPrefixUnknown };
 
 class PassiveDnsDb {
  public:
@@ -56,18 +52,11 @@ class PassiveDnsDb {
   /// Number of distinct IPs with at least one observation.
   std::size_t distinct_ip_count() const;
 
-  /// Enumerates one index in unspecified order (used by the sharded store's
-  /// absorb and merged save paths).
-  void visit(PdnsIndexKind kind,
-             const std::function<void(std::uint32_t key, std::span<const Day> days)>& fn) const;
-
-  /// Low-level merge: folds sorted-or-not `days` for `key` into one index.
-  /// Idempotent per (key, day); does not touch observation_count().
-  void merge_index_days(PdnsIndexKind kind, std::uint32_t key, std::span<const Day> days);
-
-  /// Overrides the stored observation counter. Merge/absorb paths only —
-  /// normal ingest maintains the counter through add_observation().
-  void set_observation_count(std::size_t count) { observations_ = count; }
+  /// Folds `other`'s day indexes into this database: afterwards every key
+  /// holds the union of both day sets. observation_count() becomes the max
+  /// of the two counts, so absorbing the same snapshot twice changes
+  /// nothing.
+  void absorb(const PassiveDnsDb& other);
 
   /// Text serialization of the malware/unknown indexes, prefixed with the
   /// versioned `segf1 pdns <version>` header (util/serialize.h). load()
@@ -83,7 +72,7 @@ class PassiveDnsDb {
   // lazily with an insertion that is O(1) for in-order appends.
   using DayIndex = std::unordered_map<std::uint32_t, std::vector<Day>>;
 
-  static void insert_day(std::vector<Day>& days, Day day);
+  static void absorb_index(DayIndex& into, const DayIndex& from);
   static bool any_in_range(const DayIndex& index, std::uint32_t key, Day from, Day to);
 
   DayIndex ip_malware_;

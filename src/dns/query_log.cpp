@@ -31,7 +31,7 @@ T read_le(std::istream& in) {
   for (std::size_t i = 0; i < sizeof(T); ++i) {
     const int byte = in.get();
     util::require_data(byte != std::char_traits<char>::eof(),
-                       "read_trace_binary: truncated file");
+                       "for_each_record: truncated file");
     value |= static_cast<std::uint64_t>(static_cast<unsigned char>(byte)) << (8 * i);
   }
   return static_cast<T>(value);
@@ -48,7 +48,7 @@ std::string read_string(std::istream& in) {
   std::string text(length, '\0');
   in.read(text.data(), length);
   util::require_data(static_cast<std::size_t>(in.gcount()) == length,
-                     "read_trace_binary: truncated string");
+                     "for_each_record: truncated string");
   return text;
 }
 
@@ -72,35 +72,6 @@ void write_trace(const DayTrace& trace, const std::string& path) {
   }
 }
 
-DayTrace read_trace(const std::string& path) {
-  util::DsvReader reader(path);
-  DayTrace trace;
-  bool first = true;
-  std::vector<std::string_view> fields;
-  while (reader.next(fields)) {
-    if (fields.size() != 4) [[unlikely]] {
-      util::throw_parse_error({"read_trace: expected 4 fields at line ", reader.line_number()});
-    }
-    QueryRecord record;
-    record.day = static_cast<Day>(util::parse_u64(fields[0]));
-    record.machine = std::string(fields[1]);
-    record.qname = std::string(fields[2]);
-    for (const auto ip_text : util::split_skip_empty(fields[3], ',')) {
-      record.resolved_ips.push_back(IpV4::parse(ip_text));
-    }
-    if (first) {
-      trace.day = record.day;
-      first = false;
-    } else if (record.day != trace.day) [[unlikely]] {
-      util::throw_parse_error(
-          {"read_trace: mixed days in one trace file at line ", reader.line_number()});
-    }
-    trace.records.push_back(std::move(record));
-  }
-  return trace;
-}
-
-
 void write_trace_binary(const DayTrace& trace, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   util::require_data(out.is_open(), "write_trace_binary: cannot create '" + path + "'");
@@ -119,34 +90,6 @@ void write_trace_binary(const DayTrace& trace, const std::string& path) {
   }
   util::require_data(static_cast<bool>(out), "write_trace_binary: write failed");
 }
-
-DayTrace read_trace_binary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  util::require_data(in.is_open(), "read_trace_binary: cannot open '" + path + "'");
-  char magic[kMagicLength];
-  in.read(magic, static_cast<std::streamsize>(kMagicLength));
-  util::require_data(static_cast<std::size_t>(in.gcount()) == kMagicLength &&
-                         std::memcmp(magic, kBinaryMagic, kMagicLength) == 0,
-                     "read_trace_binary: bad magic (not a SEGTRC1 file)");
-  DayTrace trace;
-  trace.day = read_le<std::int32_t>(in);
-  const auto count = read_le<std::uint64_t>(in);
-  trace.records.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    QueryRecord record;
-    record.day = trace.day;
-    record.machine = read_string(in);
-    record.qname = read_string(in);
-    const auto ip_count = read_le<std::uint8_t>(in);
-    record.resolved_ips.reserve(ip_count);
-    for (std::uint8_t k = 0; k < ip_count; ++k) {
-      record.resolved_ips.push_back(IpV4(read_le<std::uint32_t>(in)));
-    }
-    trace.records.push_back(std::move(record));
-  }
-  return trace;
-}
-
 
 Day for_each_record(const std::string& path,
                     const std::function<void(const QueryRecord&)>& callback) {

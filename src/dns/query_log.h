@@ -42,20 +42,14 @@ struct DayTrace {
 /// Throws util::ParseError when the file cannot be created.
 void write_trace(const DayTrace& trace, const std::string& path);
 
-/// Reads a trace previously written by write_trace. Throws util::ParseError
-/// on malformed rows. All records must share one day, which becomes
-/// trace.day (an empty file yields day 0 and no records).
-DayTrace read_trace(const std::string& path);
-
 /// Compact binary form (roughly 3-4x smaller than the TSV): little-endian,
 /// length-prefixed strings, magic header "SEGTRC1". ISP-scale days run to
 /// hundreds of millions of records, where the text format stops being
 /// practical.
 void write_trace_binary(const DayTrace& trace, const std::string& path);
 
-/// Reads a trace written by write_trace_binary. Throws util::ParseError on
-/// bad magic, truncation, or malformed records.
-DayTrace read_trace_binary(const std::string& path);
+// Both formats are read back through dns::FileTraceSource
+// (dns/trace_source.h), or record by record with for_each_record below.
 
 /// Streams a trace file — text TSV, or SEGTRC1 binary when the path ends
 /// in ".bin" — invoking `callback` once per record without materializing

@@ -71,9 +71,9 @@ class BinlogCursor {
   std::uint64_t remaining_ = 0;
 };
 
-// Streaming sim-TSV reader. Unlike read_trace() it accepts multiple days
-// in one file — a streamed deployment crosses day boundaries — but the
-// pipeline still requires them to be non-decreasing.
+// Streaming sim-TSV reader. It accepts multiple days in one file — a
+// streamed deployment crosses day boundaries — but the pipeline still
+// requires them to be non-decreasing.
 class SimCursor {
  public:
   explicit SimCursor(const std::string& path) : reader_(path) {}

@@ -5,13 +5,12 @@
 // months) needs the inverse — a stream of records crossing day boundaries,
 // in whatever format the tap produces. TraceSource is that seam: next()
 // yields QueryRecords one at a time, and core::Pipeline::ingest_stream()
-// cuts them into observation days. The legacy batch entry point survives
-// as a thin adapter over DayTraceSource.
+// cuts them into observation days.
 //
 // Concrete sources:
 //
-//   DayTraceSource   borrows an in-memory DayTrace (the adapter substrate
-//                    and the simulator's direct path).
+//   DayTraceSource   borrows an in-memory DayTrace (the simulator's
+//                    direct path).
 //   FileTraceSource  opens a trace file in any supported format, sniffing
 //                    the format from magic bytes unless told. Wire formats
 //                    (dnstap, pcap) and the SEGTRC1 binlog are walked

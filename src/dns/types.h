@@ -1,7 +1,9 @@
 // Shared primitive types for the DNS substrate.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 namespace seg::dns {
 
@@ -15,5 +17,21 @@ inline constexpr Day kDefaultPdnsWindowDays = 150;
 
 /// Number of days in the paper's domain-activity window n.
 inline constexpr Day kDefaultActivityWindowDays = 14;
+
+/// Inserts `day` into the sorted, duplicate-free list `days`. History is
+/// fed mostly in day order, so the common case is an O(1) append.
+inline void insert_day(std::vector<Day>& days, Day day) {
+  if (days.empty() || days.back() < day) {
+    days.push_back(day);
+    return;
+  }
+  if (days.back() == day) {
+    return;  // a repeat of the newest day
+  }
+  const auto pos = std::lower_bound(days.begin(), days.end(), day);
+  if (*pos != day) {
+    days.insert(pos, day);
+  }
+}
 
 }  // namespace seg::dns

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/obs/trace.h"
-#include "util/parallel.h"
 #include "util/require.h"
 
 namespace seg::features {
@@ -18,27 +16,6 @@ FeatureExtractor::FeatureExtractor(graph::GraphView graph,
   precompute_machine_degrees();
 }
 
-FeatureExtractor::FeatureExtractor(graph::GraphView graph,
-                                   const dns::ShardedActivityIndex& activity,
-                                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config)
-    : graph_(graph), config_(config) {
-  util::require(config_.activity_window_days > 0,
-                "FeatureExtractor: activity window must be positive");
-  util::require(config_.pdns_window_days > 0, "FeatureExtractor: pDNS window must be positive");
-  precompute_machine_degrees();
-  precompute_history(activity, pdns);
-}
-
-FeatureExtractor::FeatureExtractor(const graph::MachineDomainGraph& graph,
-                                   const dns::DomainActivityIndex& activity,
-                                   const dns::PassiveDnsDb& pdns, FeatureConfig config)
-    : FeatureExtractor(graph.view(), activity, pdns, config) {}
-
-FeatureExtractor::FeatureExtractor(const graph::MachineDomainGraph& graph,
-                                   const dns::ShardedActivityIndex& activity,
-                                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config)
-    : FeatureExtractor(graph.view(), activity, pdns, config) {}
-
 void FeatureExtractor::precompute_machine_degrees() {
   machine_malware_degree_.assign(graph_.machine_count(), 0);
   for (graph::MachineId m = 0; m < graph_.machine_count(); ++m) {
@@ -48,110 +25,6 @@ void FeatureExtractor::precompute_machine_degrees() {
     }
     machine_malware_degree_[m] = count;
   }
-}
-
-void FeatureExtractor::precompute_history(const dns::ShardedActivityIndex& activity,
-                                          const dns::ShardedPassiveDnsDb& pdns) {
-  SEG_SPAN("features/precompute_history");
-  const std::size_t num_domains = graph_.domain_count();
-  const std::size_t num_e2lds = graph_.e2ld_count();
-  const dns::Day t_now = graph_.day();
-  const dns::Day from = t_now - config_.activity_window_days + 1;
-
-  // --- F2: one batched lookup covering every FQDN and every distinct e2LD.
-  std::vector<dns::ShardedActivityIndex::Query> activity_queries;
-  activity_queries.reserve(num_domains + num_e2lds);
-  for (graph::DomainId d = 0; d < num_domains; ++d) {
-    activity_queries.push_back({graph_.domain_name(d), from, t_now, t_now});
-  }
-  for (graph::E2ldId e = 0; e < num_e2lds; ++e) {
-    activity_queries.push_back({graph_.e2ld_name(e), from, t_now, t_now});
-  }
-  const auto activity_answers = activity.query_batch(activity_queries);
-  fqdn_active_.resize(num_domains);
-  fqdn_consec_.resize(num_domains);
-  e2ld_active_.resize(num_e2lds);
-  e2ld_consec_.resize(num_e2lds);
-  for (graph::DomainId d = 0; d < num_domains; ++d) {
-    fqdn_active_[d] = activity_answers[d].active_days;
-    fqdn_consec_[d] = activity_answers[d].consecutive_days;
-  }
-  for (graph::E2ldId e = 0; e < num_e2lds; ++e) {
-    e2ld_active_[e] = activity_answers[num_domains + e].active_days;
-    e2ld_consec_[e] = activity_answers[num_domains + e].consecutive_days;
-  }
-
-  // --- F3: one batched lookup per distinct resolved IP and per distinct
-  // /24, then a parallel per-domain aggregation over the shared answers.
-  const dns::Day w_from = t_now - config_.pdns_window_days;
-  const dns::Day w_to = t_now - 1;
-  std::vector<dns::IpV4> distinct_ips;
-  for (graph::DomainId d = 0; d < num_domains; ++d) {
-    const auto ips = graph_.resolved_ips(d);
-    distinct_ips.insert(distinct_ips.end(), ips.begin(), ips.end());
-  }
-  std::sort(distinct_ips.begin(), distinct_ips.end());
-  distinct_ips.erase(std::unique(distinct_ips.begin(), distinct_ips.end()),
-                     distinct_ips.end());
-  std::vector<dns::IpV4> distinct_prefixes;
-  distinct_prefixes.reserve(distinct_ips.size());
-  for (const auto ip : distinct_ips) {  // sorted ips => non-decreasing prefixes
-    const dns::IpV4 representative(ip.prefix24());
-    if (distinct_prefixes.empty() || distinct_prefixes.back() != representative) {
-      distinct_prefixes.push_back(representative);
-    }
-  }
-  std::vector<dns::ShardedPassiveDnsDb::AbuseQuery> pdns_queries;
-  pdns_queries.reserve(distinct_ips.size() + distinct_prefixes.size());
-  for (const auto ip : distinct_ips) {
-    pdns_queries.push_back({ip, w_from, w_to});
-  }
-  for (const auto prefix : distinct_prefixes) {
-    pdns_queries.push_back({prefix, w_from, w_to});
-  }
-  const auto pdns_answers = pdns.query_batch(pdns_queries);
-  const auto ip_answer = [&](dns::IpV4 ip) -> const dns::ShardedPassiveDnsDb::AbuseAnswer& {
-    const auto it = std::lower_bound(distinct_ips.begin(), distinct_ips.end(), ip);
-    return pdns_answers[static_cast<std::size_t>(it - distinct_ips.begin())];
-  };
-  const auto prefix_answer =
-      [&](dns::IpV4 representative) -> const dns::ShardedPassiveDnsDb::AbuseAnswer& {
-    const auto it =
-        std::lower_bound(distinct_prefixes.begin(), distinct_prefixes.end(), representative);
-    return pdns_answers[distinct_ips.size() +
-                        static_cast<std::size_t>(it - distinct_prefixes.begin())];
-  };
-  f3_.assign(num_domains, {});
-  util::parallel_for(num_domains, [&](std::size_t d) {
-    const auto ips = graph_.resolved_ips(static_cast<graph::DomainId>(d));
-    if (ips.empty()) {
-      return;
-    }
-    std::size_t ip_malware = 0;
-    std::size_t ip_unknown = 0;
-    std::size_t prefix_malware = 0;
-    std::size_t prefix_unknown = 0;
-    std::size_t prefix_count = 0;
-    std::uint32_t last_prefix = 0;
-    bool have_prefix = false;
-    for (const auto ip : ips) {  // sorted => prefixes dedupe in one pass
-      const auto& answer = ip_answer(ip);
-      ip_malware += answer.ip_malware;
-      ip_unknown += answer.ip_unknown;
-      if (!have_prefix || ip.prefix24() != last_prefix) {
-        have_prefix = true;
-        last_prefix = ip.prefix24();
-        ++prefix_count;
-        const auto& prefix_flags = prefix_answer(dns::IpV4(last_prefix));
-        prefix_malware += prefix_flags.prefix_malware;
-        prefix_unknown += prefix_flags.prefix_unknown;
-      }
-    }
-    f3_[d] = {static_cast<double>(ip_malware) / static_cast<double>(ips.size()),
-              static_cast<double>(prefix_malware) / static_cast<double>(prefix_count),
-              static_cast<double>(ip_unknown), static_cast<double>(prefix_unknown)};
-  });
-  precomputed_ = true;
 }
 
 FeatureVector FeatureExtractor::extract(graph::DomainId d) const {
@@ -191,20 +64,6 @@ FeatureVector FeatureExtractor::extract_impl(graph::DomainId d, bool hide_label)
   features[kTotalMachines] = static_cast<double>(total);
 
   // --- F2: domain activity over [t_now - n + 1, t_now].
-  if (precomputed_) {
-    // Sharded mode: history was batch-queried at construction; F2/F3 do
-    // not depend on hide_label, so the precomputed values serve both modes.
-    const auto e = graph_.domain_e2ld(d);
-    features[kFqdnActiveDays] = fqdn_active_[d];
-    features[kFqdnConsecutiveDays] = fqdn_consec_[d];
-    features[kE2ldActiveDays] = e2ld_active_[e];
-    features[kE2ldConsecutiveDays] = e2ld_consec_[e];
-    features[kIpMalwareFraction] = f3_[d][0];
-    features[kPrefixMalwareFraction] = f3_[d][1];
-    features[kIpUnknownCount] = f3_[d][2];
-    features[kPrefixUnknownCount] = f3_[d][3];
-    return features;
-  }
   const dns::Day t_now = graph_.day();
   const dns::Day from = t_now - config_.activity_window_days + 1;
   const auto fqdn = graph_.domain_name(d);

@@ -21,7 +21,6 @@
 
 #include "dns/activity_index.h"
 #include "dns/pdns.h"
-#include "dns/sharded_store.h"
 #include "features/feature_config.h"
 #include "graph/graph_view.h"
 
@@ -32,26 +31,12 @@ using FeatureVector = std::array<double, kNumFeatures>;
 class FeatureExtractor {
  public:
   /// All referenced objects (including the view's backing graph) must
-  /// outlive the extractor. `graph` must be labeled (and normally pruned).
-  /// GraphView overloads accept any backing — a heap graph's view() or an
-  /// mmap-resident graph from graph::map_graph().
+  /// outlive the extractor. `graph` must be labeled (and normally pruned);
+  /// any backing works — a heap graph or an mmap-resident graph from
+  /// graph::map_graph(). extract() reads the stores per domain and may run
+  /// in parallel: const lookups into them are thread-safe.
   FeatureExtractor(graph::GraphView graph, const dns::DomainActivityIndex& activity,
                    const dns::PassiveDnsDb& pdns, FeatureConfig config = {});
-  FeatureExtractor(const graph::MachineDomainGraph& graph,
-                   const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns,
-                   FeatureConfig config = {});
-
-  /// Sharded-store constructor: the F2/F3 history lookups for every graph
-  /// domain are precomputed here through the stores' parallel query_batch
-  /// (valid for both extract modes — hiding a label only changes F1).
-  /// Must be constructed from the top level, never inside a parallel_for
-  /// body (the batch queries use the shared pool); the per-domain
-  /// extract() calls afterwards touch no store and may run in parallel.
-  FeatureExtractor(graph::GraphView graph, const dns::ShardedActivityIndex& activity,
-                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config = {});
-  FeatureExtractor(const graph::MachineDomainGraph& graph,
-                   const dns::ShardedActivityIndex& activity,
-                   const dns::ShardedPassiveDnsDb& pdns, FeatureConfig config = {});
 
   /// Features of domain `d` using current graph labels as-is.
   FeatureVector extract(graph::DomainId d) const;
@@ -67,26 +52,15 @@ class FeatureExtractor {
  private:
   FeatureVector extract_impl(graph::DomainId d, bool hide_label) const;
   void precompute_machine_degrees();
-  void precompute_history(const dns::ShardedActivityIndex& activity,
-                          const dns::ShardedPassiveDnsDb& pdns);
 
   graph::GraphView graph_;
-  const dns::DomainActivityIndex* activity_ = nullptr;  ///< null in sharded mode
-  const dns::PassiveDnsDb* pdns_ = nullptr;             ///< null in sharded mode
+  const dns::DomainActivityIndex* activity_ = nullptr;
+  const dns::PassiveDnsDb* pdns_ = nullptr;
   FeatureConfig config_;
 
   // Per-machine count of queried malware-labeled domains, precomputed so
   // hiding a label is O(|S|) instead of O(sum of machine degrees).
   std::vector<std::uint32_t> machine_malware_degree_;
-
-  // Sharded-mode precomputed history. F2 by DomainId / E2ldId; F3 holds the
-  // four final feature values by DomainId.
-  bool precomputed_ = false;
-  std::vector<double> fqdn_active_;
-  std::vector<double> fqdn_consec_;
-  std::vector<double> e2ld_active_;
-  std::vector<double> e2ld_consec_;
-  std::vector<std::array<double, 4>> f3_;
 };
 
 }  // namespace seg::features

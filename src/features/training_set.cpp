@@ -88,16 +88,4 @@ UnknownSet build_unknown_set(const graph::GraphView& graph,
   return result;
 }
 
-
-TrainingSetResult build_training_set(const graph::MachineDomainGraph& graph,
-                                     const FeatureExtractor& extractor,
-                                     const TrainingSetOptions& options) {
-  return build_training_set(graph.view(), extractor, options);
-}
-
-UnknownSet build_unknown_set(const graph::MachineDomainGraph& graph,
-                             const FeatureExtractor& extractor) {
-  return build_unknown_set(graph.view(), extractor);
-}
-
 }  // namespace seg::features

@@ -36,12 +36,9 @@ struct TrainingSetResult {
   std::size_t excluded = 0;
 };
 
-/// Builds the labeled training set from all known domains in the graph.
-/// The GraphView overload works over any backing (graph_view.h).
+/// Builds the labeled training set from all known domains in the graph
+/// (any backing, graph_view.h).
 TrainingSetResult build_training_set(const graph::GraphView& graph,
-                                     const FeatureExtractor& extractor,
-                                     const TrainingSetOptions& options = {});
-TrainingSetResult build_training_set(const graph::MachineDomainGraph& graph,
                                      const FeatureExtractor& extractor,
                                      const TrainingSetOptions& options = {});
 
@@ -53,8 +50,6 @@ struct UnknownSet {
 };
 
 UnknownSet build_unknown_set(const graph::GraphView& graph,
-                             const FeatureExtractor& extractor);
-UnknownSet build_unknown_set(const graph::MachineDomainGraph& graph,
                              const FeatureExtractor& extractor);
 
 }  // namespace seg::features

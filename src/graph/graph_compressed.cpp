@@ -462,11 +462,6 @@ void save_graph_compressed(const GraphView& graph, std::ostream& out,
   }
 }
 
-void save_graph_compressed(const MachineDomainGraph& graph, std::ostream& out,
-                           GraphcEncoding encoding) {
-  save_graph_compressed(graph.view(), out, encoding);
-}
-
 MachineDomainGraph load_graph_compressed(std::istream& in) {
   const BinaryHeader header = read_binary_header(in);
   GraphParts parts = header.encoding == GraphcEncoding::kPacked

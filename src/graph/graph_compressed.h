@@ -37,8 +37,6 @@ enum class GraphcEncoding : std::uint8_t { kPacked = 1, kCompact = 2 };
 /// Serializes a graph (any backing) as a `segf1 graphc 1` stream.
 void save_graph_compressed(const GraphView& graph, std::ostream& out,
                            GraphcEncoding encoding = GraphcEncoding::kCompact);
-void save_graph_compressed(const MachineDomainGraph& graph, std::ostream& out,
-                           GraphcEncoding encoding = GraphcEncoding::kCompact);
 
 /// Loads either encoding back into a heap-resident graph. Throws
 /// util::ParseError on malformed or truncated input.

@@ -9,10 +9,12 @@
 //     (graph_compressed.h), where every accessor reads the mapping
 //     directly — zero-copy load.
 //
-// Pruning, feature extraction, and classification are written against
-// GraphView, so they run identically over either backing; the score
-// bit-identity is asserted by tests/core/pipeline mmap tests. A view
-// never outlives its backing (the graph object or the MappedGraph).
+// Pruning, feature extraction, training, and classification take a
+// `const GraphView&` and nothing else, so they run identically over either
+// backing; a heap graph converts implicitly. The score bit-identity is
+// asserted by tests/core/mmap_backing_test.cpp and
+// tests/core/pipeline_test.cpp. A view never outlives its backing (the
+// graph object or the MappedGraph).
 //
 // Names come through NameTableView, which serves string_views either from
 // an array of std::string (heap graphs) or from an offsets+blob pair (the
@@ -72,6 +74,13 @@ class NameTableView {
 
 class GraphView {
  public:
+  GraphView() = default;
+
+  /// Implicit, like std::string -> std::string_view: every function taking
+  /// a `const GraphView&` serves heap graphs and mapped graphs alike. The
+  /// view borrows `graph`'s storage and must not outlive it.
+  GraphView(const MachineDomainGraph& graph) : GraphView(graph.view()) {}
+
   std::size_t machine_count() const { return machine_names_.size(); }
   std::size_t domain_count() const { return domain_names_.size(); }
   std::size_t edge_count() const { return machine_targets_.size(); }

@@ -333,9 +333,4 @@ MachineDomainGraph prune(const GraphView& graph, const PruningConfig& config,
   return out;
 }
 
-MachineDomainGraph prune(const MachineDomainGraph& graph, const PruningConfig& config,
-                         PruneStats* stats) {
-  return prune(graph.view(), config, stats);
-}
-
 }  // namespace seg::graph

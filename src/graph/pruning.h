@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/graph_view.h"
 
 namespace seg::graph {
 
@@ -73,11 +74,9 @@ struct PruneStats {
 
 /// Produces a pruned copy of `graph` (labels and annotations carried over,
 /// ids remapped densely). `stats`, when non-null, receives the breakdown.
-/// The GraphView overload runs identically over any backing (heap or
-/// mmap-resident graphs, graph_view.h); the result is always heap-resident.
+/// Runs identically over any backing (heap or mmap-resident graphs,
+/// graph_view.h); the result is always heap-resident.
 MachineDomainGraph prune(const GraphView& graph, const PruningConfig& config,
-                         PruneStats* stats = nullptr);
-MachineDomainGraph prune(const MachineDomainGraph& graph, const PruningConfig& config,
                          PruneStats* stats = nullptr);
 
 }  // namespace seg::graph

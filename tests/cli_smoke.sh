@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the segugio CLI: simgen -> train -> classify ->
 # report -> inspect, exercising the trace formats (binlog, dnstap, format
-# autodetection), the deprecated aliases, and the model round trip.
+# autodetection), the error paths, and the model round trip.
 set -euo pipefail
 CLI="$1"
 DIR="$(mktemp -d)"
@@ -39,14 +39,16 @@ test -f "$DIR/day1.dnstap"
   --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" --threshold 0.5 \
   | grep -q "unknown domains scored"
 
-# Deprecated aliases still work and warn on stderr.
-"$CLI" simgen --out "$DIR" --days 1 --isp 0 --binary 2>"$DIR/warn1.txt" >/dev/null
-grep -q "deprecated" "$DIR/warn1.txt"
-"$CLI" classify --trace "$DIR/day1.bin" --model "$DIR/model.txt" \
+# The pre-streaming `--trace FILE` spelling is gone: it fails and names
+# the option to use instead.
+if "$CLI" classify --trace "$DIR/day1.bin" --model "$DIR/model.txt" \
   --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt" \
   --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" --threshold 0.5 \
-  2>"$DIR/warn2.txt" | grep -q "unknown domains scored"
-grep -q "deprecated" "$DIR/warn2.txt"
+  2>"$DIR/old-spelling.txt" >/dev/null; then
+  echo "expected failure on --trace" >&2
+  exit 1
+fi
+grep -q "pass --input FILE" "$DIR/old-spelling.txt"
 
 # Error paths return non-zero with a clear message.
 if "$CLI" classify --input /nonexistent --model "$DIR/model.txt" \

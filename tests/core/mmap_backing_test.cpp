@@ -1,15 +1,14 @@
 // The zero-copy graph backing contract (graph_compressed.h + segugio.h):
-// classification over an mmap-resident GraphView — whether reached
-// explicitly through map_graph() or forced via SEG_GRAPH_BACKING=mmap —
-// must score bit-identically to the heap-resident graph, at every thread
-// count. Also pins the container's size win: the compact encoding must
-// stay at or below 40% of the uncompressed segf1 graph serialization on a
-// simulator day.
+// classification over an mmap-resident GraphView from map_graph() must
+// score bit-identically to the heap-resident graph, at every thread count
+// (PipelineTest.MappedDayGraphsScoreLikeTheSession checks the same for a
+// streamed session). Also pins the container's size win: the compact
+// encoding must stay at or below 40% of the uncompressed segf1 graph
+// serialization on a simulator day.
 #include "core/segugio.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -42,12 +41,8 @@ class MmapBackingTest : public ::testing::Test {
     path_ = (std::filesystem::temp_directory_path() /
              ("seg_mmap_backing_test_" + std::to_string(::getpid()) + ".graphc"))
                 .string();
-    ::unsetenv("SEG_GRAPH_BACKING");
   }
-  void TearDown() override {
-    ::unsetenv("SEG_GRAPH_BACKING");
-    std::filesystem::remove(path_);
-  }
+  void TearDown() override { std::filesystem::remove(path_); }
 
   std::string path_;
 
@@ -89,35 +84,6 @@ TEST_F(MmapBackingTest, MappedViewScoresBitIdenticalToHeapAtOneAndEightThreads) 
     expect_same_scores(heap, zero_copy);
   }
   util::set_parallelism(0);
-}
-
-TEST_F(MmapBackingTest, EnvForcedMmapBackingMatchesHeapScores) {
-  auto& w = world();
-  const auto config = fast_config();
-  const auto train_trace = w.generate_day(0, 7);
-  const auto train_blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 7);
-  const auto test_trace = w.generate_day(0, 8);
-  const auto test_blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 8);
-  const auto whitelist = w.whitelist().all();
-
-  const auto train_prep = Segugio::prepare_graph(train_trace, w.psl(), train_blacklist,
-                                                 whitelist, config.prepare_options());
-  const auto test_prep = Segugio::prepare_graph(test_trace, w.psl(), test_blacklist,
-                                                whitelist, config.prepare_options());
-  Segugio segugio(config);
-  segugio.train(train_prep.graph, w.activity(), w.pdns());
-
-  const auto heap = segugio.classify(test_prep.graph, w.activity(), w.pdns());
-  ::setenv("SEG_GRAPH_BACKING", "mmap", 1);
-  const auto rerouted = segugio.classify(test_prep.graph, w.activity(), w.pdns());
-  ::unsetenv("SEG_GRAPH_BACKING");
-  expect_same_scores(heap, rerouted);
-
-  // Unrecognized values must leave the heap path untouched.
-  ::setenv("SEG_GRAPH_BACKING", "heap", 1);
-  const auto untouched = segugio.classify(test_prep.graph, w.activity(), w.pdns());
-  ::unsetenv("SEG_GRAPH_BACKING");
-  expect_same_scores(heap, untouched);
 }
 
 TEST_F(MmapBackingTest, CompactEncodingStaysBelowFortyPercentOfSegf1) {

@@ -1,10 +1,10 @@
 // The ingest_stream() determinism contract: a streamed session — records
 // pulled from a TraceSource, micro-batched through the bounded queue, cut
 // at day boundaries — produces byte-identical artifacts (graphs, model,
-// session, scores) to the legacy one-day-at-a-time ingest_day() session,
-// at any parallelism and any queue tuning, as long as the back-pressure
-// policy is kBlock. This is the acceptance test for the streaming
-// redesign; docs/ingestion.md points here.
+// session, scores) to a one-day-at-a-time session fed from in-memory day
+// traces, at any parallelism and any queue tuning, as long as the
+// back-pressure policy is kBlock. This is the acceptance test for the
+// streaming design; docs/ingestion.md points here.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -55,6 +55,18 @@ class PipelineStreamTest : public ::testing::Test {
     std::ostringstream blob;
     graph::save_graph(graph, blob);
     return std::move(blob).str();
+  }
+
+  // Streams one in-memory day through the session, the way a capture
+  // holding only that day arrives.
+  static PreparedDay ingest(Pipeline& pipeline, const dns::DayTrace& trace,
+                            const graph::NameSet& blacklist, const graph::NameSet& whitelist) {
+    dns::DayTraceSource source(trace);
+    PreparedDay prepared;
+    pipeline.ingest_stream(
+        source, [&](dns::Day) -> const graph::NameSet& { return blacklist; }, whitelist,
+        [&](PreparedDay&& day) { prepared = std::move(day); });
+    return prepared;
   }
 
   std::string temp_path(const std::string& suffix) {
@@ -137,9 +149,9 @@ TEST_F(PipelineStreamTest, BinlogReplayMatchesBatchSessionAtOneAndEightThreads) 
 
   const auto run_batch = [&] {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-    const auto train_day = pipeline.ingest_day(traces[0], blacklists[0], whitelist);
+    const auto train_day = ingest(pipeline, traces[0], blacklists[0], whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(traces[1], blacklists[1], whitelist);
+    const auto test_day = ingest(pipeline, traces[1], blacklists[1], whitelist);
     const auto report = pipeline.classify(test_day);
     return capture_artifacts(pipeline, train_day, test_day, report);
   };
@@ -211,7 +223,7 @@ TEST_F(PipelineStreamTest, DnstapReplayMatchesBatchOverItsOwnDecodedRecords) {
   EXPECT_EQ(decoded[0].day, 7);
 
   Pipeline batch_pipeline(w.psl(), w.activity(), w.pdns(), config);
-  const auto batch_day = batch_pipeline.ingest_day(decoded[0], blacklist, whitelist);
+  const auto batch_day = ingest(batch_pipeline, decoded[0], blacklist, whitelist);
 
   Pipeline stream_pipeline(w.psl(), w.activity(), w.pdns(), config);
   dns::FileTraceSource stream_source(path);
@@ -247,9 +259,9 @@ TEST_F(PipelineStreamTest, QueueTuningNeverChangesTheGraph) {
     return graph_bytes(prepared.graph);
   };
 
-  Pipeline reference_pipeline(w.psl(), w.activity(), w.pdns(), config);
-  const auto reference =
-      graph_bytes(reference_pipeline.ingest_day(trace, blacklist, whitelist).graph);
+  const auto reference = graph_bytes(
+      Segugio::prepare_graph(trace, w.psl(), blacklist, whitelist, config.prepare_options())
+          .graph);
 
   EXPECT_EQ(run(IngestOptions{}, nullptr), reference);
 
@@ -261,13 +273,6 @@ TEST_F(PipelineStreamTest, QueueTuningNeverChangesTheGraph) {
   EXPECT_EQ(tiny_stats.queue.dropped_batches, 0u);
   EXPECT_EQ(tiny_stats.queue.pushed_records, trace.records.size());
   EXPECT_LE(tiny_stats.queue.max_depth, 2u);
-
-  IngestOptions inline_path;  // the adapter's path: no producer thread at all
-  inline_path.use_queue = false;
-  IngestStats inline_stats;
-  EXPECT_EQ(run(inline_path, &inline_stats), reference);
-  EXPECT_EQ(inline_stats.queue.pushed_batches, 0u);
-  EXPECT_EQ(inline_stats.records, trace.records.size());
 }
 
 TEST_F(PipelineStreamTest, CountAndDropKeepsTheLedgerBalanced) {

@@ -1,17 +1,22 @@
 // Determinism tests for the streaming pipeline: a multi-day session must
 // be invisible in the output. Every streamed graph is byte-identical to a
 // from-scratch prepare_graph() of the same trace, and classify() scores
-// are bit-identical across thread counts and to the one-shot serial-store
-// flow.
+// are bit-identical across thread counts, to the one-shot flow, and to
+// classifying the day's graph mapped from a packed graphc file.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/segugio.h"
+#include "dns/trace_source.h"
+#include "graph/graph_compressed.h"
 #include "graph/graph_io.h"
 #include "graph/name_cache.h"
 #include "sim/world.h"
@@ -41,6 +46,18 @@ class PipelineTest : public ::testing::Test {
     graph::save_graph(graph, blob);
     return std::move(blob).str();
   }
+
+  // Streams one in-memory day through the session, the way a capture
+  // holding only that day arrives.
+  static PreparedDay ingest(Pipeline& pipeline, const dns::DayTrace& trace,
+                            const graph::NameSet& blacklist, const graph::NameSet& whitelist) {
+    dns::DayTraceSource source(trace);
+    PreparedDay prepared;
+    pipeline.ingest_stream(
+        source, [&](dns::Day) -> const graph::NameSet& { return blacklist; }, whitelist,
+        [&](PreparedDay&& day) { prepared = std::move(day); });
+    return prepared;
+  }
 };
 
 TEST_F(PipelineTest, ThreeDayStreamedIngestMatchesFromScratchBuilds) {
@@ -58,8 +75,8 @@ TEST_F(PipelineTest, ThreeDayStreamedIngestMatchesFromScratchBuilds) {
   for (dns::Day day = 0; day < 3; ++day) {
     pipeline.absorb_history(w.activity(), w.pdns());
     const auto prepared =
-        pipeline.ingest_day(traces[static_cast<std::size_t>(day)],
-                            blacklists[static_cast<std::size_t>(day)], whitelist);
+        ingest(pipeline, traces[static_cast<std::size_t>(day)],
+               blacklists[static_cast<std::size_t>(day)], whitelist);
     EXPECT_EQ(prepared.day, day);
     const auto scratch =
         Segugio::prepare_graph(traces[static_cast<std::size_t>(day)], w.psl(),
@@ -91,9 +108,9 @@ TEST_F(PipelineTest, ScoresBitIdenticalAcrossThreadCountsAndSerialFlow) {
 
   const auto run_session = [&] {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-    const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+    const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+    const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
     auto report = pipeline.classify(test_day);
     return std::make_pair(graph_bytes(test_day.graph), std::move(report));
   };
@@ -111,8 +128,8 @@ TEST_F(PipelineTest, ScoresBitIdenticalAcrossThreadCountsAndSerialFlow) {
     EXPECT_EQ(serial_report.scores[i].score, parallel_report.scores[i].score);
   }
 
-  // The streamed session must also match the one-shot flow over the
-  // serial stores exactly.
+  // The streamed session must also match the one-shot flow over the same
+  // stores exactly.
   const auto train_prep = Segugio::prepare_graph(train_trace, w.psl(), train_blacklist,
                                                  whitelist, config.prepare_options());
   Segugio segugio(config);
@@ -148,9 +165,9 @@ TEST_F(PipelineTest, ObservabilityNeverPerturbsScoresOrArtifacts) {
   };
   const auto run_session = [&] {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-    const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+    const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+    const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
     const auto report = pipeline.classify(test_day);
     Artifacts artifacts;
     artifacts.graph = graph_bytes(test_day.graph);
@@ -204,9 +221,9 @@ TEST_F(PipelineTest, ObservabilityNeverPerturbsScoresOrArtifacts) {
   {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
     pipeline.set_journal(&journal_blob);
-    const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+    const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
     pipeline.train(train_day);
-    const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+    const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
     const auto report = pipeline.classify(test_day);
     pipeline.flush_journal();
     journaled.graph = graph_bytes(test_day.graph);
@@ -258,8 +275,8 @@ TEST_F(PipelineTest, JournalAndDriftGaugesAreByteIdenticalAcrossThreadCounts) {
     bool trained = false;
     for (dns::Day day = 0; day < 3; ++day) {
       const auto prepared =
-          pipeline.ingest_day(traces[static_cast<std::size_t>(day)],
-                              blacklists[static_cast<std::size_t>(day)], whitelist);
+          ingest(pipeline, traces[static_cast<std::size_t>(day)],
+                 blacklists[static_cast<std::size_t>(day)], whitelist);
       if (!trained) {
         pipeline.train(prepared);
         trained = true;
@@ -312,22 +329,75 @@ TEST_F(PipelineTest, ReportAttributionMatchesGraphLookup) {
   const auto whitelist = w.whitelist().all();
 
   Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-  const auto train_day = pipeline.ingest_day(train_trace, train_blacklist, whitelist);
+  const auto train_day = ingest(pipeline, train_trace, train_blacklist, whitelist);
   pipeline.train(train_day);
-  const auto test_day = pipeline.ingest_day(test_trace, test_blacklist, whitelist);
+  const auto test_day = ingest(pipeline, test_trace, test_blacklist, whitelist);
   const auto report = pipeline.classify(test_day);
 
   // Threshold 0 keeps every scored domain, exercising the full CSR.
   const auto captured = report.detections_at(0.0);
-  const auto via_graph = report.detections_at(0.0, test_day.graph);
-  ASSERT_EQ(captured.size(), via_graph.size());
   ASSERT_EQ(captured.size(), report.scores.size());
-  for (std::size_t i = 0; i < captured.size(); ++i) {
-    EXPECT_EQ(captured[i].domain.name, via_graph[i].domain.name);
-    EXPECT_EQ(captured[i].domain.score, via_graph[i].domain.score);
-    EXPECT_EQ(captured[i].machines, via_graph[i].machines);
-    EXPECT_FALSE(captured[i].machines.empty());
+  for (const auto& detection : captured) {
+    std::vector<std::string> via_graph;
+    for (const auto m : test_day.graph.machines_of(detection.domain.id)) {
+      via_graph.emplace_back(test_day.graph.machine_name(m));
+    }
+    EXPECT_EQ(detection.machines, via_graph) << detection.domain.name;
+    EXPECT_FALSE(detection.machines.empty());
   }
+}
+
+TEST_F(PipelineTest, MappedDayGraphsScoreLikeTheSession) {
+  // Every streamed day, written packed and mapped back, must score exactly
+  // like the session's own heap graph: the zero-copy view is a backing,
+  // not a different detector.
+  auto& w = world();
+  const auto config = fast_config();
+  dns::DayTrace stream;
+  std::vector<graph::NameSet> blacklists;
+  for (dns::Day day = 15; day < 18; ++day) {
+    const auto trace = w.generate_day(0, day);
+    stream.records.insert(stream.records.end(), trace.records.begin(), trace.records.end());
+    blacklists.push_back(w.blacklist().as_of(sim::BlacklistKind::kCommercial, day));
+  }
+  const auto whitelist = w.whitelist().all();
+  const auto path = (std::filesystem::temp_directory_path() /
+                     ("seg_pipeline_mapped_" + std::to_string(::getpid()) + ".graphc"))
+                        .string();
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    util::set_parallelism(threads);
+    Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
+    dns::DayTraceSource source(stream);
+    std::size_t days = 0;
+    pipeline.ingest_stream(
+        source,
+        [&](dns::Day day) -> const graph::NameSet& {
+          return blacklists[static_cast<std::size_t>(day - 15)];
+        },
+        whitelist, [&](PreparedDay&& day) {
+          if (days++ == 0) {
+            pipeline.train(day);
+          }
+          {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            graph::save_graph_compressed(day.graph, out, graph::GraphcEncoding::kPacked);
+          }
+          const auto mapped = graph::map_graph(path);
+          const auto heap = pipeline.classify(day);
+          const auto zero_copy =
+              pipeline.detector().classify(mapped.view, pipeline.activity(), pipeline.pdns());
+          ASSERT_EQ(heap.scores.size(), zero_copy.scores.size());
+          for (std::size_t i = 0; i < heap.scores.size(); ++i) {
+            EXPECT_EQ(heap.scores[i].name, zero_copy.scores[i].name);
+            EXPECT_EQ(heap.scores[i].score, zero_copy.scores[i].score)
+                << heap.scores[i].name << " at " << threads << " threads";
+          }
+        });
+    EXPECT_EQ(days, 3u);
+  }
+  util::set_parallelism(0);
+  std::filesystem::remove(path);
 }
 
 TEST_F(PipelineTest, SessionSurvivesRestartWithIdenticalOutput) {
@@ -341,13 +411,13 @@ TEST_F(PipelineTest, SessionSurvivesRestartWithIdenticalOutput) {
 
   // Continuous session: day 1 then day 2.
   Pipeline continuous(w.psl(), w.activity(), w.pdns(), config);
-  const auto cont_day1 = continuous.ingest_day(day1_trace, day1_blacklist, whitelist);
-  const auto cont_day2 = continuous.ingest_day(day2_trace, day2_blacklist, whitelist);
+  const auto cont_day1 = ingest(continuous, day1_trace, day1_blacklist, whitelist);
+  const auto cont_day2 = ingest(continuous, day2_trace, day2_blacklist, whitelist);
 
   // Restarted session: day 1, save_session, new process (fresh Pipeline),
   // load_session, day 2.
   Pipeline before_restart(w.psl(), w.activity(), w.pdns(), config);
-  const auto pre_day1 = before_restart.ingest_day(day1_trace, day1_blacklist, whitelist);
+  const auto pre_day1 = ingest(before_restart, day1_trace, day1_blacklist, whitelist);
   EXPECT_EQ(graph_bytes(pre_day1.graph), graph_bytes(cont_day1.graph));
   std::ostringstream session_blob;
   before_restart.save_session(session_blob);
@@ -360,7 +430,7 @@ TEST_F(PipelineTest, SessionSurvivesRestartWithIdenticalOutput) {
             before_restart.streaming_stats().cached_names);
   EXPECT_GT(after_restart.streaming_stats().cached_names, 0u);
 
-  const auto post_day2 = after_restart.ingest_day(day2_trace, day2_blacklist, whitelist);
+  const auto post_day2 = ingest(after_restart, day2_trace, day2_blacklist, whitelist);
   EXPECT_EQ(graph_bytes(post_day2.graph), graph_bytes(cont_day2.graph))
       << "post-restart ingest diverges from the continuous session";
   // Day-2 reuse must carry over: the restarted session serves day-2 names
@@ -375,7 +445,7 @@ TEST_F(PipelineTest, SessionSaveIsDeterministicAndShardCountInvariant) {
   Pipeline pipeline(w.psl(), w.activity(), w.pdns(), fast_config());
   const auto trace = w.generate_day(0, 13);
   const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 13);
-  pipeline.ingest_day(trace, blacklist, w.whitelist().all());
+  ingest(pipeline, trace, blacklist, w.whitelist().all());
 
   std::ostringstream first;
   pipeline.save_session(first);
@@ -417,7 +487,7 @@ TEST_F(PipelineTest, LoadSessionRejectsHeaderlessAndForeignStreams) {
   const auto trace = w.generate_day(0, 14);
   const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 14);
   pipeline.absorb_history(w.activity(), w.pdns());
-  const auto day = pipeline.ingest_day(trace, blacklist, w.whitelist().all());
+  const auto day = ingest(pipeline, trace, blacklist, w.whitelist().all());
   EXPECT_GT(day.graph.domain_count(), 0u);
 }
 

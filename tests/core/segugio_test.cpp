@@ -103,7 +103,7 @@ TEST_F(SegugioTest, DetectionsIncludeImplicatedMachines) {
   segugio.train(graph, world().activity(), world().pdns());
   const auto graph2 = prepared_graph(3);
   const auto report = segugio.classify(graph2, world().activity(), world().pdns());
-  const auto detections = report.detections_at(0.6, graph2);
+  const auto detections = report.detections_at(0.6);
   ASSERT_GT(detections.size(), 0u);
   for (const auto& detection : detections) {
     EXPECT_GE(detection.domain.score, 0.6);

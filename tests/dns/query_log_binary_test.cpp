@@ -3,8 +3,10 @@
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
+#include <vector>
 
 #include "dns/query_log.h"
+#include "dns/trace_source.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -43,6 +45,14 @@ class BinaryTraceTest : public ::testing::Test {
     return trace;
   }
 
+  // Reads the binlog back through the streaming reader, cut into days.
+  std::vector<DayTrace> read_days(TraceFormat format = TraceFormat::kBinlog) const {
+    FileTraceSource source(path_, format);
+    std::vector<DayTrace> days;
+    collect_days(source, [&](DayTrace&& day) { days.push_back(std::move(day)); });
+    return days;
+  }
+
   std::string path_;
   std::string text_path_;
 };
@@ -50,11 +60,13 @@ class BinaryTraceTest : public ::testing::Test {
 TEST_F(BinaryTraceTest, RoundTrip) {
   const auto trace = sample_trace(500);
   write_trace_binary(trace, path_);
-  const auto loaded = read_trace_binary(path_);
-  EXPECT_EQ(loaded.day, trace.day);
-  ASSERT_EQ(loaded.records.size(), trace.records.size());
+  EXPECT_EQ(detect_format(path_), TraceFormat::kBinlog);
+  const auto days = read_days();
+  ASSERT_EQ(days.size(), 1u);
+  EXPECT_EQ(days[0].day, trace.day);
+  ASSERT_EQ(days[0].records.size(), trace.records.size());
   for (std::size_t i = 0; i < trace.records.size(); ++i) {
-    EXPECT_EQ(loaded.records[i], trace.records[i]) << i;
+    EXPECT_EQ(days[0].records[i], trace.records[i]) << i;
   }
 }
 
@@ -62,9 +74,8 @@ TEST_F(BinaryTraceTest, EmptyTraceRoundTrips) {
   DayTrace trace;
   trace.day = 3;
   write_trace_binary(trace, path_);
-  const auto loaded = read_trace_binary(path_);
-  EXPECT_EQ(loaded.day, 3);
-  EXPECT_TRUE(loaded.records.empty());
+  EXPECT_EQ(detect_format(path_), TraceFormat::kBinlog);
+  EXPECT_TRUE(read_days().empty());
 }
 
 TEST_F(BinaryTraceTest, SmallerThanText) {
@@ -81,7 +92,7 @@ TEST_F(BinaryTraceTest, RejectsBadMagic) {
     std::ofstream out(path_, std::ios::binary);
     out << "NOTATRACEFILE";
   }
-  EXPECT_THROW(read_trace_binary(path_), util::ParseError);
+  EXPECT_THROW(read_days(TraceFormat::kBinlog), util::ParseError);
 }
 
 TEST_F(BinaryTraceTest, RejectsTruncation) {
@@ -89,11 +100,13 @@ TEST_F(BinaryTraceTest, RejectsTruncation) {
   write_trace_binary(trace, path_);
   const auto full = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, full / 2);
-  EXPECT_THROW(read_trace_binary(path_), util::ParseError);
+  EXPECT_THROW(read_days(), util::ParseError);
 }
 
 TEST_F(BinaryTraceTest, MissingFileThrows) {
-  EXPECT_THROW(read_trace_binary("/nonexistent/trace.bin"), util::ParseError);
+  EXPECT_THROW(FileTraceSource("/nonexistent/trace.bin"), util::ParseError);
+  EXPECT_THROW(FileTraceSource("/nonexistent/trace.bin", TraceFormat::kBinlog),
+               util::ParseError);
 }
 
 }  // namespace

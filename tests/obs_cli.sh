@@ -7,9 +7,9 @@ CLI="$1"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
-"$CLI" simgen --out "$DIR" --days 2 --isp 0 --binary >/dev/null
+"$CLI" simgen --out "$DIR" --days 2 --isp 0 --format binlog >/dev/null
 
-"$CLI" train --trace "$DIR/day0.bin" \
+"$CLI" train --input "$DIR/day0.bin" \
   --blacklist "$DIR/blacklist-day0.txt" --whitelist "$DIR/whitelist.txt" \
   --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" \
   --model "$DIR/model.txt" --trees 20 \
@@ -29,7 +29,7 @@ grep -q '"cli/train"' "$DIR/train-report.json"
 
 # Classify twice: plain, and with every obs output. Scores must match
 # byte-for-byte — observability never perturbs the pipeline.
-CLASSIFY_ARGS=(--trace "$DIR/day1.bin" --model "$DIR/model.txt"
+CLASSIFY_ARGS=(--input "$DIR/day1.bin" --model "$DIR/model.txt"
   --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt"
   --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" --threshold 0.5)
 "$CLI" classify "${CLASSIFY_ARGS[@]}" > "$DIR/plain.out"

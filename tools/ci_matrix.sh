@@ -26,10 +26,11 @@
 # soaks the health sampler under tsan, and archives the obs-overhead
 # benchmark section (SEG_BENCH_OBS_ONLY=1).
 #
-# The oocore leg reuses the asan tree and re-runs the pipeline, graph, and
-# mmap-backing suites with SEG_GRAPH_BACKING=mmap, so the zero-copy
-# GraphView path (mapping lifetime, varint decode bounds, classify parity)
-# gets sanitizer coverage; see docs/graph-format.md.
+# The oocore leg reuses the asan tree and re-runs the mmap-backing,
+# pipeline and golden-digest suites plus the graph container suites, so the
+# zero-copy GraphView path (mapping lifetime, varint decode bounds, classify
+# parity: PipelineTest maps every streamed day explicitly) gets sanitizer
+# coverage; see docs/graph-format.md.
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
@@ -289,15 +290,15 @@ run_oocore() {
     return 1
   fi
 
-  echo "=== [oocore] pipeline + mmap-backing + graph suites with SEG_GRAPH_BACKING=mmap ==="
-  if ! SEG_GRAPH_BACKING=mmap "${build_dir}/tests/core_test" \
-       --gtest_filter='Pipeline*:MmapBacking*' >> "${log}" 2>&1; then
-    echo "    core suites FAILED under mmap backing (see ${log})"
+  echo "=== [oocore] mmap-backing + pipeline + golden-digest + graph container suites ==="
+  if ! "${build_dir}/tests/core_test" \
+       --gtest_filter='MmapBacking*:Pipeline*:GoldenDigest*' >> "${log}" 2>&1; then
+    echo "    core suites FAILED under asan (see ${log})"
     return 1
   fi
-  if ! SEG_GRAPH_BACKING=mmap "${build_dir}/tests/graph_test" \
+  if ! "${build_dir}/tests/graph_test" \
        --gtest_filter='GraphCompressed*:OutOfCore*:Varint*' >> "${log}" 2>&1; then
-    echo "    graph suites FAILED under mmap backing (see ${log})"
+    echo "    graph suites FAILED under asan (see ${log})"
     return 1
   fi
   return 0
@@ -400,17 +401,18 @@ run_config() {
     return 1
   fi
   if [ "${config}" = "thread" ]; then
-    # The streaming pipeline and sharded stores parallelize internally
-    # (query_batch, sharded build, parallel classify); run their suites
-    # explicitly under tsan so a filtered ctest invocation can't skip the
+    # The streaming pipeline parallelizes internally (sharded build,
+    # per-domain feature extraction, parallel classify); run its suites and
+    # the golden digests (which run every flow at 8 threads) explicitly
+    # under tsan so a filtered ctest invocation can't skip the
     # race-contract coverage.
-    echo "=== [${config}] streaming pipeline + sharded store suites ==="
+    echo "=== [${config}] streaming pipeline + golden-digest suites ==="
     if ! "${build_dir}/tests/core_test" --gtest_filter='Pipeline*' >> "${log}" 2>&1; then
       echo "    pipeline tests FAILED under tsan (see ${log})"
       return 1
     fi
-    if ! "${build_dir}/tests/dns_test" --gtest_filter='Sharded*' >> "${log}" 2>&1; then
-      echo "    sharded store tests FAILED under tsan (see ${log})"
+    if ! "${build_dir}/tests/core_test" --gtest_filter='GoldenDigest*' >> "${log}" 2>&1; then
+      echo "    golden-digest tests FAILED under tsan (see ${log})"
       return 1
     fi
   fi

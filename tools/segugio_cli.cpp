@@ -29,9 +29,7 @@
 //       newly detected malware-control domains (Section VI).
 //
 // The trace format is sniffed from the file's magic bytes unless --format
-// forces it (see docs/ingestion.md). `--trace FILE` on train/classify/
-// report and `--binary` on simgen survive as deprecated aliases of
-// `--input FILE` and `--format binlog`; each warns once per run.
+// forces it (see docs/ingestion.md).
 //
 //   segugio inspect --model FILE
 //       Prints the model card: classifier, windows, pruning, importances.
@@ -116,17 +114,11 @@ dns::DomainActivityIndex load_activity(const std::string& path) {
   return dns::DomainActivityIndex::load(in);
 }
 
-// Resolves the input trace path for train/classify/report. `--trace` is
-// the pre-streaming spelling, kept as a deprecated alias of `--input`.
+// Resolves the input trace path for train/classify/report.
 std::string input_path(const util::Args& args) {
-  if (args.has("input")) {
-    return args.get("input");
-  }
-  util::require_data(args.has("trace"),
+  util::require_data(args.has("input"),
                      "pass --input FILE (optionally --format sim|binlog|dnstap|pcap)");
-  std::fprintf(stderr,
-               "segugio: --trace is deprecated; use --input FILE [--format ...]\n");
-  return args.get("trace");
+  return args.get("input");
 }
 
 dns::TraceFormat input_format(const util::Args& args, const std::string& path) {
@@ -166,13 +158,8 @@ int cmd_simgen(const util::Args& args) {
   sim::World world{scenario};
   util::require_data(isp < world.isp_count(), "simgen: --isp out of range");
 
-  auto format = dns::TraceFormat::kSim;
-  if (args.has("format")) {
-    format = dns::parse_format(args.get("format"));
-  } else if (args.flag("binary")) {
-    std::fprintf(stderr, "segugio: --binary is deprecated; use --format binlog\n");
-    format = dns::TraceFormat::kBinlog;
-  }
+  const auto format =
+      args.has("format") ? dns::parse_format(args.get("format")) : dns::TraceFormat::kSim;
   const char* extension = ".tsv";
   switch (format) {
     case dns::TraceFormat::kSim:
@@ -556,7 +543,7 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   try {
-    const util::Args args(argc - 2, argv + 2, {"machines", "no-prober-filter", "binary"});
+    const util::Args args(argc - 2, argv + 2, {"machines", "no-prober-filter"});
     if (command == "validate-obs") {
       return cmd_validate_obs(args);
     }
