@@ -2,13 +2,14 @@
 //
 // These are the per-operation costs behind the Section IV-G pipeline
 // numbers: PSL e2LD extraction, graph construction, pruning, passive-DNS
-// range queries, per-domain feature measurement, and forest scoring.
+// range queries, per-domain feature measurement, and forest fit and scoring.
 #include <benchmark/benchmark.h>
 
 #include "dns/domain_name.h"
 
 #include "core/segugio.h"
 #include "features/extractor.h"
+#include "features/training_set.h"
 #include "graph/labeling.h"
 #include "sim/world.h"
 
@@ -37,6 +38,19 @@ const graph::MachineDomainGraph& micro_graph() {
     return g;
   }();
   return graph;
+}
+
+// The detector's training rows on the micro day (default features and
+// hidden-label options).
+const ml::Dataset& micro_training_set() {
+  static const ml::Dataset dataset = [] {
+    auto& world = micro_world();
+    const auto& graph = micro_graph();
+    const features::FeatureExtractor extractor(graph, world.activity(), world.pdns());
+    return features::build_training_set(graph, extractor, core::SegugioConfig{}.training)
+        .dataset;
+  }();
+  return dataset;
 }
 
 void BM_PslRegistrableDomain(benchmark::State& state) {
@@ -100,6 +114,23 @@ void BM_FeatureExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeatureExtraction);
+
+// Serial 100-tree fit with the detector's forest settings: the per-fit cost
+// behind Segugio::train's fit stage.
+void BM_ForestFit(benchmark::State& state) {
+  const auto& dataset = micro_training_set();
+  auto config = core::SegugioConfig{}.forest;
+  config.num_trees = 100;
+  config.num_threads = 1;
+  for (auto _ : state) {
+    ml::RandomForest forest(config);
+    forest.train(dataset);
+    benchmark::DoNotOptimize(forest);
+  }
+  state.counters["rows"] = static_cast<double>(dataset.num_rows());
+}
+// Wall time: the fit runs on the forest's own worker thread.
+BENCHMARK(BM_ForestFit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ForestScore(benchmark::State& state) {
   auto& world = micro_world();

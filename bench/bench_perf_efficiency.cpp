@@ -87,7 +87,10 @@ StageTotals run_pipeline(std::size_t threads, std::vector<double>* scores_out) {
   using namespace seg;
   util::set_parallelism(threads);
   auto& world = seg::bench::bench_world();
-  const auto config = seg::bench::bench_config();
+  // The forest fit runs on its own pool, so pin it too: the "1 thread" leg
+  // must be serial in every stage.
+  auto config = seg::bench::bench_config();
+  config.forest.num_threads = threads;
 
   StageTotals totals;
   for (std::size_t isp = 0; isp < world.isp_count(); ++isp) {

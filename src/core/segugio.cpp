@@ -261,9 +261,14 @@ Segugio Segugio::load(std::istream& in) {
   in >> tag >> subset_size;
   util::require_data(static_cast<bool>(in) && tag == "subset",
                      "Segugio::load: malformed feature subset");
-  config.feature_subset.resize(subset_size);
-  for (auto& index : config.feature_subset) {
+  // One index at a time, each checked: apply_subset() indexes a feature
+  // vector with them.
+  for (std::size_t i = 0; i < subset_size; ++i) {
+    std::size_t index = 0;
     in >> index;
+    util::require_data(static_cast<bool>(in) && index < features::kNumFeatures,
+                       "Segugio::load: feature subset index out of range");
+    config.feature_subset.push_back(index);
   }
   int prober_enabled = 0;
   in >> tag >> prober_enabled;
@@ -289,6 +294,12 @@ Segugio Segugio::load(std::istream& in) {
   } else {
     throw util::ParseError("Segugio::load: unknown classifier kind '" + kind + "'");
   }
+  // score() feeds the classifier the vector apply_subset() makes.
+  const std::size_t arity = segugio.forest_ != nullptr ? segugio.forest_->num_features()
+                                                       : segugio.logistic_->weights().size();
+  const auto& subset = segugio.config_.feature_subset;
+  util::require_data(arity == (subset.empty() ? features::kNumFeatures : subset.size()),
+                     "Segugio::load: classifier arity differs from the feature subset's");
   return segugio;
 }
 

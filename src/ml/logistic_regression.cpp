@@ -123,17 +123,23 @@ LogisticRegression LogisticRegression::load(std::istream& in) {
   std::string tag;
   std::size_t d = 0;
   in >> tag >> d;
-  util::require_data(static_cast<bool>(in) && tag == "logreg",
+  util::require_data(static_cast<bool>(in) && tag == "logreg" && d > 0,
                      "LogisticRegression::load: malformed header");
   LogisticRegression model;
   in >> model.bias_;
-  model.weights_.resize(d);
-  model.mean_.resize(d);
-  model.stddev_.resize(d);
-  for (std::size_t f = 0; f < d; ++f) {
-    in >> model.weights_[f] >> model.mean_[f] >> model.stddev_[f];
-  }
   util::require_data(static_cast<bool>(in), "LogisticRegression::load: truncated model");
+  // One feature at a time: a count larger than the stream ends in the
+  // truncation error, not in a huge allocation.
+  for (std::size_t f = 0; f < d; ++f) {
+    double weight = 0.0;
+    double mean = 0.0;
+    double stddev = 0.0;
+    in >> weight >> mean >> stddev;
+    util::require_data(static_cast<bool>(in), "LogisticRegression::load: truncated model");
+    model.weights_.push_back(weight);
+    model.mean_.push_back(mean);
+    model.stddev_.push_back(stddev);
+  }
   return model;
 }
 

@@ -55,6 +55,9 @@ void RandomForest::train(const Dataset& dataset) {
     }
   }
 
+  // Every tree reads the same ranks.
+  const auto ranks = FeatureRanks::build(dataset);
+
   util::ThreadPool pool(config_.num_threads);
   pool.parallel_for(config_.num_trees, [&](std::size_t t) {
     auto& rng = tree_rngs[t];
@@ -85,7 +88,7 @@ void RandomForest::train(const Dataset& dataset) {
     tree_config.mtry = mtry;
     tree_config.seed = rng.next();
     trees_[t] = DecisionTree(tree_config);
-    trees_[t].train_on(dataset, sample);
+    trees_[t].train_on(dataset, ranks, sample);
   });
 
   if (config_.compute_oob) {
@@ -162,13 +165,15 @@ RandomForest RandomForest::load(std::istream& in) {
   std::size_t num_features = 0;
   std::size_t num_trees = 0;
   in >> tag >> num_features >> num_trees;
-  util::require_data(static_cast<bool>(in) && tag == "forest",
+  util::require_data(static_cast<bool>(in) && tag == "forest" && num_trees > 0,
                      "RandomForest::load: malformed header");
   RandomForest forest;
   forest.num_features_ = num_features;
-  forest.trees_.reserve(num_trees);
+  // One tree at a time, like the nodes: a lying count ends in a parse error.
   for (std::size_t t = 0; t < num_trees; ++t) {
     forest.trees_.push_back(DecisionTree::load(in));
+    util::require_data(forest.trees_.back().num_features() == num_features,
+                       "RandomForest::load: tree arity differs from the forest's");
   }
   return forest;
 }

@@ -45,6 +45,7 @@ class RandomForest final : public Classifier {
   bool is_trained() const override { return !trees_.empty(); }
 
   std::size_t tree_count() const { return trees_.size(); }
+  std::size_t num_features() const { return num_features_; }
 
   /// Mean-decrease-impurity feature importance, normalized to sum to 1.
   /// Requires training.

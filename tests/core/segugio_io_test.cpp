@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/segugio.h"
 #include "features/feature_config.h"
@@ -144,6 +145,61 @@ TEST_F(SegugioIoTest, LoadRejectsGarbage) {
   EXPECT_THROW(Segugio::load(blob), util::ParseError);
   std::stringstream wrong_version("segugio 99\n");
   EXPECT_THROW(Segugio::load(wrong_version), util::ParseError);
+}
+
+// A hand-written legacy (headerless) model around `subset` and a
+// classifier payload of `kind`.
+std::string crafted_model(const std::string& subset, const std::string& payload,
+                          const std::string& kind = "forest") {
+  return "segugio 1\nactivity_window 14\npdns_window 150\npruning 3 0.999 5 0.01\n" +
+         subset + "\nprober 0\nclassifier " + kind + "\n" + payload;
+}
+
+TEST_F(SegugioIoTest, LoadAcceptsACraftedModel) {
+  // The tree splits on its feature 0, which the subset {0, 10} maps to
+  // feature 0 of the vector; a value of 0 goes left.
+  std::istringstream in(crafted_model(
+      "subset 2 0 10",
+      "forest 2 1\ntree 2 3\n0 0.5 1 2 0 1\n-1 0 -1 -1 0.25 0\n-1 0 -1 -1 0.75 0\n"));
+  const auto segugio = Segugio::load(in);
+  features::FeatureVector probe{};
+  EXPECT_EQ(segugio.score(probe), 0.25);
+  probe[0] = 1.0;
+  EXPECT_EQ(segugio.score(probe), 0.75);
+}
+
+TEST_F(SegugioIoTest, LoadRejectsHostileModels) {
+  const std::string forest = "forest 2 1\ntree 2 1\n-1 0 -1 -1 0.5 0\n";
+  const std::string hostile[] = {
+      // apply_subset() would read features[11] of an 11-feature vector
+      crafted_model("subset 2 0 11", forest),
+      crafted_model("subset 2 0 18446744073709551615", forest),
+      // a subset count far beyond the bytes that follow
+      crafted_model("subset 1000000000000000 0 1", forest),
+      // a forest whose tree splits on a feature it does not have
+      crafted_model("subset 2 0 1",
+                    "forest 2 1\ntree 2 3\n2 0.5 1 2 0 0\n-1 0 -1 -1 0 0\n"
+                    "-1 0 -1 -1 1 0\n"),
+      // a tree whose child points back at its root
+      crafted_model("subset 2 0 1",
+                    "forest 2 1\ntree 2 3\n0 0.5 1 2 0 0\n0 0.5 0 2 0 0\n"
+                    "-1 0 -1 -1 1 0\n"),
+      // a tree count far beyond the bytes that follow
+      crafted_model("subset 2 0 1", "forest 2 1000000000000000\ntree 2 1\n"
+                                    "-1 0 -1 -1 0.5 0\n"),
+      // a forest wider than the two-feature vector the subset makes
+      crafted_model("subset 2 0 1", "forest 5 1\ntree 5 1\n-1 0 -1 -1 0.5 0\n"),
+      // a forest narrower than the full feature vector
+      crafted_model("subset 0", forest),
+      // a logistic weight count far beyond the bytes that follow
+      crafted_model("subset 2 0 1", "logreg 4000000000\n0.5\n1 0 1\n", "logistic"),
+      // a logistic model narrower than the full feature vector
+      crafted_model("subset 0", "logreg 1\n0.5\n1 0 1\n", "logistic"),
+  };
+  for (const auto& text : hostile) {
+    std::istringstream in(text);
+    EXPECT_THROW(Segugio::load(in), util::ParseError) << text;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <sstream>
+#include <string>
 
+#include "sorted_reference_tree.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -117,7 +121,7 @@ TEST(DecisionTreeTest, TrainOnSubsetUsesOnlyThoseRows) {
   // only rows {0, 9}, both with extreme values.
   const std::size_t indices[] = {0, 9};
   DecisionTree tree;
-  tree.train_on(d, indices);
+  tree.train_on(d, FeatureRanks::build(d), indices);
   const double low[] = {0.0};
   const double high[] = {9.0};
   EXPECT_LT(tree.predict_proba(low), 0.5);
@@ -189,6 +193,201 @@ TEST(DecisionTreeTest, SaveLoadRoundTrip) {
 TEST(DecisionTreeTest, LoadRejectsGarbage) {
   std::stringstream buffer("not a tree");
   EXPECT_THROW(DecisionTree::load(buffer), util::ParseError);
+}
+
+TEST(DecisionTreeTest, LoadAcceptsAHandWrittenTree) {
+  // The shape training always writes: children after their parent.
+  std::stringstream buffer(
+      "tree 2 3\n"
+      "1 0.5 1 2 0.5 4\n"
+      "-1 0 -1 -1 0 0\n"
+      "-1 0 -1 -1 1 0\n");
+  const auto tree = DecisionTree::load(buffer);
+  const double low[] = {9.0, 0.25};
+  const double high[] = {9.0, 0.75};
+  EXPECT_EQ(tree.predict_proba(low), 0.0);
+  EXPECT_EQ(tree.predict_proba(high), 1.0);
+}
+
+// Each of these would otherwise read out of bounds, loop forever in
+// predict_proba, or size a container from a count nobody checked.
+TEST(DecisionTreeTest, LoadRejectsHostileTrees) {
+  const char* const hostile[] = {
+      // feature past the tree's arity
+      "tree 2 3\n2 0.5 1 2 0 0\n-1 0 -1 -1 0 0\n-1 0 -1 -1 1 0\n",
+      // feature neither -1 nor a feature index
+      "tree 2 3\n-2 0.5 1 2 0 0\n-1 0 -1 -1 0 0\n-1 0 -1 -1 1 0\n",
+      // a child past the node list
+      "tree 2 3\n0 0.5 1 3 0 0\n-1 0 -1 -1 0 0\n-1 0 -1 -1 1 0\n",
+      // a negative child
+      "tree 2 3\n0 0.5 -1 2 0 0\n-1 0 -1 -1 0 0\n-1 0 -1 -1 1 0\n",
+      // a node that is its own child: predict_proba would never return
+      "tree 2 3\n0 0.5 0 2 0 0\n-1 0 -1 -1 0 0\n-1 0 -1 -1 1 0\n",
+      // a child before its parent, closing a cycle
+      "tree 2 3\n0 0.5 1 2 0 0\n1 0.5 0 2 0 0\n-1 0 -1 -1 1 0\n",
+      // a node count far beyond the bytes that follow
+      "tree 2 1000000000000000\n-1 0 -1 -1 0.5 0\n",
+      // a node count that is no count
+      "tree 2 -1\n-1 0 -1 -1 0.5 0\n",
+      // no nodes at all
+      "tree 2 0\n",
+  };
+  for (const char* text : hostile) {
+    std::stringstream buffer(text);
+    EXPECT_THROW(DecisionTree::load(buffer), util::ParseError) << text;
+  }
+}
+
+// Columns built to trip a rank-based split search: few values, heavy ties,
+// adjacent doubles whose midpoints round either way, signed zeros,
+// negatives and huge values, and a continuous column whose small nodes hold
+// a few ranks scattered among many empty bins.
+Dataset split_sweep_data(std::size_t n, util::Rng& rng) {
+  const double ulp = std::ldexp(1.0, -52);
+  // Midpoints of consecutive pairs: (1, 1+u) rounds down to 1, (1+u, 1+2u)
+  // rounds up to 1+2u, (1+2u, 1+3u) down, (1+3u, 1+4u) up.
+  const double adjacent[] = {1.0, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 3 * ulp, 1.0 + 4 * ulp};
+  // Signed zeros, negatives, and values whose sum overflows, so only
+  // a + (b - a) / 2 gives the reference's threshold.
+  const double signed_zero[] = {-0.0, 0.0, -0.0, 0.0, -1.5, 2.5, -3.0, 1.5e308, 1.7e308};
+  Dataset d({"three", "tied", "adjacent", "signed_zero", "mid", "continuous"});
+  for (std::size_t i = 0; i < n; ++i) {
+    const double three = static_cast<double>(rng.next_below(3));
+    const double tied = rng.next_double() < 0.8 ? 0.0 : static_cast<double>(rng.next_below(5));
+    const double adj = adjacent[rng.next_below(5)];
+    const double zero = signed_zero[rng.next_below(9)];
+    const double mid = static_cast<double>(rng.next_below(60)) / 7.0 - 4.0;
+    const double continuous = rng.next_double() * 2.0 - 1.0;
+    const double row[] = {three, tied, adj, zero, mid, continuous};
+    // Labels lean on several columns and keep noise, so trees grow deep.
+    double p = 0.15;
+    p += adj >= 1.0 + 2 * ulp ? 0.35 : 0.0;
+    p += three == 2.0 ? 0.2 : 0.0;
+    p += zero >= 0.0 ? 0.1 : 0.0;
+    p += continuous > 0.3 ? 0.15 : 0.0;
+    d.add_row(row, rng.next_double() < p ? 1 : 0);
+  }
+  return d;
+}
+
+// The nodes of `tree` as its save() bytes spell them; 17 significant
+// digits round-trip every double, sign of zero included.
+std::vector<testing::ReferenceNode> saved_nodes(const DecisionTree& tree) {
+  std::stringstream buffer;
+  tree.save(buffer);
+  std::string tag;
+  std::size_t num_features = 0;
+  std::size_t num_nodes = 0;
+  buffer >> tag >> num_features >> num_nodes;
+  std::vector<testing::ReferenceNode> nodes(num_nodes);
+  for (auto& node : nodes) {
+    buffer >> node.feature >> node.threshold >> node.left >> node.right >> node.prob >>
+        node.importance;
+  }
+  EXPECT_TRUE(static_cast<bool>(buffer));
+  return nodes;
+}
+
+void expect_same_nodes(const std::vector<testing::ReferenceNode>& expected,
+                       const std::vector<testing::ReferenceNode>& actual,
+                       const std::string& context) {
+  ASSERT_EQ(expected.size(), actual.size()) << context;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& e = expected[i];
+    const auto& a = actual[i];
+    EXPECT_EQ(e.feature, a.feature) << context << " node " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e.threshold), std::bit_cast<std::uint64_t>(a.threshold))
+        << context << " node " << i;
+    EXPECT_EQ(e.left, a.left) << context << " node " << i;
+    EXPECT_EQ(e.right, a.right) << context << " node " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e.prob), std::bit_cast<std::uint64_t>(a.prob))
+        << context << " node " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e.importance),
+              std::bit_cast<std::uint64_t>(a.importance))
+        << context << " node " << i;
+  }
+}
+
+TEST(DecisionTreeTest, RankSearchBuildsTheSortedReferenceTreeNodeForNode) {
+  util::Rng rng(2015);
+  std::size_t rounded_up = 0;
+  std::size_t trees = 0;
+  for (const std::size_t rows : {40, 300, 900}) {
+    const auto data = split_sweep_data(rows, rng);
+    const auto ranks = FeatureRanks::build(data);
+    // A bootstrap sample: duplicated rows, some rows missing.
+    std::vector<std::size_t> sample(rows);
+    for (auto& row : sample) {
+      row = static_cast<std::size_t>(rng.next_below(rows));
+    }
+    for (const std::size_t min_leaf : {1, 3}) {
+      for (const std::size_t mtry : {1, 3, 0}) {
+        for (const std::size_t max_depth : {3, 30}) {
+          DecisionTreeConfig config;
+          config.max_depth = max_depth;
+          config.min_samples_leaf = min_leaf;
+          config.mtry = mtry;
+          config.seed = rng.next();
+          DecisionTree tree(config);
+          tree.train_on(data, ranks, sample);
+          testing::SortedReferenceTree reference(data, config);
+          const std::string context = "rows " + std::to_string(rows) + " min_leaf " +
+                                      std::to_string(min_leaf) + " mtry " +
+                                      std::to_string(mtry) + " depth " +
+                                      std::to_string(max_depth);
+          expect_same_nodes(reference.build(sample), saved_nodes(tree), context);
+          rounded_up += reference.rounded_up_splits();
+          ++trees;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(trees, 36u);
+  // The sweep reached the midpoint that rounds up to b.
+  EXPECT_GT(rounded_up, 0u);
+}
+
+TEST(DecisionTreeTest, MidpointRoundingUpToTheLargestValueLeavesALeaf) {
+  // The only split, between 1 + 2^-52 and 1 + 2^-51, has a threshold that
+  // rounds up to 1 + 2^-51, so every row would go left: both searches keep
+  // the root a leaf.
+  const double a = 1.0 + std::ldexp(1.0, -52);
+  const double b = 1.0 + std::ldexp(1.0, -51);
+  ASSERT_EQ(a + (b - a) / 2.0, b);
+  Dataset d({"f0"});
+  for (int i = 0; i < 8; ++i) {
+    const double row[] = {i % 2 == 0 ? a : b};
+    d.add_row(row, i % 2);
+  }
+  DecisionTree tree;
+  tree.train(d);
+  testing::SortedReferenceTree reference(d, DecisionTreeConfig{});
+  const std::vector<std::size_t> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  expect_same_nodes(reference.build(all), saved_nodes(tree), "adjacent pair");
+  EXPECT_EQ(reference.all_left_leaves(), 1u);
+  EXPECT_EQ(tree.node_count(), 1u);
+}
+
+TEST(DecisionTreeTest, FeatureRanksShareOneRankForSignedZeros) {
+  Dataset d({"f0"});
+  for (const double v : {0.0, -2.0, -0.0, 3.0, 0.0}) {
+    const double row[] = {v};
+    d.add_row(row, 0);
+  }
+  const auto ranks = FeatureRanks::build(d);
+  ASSERT_EQ(ranks.values(0).size(), 3u);
+  EXPECT_EQ(ranks.values(0)[0], -2.0);
+  EXPECT_EQ(ranks.values(0)[2], 3.0);
+  const std::vector<std::uint32_t> expected = {1, 0, 1, 2, 1};
+  EXPECT_EQ(std::vector<std::uint32_t>(ranks.ranks(0).begin(), ranks.ranks(0).end()), expected);
+  EXPECT_EQ(ranks.max_distinct(), 3u);
+}
+
+TEST(DecisionTreeTest, FeatureRanksRejectNaN) {
+  Dataset d({"f0"});
+  const double row[] = {std::nan("")};
+  d.add_row(row, 0);
+  EXPECT_THROW(FeatureRanks::build(d), util::PreconditionError);
 }
 
 }  // namespace

@@ -126,8 +126,21 @@ TEST(LogisticRegressionTest, SaveLoadRoundTrip) {
 }
 
 TEST(LogisticRegressionTest, LoadRejectsGarbage) {
-  std::stringstream buffer("junk");
-  EXPECT_THROW(LogisticRegression::load(buffer), util::ParseError);
+  const char* const garbage[] = {
+      "junk",
+      // a feature count far beyond the bytes that follow
+      "logreg 4000000000\n0.5\n1 0 1\n",
+      // a feature count that is no count
+      "logreg -1\n0.5\n1 0 1\n",
+      // no features at all
+      "logreg 0\n0.5\n",
+      // one feature short
+      "logreg 2\n0.5\n1 0 1\n",
+  };
+  for (const char* text : garbage) {
+    std::stringstream buffer(text);
+    EXPECT_THROW(LogisticRegression::load(buffer), util::ParseError) << text;
+  }
 }
 
 }  // namespace

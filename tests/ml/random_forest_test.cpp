@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "ml/metrics.h"
 #include "util/require.h"
@@ -172,6 +173,28 @@ TEST(RandomForestTest, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(loaded.predict_proba(data.row(i)), forest.predict_proba(data.row(i)));
   }
+}
+
+TEST(RandomForestTest, LoadRejectsHostileForests) {
+  const std::string leaf_tree = "tree 2 1\n-1 0 -1 -1 0.5 0\n";
+  const std::string hostile[] = {
+      // no trees
+      "forest 2 0\n",
+      // a tree count far beyond the bytes that follow
+      "forest 2 1000000000000000\n" + leaf_tree,
+      // a tree whose arity is not the forest's
+      "forest 2 1\ntree 3 1\n-1 0 -1 -1 0.5 0\n",
+      // a tree that reads past its node list
+      "forest 2 1\ntree 2 3\n0 0.5 1 7 0 0\n-1 0 -1 -1 0 0\n-1 0 -1 -1 1 0\n",
+  };
+  for (const auto& text : hostile) {
+    std::stringstream buffer(text);
+    EXPECT_THROW(RandomForest::load(buffer), util::ParseError) << text;
+  }
+  std::stringstream valid("forest 2 2\n" + leaf_tree + leaf_tree);
+  const auto forest = RandomForest::load(valid);
+  const double probe[] = {0.0, 0.0};
+  EXPECT_EQ(forest.predict_proba(probe), 0.5);
 }
 
 TEST(RandomForestTest, SaveUntrainedThrows) {
