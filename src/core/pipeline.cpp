@@ -161,12 +161,7 @@ void Pipeline::save_session(std::ostream& out) const {
 }
 
 void Pipeline::load_session(std::istream& in) {
-  const int version = util::read_format_header(in, "pipeline-session",
-                                               kSessionFormatVersion,
-                                               /*legacy_version=*/0);
-  util::require_data(version >= 1,
-                     "Pipeline::load_session: stream has no 'segf1 "
-                     "pipeline-session' header (no legacy session format exists)");
+  (void)util::read_format_header(in, "pipeline-session", kSessionFormatVersion);
   cache_ = graph::NameCache::load(in);
   stats_.cached_names = cache_.size();
 }

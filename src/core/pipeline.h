@@ -178,7 +178,7 @@ class Pipeline {
 
   /// Restores a save_session() stream into this session, replacing the
   /// carried dictionary. Throws util::ParseError on malformed or headerless
-  /// input (there is no legacy session format).
+  /// input.
   void load_session(std::istream& in);
 
   /// Attaches (or, with nullptr, detaches) a per-day obs journal: one

@@ -237,8 +237,6 @@ void Segugio::save(std::ostream& out) const {
 }
 
 Segugio Segugio::load(std::istream& in) {
-  // Versioned streams carry the segf1 prefix; legacy `segugio 1` streams
-  // rewind and parse from the body header directly.
   const int format_version = util::read_format_header(in, "segugio-model", kModelFormatVersion);
   std::string tag;
   int version = 0;

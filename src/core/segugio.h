@@ -208,11 +208,12 @@ class Segugio {
   /// trained in one network can be dropped into another (Section IV-A's
   /// cross-network story). Streams start with the versioned
   /// `segf1 segugio-model <version>` header (util/serialize.h); load()
-  /// also accepts headerless legacy `segugio 1` streams.
+  /// throws util::ParseError on a stream without the header.
   void save(std::ostream& out) const;
   static Segugio load(std::istream& in);
 
-  static constexpr int kModelFormatVersion = 2;  ///< 2 = segf1 header; 1 = legacy
+  /// 2 = segf1 header; 1 was the headerless form, no longer read.
+  static constexpr int kModelFormatVersion = 2;
 
  private:
   std::vector<double> apply_subset(std::span<const double> features) const;

@@ -97,8 +97,6 @@ void DomainActivityIndex::save(std::ostream& out) const {
 }
 
 DomainActivityIndex DomainActivityIndex::load(std::istream& in) {
-  // Headerless legacy streams parse identically: versions only differ in
-  // the segf1 prefix so far.
   (void)util::read_format_header(in, "activity", kFormatVersion);
   std::string tag;
   std::size_t count = 0;

@@ -47,11 +47,13 @@ class DomainActivityIndex {
 
   /// Text serialization: one `name day day ...` line per tracked name,
   /// prefixed with the versioned `segf1 activity <version>` header
-  /// (util/serialize.h). load() also accepts headerless legacy streams.
+  /// (util/serialize.h). load() throws util::ParseError on a stream without
+  /// the header.
   void save(std::ostream& out) const;
   static DomainActivityIndex load(std::istream& in);
 
-  static constexpr int kFormatVersion = 2;  ///< 2 = segf1 header; 1 = legacy
+  /// 2 = segf1 header; 1 was the headerless form, no longer read.
+  static constexpr int kFormatVersion = 2;
 
  private:
   struct StringHash {

@@ -157,8 +157,6 @@ void PassiveDnsDb::save(std::ostream& out) const {
 }
 
 PassiveDnsDb PassiveDnsDb::load(std::istream& in) {
-  // Headerless legacy streams parse identically: versions only differ in
-  // the segf1 prefix so far.
   (void)util::read_format_header(in, "pdns", kFormatVersion);
   std::string tag;
   std::size_t observations = 0;

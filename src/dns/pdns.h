@@ -60,11 +60,12 @@ class PassiveDnsDb {
 
   /// Text serialization of the malware/unknown indexes, prefixed with the
   /// versioned `segf1 pdns <version>` header (util/serialize.h). load()
-  /// also accepts headerless legacy streams.
+  /// throws util::ParseError on a stream without the header.
   void save(std::ostream& out) const;
   static PassiveDnsDb load(std::istream& in);
 
-  static constexpr int kFormatVersion = 2;  ///< 2 = segf1 header; 1 = legacy
+  /// 2 = segf1 header; 1 was the headerless form, no longer read.
+  static constexpr int kFormatVersion = 2;
 
  private:
   // Sorted day lists per key; days are appended mostly in order (the

@@ -1,6 +1,5 @@
 #include "dns/query_log.h"
 
-#include <cstring>
 #include <fstream>
 
 #include "util/csv.h"
@@ -25,31 +24,10 @@ void write_le(std::ostream& out, T value) {
   }
 }
 
-template <typename T>
-T read_le(std::istream& in) {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    const int byte = in.get();
-    util::require_data(byte != std::char_traits<char>::eof(),
-                       "for_each_record: truncated file");
-    value |= static_cast<std::uint64_t>(static_cast<unsigned char>(byte)) << (8 * i);
-  }
-  return static_cast<T>(value);
-}
-
 void write_string(std::ostream& out, std::string_view text) {
-  util::require(text.size() <= 0xffff, "write_trace_binary: string too long");
+  util::require(text.size() <= 0xffff, "BinaryTraceWriter: string too long");
   write_le<std::uint16_t>(out, static_cast<std::uint16_t>(text.size()));
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
-std::string read_string(std::istream& in) {
-  const auto length = read_le<std::uint16_t>(in);
-  std::string text(length, '\0');
-  in.read(text.data(), length);
-  util::require_data(static_cast<std::size_t>(in.gcount()) == length,
-                     "for_each_record: truncated string");
-  return text;
 }
 
 }  // namespace
@@ -73,80 +51,12 @@ void write_trace(const DayTrace& trace, const std::string& path) {
 }
 
 void write_trace_binary(const DayTrace& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  util::require_data(out.is_open(), "write_trace_binary: cannot create '" + path + "'");
-  out.write(kBinaryMagic, static_cast<std::streamsize>(kMagicLength));
-  write_le<std::int32_t>(out, trace.day);
-  write_le<std::uint64_t>(out, trace.records.size());
+  BinaryTraceWriter writer(path, trace.day, trace.records.size());
   for (const auto& record : trace.records) {
-    write_string(out, record.machine);
-    write_string(out, record.qname);
-    util::require(record.resolved_ips.size() <= 0xff,
-                  "write_trace_binary: too many resolved IPs in one record");
-    write_le<std::uint8_t>(out, static_cast<std::uint8_t>(record.resolved_ips.size()));
-    for (const auto ip : record.resolved_ips) {
-      write_le<std::uint32_t>(out, ip.value());
-    }
+    writer.add(record.machine, record.qname, record.resolved_ips);
   }
-  util::require_data(static_cast<bool>(out), "write_trace_binary: write failed");
+  writer.finish();
 }
-
-Day for_each_record(const std::string& path,
-                    const std::function<void(const QueryRecord&)>& callback) {
-  if (path.ends_with(".bin")) {
-    std::ifstream in(path, std::ios::binary);
-    util::require_data(in.is_open(), "for_each_record: cannot open '" + path + "'");
-    char magic[kMagicLength];
-    in.read(magic, static_cast<std::streamsize>(kMagicLength));
-    util::require_data(static_cast<std::size_t>(in.gcount()) == kMagicLength &&
-                           std::memcmp(magic, kBinaryMagic, kMagicLength) == 0,
-                       "for_each_record: bad magic (not a SEGTRC1 file)");
-    const auto day = read_le<std::int32_t>(in);
-    const auto count = read_le<std::uint64_t>(in);
-    QueryRecord record;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      record.day = day;
-      record.machine = read_string(in);
-      record.qname = read_string(in);
-      record.resolved_ips.clear();
-      const auto ip_count = read_le<std::uint8_t>(in);
-      for (std::uint8_t k = 0; k < ip_count; ++k) {
-        record.resolved_ips.push_back(IpV4(read_le<std::uint32_t>(in)));
-      }
-      callback(record);
-    }
-    return count == 0 ? Day{0} : day;
-  }
-
-  util::DsvReader reader(path);
-  Day day = 0;
-  bool first = true;
-  std::vector<std::string_view> fields;
-  QueryRecord record;
-  while (reader.next(fields)) {
-    if (fields.size() != 4) [[unlikely]] {
-      util::throw_parse_error(
-          {"for_each_record: expected 4 fields at line ", reader.line_number()});
-    }
-    record.day = static_cast<Day>(util::parse_u64(fields[0]));
-    record.machine = std::string(fields[1]);
-    record.qname = std::string(fields[2]);
-    record.resolved_ips.clear();
-    for (const auto ip_text : util::split_skip_empty(fields[3], ',')) {
-      record.resolved_ips.push_back(IpV4::parse(ip_text));
-    }
-    if (first) {
-      day = record.day;
-      first = false;
-    } else if (record.day != day) [[unlikely]] {
-      util::throw_parse_error(
-          {"for_each_record: mixed days in one trace file at line ", reader.line_number()});
-    }
-    callback(record);
-  }
-  return day;
-}
-
 
 BinaryTraceWriter::BinaryTraceWriter(const std::string& path, Day day, std::uint64_t count)
     : out_(path, std::ios::binary), expected_(count) {

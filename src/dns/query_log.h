@@ -3,14 +3,14 @@
 // Segugio monitors the DNS traffic between ISP customer machines and the
 // ISP's local resolver, keeping only successful authoritative responses that
 // map a queried domain to valid IP addresses (Section II-A1). A record is
-// (day, machine identifier, queried FQDN, resolved IPs). Records can be
-// carried in memory (DayTrace, what the simulator produces) or streamed
-// to/from a TSV file for offline runs.
+// (day, machine identifier, queried FQDN, resolved IPs). Records are
+// carried in memory (DayTrace, what the simulator produces) or written to
+// a TSV or SEGTRC1 binlog file for offline runs; every trace file is read
+// back through dns::FileTraceSource (dns/trace_source.h).
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -45,18 +45,8 @@ void write_trace(const DayTrace& trace, const std::string& path);
 /// Compact binary form (roughly 3-4x smaller than the TSV): little-endian,
 /// length-prefixed strings, magic header "SEGTRC1". ISP-scale days run to
 /// hundreds of millions of records, where the text format stops being
-/// practical.
+/// practical. Written through BinaryTraceWriter.
 void write_trace_binary(const DayTrace& trace, const std::string& path);
-
-// Both formats are read back through dns::FileTraceSource
-// (dns/trace_source.h), or record by record with for_each_record below.
-
-/// Streams a trace file — text TSV, or SEGTRC1 binary when the path ends
-/// in ".bin" — invoking `callback` once per record without materializing
-/// the whole trace. Returns the trace day (0 for an empty file). Throws
-/// util::ParseError on malformed input.
-Day for_each_record(const std::string& path,
-                    const std::function<void(const QueryRecord&)>& callback);
 
 /// Streams SEGTRC1 binary traces record by record, for traces too large to
 /// hold as a DayTrace (the record count must be known up front — the format

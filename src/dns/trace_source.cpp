@@ -17,6 +17,10 @@ namespace {
 
 constexpr std::string_view kBinlogMagic = "SEGTRC1";
 
+// How far a mapped reader's cursor moves between two releases of the
+// pages behind it: the resident window a capture keeps behind the cursor.
+constexpr std::size_t kReleaseStep = std::size_t{4} << 20;
+
 // Incremental SEGTRC1 reader over a mapped file. A multi-day binlog is a
 // plain concatenation of single-day SEGTRC1 segments (cat day1.bin
 // day2.bin ...); each segment header re-arms the day and record count.
@@ -47,6 +51,9 @@ class BinlogCursor {
     }
     return true;
   }
+
+  /// Bytes of the binlog consumed so far.
+  std::size_t position() const { return cursor_.pos(); }
 
  private:
   void read_segment_header() {
@@ -88,8 +95,8 @@ class SimCursor {
           {"sim trace: expected 4 fields at line ", reader_.line_number()});
     }
     record.day = static_cast<Day>(util::parse_u64(fields[0]));
-    record.machine = std::string(fields[1]);
-    record.qname = std::string(fields[2]);
+    record.machine.assign(fields[1]);
+    record.qname.assign(fields[2]);
     record.resolved_ips.clear();
     for (const auto ip_text : util::split_skip_empty(fields[3], ',')) {
       record.resolved_ips.push_back(IpV4::parse(ip_text));
@@ -165,6 +172,16 @@ struct FileTraceSource::Impl {
   std::unique_ptr<wire::DnstapReader> dnstap;
   std::unique_ptr<wire::PcapReader> pcap;
   std::unique_ptr<SimCursor> sim;
+  std::size_t released = 0;  // offset of the last release_before()
+
+  // Every reader copies what it decodes into the record, so the pages
+  // behind its cursor are never read again.
+  void release_behind(std::size_t position) {
+    if (position - released >= kReleaseStep) {
+      map.release_before(position);
+      released = position;
+    }
+  }
 };
 
 FileTraceSource::FileTraceSource(const std::string& path)
@@ -196,17 +213,26 @@ FileTraceSource::FileTraceSource(const std::string& path, TraceFormat format)
 FileTraceSource::~FileTraceSource() = default;
 
 bool FileTraceSource::next(QueryRecord& record) {
+  bool more = false;
+  std::size_t position = 0;
   switch (format_) {
     case TraceFormat::kSim:
       return impl_->sim->next(record);
     case TraceFormat::kBinlog:
-      return impl_->binlog->next(record);
+      more = impl_->binlog->next(record);
+      position = impl_->binlog->position();
+      break;
     case TraceFormat::kDnstap:
-      return impl_->dnstap->next(record);
+      more = impl_->dnstap->next(record);
+      position = impl_->dnstap->position();
+      break;
     case TraceFormat::kPcap:
-      return impl_->pcap->next(record);
+      more = impl_->pcap->next(record);
+      position = impl_->pcap->position();
+      break;
   }
-  return false;
+  impl_->release_behind(position);
+  return more;
 }
 
 std::uint64_t FileTraceSource::skipped() const {

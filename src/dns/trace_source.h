@@ -15,13 +15,21 @@
 //                    the format from magic bytes unless told. Wire formats
 //                    (dnstap, pcap) and the SEGTRC1 binlog are walked
 //                    zero-copy over an mmap'd capture; the sim TSV streams
-//                    through the DSV reader.
+//                    through the DSV reader. It is the only trace-file
+//                    reader: the pipeline, the CLI and the out-of-core
+//                    prepare (graph/oocore.h) all read through it.
+//
+// Memory contract: a mapped capture does not stay resident as a whole.
+// Every 4 MiB the cursor advances, FileTraceSource releases the mapped
+// pages behind it (util::MmapFile::release_before), so a capture of any
+// size holds at most one release step of pages behind the cursor.
 //
 // Formats and their detection magic are documented in docs/FORMATS.md and
 // docs/ingestion.md.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -83,7 +91,8 @@ class DayTraceSource final : public TraceSource {
 };
 
 /// Streams a trace file in any supported format. Wire formats and the
-/// binlog are parsed zero-copy from a private mapping of the file.
+/// binlog are parsed zero-copy from a private mapping of the file, whose
+/// pages are released behind the cursor as it advances.
 class FileTraceSource final : public TraceSource {
  public:
   /// Opens `path`, sniffing the format via detect_format().

@@ -60,6 +60,9 @@ class DnstapReader {
   /// non-INET sockets, responses without A records).
   std::uint64_t skipped() const { return skipped_; }
 
+  /// Bytes of the capture consumed so far.
+  std::size_t position() const { return pos_; }
+
  private:
   std::span<const unsigned char> data_;
   std::size_t pos_ = 0;

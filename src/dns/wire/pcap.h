@@ -50,6 +50,9 @@ class PcapReader {
   std::uint64_t opt_records() const { return opt_records_; }
   std::uint64_t opt_skipped() const { return opt_skipped_; }
 
+  /// Bytes of the capture consumed so far.
+  std::size_t position() const { return pos_; }
+
  private:
   std::span<const unsigned char> data_;
   std::size_t pos_ = 0;

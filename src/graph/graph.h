@@ -95,13 +95,9 @@ class MachineDomainGraph {
   friend MachineDomainGraph prune_impl(const GraphView&,
                                        const std::vector<std::uint8_t>&,
                                        const std::vector<std::uint8_t>&);
-  friend MachineDomainGraph load_graph_compressed(std::istream&);
-  friend void save_graph(const MachineDomainGraph&, std::ostream&);
-  friend MachineDomainGraph load_graph(std::istream&);
 
-  /// Rebuilds machine_index_/domain_index_ from the name vectors; called by
-  /// constructors that assemble a graph without going through a builder
-  /// (pruning, deserialization).
+  /// Rebuilds machine_index_/domain_index_ from the name vectors; called
+  /// when a graph is assembled without going through a builder (pruning).
   void rebuild_name_index();
 
   dns::Day day_ = 0;
@@ -172,13 +168,6 @@ class GraphBuilder {
 
   std::size_t skipped_ = 0;
 };
-
-/// Streams a query-log file (text TSV or SEGTRC1 binary, by extension)
-/// directly into a graph without materializing the whole trace in memory —
-/// at the paper's scale a day holds hundreds of millions of records.
-/// Throws util::ParseError on malformed files.
-MachineDomainGraph build_graph_from_file(const std::string& path,
-                                         const dns::PublicSuffixList& psl);
 
 /// Headline node/edge/label counts, as reported in Table I.
 struct GraphStats {

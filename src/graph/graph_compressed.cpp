@@ -1,8 +1,6 @@
 #include "graph/graph_compressed.h"
 
 #include <cstring>
-#include <istream>
-#include <iterator>
 #include <limits>
 #include <ostream>
 #include <type_traits>
@@ -11,7 +9,6 @@
 
 #include "util/require.h"
 #include "util/serialize.h"
-#include "util/varint.h"
 
 namespace seg::graph {
 
@@ -25,6 +22,9 @@ static_assert(sizeof(Label) == 1, "packed graphc stores labels as raw bytes");
 
 constexpr std::string_view kGraphcMagic = "graphc";
 constexpr int kGraphcVersion = 1;
+// The binary header's encoding byte. 1 names the packed layout, the only
+// one; other values are rejected.
+constexpr std::uint8_t kPackedEncoding = 1;
 // util::write_format_header(out, "graphc", 1) produces exactly this line.
 constexpr std::string_view kTextHeader = "segf1 graphc 1\n";
 // Text line + binary header (encoding u8, 3 reserved, day i32, 8 u64
@@ -53,12 +53,15 @@ detail::GraphcCounts counts_of(const GraphView& graph) {
   return counts;
 }
 
-void write_binary_header(std::ostream& out, GraphcEncoding encoding,
-                         const detail::GraphcCounts& counts) {
+}  // namespace
+
+namespace detail {
+
+PackedGraphcWriter::PackedGraphcWriter(std::ostream& out, const GraphcCounts& counts)
+    : out_(&out) {
   util::write_format_header(out, kGraphcMagic, kGraphcVersion);
-  const std::uint8_t enc = static_cast<std::uint8_t>(encoding);
   const std::uint8_t reserved[3] = {0, 0, 0};
-  out.write(reinterpret_cast<const char*>(&enc), 1);
+  out.write(reinterpret_cast<const char*>(&kPackedEncoding), 1);
   out.write(reinterpret_cast<const char*>(reserved), 3);
   out.write(reinterpret_cast<const char*>(&counts.day), 4);
   const std::uint64_t fields[8] = {counts.machines,           counts.domains,
@@ -66,370 +69,27 @@ void write_binary_header(std::ostream& out, GraphcEncoding encoding,
                                    counts.ips,                counts.machine_name_bytes,
                                    counts.domain_name_bytes,  counts.e2ld_name_bytes};
   out.write(reinterpret_cast<const char*>(fields), sizeof(fields));
+  written_ = kHeaderBytes;
+  pad8();
 }
 
-// --- packed encoding --------------------------------------------------------
-
-void write_name_table(detail::PackedGraphcWriter& writer, const NameTableView& names) {
-  std::vector<std::uint64_t> offsets(names.size() + 1, 0);
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    offsets[i + 1] = offsets[i] + names[i].size();
+void PackedGraphcWriter::name_table(std::size_t count,
+                                    const std::function<std::string_view(std::size_t)>& name_of) {
+  std::vector<std::uint64_t> offsets(count + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    offsets[i + 1] = offsets[i] + name_of(i).size();
   }
-  writer.bytes(offsets.data(), offsets.size() * sizeof(std::uint64_t));
+  bytes(offsets.data(), offsets.size() * sizeof(std::uint64_t));
   std::string blob;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const auto name = names[i];
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string_view name = name_of(i);
     blob.append(name.data(), name.size());
     if (blob.size() >= (1u << 20)) {
-      writer.bytes(blob.data(), blob.size());
+      bytes(blob.data(), blob.size());
       blob.clear();
     }
   }
-  writer.bytes(blob.data(), blob.size());
-  writer.pad8();
-}
-
-void save_packed(const GraphView& graph, std::ostream& out) {
-  detail::PackedGraphcWriter writer(out, counts_of(graph));
-  write_name_table(writer, graph.machine_names());
-  write_name_table(writer, graph.domain_names());
-  write_name_table(writer, graph.e2ld_names());
-
-  const auto section = [&writer](const auto& span, std::size_t element_size) {
-    writer.bytes(span.data(), span.size() * element_size);
-    writer.pad8();
-  };
-  section(graph.domain_e2ld_ids(), sizeof(E2ldId));
-  section(graph.machine_offsets(), sizeof(std::uint64_t));
-  section(graph.machine_targets(), sizeof(DomainId));
-  section(graph.domain_offsets(), sizeof(std::uint64_t));
-  section(graph.domain_targets(), sizeof(MachineId));
-  section(graph.ip_offsets(), sizeof(std::uint64_t));
-  section(graph.resolved_ip_values(), sizeof(dns::IpV4));
-  section(graph.machine_labels(), sizeof(Label));
-  section(graph.domain_labels(), sizeof(Label));
-  writer.finish();
-}
-
-// --- compact encoding -------------------------------------------------------
-
-class CompactStream {
- public:
-  explicit CompactStream(std::ostream& out) : out_(&out) {}
-
-  std::string& buffer() { return buffer_; }
-
-  void maybe_flush() {
-    if (buffer_.size() >= (1u << 20)) {
-      flush();
-    }
-  }
-
-  void flush() {
-    out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-
- private:
-  std::ostream* out_;
-  std::string buffer_;
-};
-
-void save_compact(const GraphView& graph, std::ostream& out) {
-  write_binary_header(out, GraphcEncoding::kCompact, counts_of(graph));
-  CompactStream stream(out);
-  auto& buf = stream.buffer();
-
-  const auto names = [&](const NameTableView& table) {
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      const auto name = table[i];
-      util::append_varint(buf, name.size());
-      buf.append(name.data(), name.size());
-      stream.maybe_flush();
-    }
-  };
-  names(graph.machine_names());
-  names(graph.domain_names());
-  names(graph.e2ld_names());
-
-  for (const auto e : graph.domain_e2ld_ids()) {
-    util::append_varint(buf, e);
-    stream.maybe_flush();
-  }
-
-  // Degree stream then the concatenated delta-coded adjacency runs, per
-  // direction. Degrees first keeps every run's length decodable without
-  // interleaving headers into the run bytes.
-  const auto degrees_and_runs = [&](std::size_t count, const auto& row_of) {
-    for (std::size_t i = 0; i < count; ++i) {
-      util::append_varint(buf, row_of(i).size());
-      stream.maybe_flush();
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      util::append_ascending_run(buf, row_of(i));
-      stream.maybe_flush();
-    }
-  };
-  degrees_and_runs(graph.machine_count(),
-                   [&](std::size_t m) { return graph.domains_of(static_cast<MachineId>(m)); });
-  degrees_and_runs(graph.domain_count(),
-                   [&](std::size_t d) { return graph.machines_of(static_cast<DomainId>(d)); });
-
-  for (DomainId d = 0; d < graph.domain_count(); ++d) {
-    util::append_varint(buf, graph.resolved_ips(d).size());
-    stream.maybe_flush();
-  }
-  for (DomainId d = 0; d < graph.domain_count(); ++d) {
-    const auto ips = graph.resolved_ips(d);
-    for (std::size_t i = 0; i < ips.size(); ++i) {
-      if (i == 0) {
-        util::append_varint(buf, ips[0].value());
-      } else {
-        util::append_varint(buf, ips[i].value() - ips[i - 1].value() - 1);
-      }
-    }
-    stream.maybe_flush();
-  }
-
-  for (const auto label : graph.machine_labels()) {
-    buf.push_back(static_cast<char>(label));
-  }
-  for (const auto label : graph.domain_labels()) {
-    buf.push_back(static_cast<char>(label));
-  }
-  stream.flush();
-  util::require_data(static_cast<bool>(out), "save_graph_compressed: write failed");
-}
-
-// --- loading ---------------------------------------------------------------
-
-void read_exact(std::istream& in, void* data, std::size_t size) {
-  in.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
-  util::require_data(static_cast<std::size_t>(in.gcount()) == size,
-                     "load_graph_compressed: truncated file");
-}
-
-struct BinaryHeader {
-  GraphcEncoding encoding = GraphcEncoding::kPacked;
-  detail::GraphcCounts counts;
-};
-
-// Decoded sections, assembled into a MachineDomainGraph by
-// load_graph_compressed (the friend); the per-encoding readers stay free
-// of private access.
-struct GraphParts {
-  dns::Day day = 0;
-  std::vector<std::string> machine_names;
-  std::vector<std::string> domain_names;
-  std::vector<std::string> e2ld_names;
-  std::vector<E2ldId> domain_e2ld;
-  std::vector<std::uint64_t> machine_offsets;
-  std::vector<DomainId> machine_targets;
-  std::vector<std::uint64_t> domain_offsets;
-  std::vector<MachineId> domain_targets;
-  std::vector<std::uint64_t> ip_offsets;
-  std::vector<dns::IpV4> resolved_ips;
-  std::vector<Label> machine_labels;
-  std::vector<Label> domain_labels;
-};
-
-BinaryHeader read_binary_header(std::istream& in) {
-  const int version = util::read_format_header(in, kGraphcMagic, kGraphcVersion,
-                                               /*legacy_version=*/0);
-  util::require_data(version == kGraphcVersion,
-                     "load_graph_compressed: not a segf1 graphc stream");
-  // read_format_header leaves the header line's newline in the stream.
-  util::require_data(in.get() == '\n', "load_graph_compressed: malformed header line");
-
-  BinaryHeader header;
-  std::uint8_t encoding = 0;
-  std::uint8_t reserved[3] = {};
-  read_exact(in, &encoding, 1);
-  read_exact(in, reserved, 3);
-  util::require_data(encoding == static_cast<std::uint8_t>(GraphcEncoding::kPacked) ||
-                         encoding == static_cast<std::uint8_t>(GraphcEncoding::kCompact),
-                     "load_graph_compressed: unknown encoding byte");
-  util::require_data(reserved[0] == 0 && reserved[1] == 0 && reserved[2] == 0,
-                     "load_graph_compressed: nonzero reserved header bytes");
-  header.encoding = static_cast<GraphcEncoding>(encoding);
-  read_exact(in, &header.counts.day, 4);
-  std::uint64_t fields[8] = {};
-  read_exact(in, fields, sizeof(fields));
-  header.counts.machines = fields[0];
-  header.counts.domains = fields[1];
-  header.counts.e2lds = fields[2];
-  header.counts.edges = fields[3];
-  header.counts.ips = fields[4];
-  header.counts.machine_name_bytes = fields[5];
-  header.counts.domain_name_bytes = fields[6];
-  header.counts.e2ld_name_bytes = fields[7];
-  return header;
-}
-
-std::vector<std::string> split_blob(const std::vector<std::uint64_t>& offsets,
-                                    const std::string& blob) {
-  util::require_data(!offsets.empty() && offsets.front() == 0 && offsets.back() == blob.size(),
-                     "load_graph_compressed: name offsets inconsistent with blob");
-  std::vector<std::string> names;
-  names.reserve(offsets.size() - 1);
-  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
-    util::require_data(offsets[i] <= offsets[i + 1],
-                       "load_graph_compressed: name offsets not monotone");
-    names.emplace_back(blob, offsets[i], offsets[i + 1] - offsets[i]);
-  }
-  return names;
-}
-
-GraphParts load_packed(std::istream& in, const detail::GraphcCounts& counts) {
-  std::size_t position = kHeaderBytes;
-  const auto skip_pad = [&] {
-    const std::size_t gap = pad8_gap(position);
-    char pad[8];
-    read_exact(in, pad, gap);
-    position += gap;
-  };
-  const auto read_section = [&](void* data, std::size_t size) {
-    read_exact(in, data, size);
-    position += size;
-    skip_pad();
-  };
-  skip_pad();
-
-  GraphParts parts;
-  parts.day = counts.day;
-
-  const auto read_names = [&](std::uint64_t count, std::uint64_t name_bytes) {
-    std::vector<std::uint64_t> offsets(count + 1);
-    read_exact(in, offsets.data(), offsets.size() * sizeof(std::uint64_t));
-    position += offsets.size() * sizeof(std::uint64_t);
-    std::string blob(name_bytes, '\0');
-    read_section(blob.data(), blob.size());
-    return split_blob(offsets, blob);
-  };
-  parts.machine_names = read_names(counts.machines, counts.machine_name_bytes);
-  parts.domain_names = read_names(counts.domains, counts.domain_name_bytes);
-  parts.e2ld_names = read_names(counts.e2lds, counts.e2ld_name_bytes);
-
-  parts.domain_e2ld.resize(counts.domains);
-  read_section(parts.domain_e2ld.data(), counts.domains * sizeof(E2ldId));
-  parts.machine_offsets.resize(counts.machines + 1);
-  read_section(parts.machine_offsets.data(), (counts.machines + 1) * sizeof(std::uint64_t));
-  parts.machine_targets.resize(counts.edges);
-  read_section(parts.machine_targets.data(), counts.edges * sizeof(DomainId));
-  parts.domain_offsets.resize(counts.domains + 1);
-  read_section(parts.domain_offsets.data(), (counts.domains + 1) * sizeof(std::uint64_t));
-  parts.domain_targets.resize(counts.edges);
-  read_section(parts.domain_targets.data(), counts.edges * sizeof(MachineId));
-  parts.ip_offsets.resize(counts.domains + 1);
-  read_section(parts.ip_offsets.data(), (counts.domains + 1) * sizeof(std::uint64_t));
-  parts.resolved_ips.resize(counts.ips);
-  read_section(parts.resolved_ips.data(), counts.ips * sizeof(dns::IpV4));
-  parts.machine_labels.resize(counts.machines);
-  read_section(parts.machine_labels.data(), counts.machines);
-  parts.domain_labels.resize(counts.domains);
-  read_section(parts.domain_labels.data(), counts.domains);
-  for (const auto label : parts.machine_labels) {
-    util::require_data(static_cast<unsigned char>(label) <= 2,
-                       "load_graph_compressed: malformed label byte");
-  }
-  for (const auto label : parts.domain_labels) {
-    util::require_data(static_cast<unsigned char>(label) <= 2,
-                       "load_graph_compressed: malformed label byte");
-  }
-  return parts;
-}
-
-GraphParts load_compact(std::istream& in, const detail::GraphcCounts& counts) {
-  const std::string body(std::istreambuf_iterator<char>(in), {});
-  const auto* p = reinterpret_cast<const unsigned char*>(body.data());
-  const auto* end = p + body.size();
-
-  GraphParts parts;
-  parts.day = counts.day;
-
-  const auto read_names = [&](std::uint64_t count) {
-    std::vector<std::string> names;
-    names.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto length = util::decode_varint(p, end);
-      util::require_data(length <= static_cast<std::uint64_t>(end - p),
-                         "load_graph_compressed: truncated name");
-      names.emplace_back(reinterpret_cast<const char*>(p), length);
-      p += length;
-    }
-    return names;
-  };
-  parts.machine_names = read_names(counts.machines);
-  parts.domain_names = read_names(counts.domains);
-  parts.e2ld_names = read_names(counts.e2lds);
-
-  parts.domain_e2ld.reserve(counts.domains);
-  for (std::uint64_t d = 0; d < counts.domains; ++d) {
-    const auto e = util::decode_varint(p, end);
-    util::require_data(e < counts.e2lds, "load_graph_compressed: e2LD id out of range");
-    parts.domain_e2ld.push_back(static_cast<E2ldId>(e));
-  }
-
-  const auto csr = [&](std::uint64_t nodes, std::uint64_t target_limit,
-                       std::vector<std::uint64_t>& offsets, auto& targets) {
-    offsets.assign(nodes + 1, 0);
-    for (std::uint64_t i = 0; i < nodes; ++i) {
-      offsets[i + 1] = offsets[i] + util::decode_varint(p, end);
-    }
-    util::require_data(offsets.back() == counts.edges,
-                       "load_graph_compressed: degree stream inconsistent with edge count");
-    targets.resize(counts.edges);
-    for (std::uint64_t i = 0; i < nodes; ++i) {
-      util::decode_ascending_run(p, end, offsets[i + 1] - offsets[i],
-                                 targets.data() + offsets[i]);
-    }
-    for (const auto t : targets) {
-      util::require_data(t < target_limit, "load_graph_compressed: target id out of range");
-    }
-  };
-  csr(counts.machines, counts.domains, parts.machine_offsets, parts.machine_targets);
-  csr(counts.domains, counts.machines, parts.domain_offsets, parts.domain_targets);
-
-  parts.ip_offsets.assign(counts.domains + 1, 0);
-  for (std::uint64_t d = 0; d < counts.domains; ++d) {
-    parts.ip_offsets[d + 1] = parts.ip_offsets[d] + util::decode_varint(p, end);
-  }
-  util::require_data(parts.ip_offsets.back() == counts.ips,
-                     "load_graph_compressed: IP size stream inconsistent with IP count");
-  parts.resolved_ips.reserve(counts.ips);
-  std::vector<std::uint32_t> run;
-  for (std::uint64_t d = 0; d < counts.domains; ++d) {
-    const std::size_t size = parts.ip_offsets[d + 1] - parts.ip_offsets[d];
-    run.resize(size);
-    util::decode_ascending_run(p, end, size, run.data());
-    for (const auto value : run) {
-      parts.resolved_ips.push_back(dns::IpV4(value));
-    }
-  }
-
-  const auto labels = [&](std::uint64_t count, std::vector<Label>& out_labels) {
-    util::require_data(count <= static_cast<std::uint64_t>(end - p),
-                       "load_graph_compressed: truncated label section");
-    out_labels.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      util::require_data(*p <= 2, "load_graph_compressed: malformed label byte");
-      out_labels.push_back(static_cast<Label>(*p++));
-    }
-  };
-  labels(counts.machines, parts.machine_labels);
-  labels(counts.domains, parts.domain_labels);
-  util::require_data(p == end, "load_graph_compressed: trailing bytes after graph");
-  return parts;
-}
-
-}  // namespace
-
-namespace detail {
-
-PackedGraphcWriter::PackedGraphcWriter(std::ostream& out, const GraphcCounts& counts)
-    : out_(&out) {
-  write_binary_header(out, GraphcEncoding::kPacked, counts);
-  written_ = kHeaderBytes;
+  bytes(blob.data(), blob.size());
   pad8();
 }
 
@@ -453,53 +113,25 @@ void PackedGraphcWriter::finish() {
 
 }  // namespace detail
 
-void save_graph_compressed(const GraphView& graph, std::ostream& out,
-                           GraphcEncoding encoding) {
-  if (encoding == GraphcEncoding::kPacked) {
-    save_packed(graph, out);
-  } else {
-    save_compact(graph, out);
+void save_graph_compressed(const GraphView& graph, std::ostream& out) {
+  detail::PackedGraphcWriter writer(out, counts_of(graph));
+  for (const auto& names : {graph.machine_names(), graph.domain_names(), graph.e2ld_names()}) {
+    writer.name_table(names.size(), [&names](std::size_t i) { return names[i]; });
   }
-}
-
-MachineDomainGraph load_graph_compressed(std::istream& in) {
-  const BinaryHeader header = read_binary_header(in);
-  GraphParts parts = header.encoding == GraphcEncoding::kPacked
-                         ? load_packed(in, header.counts)
-                         : load_compact(in, header.counts);
-
-  MachineDomainGraph graph;
-  graph.day_ = parts.day;
-  graph.machine_names_ = std::move(parts.machine_names);
-  graph.domain_names_ = std::move(parts.domain_names);
-  graph.e2ld_names_ = std::move(parts.e2ld_names);
-  graph.domain_e2ld_ = std::move(parts.domain_e2ld);
-  graph.machine_offsets_ = std::move(parts.machine_offsets);
-  graph.machine_targets_ = std::move(parts.machine_targets);
-  graph.domain_offsets_ = std::move(parts.domain_offsets);
-  graph.domain_targets_ = std::move(parts.domain_targets);
-  graph.ip_offsets_ = std::move(parts.ip_offsets);
-  graph.resolved_ips_ = std::move(parts.resolved_ips);
-  graph.machine_labels_ = std::move(parts.machine_labels);
-  graph.domain_labels_ = std::move(parts.domain_labels);
-
-  // Same structural checks as load_graph.
-  util::require_data(graph.machine_offsets_.size() == graph.machine_names_.size() + 1 &&
-                         graph.domain_offsets_.size() == graph.domain_names_.size() + 1 &&
-                         graph.ip_offsets_.size() == graph.domain_names_.size() + 1,
-                     "load_graph_compressed: offset table size mismatch");
-  util::require_data(graph.machine_targets_.size() == graph.domain_targets_.size(),
-                     "load_graph_compressed: edge count mismatch between directions");
-  util::require_data(graph.domain_e2ld_.size() == graph.domain_names_.size(),
-                     "load_graph_compressed: e2LD annotation size mismatch");
-  util::require_data(graph.machine_offsets_.empty() ||
-                         graph.machine_offsets_.back() == graph.machine_targets_.size(),
-                     "load_graph_compressed: machine CSR inconsistent");
-  util::require_data(graph.ip_offsets_.empty() ||
-                         graph.ip_offsets_.back() == graph.resolved_ips_.size(),
-                     "load_graph_compressed: IP CSR inconsistent");
-  graph.rebuild_name_index();
-  return graph;
+  const auto section = [&writer](const auto& span, std::size_t element_size) {
+    writer.bytes(span.data(), span.size() * element_size);
+    writer.pad8();
+  };
+  section(graph.domain_e2ld_ids(), sizeof(E2ldId));
+  section(graph.machine_offsets(), sizeof(std::uint64_t));
+  section(graph.machine_targets(), sizeof(DomainId));
+  section(graph.domain_offsets(), sizeof(std::uint64_t));
+  section(graph.domain_targets(), sizeof(MachineId));
+  section(graph.ip_offsets(), sizeof(std::uint64_t));
+  section(graph.resolved_ip_values(), sizeof(dns::IpV4));
+  section(graph.machine_labels(), sizeof(Label));
+  section(graph.domain_labels(), sizeof(Label));
+  writer.finish();
 }
 
 MappedGraph map_graph(const std::string& path) {
@@ -510,8 +142,7 @@ MappedGraph map_graph(const std::string& path) {
   util::require_data(std::memcmp(base, kTextHeader.data(), kTextHeader.size()) == 0,
                      "map_graph: not a segf1 graphc 1 file");
   const unsigned char* cursor = base + kTextHeader.size();
-  util::require_data(cursor[0] == static_cast<std::uint8_t>(GraphcEncoding::kPacked),
-                     "map_graph: file is not packed-encoded (re-save with kPacked)");
+  util::require_data(cursor[0] == kPackedEncoding, "map_graph: unknown encoding");
   util::require_data(cursor[1] == 0 && cursor[2] == 0 && cursor[3] == 0,
                      "map_graph: nonzero reserved header bytes");
   detail::GraphcCounts counts;

@@ -1,30 +1,24 @@
-// Compact on-disk behavior graphs: the `segf1 graphc 1` container.
+// On-disk behavior graphs: the packed `segf1 graphc 1` container.
 //
-// One container, two encodings (docs/graph-format.md has the byte-level
-// layout):
+// Fixed-width little-endian sections, 8-byte aligned, in a deterministic
+// order computed from the header counts (docs/graph-format.md has the
+// byte-level layout). The layout is memory-mappable: map_graph() serves
+// every GraphView accessor straight off the mapping (zero-copy load), and
+// is the only graph reader. The binary header's encoding byte is 1; the
+// byte is kept so every packed file written before stays readable.
 //
-//   packed (1)  — fixed-width little-endian sections, 8-byte aligned, in
-//                 a deterministic order computed from the header counts.
-//                 Memory-mappable: map_graph() serves every GraphView
-//                 accessor straight off the mapping (zero-copy load).
-//   compact (2) — split degree/edge/IP-set/label streams, with each
-//                 strictly-ascending adjacency run delta + varint coded
-//                 (util/varint.h). Roughly 4-6x smaller than the legacy
-//                 SEGGRAPH1 serialization (graph_io.h), which spends 8
-//                 widened bytes per stored id.
-//
-// Both encodings carry exactly the information of save_graph/load_graph:
-// round-trips are lossless, and the loaded graph is bit-identical to the
-// source (tests/graph/graph_compressed_test.cpp asserts serialized
-// equality). The out-of-core preparer (graph/oocore.h) streams the packed
-// encoding section-by-section through detail::PackedGraphcWriter, and its
-// output is byte-identical to save_graph_compressed() of the equivalent
-// heap-built graph.
+// A saved graph carries every field of MachineDomainGraph, so equal bytes
+// mean equal graphs (the tests compare graphs this way). The out-of-core
+// preparer (graph/oocore.h) streams the same layout section-by-section
+// through detail::PackedGraphcWriter, and its output is byte-identical to
+// save_graph_compressed() of the equivalent heap-built graph.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "graph/graph.h"
 #include "graph/graph_view.h"
@@ -32,15 +26,8 @@
 
 namespace seg::graph {
 
-enum class GraphcEncoding : std::uint8_t { kPacked = 1, kCompact = 2 };
-
-/// Serializes a graph (any backing) as a `segf1 graphc 1` stream.
-void save_graph_compressed(const GraphView& graph, std::ostream& out,
-                           GraphcEncoding encoding = GraphcEncoding::kCompact);
-
-/// Loads either encoding back into a heap-resident graph. Throws
-/// util::ParseError on malformed or truncated input.
-MachineDomainGraph load_graph_compressed(std::istream& in);
+/// Serializes a graph (any backing) as a packed `segf1 graphc 1` stream.
+void save_graph_compressed(const GraphView& graph, std::ostream& out);
 
 /// A packed graphc file mapped into memory, with a GraphView serving the
 /// sections in place. The view borrows the mapping: keep the MappedGraph
@@ -51,9 +38,9 @@ struct MappedGraph {
 };
 
 /// Memory-maps a packed graphc file for zero-copy reads. Throws
-/// util::ParseError when the file is not a packed graphc container or its
-/// node-level structure is inconsistent (offset tables, label bytes).
-/// SEG_NUMA_POLICY placement is applied to the mapping (util/mmap_file.h).
+/// util::ParseError when the file is not a packed graphc container, its
+/// section sizes disagree with the file, or its structure is inconsistent
+/// (offset tables, CSR target ids, e2LD ids, label bytes).
 MappedGraph map_graph(const std::string& path);
 
 namespace detail {
@@ -74,17 +61,21 @@ struct GraphcCounts {
 
 /// Streams the packed encoding: writes the container + binary header on
 /// construction, then the caller appends each section in layout order
-/// (raw bytes / u32 / u64 helpers) with pad8() after every section. Used
-/// by save_graph_compressed and by the out-of-core writer, so both
-/// produce byte-identical files from identical logical content.
+/// (name tables, then raw bytes or u32 values) with pad8() after
+/// every section. Used by save_graph_compressed and by the out-of-core
+/// writer, so both produce byte-identical files from identical logical
+/// content.
 class PackedGraphcWriter {
  public:
   PackedGraphcWriter(std::ostream& out, const GraphcCounts& counts);
 
+  /// Writes one name-table section (`count` + 1 u64 offsets, then the
+  /// concatenated names `name_of(0)`, ..., `name_of(count - 1)`) and pads it.
+  void name_table(std::size_t count,
+                  const std::function<std::string_view(std::size_t)>& name_of);
+
   void bytes(const void* data, std::size_t size);
-  void u64(std::uint64_t value) { bytes(&value, sizeof(value)); }
   void u32(std::uint32_t value) { bytes(&value, sizeof(value)); }
-  void u8(std::uint8_t value) { bytes(&value, sizeof(value)); }
   /// Pads the file position to the next multiple of 8.
   void pad8();
   /// Validates the stream state; call once after the last section.

@@ -151,13 +151,7 @@ void NameCache::save(std::ostream& out) const {
 }
 
 NameCache NameCache::load(std::istream& in, std::size_t num_shards) {
-  // legacy_version 0: namecache streams have carried the segf1 header from
-  // day one, so a headerless stream is a format error, not a legacy file.
-  const int version = util::read_format_header(in, "namecache", kFormatVersion,
-                                               /*legacy_version=*/0);
-  util::require_data(version >= 1,
-                     "NameCache::load: stream has no 'segf1 namecache' header "
-                     "(no legacy namecache format exists)");
+  (void)util::read_format_header(in, "namecache", kFormatVersion);
   std::string tag;
   std::size_t count = 0;
   in >> tag >> count;

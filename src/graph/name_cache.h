@@ -87,9 +87,8 @@ class NameCache {
 
   /// Reads a stream written by save() into a fresh cache with `num_shards`
   /// shards (shard count affects merge parallelism only, never lookups, so
-  /// it is a load-time choice rather than part of the format). There are no
-  /// legacy headerless namecache files: a stream without the segf1 header
-  /// throws util::ParseError.
+  /// it is a load-time choice rather than part of the format). A stream
+  /// without the segf1 header throws util::ParseError.
   static NameCache load(std::istream& in, std::size_t num_shards = 64);
 
  private:

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "dns/domain_name.h"
-#include "dns/query_log.h"
+#include "dns/trace_source.h"
 #include "graph/graph_compressed.h"
 #include "util/obs/trace.h"
 #include "util/require.h"
@@ -178,30 +178,6 @@ constexpr std::uint32_t high32(std::uint64_t pair) {
   return static_cast<std::uint32_t>(pair >> 32);
 }
 
-// Name-table section writer over an arbitrary name accessor; produces the
-// same bytes as save_graph_compressed's packed name tables for equal
-// logical names.
-template <typename NameOf>
-void write_name_section(detail::PackedGraphcWriter& writer, std::size_t count,
-                        const NameOf& name_of) {
-  std::vector<std::uint64_t> offsets(count + 1, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    offsets[i + 1] = offsets[i] + name_of(i).size();
-  }
-  writer.bytes(offsets.data(), offsets.size() * sizeof(std::uint64_t));
-  std::string blob;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::string_view name = name_of(i);
-    blob.append(name.data(), name.size());
-    if (blob.size() >= (1u << 20)) {
-      writer.bytes(blob.data(), blob.size());
-      blob.clear();
-    }
-  }
-  writer.bytes(blob.data(), blob.size());
-  writer.pad8();
-}
-
 struct SpillCleanup {
   std::vector<std::string> paths;
   ~SpillCleanup() {
@@ -252,60 +228,69 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   edge_buffer.reserve(config.chunk_records);
   ip_buffer.reserve(config.chunk_records);
 
-  const dns::Day day =
-      dns::for_each_record(trace_path, [&](const dns::QueryRecord& record) {
-        ++result.records;
-        if (!dns::DomainName::is_valid(record.qname) || record.machine.empty()) {
-          ++result.skipped_records;
-          return;
-        }
-        std::string normalized_storage;
-        std::string_view normalized = record.qname;
-        if (!dns::DomainName::is_normalized(record.qname)) {
-          normalized_storage = dns::DomainName::parse(record.qname).str();
-          normalized = normalized_storage;
-        }
+  // The first record fixes the day; the output graph holds exactly one.
+  dns::FileTraceSource source(trace_path);
+  dns::QueryRecord record;
+  dns::Day day = 0;
+  while (source.next(record)) {
+    if (result.records++ == 0) {
+      day = record.day;
+    } else if (record.day != day) [[unlikely]] {
+      throw util::ParseError("oocore: trace spans more than one day (day " +
+                             std::to_string(record.day) + " after day " +
+                             std::to_string(day) + ")");
+    }
+    if (!dns::DomainName::is_valid(record.qname) || record.machine.empty()) {
+      ++result.skipped_records;
+      continue;
+    }
+    std::string normalized_storage;
+    std::string_view normalized = record.qname;
+    if (!dns::DomainName::is_normalized(record.qname)) {
+      normalized_storage = dns::DomainName::parse(record.qname).str();
+      normalized = normalized_storage;
+    }
 
-        MachineId m;
-        if (const auto it = machine_ids.find(record.machine); it != machine_ids.end()) {
-          m = it->second;
-        } else {
-          m = static_cast<MachineId>(machine_names.size());
-          machine_names.emplace_back(record.machine);
-          machine_ids.emplace(machine_names.back(), m);
-        }
+    MachineId m;
+    if (const auto it = machine_ids.find(record.machine); it != machine_ids.end()) {
+      m = it->second;
+    } else {
+      m = static_cast<MachineId>(machine_names.size());
+      machine_names.emplace_back(record.machine);
+      machine_ids.emplace(machine_names.back(), m);
+    }
 
-        DomainId d;
-        if (const auto it = domain_ids.find(normalized); it != domain_ids.end()) {
-          d = it->second;
-        } else {
-          d = static_cast<DomainId>(domain_names.size());
-          domain_names.emplace_back(normalized);
-          domain_ids.emplace(domain_names.back(), d);
-          // e2LDs intern at domain first occurrence — the same sequence the
-          // in-memory builder produces by iterating domains in id order.
-          const std::string e2ld(psl.e2ld_or_self(normalized));
-          if (const auto it = e2ld_ids.find(e2ld); it != e2ld_ids.end()) {
-            domain_e2ld.push_back(it->second);
-          } else {
-            const auto e = static_cast<E2ldId>(e2ld_names.size());
-            e2ld_names.push_back(e2ld);
-            e2ld_ids.emplace(e2ld, e);
-            domain_e2ld.push_back(e);
-          }
-        }
+    DomainId d;
+    if (const auto it = domain_ids.find(normalized); it != domain_ids.end()) {
+      d = it->second;
+    } else {
+      d = static_cast<DomainId>(domain_names.size());
+      domain_names.emplace_back(normalized);
+      domain_ids.emplace(domain_names.back(), d);
+      // e2LDs intern at domain first occurrence — the same sequence the
+      // in-memory builder produces by iterating domains in id order.
+      const std::string e2ld(psl.e2ld_or_self(normalized));
+      if (const auto it = e2ld_ids.find(e2ld); it != e2ld_ids.end()) {
+        domain_e2ld.push_back(it->second);
+      } else {
+        const auto e = static_cast<E2ldId>(e2ld_names.size());
+        e2ld_names.push_back(e2ld);
+        e2ld_ids.emplace(e2ld, e);
+        domain_e2ld.push_back(e);
+      }
+    }
 
-        edge_buffer.push_back((static_cast<std::uint64_t>(m) << 32) | d);
-        if (edge_buffer.size() >= config.chunk_records) {
-          edge_spill.spill(edge_buffer);
-        }
-        for (const auto ip : record.resolved_ips) {
-          ip_buffer.push_back((static_cast<std::uint64_t>(d) << 32) | ip.value());
-          if (ip_buffer.size() >= config.chunk_records) {
-            ip_spill.spill(ip_buffer);
-          }
-        }
-      });
+    edge_buffer.push_back((static_cast<std::uint64_t>(m) << 32) | d);
+    if (edge_buffer.size() >= config.chunk_records) {
+      edge_spill.spill(edge_buffer);
+    }
+    for (const auto ip : record.resolved_ips) {
+      ip_buffer.push_back((static_cast<std::uint64_t>(d) << 32) | ip.value());
+      if (ip_buffer.size() >= config.chunk_records) {
+        ip_spill.spill(ip_buffer);
+      }
+    }
+  }
   edge_spill.spill(edge_buffer);
   ip_spill.spill(ip_buffer);
   edge_spill.finish();
@@ -553,14 +538,14 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   std::ofstream out(out_path, std::ios::binary);
   util::require_data(out.is_open(), "oocore: cannot create output file '" + out_path + "'");
   detail::PackedGraphcWriter writer(out, counts);
-  write_name_section(writer, nm_new, [&](std::size_t i) {
+  writer.name_table(nm_new, [&](std::size_t i) {
     return std::string_view(machine_names[kept_machines[i]]);
   });
-  write_name_section(writer, nd_new, [&](std::size_t i) {
+  writer.name_table(nd_new, [&](std::size_t i) {
     return std::string_view(domain_names[kept_domains[i]]);
   });
-  write_name_section(writer, new_e2ld_names.size(),
-                     [&](std::size_t i) { return std::string_view(new_e2ld_names[i]); });
+  writer.name_table(new_e2ld_names.size(),
+                    [&](std::size_t i) { return std::string_view(new_e2ld_names[i]); });
 
   writer.bytes(new_domain_e2ld.data(), new_domain_e2ld.size() * sizeof(E2ldId));
   writer.pad8();

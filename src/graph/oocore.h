@@ -10,11 +10,12 @@
 // edge count, which is what lets one box prepare days of 10^6-10^7
 // machines (the bench_scale_sweep "scale" section records the bound).
 //
-// The output is a packed `segf1 graphc 1` file (graph_compressed.h),
-// byte-identical to
+// The input is read through dns::FileTraceSource, so any trace format it
+// sniffs (sim TSV, SEGTRC1 binlog, dnstap, pcap) is accepted; a trace
+// that spans more than one day is a util::ParseError. The output is a
+// packed `segf1 graphc 1` file (graph_compressed.h), byte-identical to
 //
-//   save_graph_compressed(Segugio::prepare_graph(trace, ...).graph,
-//                         out, GraphcEncoding::kPacked)
+//   save_graph_compressed(Segugio::prepare_graph(trace, ...).graph, out)
 //
 // for every chunk size (tests/graph/oocore_test.cpp asserts this), so the
 // file can be mmap-served to classification directly via map_graph().
@@ -51,9 +52,10 @@ struct OutOfCoreResult {
   std::uint64_t spill_bytes = 0;  ///< compressed spill footprint
 };
 
-/// Streams `trace_path` (TSV or SEGTRC1 binary) into a labeled, pruned,
-/// packed graphc file at `out_path`. Spill files are removed on success.
-/// Throws util::ParseError on malformed input.
+/// Streams `trace_path` (one day, in any format FileTraceSource sniffs)
+/// into a labeled, pruned, packed graphc file at `out_path`. Spill files
+/// are removed on success. Throws util::ParseError on malformed input and
+/// on a record whose day differs from the first record's.
 OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
                                           const dns::PublicSuffixList& psl,
                                           const NameSet& cc_blacklist,

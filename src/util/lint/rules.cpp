@@ -216,8 +216,8 @@ void rule_mem1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& o
       out.push_back(Finding{
           info.path, t.line, "R-MEM1",
           std::string(t.text) + " issued outside util/mmap_file: map through "
-          "util::MmapFile so unmapping and SEG_NUMA_POLICY placement are "
-          "handled in one place"});
+          "util::MmapFile so unmapping and page release are handled in one "
+          "place"});
     }
   }
 }

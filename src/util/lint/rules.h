@@ -32,9 +32,8 @@
 //           visible to the trace/run-report exporters.
 //   R-MEM1  no raw memory-mapping syscalls (mmap, munmap, mremap, madvise,
 //           mbind) outside src/util/mmap_file.{h,cpp} — mapping lifetime,
-//           NUMA policy, and error handling live behind util::MmapFile so
-//           every mapping is released exactly once and honors
-//           SEG_NUMA_POLICY.
+//           page release, and error handling live behind util::MmapFile so
+//           every mapping is released exactly once.
 //
 // Rules operate on the token stream from lexer.h plus a per-file
 // classification computed by the driver in linter.h. All matching is

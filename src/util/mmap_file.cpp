@@ -1,8 +1,6 @@
 #include "util/mmap_file.h"
 
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 #include <utility>
 
 #include "util/require.h"
@@ -13,57 +11,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 #endif
-#if defined(__linux__)
-#include <sys/syscall.h>
-#endif
 
 namespace seg::util {
-
-namespace {
-
-#if defined(__linux__) && defined(__NR_mbind)
-
-// <numaif.h> is part of libnuma's headers, which the toolchain image does
-// not ship; the raw syscall needs only the mode constant.
-constexpr int kMpolInterleave = 3;
-
-// Interleaves [addr, addr + length) across the nodes the kernel accepts.
-// The node mask must name only possible nodes, which we cannot portably
-// enumerate without libnuma — so try progressively narrower all-ones
-// masks until one sticks. On single-node machines (and on any failure)
-// this is a no-op, which is exactly first-touch.
-void interleave_pages(void* addr, std::size_t length) {
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  auto base = reinterpret_cast<std::uintptr_t>(addr);
-  const std::uintptr_t aligned = base & ~(page - 1);
-  length += base - aligned;
-  for (unsigned width = 64; width >= 1; width /= 2) {
-    const unsigned long mask = width >= 64 ? ~0ul : (1ul << width) - 1ul;
-    if (syscall(__NR_mbind, reinterpret_cast<void*>(aligned), length, kMpolInterleave,
-                &mask, static_cast<unsigned long>(width + 1), 0ul) == 0) {
-      return;
-    }
-  }
-}
-
-#else
-
-void interleave_pages(void*, std::size_t) {}
-
-#endif
-
-}  // namespace
-
-void apply_numa_policy(void* addr, std::size_t length) {
-  if (addr == nullptr || length == 0) {
-    return;
-  }
-  const char* policy = std::getenv("SEG_NUMA_POLICY");
-  if (policy == nullptr || std::strcmp(policy, "interleave") != 0) {
-    return;  // firsttouch (the default) needs no explicit placement
-  }
-  interleave_pages(addr, length);
-}
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -83,10 +32,19 @@ MmapFile::MmapFile(const std::string& path) {
       throw ParseError("MmapFile: mmap failed for '" + path + "'");
     }
     data_ = mapped;
-    apply_numa_policy(data_, size_);
   }
   ::close(fd);
   open_ = true;
+}
+
+void MmapFile::release_before(std::size_t offset) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t length = std::min(offset, size_) / page * page;
+  if (data_ != nullptr && length > 0) {
+    // The mapping is private and read-only, so dropped pages refault from
+    // the file with the same bytes.
+    ::madvise(data_, length, MADV_DONTNEED);
+  }
 }
 
 void MmapFile::close() {
@@ -103,6 +61,8 @@ void MmapFile::close() {
 MmapFile::MmapFile(const std::string& path) {
   throw ParseError("MmapFile: memory mapping unsupported on this platform ('" + path + "')");
 }
+
+void MmapFile::release_before(std::size_t) {}
 
 void MmapFile::close() {
   data_ = nullptr;

@@ -1,22 +1,14 @@
 // Read-only memory-mapped files — the project's single mmap wrapper.
 //
-// All raw mmap/munmap/mbind calls in the tree live in mmap_file.cpp
-// (enforced by seg-lint rule R-MEM1): mapping lifetime bugs and NUMA
-// placement policy are concentrated in one reviewed translation unit.
+// All raw mmap/munmap/madvise calls in the tree live in mmap_file.cpp
+// (enforced by seg-lint rule R-MEM1): mapping lifetime bugs and page
+// release are concentrated in one reviewed translation unit.
 //
-// NUMA placement (the shard-residency work's ROADMAP item) is applied at
-// map time from the SEG_NUMA_POLICY environment variable:
-//
-//   SEG_NUMA_POLICY=firsttouch   default; no explicit policy — pages land
-//                                on the node of the thread that first
-//                                touches them (the shard's owning worker).
-//   SEG_NUMA_POLICY=interleave   pages are interleaved across NUMA nodes,
-//                                for read-mostly mappings scanned by many
-//                                workers (the mapped graph under parallel
-//                                classify).
-//
-// Unknown values and platforms without mbind are silently first-touch; a
-// failed policy call is a no-op, never an error — placement is a hint.
+// Mappings are private and read-only. A reader that walks a mapping once
+// from front to back (FileTraceSource over a capture) calls
+// release_before() as its cursor advances, so the file's pages stay
+// resident only in a bounded window behind the cursor instead of
+// accumulating for the whole file.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +36,11 @@ class MmapFile {
   std::size_t size() const { return size_; }
   bool is_open() const { return open_; }
 
+  /// Drops the resident pages that lie wholly before byte `offset`. The
+  /// mapping stays valid: the bytes are unchanged, and a page read again
+  /// faults back in from the file. A hint — failures are ignored.
+  void release_before(std::size_t offset);
+
   /// Unmaps now (also done by the destructor).
   void close();
 
@@ -52,10 +49,5 @@ class MmapFile {
   std::size_t size_ = 0;
   bool open_ = false;
 };
-
-/// Applies the SEG_NUMA_POLICY placement hint to [addr, addr + length).
-/// Called by MmapFile's constructor; exposed so arena-style callers can
-/// place heap shards the same way. Always succeeds (failures are ignored).
-void apply_numa_policy(void* addr, std::size_t length);
 
 }  // namespace seg::util

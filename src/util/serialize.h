@@ -7,9 +7,8 @@
 //
 // `segf1` marks the container ("segugio format, revision 1" of the header
 // itself), `magic` names the payload kind, and `version` lets each payload
-// evolve independently. Streams written before this header existed carry no
-// such line; read_format_header() detects that and rewinds, so legacy files
-// keep loading (the loaders treat them as version `legacy_version`).
+// evolve independently. The header is required: a stream without it is a
+// ParseError.
 #pragma once
 
 #include <istream>
@@ -28,21 +27,13 @@ inline void write_format_header(std::ostream& out, std::string_view magic, int v
   out << kFormatTag << ' ' << magic << ' ' << version << '\n';
 }
 
-/// Consumes the optional versioned header and returns the stream's format
-/// version. Streams that do not start with the `segf1` tag are legacy files:
-/// the stream is rewound untouched and `legacy_version` is returned. Throws
-/// ParseError when the tag is present but the magic mismatches or the
-/// version is outside [1, latest_version].
-inline int read_format_header(std::istream& in, std::string_view magic, int latest_version,
-                              int legacy_version = 1) {
-  const auto start = in.tellg();
+/// Consumes the versioned header and returns the stream's format version.
+/// Throws ParseError when the stream does not start with the `segf1` tag,
+/// the magic mismatches, or the version is outside [1, latest_version].
+inline int read_format_header(std::istream& in, std::string_view magic, int latest_version) {
   std::string tag;
-  if (!(in >> tag) || tag != kFormatTag) {
-    // Legacy (or empty) stream: put everything back for the caller's parser.
-    in.clear();
-    in.seekg(start);
-    return legacy_version;
-  }
+  require_data(static_cast<bool>(in >> tag) && tag == kFormatTag,
+               "read_format_header: stream has no 'segf1 " + std::string(magic) + "' header");
   std::string found_magic;
   int version = 0;
   in >> found_magic >> version;

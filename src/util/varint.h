@@ -1,17 +1,15 @@
 // LEB128 varints and delta-coded ascending runs.
 //
-// The compressed graph container (graph/graph_compressed.h) and the
-// out-of-core spill segments (graph/oocore.h) store id sequences as
-// unsigned LEB128 varints; strictly-ascending runs (CSR adjacency rows,
-// sorted IP sets, sorted edge keys) additionally delta-code: the first
-// value is stored verbatim, every later one as (value - previous - 1), so
-// dense runs cost one byte per element. Decoders are bounds-checked and
-// throw util::ParseError on truncated or overlong input — a corrupted
-// byte must never turn into silent garbage ids.
+// The out-of-core spill segments (graph/oocore.h) store their sorted,
+// distinct edge and IP pair keys as delta-coded runs of unsigned LEB128
+// varints: the first value is stored verbatim, every later one as
+// (value - previous - 1), so dense runs cost one byte per element. The
+// decoder is bounds-checked and throws util::ParseError on truncated or
+// overlong input — a corrupted byte must never turn into silent garbage
+// ids.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 
@@ -55,7 +53,7 @@ inline std::uint64_t decode_varint(const unsigned char*& p, const unsigned char*
 
 /// Appends a strictly-ascending run: values[0] verbatim, then
 /// (values[i] - values[i-1] - 1) for each following element. The run
-/// length is not stored — callers keep it in their own degree stream.
+/// length is not stored — callers keep the count alongside the run.
 template <typename T>
 void append_ascending_run(std::string& out, std::span<const T> values) {
   if (values.empty()) {
@@ -66,30 +64,6 @@ void append_ascending_run(std::string& out, std::span<const T> values) {
     require(values[i] > values[i - 1], "append_ascending_run: values not strictly ascending");
     const auto prev = static_cast<std::uint64_t>(values[i - 1]);
     append_varint(out, static_cast<std::uint64_t>(values[i]) - prev - 1);
-  }
-}
-
-/// Decodes `count` elements of a strictly-ascending run into `out_values`.
-/// Throws ParseError on truncation, overflow past 2^64, or when a decoded
-/// element does not fit in T.
-template <typename T>
-void decode_ascending_run(const unsigned char*& p, const unsigned char* end,
-                          std::size_t count, T* out_values) {
-  if (count == 0) {
-    return;
-  }
-  std::uint64_t previous = decode_varint(p, end);
-  require_data(previous <= static_cast<std::uint64_t>(std::numeric_limits<T>::max()),
-               "decode_ascending_run: value out of range");
-  out_values[0] = static_cast<T>(previous);
-  for (std::size_t i = 1; i < count; ++i) {
-    const std::uint64_t delta = decode_varint(p, end);
-    require_data(previous + 1 != 0 && delta <= ~std::uint64_t{0} - previous - 1,
-                 "decode_ascending_run: run overflows 64 bits");
-    previous += delta + 1;
-    require_data(previous <= static_cast<std::uint64_t>(std::numeric_limits<T>::max()),
-                 "decode_ascending_run: value out of range");
-    out_values[i] = static_cast<T>(previous);
   }
 }
 

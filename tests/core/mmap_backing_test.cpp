@@ -2,21 +2,17 @@
 // classification over an mmap-resident GraphView from map_graph() must
 // score bit-identically to the heap-resident graph, at every thread count
 // (PipelineTest.MappedDayGraphsScoreLikeTheSession checks the same for a
-// streamed session). Also pins the container's size win: the compact
-// encoding must stay at or below 40% of the uncompressed segf1 graph
-// serialization on a simulator day.
+// streamed session).
 #include "core/segugio.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <unistd.h>
 
 #include "graph/graph_compressed.h"
-#include "graph/graph_io.h"
 #include "sim/world.h"
 #include "util/parallel.h"
 
@@ -70,7 +66,7 @@ TEST_F(MmapBackingTest, MappedViewScoresBitIdenticalToHeapAtOneAndEightThreads) 
                                                 whitelist, config.prepare_options());
   {
     std::ofstream out(path_, std::ios::binary);
-    graph::save_graph_compressed(test_prep.graph, out, graph::GraphcEncoding::kPacked);
+    graph::save_graph_compressed(test_prep.graph, out);
   }
   const auto mapped = graph::map_graph(path_);
 
@@ -84,26 +80,6 @@ TEST_F(MmapBackingTest, MappedViewScoresBitIdenticalToHeapAtOneAndEightThreads) 
     expect_same_scores(heap, zero_copy);
   }
   util::set_parallelism(0);
-}
-
-TEST_F(MmapBackingTest, CompactEncodingStaysBelowFortyPercentOfSegf1) {
-  auto& w = world();
-  const auto trace = w.generate_day(0, 9);
-  const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 9);
-  const auto whitelist = w.whitelist().all();
-  const auto prep = Segugio::prepare_graph(trace, w.psl(), blacklist, whitelist,
-                                           fast_config().prepare_options());
-
-  std::ostringstream plain;
-  graph::save_graph(prep.graph, plain);
-  std::ostringstream compact;
-  graph::save_graph_compressed(prep.graph, compact, graph::GraphcEncoding::kCompact);
-
-  const auto plain_bytes = plain.str().size();
-  const auto compact_bytes = compact.str().size();
-  ASSERT_GT(plain_bytes, 0u);
-  EXPECT_LE(static_cast<double>(compact_bytes), 0.40 * static_cast<double>(plain_bytes))
-      << "compact " << compact_bytes << " bytes vs segf1 " << plain_bytes << " bytes";
 }
 
 }  // namespace

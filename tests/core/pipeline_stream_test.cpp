@@ -19,7 +19,7 @@
 
 #include "dns/trace_source.h"
 #include "dns/wire/dnstap.h"
-#include "graph/graph_io.h"
+#include "graph/graph_compressed.h"
 #include "sim/world.h"
 #include "util/parallel.h"
 
@@ -53,7 +53,7 @@ class PipelineStreamTest : public ::testing::Test {
 
   static std::string graph_bytes(const graph::MachineDomainGraph& graph) {
     std::ostringstream blob;
-    graph::save_graph(graph, blob);
+    graph::save_graph_compressed(graph, blob);
     return std::move(blob).str();
   }
 

@@ -17,7 +17,6 @@
 #include "core/segugio.h"
 #include "dns/trace_source.h"
 #include "graph/graph_compressed.h"
-#include "graph/graph_io.h"
 #include "graph/name_cache.h"
 #include "sim/world.h"
 #include "util/obs/obs.h"
@@ -43,7 +42,7 @@ class PipelineTest : public ::testing::Test {
 
   static std::string graph_bytes(const graph::MachineDomainGraph& graph) {
     std::ostringstream blob;
-    graph::save_graph(graph, blob);
+    graph::save_graph_compressed(graph, blob);
     return std::move(blob).str();
   }
 
@@ -381,7 +380,7 @@ TEST_F(PipelineTest, MappedDayGraphsScoreLikeTheSession) {
           }
           {
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            graph::save_graph_compressed(day.graph, out, graph::GraphcEncoding::kPacked);
+            graph::save_graph_compressed(day.graph, out);
           }
           const auto mapped = graph::map_graph(path);
           const auto heap = pipeline.classify(day);
@@ -456,7 +455,7 @@ TEST_F(PipelineTest, SessionSaveIsDeterministicAndShardCountInvariant) {
   // Reloading into a different shard count and saving again must produce
   // the same bytes: shard count is merge parallelism, not session state.
   std::istringstream in(first.str());
-  const int version = util::read_format_header(in, "pipeline-session", 1, 0);
+  const int version = util::read_format_header(in, "pipeline-session", 1);
   ASSERT_EQ(version, 1);
   const auto reloaded = graph::NameCache::load(in, /*num_shards=*/3);
   std::ostringstream resaved;
@@ -471,9 +470,8 @@ TEST_F(PipelineTest, LoadSessionRejectsHeaderlessAndForeignStreams) {
   auto& w = world();
   Pipeline pipeline(w.psl(), fast_config());
 
-  // No legacy (headerless) session format exists: unlike pdns/activity
-  // loaders, a stream without the segf1 header must throw, not silently
-  // parse as version 1.
+  // Like every segf1 loader, a stream without the header must throw, not
+  // silently parse as some version.
   std::istringstream headerless("namecache 1\nexample.com 1 example.com example.com\n");
   EXPECT_THROW(pipeline.load_session(headerless), util::ParseError);
 

@@ -57,10 +57,11 @@ TEST_F(SegugioIoTest, ForestModelRoundTrips) {
   }
 }
 
-TEST_F(SegugioIoTest, LegacyHeaderlessModelStreamLoads) {
+TEST_F(SegugioIoTest, HeaderlessModelStreamIsRejected) {
   // Model files written before the `segf1` header existed start directly
-  // with the `segugio 1` body line; the body is otherwise unchanged, so a
-  // legacy stream is today's bytes minus the header with a v1 body tag.
+  // with the `segugio 1` body line; the body is otherwise unchanged. Such a
+  // stream (today's bytes minus the header, with a v1 body tag) is a
+  // ParseError, as is today's body without its header.
   SegugioConfig config;
   config.forest.num_trees = 10;
   config.forest.num_threads = 1;
@@ -74,14 +75,10 @@ TEST_F(SegugioIoTest, LegacyHeaderlessModelStreamLoads) {
   bytes = bytes.substr(bytes.find('\n') + 1);  // drop the segf1 header
   const std::string modern_tag = "segugio " + std::to_string(Segugio::kModelFormatVersion);
   ASSERT_EQ(bytes.rfind(modern_tag, 0), 0u);
-  bytes = "segugio 1" + bytes.substr(modern_tag.size());
-
-  std::istringstream legacy(bytes);
-  auto restored = Segugio::load(legacy);
-  EXPECT_TRUE(restored.is_trained());
-  features::FeatureVector probe{};
-  probe[features::kTotalMachines] = 3.0;
-  EXPECT_DOUBLE_EQ(restored.score(probe), segugio.score(probe));
+  std::istringstream headerless(bytes);
+  EXPECT_THROW(Segugio::load(headerless), util::ParseError);
+  std::istringstream legacy("segugio 1" + bytes.substr(modern_tag.size()));
+  EXPECT_THROW(Segugio::load(legacy), util::ParseError);
 }
 
 TEST_F(SegugioIoTest, LogisticModelRoundTrips) {
@@ -143,15 +140,15 @@ TEST_F(SegugioIoTest, SaveUntrainedThrows) {
 TEST_F(SegugioIoTest, LoadRejectsGarbage) {
   std::stringstream blob("not a model");
   EXPECT_THROW(Segugio::load(blob), util::ParseError);
-  std::stringstream wrong_version("segugio 99\n");
+  std::stringstream wrong_version("segf1 segugio-model 2\nsegugio 99\n");
   EXPECT_THROW(Segugio::load(wrong_version), util::ParseError);
 }
 
-// A hand-written legacy (headerless) model around `subset` and a
-// classifier payload of `kind`.
+// A hand-written model around `subset` and a classifier payload of `kind`.
 std::string crafted_model(const std::string& subset, const std::string& payload,
                           const std::string& kind = "forest") {
-  return "segugio 1\nactivity_window 14\npdns_window 150\npruning 3 0.999 5 0.01\n" +
+  return "segf1 segugio-model 2\nsegugio 2\nactivity_window 14\npdns_window 150\n"
+         "pruning 3 0.999 5 0.01\n" +
          subset + "\nprober 0\nclassifier " + kind + "\n" + payload;
 }
 

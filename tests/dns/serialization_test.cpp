@@ -37,7 +37,7 @@ TEST(ActivityIndexIoTest, EmptyIndexRoundTrips) {
 TEST(ActivityIndexIoTest, LoadRejectsGarbage) {
   std::stringstream blob("wrong header");
   EXPECT_THROW(DomainActivityIndex::load(blob), util::ParseError);
-  std::stringstream truncated("activity 3\na.com 1\n");
+  std::stringstream truncated("segf1 activity 2\nactivity 3\na.com 1\n");
   EXPECT_THROW(DomainActivityIndex::load(truncated), util::ParseError);
 }
 
@@ -69,35 +69,31 @@ TEST(PdnsIoTest, EmptyDbRoundTrips) {
 TEST(PdnsIoTest, LoadRejectsGarbage) {
   std::stringstream blob("nope");
   EXPECT_THROW(PassiveDnsDb::load(blob), util::ParseError);
-  std::stringstream missing_section("pdns 0\nip_malware 0\n");
+  std::stringstream missing_section("segf1 pdns 2\npdns 0\nip_malware 0\n");
   EXPECT_THROW(PassiveDnsDb::load(missing_section), util::ParseError);
 }
 
-// Streams written before the `segf1` format header existed must keep
-// loading: the header-less body is the legacy v1 format.
-TEST(ActivityIndexIoTest, LegacyHeaderlessStreamLoads) {
+// Every store starts with its `segf1` header: today's bytes minus the
+// header line (the headerless form of earlier versions) are a ParseError.
+TEST(ActivityIndexIoTest, HeaderlessStreamIsRejected) {
   DomainActivityIndex index;
   index.mark_active("a.com", 3);
   index.mark_active("a.com", 4);
   std::stringstream blob;
   index.save(blob);
   auto bytes = blob.str();
-  std::istringstream legacy(bytes.substr(bytes.find('\n') + 1));
-  const auto loaded = DomainActivityIndex::load(legacy);
-  EXPECT_EQ(loaded.active_days("a.com", 0, 10), 2);
-  EXPECT_EQ(loaded.consecutive_days_ending("a.com", 4), 2);
+  std::istringstream headerless(bytes.substr(bytes.find('\n') + 1));
+  EXPECT_THROW(DomainActivityIndex::load(headerless), util::ParseError);
 }
 
-TEST(PdnsIoTest, LegacyHeaderlessStreamLoads) {
+TEST(PdnsIoTest, HeaderlessStreamIsRejected) {
   PassiveDnsDb db;
   db.add_observation(-3, IpV4::parse("1.2.3.4"), PdnsAssociation::kMalware);
   std::stringstream blob;
   db.save(blob);
   auto bytes = blob.str();
-  std::istringstream legacy(bytes.substr(bytes.find('\n') + 1));
-  const auto loaded = PassiveDnsDb::load(legacy);
-  EXPECT_EQ(loaded.observation_count(), 1u);
-  EXPECT_TRUE(loaded.ip_malware_associated(IpV4::parse("1.2.3.4"), -10, 0));
+  std::istringstream headerless(bytes.substr(bytes.find('\n') + 1));
+  EXPECT_THROW(PassiveDnsDb::load(headerless), util::ParseError);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Round-trip and zero-copy tests for the `segf1 graphc 1` container
-// (graph_compressed.h): both encodings must reload bit-identically, the
-// mmap-backed GraphView must serve exactly what the heap graph serves, and
-// corruption must surface as util::ParseError.
+// Zero-copy tests for the packed `segf1 graphc 1` container
+// (graph_compressed.h): the mmap-backed GraphView must serve exactly what
+// the heap graph serves and re-save to the same bytes, and truncated or
+// crafted files must surface as util::ParseError.
 #include "graph/graph_compressed.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <string>
 #include <unistd.h>
 
-#include "graph/graph_io.h"
 #include "graph/graph_view.h"
 #include "graph/labeling.h"
 #include "util/require.h"
@@ -59,49 +58,33 @@ class GraphCompressedTest : public ::testing::Test {
     return graph;
   }
 
-  static std::string graph_bytes(const MachineDomainGraph& graph) {
-    std::ostringstream blob;
-    save_graph(graph, blob);
-    return std::move(blob).str();
+  void write_file(const std::string& bytes) const {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << bytes;
   }
 };
 
-TEST_F(GraphCompressedTest, PackedRoundTripIsLossless) {
-  const auto graph = make_graph();
-  std::stringstream blob;
-  save_graph_compressed(graph, blob, GraphcEncoding::kPacked);
-  const auto loaded = load_graph_compressed(blob);
-  EXPECT_EQ(graph_bytes(loaded), graph_bytes(graph));
-}
-
-TEST_F(GraphCompressedTest, CompactRoundTripIsLossless) {
-  const auto graph = make_graph();
-  std::stringstream blob;
-  save_graph_compressed(graph, blob, GraphcEncoding::kCompact);
-  const auto loaded = load_graph_compressed(blob);
-  EXPECT_EQ(graph_bytes(loaded), graph_bytes(graph));
-}
-
-TEST_F(GraphCompressedTest, EmptyGraphRoundTripsInBothEncodings) {
-  // Built-but-empty, not default-constructed: like segf1, graphc
-  // serializes graphs produced by the builder/loader (whose offset tables
-  // always hold n+1 entries).
+TEST_F(GraphCompressedTest, EmptyGraphRoundTripsThroughMapGraph) {
+  // Built-but-empty, not default-constructed: graphc serializes graphs
+  // produced by a builder (whose offset tables always hold n+1 entries).
   const auto empty = GraphBuilder(psl_).build();
-  for (const auto encoding : {GraphcEncoding::kPacked, GraphcEncoding::kCompact}) {
-    std::stringstream blob;
-    save_graph_compressed(empty, blob, encoding);
-    const auto loaded = load_graph_compressed(blob);
-    EXPECT_EQ(loaded.machine_count(), 0u);
-    EXPECT_EQ(loaded.domain_count(), 0u);
-    EXPECT_EQ(loaded.edge_count(), 0u);
-  }
+  std::ostringstream blob;
+  save_graph_compressed(empty, blob);
+  write_file(blob.str());
+  const auto mapped = map_graph(path_);
+  EXPECT_EQ(mapped.view.machine_count(), 0u);
+  EXPECT_EQ(mapped.view.domain_count(), 0u);
+  EXPECT_EQ(mapped.view.edge_count(), 0u);
+  std::ostringstream resaved;
+  save_graph_compressed(mapped.view, resaved);
+  EXPECT_EQ(resaved.str(), blob.str());
 }
 
 TEST_F(GraphCompressedTest, MappedViewServesExactlyTheHeapGraph) {
   const auto graph = make_graph();
   {
     std::ofstream out(path_, std::ios::binary);
-    save_graph_compressed(graph, out, GraphcEncoding::kPacked);
+    save_graph_compressed(graph, out);
   }
   const auto mapped = map_graph(path_);
   const auto& view = mapped.view;
@@ -140,44 +123,58 @@ TEST_F(GraphCompressedTest, MappedLoadIsByteStableThroughResave) {
   // view serves the serializer directly, so no information is rewritten.
   const auto graph = make_graph();
   std::ostringstream first;
-  save_graph_compressed(graph, first, GraphcEncoding::kPacked);
-  {
-    std::ofstream out(path_, std::ios::binary);
-    out << first.str();
-  }
+  save_graph_compressed(graph, first);
+  write_file(first.str());
   const auto mapped = map_graph(path_);
   std::ostringstream second;
-  save_graph_compressed(mapped.view, second, GraphcEncoding::kPacked);
+  save_graph_compressed(mapped.view, second);
   EXPECT_EQ(first.str(), second.str());
 }
 
 TEST_F(GraphCompressedTest, TruncatedStreamsAreRejected) {
   const auto graph = make_graph();
-  for (const auto encoding : {GraphcEncoding::kPacked, GraphcEncoding::kCompact}) {
-    std::ostringstream blob;
-    save_graph_compressed(graph, blob, encoding);
-    const auto full = blob.str();
-    // Chop at several depths: inside the text header, the binary header,
-    // and the section payloads.
-    for (const std::size_t keep :
-         {std::size_t{4}, std::size_t{40}, std::size_t{90}, full.size() - 1}) {
-      std::istringstream in(full.substr(0, keep));
-      EXPECT_THROW(load_graph_compressed(in), util::ParseError)
-          << "encoding " << static_cast<int>(encoding) << " keep " << keep;
-    }
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob);
+  const auto full = blob.str();
+  // Chop at several depths: inside the text header, the binary header,
+  // and the section payloads.
+  for (const std::size_t keep :
+       {std::size_t{4}, std::size_t{40}, std::size_t{90}, full.size() - 1}) {
+    write_file(full.substr(0, keep));
+    EXPECT_THROW(map_graph(path_), util::ParseError) << "keep " << keep;
   }
 }
 
 TEST_F(GraphCompressedTest, TruncatedMappedFileIsRejected) {
   const auto graph = make_graph();
   std::ostringstream blob;
-  save_graph_compressed(graph, blob, GraphcEncoding::kPacked);
+  save_graph_compressed(graph, blob);
   const auto full = blob.str();
-  {
-    std::ofstream out(path_, std::ios::binary);
-    out << full.substr(0, full.size() - 8);
-  }
+  write_file(full.substr(0, full.size() - 8));
   EXPECT_THROW(map_graph(path_), util::ParseError);
+  // Bytes past the last section are rejected too.
+  write_file(full + "x");
+  EXPECT_THROW(map_graph(path_), util::ParseError);
+}
+
+TEST_F(GraphCompressedTest, MappedFileRejectsAnUnknownEncodingByte) {
+  const auto graph = make_graph();
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob);
+  auto crafted = blob.str();
+  constexpr std::size_t kEncodingAt = 15;  // right after "segf1 graphc 1\n"
+  ASSERT_EQ(crafted[kEncodingAt], 1);
+  for (const char encoding : {0, 2, 0x7f}) {
+    crafted[kEncodingAt] = encoding;
+    write_file(crafted);
+    try {
+      map_graph(path_);
+      ADD_FAILURE() << "map_graph accepted encoding byte " << int{encoding};
+    } catch (const util::ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown encoding"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // A packed file's binary header: "segf1 graphc 1\n", encoding byte, three
@@ -232,7 +229,7 @@ CsrSections csr_sections(const std::string& bytes) {
 TEST_F(GraphCompressedTest, MappedFileRejectsOutOfRangeCsrTargets) {
   const auto graph = make_graph();
   std::ostringstream blob;
-  save_graph_compressed(graph, blob, GraphcEncoding::kPacked);
+  save_graph_compressed(graph, blob);
   const auto original = blob.str();
   const auto sections = csr_sections(original);
 
@@ -263,7 +260,7 @@ TEST_F(GraphCompressedTest, MappedFileRejectsOutOfRangeCsrTargets) {
 TEST_F(GraphCompressedTest, MappedFileRejectsWrappingSectionCounts) {
   const auto graph = make_graph();
   std::ostringstream blob;
-  save_graph_compressed(graph, blob, GraphcEncoding::kPacked);
+  save_graph_compressed(graph, blob);
   const auto original = blob.str();
   const auto sections = csr_sections(original);
   const std::uint64_t machines = graph.machine_count();
@@ -299,14 +296,6 @@ TEST_F(GraphCompressedTest, MappedFileRejectsWrappingSectionCounts) {
           << error.what();
     }
   }
-}
-
-TEST_F(GraphCompressedTest, CompactEncodingRejectsTrailingGarbage) {
-  const auto graph = make_graph();
-  std::ostringstream blob;
-  save_graph_compressed(graph, blob, GraphcEncoding::kCompact);
-  std::istringstream in(blob.str() + "x");
-  EXPECT_THROW(load_graph_compressed(in), util::ParseError);
 }
 
 }  // namespace

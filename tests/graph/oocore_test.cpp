@@ -1,7 +1,7 @@
 // Byte-identity tests for the out-of-core prepare (oocore.h): for every
 // chunk size, the streamed trace -> spill -> merge -> packed-write path
 // must produce exactly the file the in-memory pipeline produces via
-// build + apply_labels + prune + save_graph_compressed(kPacked). Anything
+// build + apply_labels + prune + save_graph_compressed. Anything
 // weaker would let the mmap-served classification drift from the
 // heap-resident reference.
 #include "graph/oocore.h"
@@ -15,10 +15,15 @@
 #include <vector>
 #include <unistd.h>
 
+#include "dns/domain_name.h"
 #include "dns/query_log.h"
+#include "dns/trace_source.h"
+#include "dns/wire/dnstap.h"
+#include "dns/wire/pcap.h"
 #include "graph/graph_compressed.h"
 #include "graph/labeling.h"
 #include "graph/pruning.h"
+#include "util/require.h"
 #include "util/rng.h"
 
 namespace seg::graph {
@@ -32,17 +37,20 @@ class OutOfCoreTest : public ::testing::Test {
     trace_path_ = base.string() + ".tsv";
     binary_trace_path_ = base.string() + ".bin";
     out_path_ = base.string() + ".graphc";
+    capture_path_ = base.string() + ".capture";
   }
   void TearDown() override {
     std::filesystem::remove(trace_path_);
     std::filesystem::remove(binary_trace_path_);
     std::filesystem::remove(out_path_);
+    std::filesystem::remove(capture_path_);
   }
 
   dns::PublicSuffixList psl_ = dns::PublicSuffixList::with_default_rules();
   std::string trace_path_;
   std::string binary_trace_path_;
   std::string out_path_;
+  std::string capture_path_;
 
   // A trace with enough structure to exercise every pruning rule: an
   // inactive malware machine (R1 exception), a proxy-degree machine (R2), a
@@ -117,7 +125,7 @@ class OutOfCoreTest : public ::testing::Test {
     apply_labels(graph, blacklist(), whitelist());
     const auto pruned = prune(graph, config, stats);
     std::ostringstream blob;
-    save_graph_compressed(pruned, blob, GraphcEncoding::kPacked);
+    save_graph_compressed(pruned, blob);
     return std::move(blob).str();
   }
 
@@ -182,6 +190,74 @@ TEST_F(OutOfCoreTest, BinaryTraceInputMatchesTextTraceOutput) {
   prepare_graph_out_of_core(binary_trace_path_, psl_, blacklist(), whitelist(), out_path_,
                             config);
   EXPECT_EQ(file_bytes(out_path_), from_text);
+
+  // The format is sniffed from the magic bytes, not taken from the name.
+  std::filesystem::copy_file(binary_trace_path_, capture_path_);
+  prepare_graph_out_of_core(capture_path_, psl_, blacklist(), whitelist(), out_path_, config);
+  EXPECT_EQ(file_bytes(out_path_), from_text);
+}
+
+TEST_F(OutOfCoreTest, WireCapturesMatchTheirRecordsAsText) {
+  // dnstap and pcap carry only valid names with at least one A record.
+  auto trace = make_trace();
+  std::erase_if(trace.records, [](const dns::QueryRecord& record) {
+    return record.machine.empty() || record.resolved_ips.empty() ||
+           !dns::DomainName::is_valid(record.qname);
+  });
+  OutOfCoreConfig config;
+  config.pruning.proxy_degree_percentile = 0.95;
+  config.chunk_records = 32;
+  for (const auto write : {&dns::wire::write_dnstap_trace, &dns::wire::write_pcap_trace}) {
+    write(trace, capture_path_);
+    // The records as the capture carries them (client addresses for
+    // machine names), written as text: the reference output.
+    dns::FileTraceSource source(capture_path_);
+    dns::DayTrace carried;
+    carried.day = trace.day;
+    dns::QueryRecord record;
+    while (source.next(record)) {
+      carried.records.push_back(record);
+    }
+    ASSERT_EQ(carried.records.size(), trace.records.size());
+    dns::write_trace(carried, trace_path_);
+    prepare_graph_out_of_core(trace_path_, psl_, blacklist(), whitelist(), out_path_, config);
+    const auto from_text = file_bytes(out_path_);
+
+    prepare_graph_out_of_core(capture_path_, psl_, blacklist(), whitelist(), out_path_,
+                              config);
+    EXPECT_EQ(file_bytes(out_path_), from_text) << dns::format_name(source.format());
+  }
+}
+
+TEST_F(OutOfCoreTest, RejectsATraceSpanningTwoDays) {
+  const auto day_one = make_trace();
+  auto day_two = day_one;
+  day_two.day = day_one.day + 1;
+  for (auto& record : day_two.records) {
+    record.day = day_two.day;
+  }
+  dns::DayTrace both = day_one;
+  both.records.insert(both.records.end(), day_two.records.begin(), day_two.records.end());
+  dns::write_trace(both, trace_path_);
+  try {
+    prepare_graph_out_of_core(trace_path_, psl_, blacklist(), whitelist(), out_path_, {});
+    ADD_FAILURE() << "a two-day TSV trace was accepted";
+  } catch (const util::ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("more than one day"), std::string::npos)
+        << error.what();
+  }
+
+  // A two-segment binlog (cat day1.bin day2.bin) is rejected too, not cut
+  // to its first day.
+  dns::write_trace_binary(day_one, binary_trace_path_);
+  dns::write_trace_binary(day_two, capture_path_);
+  {
+    std::ofstream out(binary_trace_path_, std::ios::binary | std::ios::app);
+    out << file_bytes(capture_path_);
+  }
+  EXPECT_THROW(prepare_graph_out_of_core(binary_trace_path_, psl_, blacklist(), whitelist(),
+                                         out_path_, {}),
+               util::ParseError);
 }
 
 TEST_F(OutOfCoreTest, OutputIsMappableAndSpillsAreRemoved) {

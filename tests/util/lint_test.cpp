@@ -125,7 +125,7 @@ TEST(RObs1, LiteralsNeverMatch) {
 // --- R-MEM1: raw mapping syscalls outside util/mmap_file ---------------------
 
 TEST(RMem1, FlagsRawMappingCalls) {
-  const auto findings = run("src/graph/graph_io.cpp", R"cpp(
+  const auto findings = run("src/graph/graph_compressed.cpp", R"cpp(
     void* load(int fd, size_t n) { return mmap(nullptr, n, 1, 2, fd, 0); }
     void drop(void* p, size_t n) { munmap(p, n); madvise(p, n, 4); }
   )cpp");
@@ -133,7 +133,7 @@ TEST(RMem1, FlagsRawMappingCalls) {
 }
 
 TEST(RMem1, FlagsSyscallNumberEvasion) {
-  const auto findings = run("src/graph/graph_io.cpp", R"cpp(
+  const auto findings = run("src/graph/graph_compressed.cpp", R"cpp(
     long bind_pages(void* p, size_t n) { return syscall(__NR_mbind, p, n); }
   )cpp");
   EXPECT_TRUE(has_rule(findings, "R-MEM1"));
@@ -148,7 +148,7 @@ TEST(RMem1, MmapFileWrapperIsExempt) {
 }
 
 TEST(RMem1, IgnoresWrapperUseAndPlainIdentifiers) {
-  const auto findings = run("src/graph/graph_io.cpp", R"cpp(
+  const auto findings = run("src/graph/graph_compressed.cpp", R"cpp(
     util::MmapFile mapped(path);
     bool use_mmap = backing == "mmap";
   )cpp");
@@ -156,7 +156,7 @@ TEST(RMem1, IgnoresWrapperUseAndPlainIdentifiers) {
 }
 
 TEST(RMem1, SuppressionComment) {
-  const auto findings = run("src/graph/graph_io.cpp", R"cpp(
+  const auto findings = run("src/graph/graph_compressed.cpp", R"cpp(
     // seg-lint: allow(R-MEM1)
     void drop(void* p, size_t n) { munmap(p, n); }
   )cpp");
@@ -164,7 +164,7 @@ TEST(RMem1, SuppressionComment) {
 }
 
 TEST(RMem1, LiteralsNeverMatch) {
-  const auto findings = run("src/graph/graph_io.cpp", R"cpp(
+  const auto findings = run("src/graph/graph_compressed.cpp", R"cpp(
     const char* doc = "raw mmap( and munmap( belong in util/mmap_file";
   )cpp");
   EXPECT_FALSE(has_rule(findings, "R-MEM1"));

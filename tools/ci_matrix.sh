@@ -28,14 +28,16 @@
 #
 # The oocore leg reuses the asan tree and re-runs the mmap-backing,
 # pipeline and golden-digest suites plus the graph container suites, so the
-# zero-copy GraphView path (mapping lifetime, varint decode bounds, classify
-# parity: PipelineTest maps every streamed day explicitly) gets sanitizer
-# coverage; see docs/graph-format.md.
+# zero-copy GraphView path (mapping lifetime, crafted graphc files, spill
+# varint decode bounds, classify parity: PipelineTest maps every streamed
+# day explicitly) and the out-of-core prepare's reads through
+# FileTraceSource get sanitizer coverage; see docs/graph-format.md.
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
 # producer/consumer interleavings actually vary), the malformed-wire
-# corpus under asan (where "never UB" is checked, not assumed), the
+# corpus and the mapped reader's page release under asan (where "never
+# UB" is checked, not assumed), the
 # decoders' allocation contract (wire_alloc_test, plain tree: it counts
 # operator new, which the sanitizers replace), and the replay benchmark
 # (SEG_BENCH_INGEST_ONLY=1), whose BENCH_pipeline.json "ingest" section is
@@ -334,9 +336,10 @@ run_ingest() {
     return 1
   fi
 
-  echo "=== [ingest] asan: malformed wire corpus ==="
-  if ! build-asan/tests/dns_test --gtest_filter='WireTest*' >> "${log}" 2>&1; then
-    echo "    wire corpus FAILED under asan (see ${log})"
+  echo "=== [ingest] asan: malformed wire corpus + mapped reader page release ==="
+  if ! build-asan/tests/dns_test --gtest_filter='WireTest*:TraceSourceTest*' \
+       >> "${log}" 2>&1; then
+    echo "    wire corpus or trace source FAILED under asan (see ${log})"
     return 1
   fi
 
