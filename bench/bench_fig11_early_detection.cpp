@@ -28,8 +28,8 @@ int main() {
 
   std::map<std::string, dns::Day> flagged;  // first detection day
   for (std::size_t isp = 0; isp < world.isp_count(); ++isp) {
-    // One streaming session per ISP: the pipeline carries the name
-    // dictionary and history stores across the four days.
+    // One streaming session per ISP: the pipeline carries the detector
+    // and history stores across the four days.
     core::Pipeline pipeline(world.psl(), config);
     for (dns::Day day = 10; day <= 13; ++day) {
       const auto trace = world.generate_day(isp, day);

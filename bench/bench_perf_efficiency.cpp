@@ -158,12 +158,9 @@ class ChainedTraceSource final : public seg::dns::TraceSource {
 };
 
 // The streaming leg: one core::Pipeline session per ISP, the ISP's days
-// chained into one stream and ingested through the back-pressured queue so
-// the carried name dictionary does its job.
+// chained into one stream and ingested through the back-pressured queue.
 struct StreamingTotals {
   std::vector<double> ingest_seconds;       // per ISP-day, in run order
-  std::vector<double> reuse_ratios;         // name-dictionary reuse per day
-  std::size_t cached_names = 0;             // dictionary size after last day
   std::vector<double> scores;               // for the bit-identity check
   double stream_wall_seconds = 0.0;         // ingest_stream wall clock, summed
   std::uint64_t stream_records = 0;         // records through the queue
@@ -216,9 +213,6 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
     const auto& stats = pipeline.streaming_stats();
     totals.ingest_seconds.insert(totals.ingest_seconds.end(), stats.ingest_seconds.begin(),
                                  stats.ingest_seconds.end());
-    totals.reuse_ratios.insert(totals.reuse_ratios.end(), stats.reuse_ratios.begin(),
-                               stats.reuse_ratios.end());
-    totals.cached_names += stats.cached_names;
   }
   return totals;
 }
@@ -599,11 +593,7 @@ void write_json(const char* path, const StageTotals& serial, const StageTotals& 
                streaming.ingest_seconds.size());
   std::fprintf(out, "    \"ingest_seconds\": ");
   array(streaming.ingest_seconds);
-  std::fprintf(out, ",\n    \"intern_reuse_ratio\": ");
-  array(streaming.reuse_ratios);
-  std::fprintf(out,
-               ",\n    \"cached_names\": %zu\n  }", streaming.cached_names);
-  std::fprintf(out, ",\n");
+  std::fprintf(out, "\n  },\n");
   write_ingest_json(out, ingest);
   std::fprintf(out, ",\n  \"obs\": {\n    \"shard_edge_histogram\": {\n      \"bounds\": ");
   array(obs_section.bounds);
@@ -716,20 +706,7 @@ int main() {
   std::printf("\ndomain scores bit-identical across thread counts and the streaming\n"
               "pipeline: %s (%zu scores)\n",
               identical ? "yes" : "NO — DETERMINISM VIOLATION", serial_scores.size());
-  if (!streaming.reuse_ratios.empty()) {
-    std::printf("streaming: %zu ISP-days ingested; day-2+ name-dictionary reuse ",
-                streaming.ingest_seconds.size());
-    double reuse_sum = 0.0;
-    std::size_t reuse_count = 0;
-    for (std::size_t i = 0; i < streaming.reuse_ratios.size(); ++i) {
-      if (i % 4 != 0) {  // skip each session's first day (nothing to reuse yet)
-        reuse_sum += streaming.reuse_ratios[i];
-        ++reuse_count;
-      }
-    }
-    std::printf("%.1f%% on average\n",
-                reuse_count > 0 ? 100.0 * reuse_sum / static_cast<double>(reuse_count) : 0.0);
-  }
+  std::printf("streaming: %zu ISP-days ingested\n", streaming.ingest_seconds.size());
 
   if (parallel_threads > 1) {
     const auto speedup = serial.parallel_stage_seconds() / parallel.parallel_stage_seconds();

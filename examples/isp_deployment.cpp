@@ -2,7 +2,7 @@
 //
 // Mirrors the paper's operational story (Section II, Figure 2) as a
 // streaming multi-day session: one core::Pipeline owns the history stores
-// and the carried name dictionary, ingests a day of resolver traffic,
+// and the detector, ingests a day of resolver traffic,
 // trains, then ingests and classifies the next day's *unknown* domains,
 // reporting the detected malware-control domains together with the
 // infected machines that query them and the pipeline timing breakdown
@@ -60,8 +60,8 @@ int main() {
   std::printf("train wall time: %.2fs (features %.2fs, fit %.2fs)\n\n", train_seconds,
               segugio.timings().train_feature_seconds, segugio.timings().train_fit_seconds);
 
-  // --- Day 1: detect. The same session carries the name dictionary and
-  // history stores forward; only genuinely new names pay full intern cost.
+  // --- Day 1: detect. The same session carries the trained detector and
+  // the history stores forward; the day's graph is built from scratch.
   obs::Span detect_span("example/detect_day");
   const auto test_trace = world.generate_day(0, 1);
   pipeline.absorb_history(world.activity(), world.pdns());
@@ -75,8 +75,6 @@ int main() {
   }
   const auto report = pipeline.classify(day1);
   const double classify_seconds = detect_span.close();
-  std::printf("name dictionary reuse on day 1: %.1f%% of %zu distinct names\n",
-              100.0 * day1.carry.reuse_ratio(), day1.carry.distinct_domains);
 
   std::printf("== detection day 1 ==\n");
   std::printf("unknown domains classified: %zu in %.2fs\n", report.scores.size(),

@@ -1,8 +1,6 @@
 #include "core/pipeline.h"
 
 #include <exception>
-#include <istream>
-#include <ostream>
 #include <thread>
 #include <utility>
 
@@ -12,13 +10,8 @@
 #include "util/obs/metrics.h"
 #include "util/obs/process.h"
 #include "util/obs/trace.h"
-#include "util/serialize.h"
 
 namespace seg::core {
-
-namespace {
-constexpr int kSessionFormatVersion = 1;
-}
 
 Pipeline::Pipeline(const dns::PublicSuffixList& psl, SegugioConfig config)
     : psl_(&psl), detector_(std::move(config)) {}
@@ -39,9 +32,9 @@ PreparedDay Pipeline::prepare_one_day(const dns::DayTrace& trace,
                                       const graph::NameSet& cc_blacklist,
                                       const graph::NameSet& e2ld_whitelist) {
   obs::Span span("pipeline/ingest_day");
+  auto prepared = Segugio::prepare_graph(trace, *psl_, cc_blacklist, e2ld_whitelist,
+                                         detector_.config().prepare_options());
   PreparedDay day;
-  auto prepared = detail::prepare_day(trace, *psl_, cc_blacklist, e2ld_whitelist,
-                                      detector_.config().prepare_options(), &cache_, &day.carry);
   day.graph = std::move(prepared.graph);
   day.prune_stats = prepared.prune_stats;
   day.timings = prepared.timings;
@@ -49,8 +42,6 @@ PreparedDay Pipeline::prepare_one_day(const dns::DayTrace& trace,
 
   ++stats_.days_ingested;
   stats_.ingest_seconds.push_back(span.close());
-  stats_.reuse_ratios.push_back(day.carry.reuse_ratio());
-  stats_.cached_names = day.carry.cached_names;
   obs::Registry::instance().counter("seg_pipeline_days_ingested_total").add(1);
   if (journal_enabled()) {
     journal_open_day(day, trace.records.size(), stats_.ingest_seconds.back());
@@ -138,32 +129,24 @@ IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
         deliver(std::move(record));
       }
     }
-    if (open) {
-      flush_day();
-    }
   } catch (...) {
     queue.cancel();  // wake any blocked push before joining
     producer.join();
     throw;
   }
   producer.join();
+  // A failed source may have cut the open day short: rethrow before it is
+  // prepared, so on_day only ever sees days that ended at a rollover or at
+  // a clean end of the source.
   if (producer_error) {
     std::rethrow_exception(producer_error);
+  }
+  if (open) {
+    flush_day();
   }
   stats.queue = queue.stats();
   stats.wire_skipped = source.skipped();
   return stats;
-}
-
-void Pipeline::save_session(std::ostream& out) const {
-  util::write_format_header(out, "pipeline-session", kSessionFormatVersion);
-  cache_.save(out);
-}
-
-void Pipeline::load_session(std::istream& in) {
-  (void)util::read_format_header(in, "pipeline-session", kSessionFormatVersion);
-  cache_ = graph::NameCache::load(in);
-  stats_.cached_names = cache_.size();
 }
 
 void Pipeline::train(const PreparedDay& day) {
@@ -258,10 +241,6 @@ void Pipeline::journal_open_day(const PreparedDay& day, std::size_t records,
   entry.add_counter("prune_machines_removed_r2", prune.machines_removed_r2);
   entry.add_counter("prune_domains_removed_r3", prune.domains_removed_r3);
   entry.add_counter("prune_domains_removed_r4", prune.domains_removed_r4);
-  entry.add_counter("carry_distinct_domains", day.carry.distinct_domains);
-  entry.add_counter("carry_new_names", day.carry.new_names);
-  entry.add_counter("carry_cached_names", day.carry.cached_names);
-  entry.add_gauge("carry_reuse_ratio", day.carry.reuse_ratio());
   if (journal_options_.include_runtime) {
     entry.add_runtime("ingest_seconds", ingest_seconds);
     const obs::ProcessSample process = obs::sample_process();

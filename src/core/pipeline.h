@@ -1,10 +1,8 @@
 // The streaming multi-day pipeline (Figure 2, run day after day).
 //
 // A Pipeline is a long-lived session over one monitored network. It owns
-// the history stores (domain activity, passive DNS) and a carried name
-// dictionary, so consecutive days share work: name validation,
-// normalization and e2LD facts computed on day t are reused on day t+1
-// (only genuinely new names pay the full cost). F2/F3 read the stores per
+// the history stores (domain activity, passive DNS) and the detector; no
+// other state carries from one day to the next. F2/F3 read the stores per
 // domain inside the feature extraction's parallel loop; const lookups into
 // a hash map need no sharding to run in parallel.
 //
@@ -12,7 +10,8 @@
 // pcap, SEGTRC1 binlog, sim TSV, or an in-memory trace) is parsed on a
 // producer thread, micro-batched through a bounded back-pressured
 // util::IngestQueue, assembled into observation days on the caller
-// thread, and each completed day is prepared and handed to a callback.
+// thread, and each completed day is prepared by Segugio::prepare_graph
+// and handed to a callback.
 //
 // Determinism contract: every PreparedDay graph and every classify()
 // score is bit-identical to what a from-scratch Segugio::prepare_graph /
@@ -33,6 +32,12 @@
 //                            auto report = pipeline.classify(day);
 //                            ...archive report, maybe re-train...
 //                          });
+//
+// A restart needs only the history stores and the model
+// (DomainActivityIndex/PassiveDnsDb::save, Segugio::save): a Pipeline over
+// the reloaded stores, with detector() assigned Segugio::load's result,
+// prepares and scores later days exactly like the session that never
+// stopped (PipelineTest.RestartedSessionMatchesContinuousSession).
 #pragma once
 
 #include <cstddef>
@@ -45,7 +50,6 @@
 
 #include "core/segugio.h"
 #include "dns/trace_source.h"
-#include "graph/name_cache.h"
 #include "util/ingest_queue.h"
 #include "util/obs/drift.h"
 #include "util/obs/journal.h"
@@ -57,7 +61,6 @@ struct PreparedDay {
   graph::MachineDomainGraph graph;  ///< labeled, (filtered,) pruned
   graph::PruneStats prune_stats;    ///< R1-R4 breakdown
   PrepareTimings timings;           ///< per-stage wall clock
-  graph::CarryStats carry;          ///< name-dictionary reuse for this day
   dns::Day day = 0;                 ///< the observation day
 };
 
@@ -66,8 +69,6 @@ struct PreparedDay {
 struct StreamingStats {
   std::size_t days_ingested = 0;
   std::vector<double> ingest_seconds;  ///< wall clock per ingested day
-  std::vector<double> reuse_ratios;    ///< name-dictionary reuse per day
-  std::size_t cached_names = 0;        ///< dictionary size after last day
 };
 
 /// Tuning for ingest_stream()'s producer/queue stage.
@@ -139,16 +140,19 @@ class Pipeline {
   /// Consumes `source` to exhaustion: parses records on a producer thread,
   /// moves them through a bounded back-pressured queue (see IngestOptions),
   /// cuts the stream at day boundaries (days must be non-decreasing;
-  /// util::ParseError otherwise), builds, labels, (optionally)
-  /// prober-filters and prunes each completed day, and hands it to
-  /// `on_day`. Under the default kBlock policy each day's graph is
+  /// util::ParseError otherwise), prepares each completed day with
+  /// Segugio::prepare_graph, and hands it to `on_day`. A day is complete
+  /// when the next day's first record arrives or when the source ends
+  /// cleanly. Under the default kBlock policy each day's graph is
   /// bit-identical to Segugio::prepare_graph over that day's records;
   /// kCountAndDrop trades completeness for liveness and reports drops in
   /// the returned stats. History stores are fed separately through
   /// absorb_history(), keeping feature inputs identical to the one-shot
   /// flow. Exceptions from the producer (malformed wire data) or from
   /// `on_day` propagate to the caller after the producer thread is joined.
-  /// Top-level calls only (the build uses the shared pool).
+  /// A producer failure discards the day still open at that point: it is
+  /// never prepared or handed to `on_day`, because its records may be cut
+  /// short. Top-level calls only (the build uses the shared pool).
   IngestStats ingest_stream(dns::TraceSource& source, const BlacklistProvider& cc_blacklist,
                             const graph::NameSet& e2ld_whitelist, const DayCallback& on_day,
                             const IngestOptions& options = {});
@@ -161,30 +165,10 @@ class Pipeline {
   /// DetectionReport).
   DetectionReport classify(const PreparedDay& day) const;
 
-  /// Persists the session state that is NOT reconstructible from the
-  /// history stores: the carried name dictionary (`segf1 pipeline-session`
-  /// stream embedding a `segf1 namecache` payload). The activity/pdns
-  /// history keeps using the stores' own save/load plus
-  /// absorb_history(), so a restart is:
-  ///
-  ///   save:  activity.save(a); pdns.save(p); pipeline.save_session(s);
-  ///   load:  Pipeline fresh(psl, config);
-  ///          fresh.absorb_history(load(a), load(p));
-  ///          fresh.load_session(s);
-  ///
-  /// after which ingest_stream() produces bit-identical graphs and reuse
-  /// ratios carry over instead of resetting to zero.
-  void save_session(std::ostream& out) const;
-
-  /// Restores a save_session() stream into this session, replacing the
-  /// carried dictionary. Throws util::ParseError on malformed or headerless
-  /// input.
-  void load_session(std::istream& in);
-
   /// Attaches (or, with nullptr, detaches) a per-day obs journal: one
   /// `segf1 obsjournal 1` JSONL entry per ingested day, written to `out`
   /// at each day rollover. The entry for a day collects that day's
-  /// graph/prune/carry counters at preparation time, calibration gauges
+  /// graph/prune counters at preparation time, calibration gauges
   /// when train() runs on it, and the score/feature histograms plus drift
   /// gauges when classify() runs on it; it is appended when the next day
   /// opens (or on flush_journal()/set_journal()). `out` must outlive the
@@ -228,7 +212,6 @@ class Pipeline {
 
   const dns::PublicSuffixList* psl_;
   Segugio detector_;
-  graph::NameCache cache_;
   dns::DomainActivityIndex activity_;
   dns::PassiveDnsDb pdns_;
   StreamingStats stats_;

@@ -44,23 +44,18 @@ std::vector<Detection> DetectionReport::detections_at(double threshold) const {
 
 Segugio::Segugio(SegugioConfig config) : config_(std::move(config)) {}
 
-namespace detail {
-
-PrepareResult prepare_day(const dns::DayTrace& trace, const dns::PublicSuffixList& psl,
-                          const graph::NameSet& cc_blacklist,
-                          const graph::NameSet& e2ld_whitelist, const PrepareOptions& options,
-                          graph::NameCache* cache, graph::CarryStats* carry) {
+PrepareResult Segugio::prepare_graph(const dns::DayTrace& trace,
+                                     const dns::PublicSuffixList& psl,
+                                     const graph::NameSet& cc_blacklist,
+                                     const graph::NameSet& e2ld_whitelist,
+                                     const PrepareOptions& options) {
   PrepareResult result;
   PrepareTimings& t = result.timings;
 
-  graph::ShardedGraphBuilder builder =
-      cache != nullptr ? graph::ShardedGraphBuilder(psl, *cache) : graph::ShardedGraphBuilder(psl);
+  graph::ShardedGraphBuilder builder(psl);
   builder.add_trace(trace);
   auto graph = builder.build();
   t.build = builder.last_timings();
-  if (carry != nullptr) {
-    *carry = builder.last_carry();
-  }
 
   {
     obs::Span span("prepare/label");
@@ -78,17 +73,6 @@ PrepareResult prepare_day(const dns::DayTrace& trace, const dns::PublicSuffixLis
   result.graph = graph::prune(graph, options.pruning, &result.prune_stats);
   t.prune_seconds = prune_span.close();
   return result;
-}
-
-}  // namespace detail
-
-PrepareResult Segugio::prepare_graph(const dns::DayTrace& trace,
-                                     const dns::PublicSuffixList& psl,
-                                     const graph::NameSet& cc_blacklist,
-                                     const graph::NameSet& e2ld_whitelist,
-                                     const PrepareOptions& options) {
-  return detail::prepare_day(trace, psl, cc_blacklist, e2ld_whitelist, options,
-                             /*cache=*/nullptr, /*carry=*/nullptr);
 }
 
 void Segugio::train(const graph::GraphView& graph, const dns::DomainActivityIndex& activity,

@@ -3,7 +3,7 @@
 //
 // Typical deployment flow — a multi-day streaming session through
 // core::Pipeline (core/pipeline.h), which owns the history stores and
-// carries the name dictionary across days:
+// prepares each completed day with prepare_graph():
 //
 //   core::Pipeline pipeline(psl, activity, pdns, config);
 //   dns::FileTraceSource tap("resolver.dnstap");
@@ -166,7 +166,8 @@ class Segugio {
 
   /// Builds (sharded, thread-parallel, bit-identical to the serial
   /// builder), labels, (optionally) prober-filters, and prunes a behavior
-  /// graph from one day of traffic.
+  /// graph from one day of traffic. The only in-memory preparation path:
+  /// core::Pipeline prepares every streamed day through it too.
   static PrepareResult prepare_graph(const dns::DayTrace& trace,
                                      const dns::PublicSuffixList& psl,
                                      const graph::NameSet& cc_blacklist,
@@ -223,19 +224,5 @@ class Segugio {
   std::unique_ptr<ml::LogisticRegression> logistic_;
   mutable PipelineTimings timings_;
 };
-
-namespace detail {
-
-/// Shared implementation behind Segugio::prepare_graph and the Pipeline's
-/// per-day preparation. With a non-null `cache`, the graph build runs in
-/// streaming mode (name facts carried across days; see
-/// graph/sharded_builder.h) and `carry`, when non-null, receives the
-/// dictionary-reuse counters.
-PrepareResult prepare_day(const dns::DayTrace& trace, const dns::PublicSuffixList& psl,
-                          const graph::NameSet& cc_blacklist,
-                          const graph::NameSet& e2ld_whitelist, const PrepareOptions& options,
-                          graph::NameCache* cache, graph::CarryStats* carry);
-
-}  // namespace detail
 
 }  // namespace seg::core

@@ -21,8 +21,8 @@
 // file can be mmap-served to classification directly via map_graph().
 //
 // Scope: the streaming prepare supports the default prepare pipeline only —
-// no prober filtering and no cross-day NameCache carry; callers needing
-// those stay on the in-memory Segugio::prepare_graph.
+// no prober filtering; callers needing it stay on the in-memory
+// Segugio::prepare_graph.
 #pragma once
 
 #include <cstdint>

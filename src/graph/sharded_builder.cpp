@@ -25,59 +25,18 @@ struct Shard {
   std::vector<std::vector<dns::IpV4>> domain_ips;     // by local domain id
   std::size_t skipped = 0;
 
-  // Streaming mode: the carried dictionary (read-only during the scan) and
-  // the raw names this shard saw for the first time, with their computed
-  // facts. new_name_keys maps raw spellings to new_names indices so repeat
-  // occurrences within the shard reuse the facts instead of recomputing.
-  const NameCache* cache = nullptr;
-  const dns::PublicSuffixList* psl = nullptr;
-  std::vector<NameCache::NewName> new_names;
-  StringIdMap<std::uint32_t> new_name_keys;
-
   // Mirrors GraphBuilder::add_query, with shard-local interning.
   void add_query(std::string_view machine, std::string_view qname,
                  std::span<const dns::IpV4> ips) {
+    if (!dns::DomainName::is_valid(qname) || machine.empty()) {
+      ++skipped;
+      return;
+    }
     std::string normalized_storage;
     std::string_view normalized = qname;
-    bool valid = false;
-    if (cache != nullptr) {
-      if (const auto* entry = cache->find(qname); entry != nullptr) {
-        valid = entry->valid;
-        normalized = entry->normalized;
-      } else if (const auto it = new_name_keys.find(qname); it != new_name_keys.end()) {
-        const auto& fresh = new_names[it->second];
-        valid = fresh.valid;
-        normalized = fresh.normalized;  // consumed before new_names mutates
-      } else {
-        valid = dns::DomainName::is_valid(qname);
-        NameCache::NewName fresh;
-        fresh.raw = std::string(qname);
-        fresh.valid = valid;
-        if (valid) {
-          if (!dns::DomainName::is_normalized(qname)) {
-            normalized_storage = dns::DomainName::parse(qname).str();
-            normalized = normalized_storage;
-          }
-          fresh.normalized = std::string(normalized);
-          fresh.e2ld = std::string(psl->e2ld_or_self(normalized));
-        }
-        new_name_keys.emplace(fresh.raw, static_cast<std::uint32_t>(new_names.size()));
-        new_names.push_back(std::move(fresh));
-        normalized = new_names.back().normalized;
-      }
-      if (!valid || machine.empty()) {
-        ++skipped;
-        return;
-      }
-    } else {
-      if (!dns::DomainName::is_valid(qname) || machine.empty()) {
-        ++skipped;
-        return;
-      }
-      if (!dns::DomainName::is_normalized(qname)) {
-        normalized_storage = dns::DomainName::parse(qname).str();
-        normalized = normalized_storage;
-      }
+    if (!dns::DomainName::is_normalized(qname)) {
+      normalized_storage = dns::DomainName::parse(qname).str();
+      normalized = normalized_storage;
     }
 
     MachineId m;
@@ -153,10 +112,6 @@ ShardedGraphBuilder::ShardedGraphBuilder(const dns::PublicSuffixList& psl,
                                          std::size_t num_shards)
     : psl_(&psl), num_shards_(num_shards) {}
 
-ShardedGraphBuilder::ShardedGraphBuilder(const dns::PublicSuffixList& psl, NameCache& cache,
-                                         std::size_t num_shards)
-    : psl_(&psl), cache_(&cache), num_shards_(num_shards) {}
-
 void ShardedGraphBuilder::add_trace(const dns::DayTrace& trace) {
   day_ = std::max(day_, trace.day);
   if (!trace.records.empty()) {
@@ -167,7 +122,6 @@ void ShardedGraphBuilder::add_trace(const dns::DayTrace& trace) {
 MachineDomainGraph ShardedGraphBuilder::build() {
   SEG_SPAN("build");
   timings_ = BuildTimings{};
-  carry_ = CarryStats{};
   skipped_ = 0;
 
   // Segment prefix offsets give every record a global stream index; shards
@@ -189,8 +143,6 @@ MachineDomainGraph ShardedGraphBuilder::build() {
   const std::size_t per_shard = (total + shards - 1) / shards;
   util::parallel_for(shards, [&](std::size_t s) {
     auto& shard = shard_state[s];
-    shard.cache = cache_;
-    shard.psl = psl_;
     const std::size_t lo = std::min(total, s * per_shard);
     const std::size_t hi = std::min(total, lo + per_shard);
     if (lo >= hi) {
@@ -228,19 +180,6 @@ MachineDomainGraph ShardedGraphBuilder::build() {
   }
 
   obs::Span merge_span("build/merge");
-
-  // --- Phase 1.5 (streaming only): merge the day's new names into the
-  // carried dictionary so assemble-phase lookups by normalized name always
-  // hit. Scan workers only read the cache; this is the sole write point.
-  if (cache_ != nullptr) {
-    std::vector<std::vector<NameCache::NewName>> new_names(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      new_names[s] = std::move(shard_state[s].new_names);
-      shard_state[s].new_name_keys.clear();
-    }
-    carry_.new_names = cache_->merge(new_names);
-    carry_.cached_names = cache_->size();
-  }
 
   // --- Phase 2: merge shard dictionaries into global first-occurrence ids.
   MachineDomainGraph graph;
@@ -382,23 +321,16 @@ MachineDomainGraph ShardedGraphBuilder::build() {
               graph.resolved_ips_.begin() + static_cast<std::ptrdiff_t>(graph.ip_offsets_[d]));
   });
 
-  // e2LD annotation: PSL lookups run in parallel (streamed builds read the
-  // carried dictionary instead — every normalized name is guaranteed cached
-  // after the phase-1.5 merge), then the deterministic two-pass intern
-  // assigns e2LD ids in domain-id first-occurrence order, matching the
-  // serial builder exactly for every thread count.
+  // e2LD annotation: PSL lookups run in parallel, then the deterministic
+  // two-pass intern assigns e2LD ids in domain-id first-occurrence order,
+  // matching the serial builder exactly for every thread count.
   std::vector<std::string> e2lds(num_domains);
   util::parallel_for(num_domains, [&](std::size_t d) {
-    if (cache_ != nullptr) {
-      e2lds[d] = cache_->find(graph.domain_names_[d])->e2ld;
-    } else {
-      e2lds[d] = std::string(psl_->e2ld_or_self(graph.domain_names_[d]));
-    }
+    e2lds[d] = std::string(psl_->e2ld_or_self(graph.domain_names_[d]));
   });
   auto interned = intern_first_occurrence(std::move(e2lds));
   graph.domain_e2ld_ = std::move(interned.ids);
   graph.e2ld_names_ = std::move(interned.distinct);
-  carry_.distinct_domains = num_domains;
 
   graph.machine_labels_.assign(num_machines, Label::kUnknown);
   graph.domain_labels_.assign(num_domains, Label::kUnknown);

@@ -17,12 +17,6 @@
 // intern (graph/intern.h), all matching the serial builder's layout.
 // tests/graph/sharded_builder_test.cpp asserts byte equality of the
 // serialized graphs.
-//
-// Streaming mode: when constructed with a NameCache, the scan phase serves
-// name validation/normalization/e2LD facts from the carried dictionary and
-// only computes them for names unseen on previous days; the day's new
-// names are merged back after the scan. The built graph stays bit-identical
-// to a from-scratch build (tests/core/pipeline_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -32,7 +26,6 @@
 #include "dns/public_suffix_list.h"
 #include "dns/query_log.h"
 #include "graph/graph.h"
-#include "graph/name_cache.h"
 
 namespace seg::graph {
 
@@ -59,13 +52,6 @@ class ShardedGraphBuilder {
   /// width; 0 means util::parallelism(). The result does not depend on it.
   explicit ShardedGraphBuilder(const dns::PublicSuffixList& psl, std::size_t num_shards = 0);
 
-  /// Streaming constructor: name facts are served from (and new names
-  /// merged back into) `cache`, which must outlive the builder. The built
-  /// graph is bit-identical to the cache-less build; last_carry() reports
-  /// the dictionary reuse.
-  ShardedGraphBuilder(const dns::PublicSuffixList& psl, NameCache& cache,
-                      std::size_t num_shards = 0);
-
   /// Registers a day trace for the next build(). The graph's day becomes
   /// the latest day added, as with GraphBuilder::add_trace.
   void add_trace(const dns::DayTrace& trace);
@@ -81,19 +67,13 @@ class ShardedGraphBuilder {
   /// Per-stage wall time of the last build().
   const BuildTimings& last_timings() const { return timings_; }
 
-  /// Dictionary reuse counters of the last build(). Without a NameCache
-  /// only distinct_domains is populated.
-  const CarryStats& last_carry() const { return carry_; }
-
  private:
   const dns::PublicSuffixList* psl_;
-  NameCache* cache_ = nullptr;
   std::size_t num_shards_;
   dns::Day day_ = 0;
   std::vector<std::span<const dns::QueryRecord>> segments_;
   std::size_t skipped_ = 0;
   BuildTimings timings_;
-  CarryStats carry_;
 };
 
 }  // namespace seg::graph

@@ -244,7 +244,7 @@ void SymbolIndex::add_file(const ProjectFile& file, std::size_t file_index) {
     }
     if (t.kind == TokKind::kIdentifier && i + 1 < n && is_punct(toks[i + 1], "(") &&
         is_function_heading(toks, i, i + 1)) {
-      // Qualified definition names (`void NameCache::find(...)`) contribute
+      // Qualified definition names (`void Pipeline::train(...)`) contribute
       // their `Foo::` prefix; the scanner stands on the final component.
       std::string qualifier;
       for (std::size_t k = i; k >= 2 && is_punct(toks[k - 1], "::") &&

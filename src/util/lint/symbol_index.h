@@ -32,7 +32,7 @@ namespace seg::lint {
 
 /// One function declaration or definition found by the scope scanner.
 struct SymbolRecord {
-  std::string qualified_name;  ///< e.g. "seg::graph::NameCache::find"
+  std::string qualified_name;  ///< e.g. "seg::core::Pipeline::train"
   std::string name;            ///< last component
   std::size_t arity = 0;
   std::string signature;       ///< normalized parameter types (names stripped)

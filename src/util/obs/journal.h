@@ -2,7 +2,7 @@
 //
 // A journal is the longitudinal artifact of seg::obs: one JSONL line per
 // observation day, written by core::Pipeline at each day rollover, holding
-// the day's deterministic run snapshot — record/graph/prune/carry counters,
+// the day's deterministic run snapshot — record/graph/prune counters,
 // the score histogram, per-feature summary histograms, calibration gauges,
 // drift gauges and any tripped alerts. Entries are fully deterministic by
 // default (byte-identical across thread counts for the same inputs);

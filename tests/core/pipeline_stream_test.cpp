@@ -1,10 +1,11 @@
 // The ingest_stream() determinism contract: a streamed session — records
 // pulled from a TraceSource, micro-batched through the bounded queue, cut
 // at day boundaries — produces byte-identical artifacts (graphs, model,
-// session, scores) to a one-day-at-a-time session fed from in-memory day
-// traces, at any parallelism and any queue tuning, as long as the
-// back-pressure policy is kBlock. This is the acceptance test for the
-// streaming design; docs/ingestion.md points here.
+// scores) to a one-day-at-a-time session fed from in-memory day traces, at
+// any parallelism and any queue tuning, as long as the back-pressure
+// policy is kBlock. A source that fails mid-day never hands that day out.
+// This is the acceptance test for the streaming design; docs/ingestion.md
+// points here.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -95,7 +96,6 @@ class PipelineStreamTest : public ::testing::Test {
     std::string train_graph;
     std::string test_graph;
     std::string model;
-    std::string session;
     std::vector<std::pair<std::string, double>> scores;
   };
 
@@ -108,9 +108,6 @@ class PipelineStreamTest : public ::testing::Test {
     std::ostringstream model_blob;
     pipeline.detector().save(model_blob);
     artifacts.model = std::move(model_blob).str();
-    std::ostringstream session_blob;
-    pipeline.save_session(session_blob);
-    artifacts.session = std::move(session_blob).str();
     for (const auto& score : report.scores) {
       artifacts.scores.emplace_back(score.name, score.score);
     }
@@ -122,7 +119,6 @@ class PipelineStreamTest : public ::testing::Test {
     EXPECT_EQ(streamed.train_graph, batch.train_graph) << label << ": train graph";
     EXPECT_EQ(streamed.test_graph, batch.test_graph) << label << ": test graph";
     EXPECT_EQ(streamed.model, batch.model) << label << ": model";
-    EXPECT_EQ(streamed.session, batch.session) << label << ": session";
     ASSERT_EQ(streamed.scores.size(), batch.scores.size()) << label;
     for (std::size_t i = 0; i < batch.scores.size(); ++i) {
       EXPECT_EQ(streamed.scores[i].first, batch.scores[i].first) << label << " #" << i;
@@ -353,6 +349,33 @@ TEST_F(PipelineStreamTest, ProducerParseErrorsPropagateAfterDrain) {
                    source, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
                    w.whitelist().all(), [](PreparedDay&&) {}),
                util::ParseError);
+}
+
+TEST_F(PipelineStreamTest, SourceFailureMidDayNeverHandsOutTheOpenDay) {
+  // A capture cut off inside day 5 (a crashed writer, a truncated copy)
+  // makes the producer throw while day 5 is still open. Day 4 ended at the
+  // rollover and is handed out; day 5's records stop short, so it must not
+  // reach on_day looking like a complete day.
+  auto& w = world();
+  const std::vector<dns::DayTrace> traces = {w.generate_day(0, 4), w.generate_day(0, 5)};
+  const auto path = write_multiday_binlog(traces, ".cut.bin");
+  const auto day4_only = write_multiday_binlog({traces[0]}, ".day4.bin");
+  const auto day4_bytes = std::filesystem::file_size(day4_only);
+  const auto total_bytes = std::filesystem::file_size(path);
+  ASSERT_GT(total_bytes, day4_bytes);
+  std::filesystem::resize_file(path, day4_bytes + (total_bytes - day4_bytes) / 2);
+
+  const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 5);
+  Pipeline pipeline(w.psl(), w.activity(), w.pdns(), fast_config());
+  dns::FileTraceSource source(path);
+  std::vector<dns::Day> handed_out;
+  EXPECT_THROW(pipeline.ingest_stream(
+                   source, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
+                   w.whitelist().all(),
+                   [&](PreparedDay&& day) { handed_out.push_back(day.day); }),
+               util::ParseError);
+  EXPECT_EQ(handed_out, std::vector<dns::Day>{4});
+  EXPECT_EQ(pipeline.streaming_stats().days_ingested, 1u);
 }
 
 }  // namespace

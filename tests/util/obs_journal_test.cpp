@@ -30,7 +30,7 @@ JournalEntry sample_entry(std::int64_t day) {
   entry.day = day;
   entry.add_counter("records", 1000 + static_cast<std::uint64_t>(day));
   entry.add_counter("unknown_domains", 42);
-  entry.add_gauge("carry_reuse_ratio", 0.75);
+  entry.add_gauge("calibration_tpr", 0.75);
   entry.add_gauge("calibration_threshold", 0.6);
   entry.add_histogram("scores",
                       histogram_of({0.25, 0.5, 0.75, 1.0}, {0.1, 0.3, 0.3, 0.8, 0.99}));
@@ -69,8 +69,8 @@ TEST(ObsJournal, RoundTripsThroughWriterReaderAndValidator) {
   EXPECT_EQ(entry.day, 3);
   ASSERT_NE(entry.find_counter("records"), nullptr);
   EXPECT_EQ(*entry.find_counter("records"), 1003u);
-  ASSERT_NE(entry.find_gauge("carry_reuse_ratio"), nullptr);
-  EXPECT_DOUBLE_EQ(*entry.find_gauge("carry_reuse_ratio"), 0.75);
+  ASSERT_NE(entry.find_gauge("calibration_tpr"), nullptr);
+  EXPECT_DOUBLE_EQ(*entry.find_gauge("calibration_tpr"), 0.75);
   const JournalHistogram* scores = entry.find_histogram("scores");
   ASSERT_NE(scores, nullptr);
   EXPECT_EQ(scores->count, 5u);

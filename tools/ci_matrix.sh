@@ -35,7 +35,9 @@
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
-# producer/consumer interleavings actually vary), the malformed-wire
+# producer/consumer interleavings actually vary; the stream suite includes
+# a source that fails mid-day, whose open day must never reach the day
+# callback), the malformed-wire
 # corpus and the mapped reader's page release under asan (where "never
 # UB" is checked, not assumed), the
 # decoders' allocation contract (wire_alloc_test, plain tree: it counts
