@@ -1,6 +1,6 @@
 #include "dns/domain_name.h"
 
-#include <cctype>
+#include <array>
 
 #include "util/require.h"
 #include "util/strings.h"
@@ -9,62 +9,73 @@ namespace seg::dns {
 
 namespace {
 
-bool is_label_char(char c) {
-  const auto uc = static_cast<unsigned char>(c);
-  return std::isalnum(uc) != 0 || c == '-' || c == '_';
+// Bytes a label may hold: [A-Za-z0-9_-], what std::isalnum accepts after
+// lowercasing in the C locale plus the two punctuation bytes labels may
+// carry. Either case is accepted, so a name validates before (or without)
+// its normalizing copy.
+constexpr std::array<bool, 256> kLabelBytes = [] {
+  std::array<bool, 256> table{};
+  for (int c = 'a'; c <= 'z'; ++c) {
+    table[static_cast<unsigned char>(c)] = true;
+    table[static_cast<unsigned char>(c - 'a' + 'A')] = true;
+  }
+  for (int c = '0'; c <= '9'; ++c) {
+    table[static_cast<unsigned char>(c)] = true;
+  }
+  table['-'] = true;
+  table['_'] = true;
+  return table;
+}();
+
+// A label is 1-63 bytes and neither starts nor ends with a hyphen.
+bool valid_label(std::string_view name, std::size_t begin, std::size_t end) {
+  const std::size_t len = end - begin;
+  return len != 0 && len <= 63 && name[begin] != '-' && name[end - 1] != '-';
 }
 
-// Validates a normalized (lowercase, no trailing dot) candidate name.
-bool validate_normalized(std::string_view name) {
+// Validates a candidate name without its trailing dot, in either case.
+bool validate(std::string_view name) {
   if (name.empty() || name.size() > 253) {
     return false;
   }
   std::size_t label_start = 0;
-  std::size_t label_count = 0;
-  for (std::size_t i = 0; i <= name.size(); ++i) {
-    if (i == name.size() || name[i] == '.') {
-      const std::size_t len = i - label_start;
-      if (len == 0 || len > 63) {
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    if (c == '.') {
+      if (!valid_label(name, label_start, i)) {
         return false;
       }
-      const std::string_view label = name.substr(label_start, len);
-      if (label.front() == '-' || label.back() == '-') {
-        return false;
-      }
-      ++label_count;
       label_start = i + 1;
-      continue;
-    }
-    if (!is_label_char(name[i])) {
+    } else if (!kLabelBytes[static_cast<unsigned char>(c)]) {
       return false;
     }
   }
-  return label_count >= 1;
+  return valid_label(name, label_start, name.size());
 }
 
-std::string normalize(std::string_view text) {
+std::string_view strip_trailing_dot(std::string_view text) {
   if (!text.empty() && text.back() == '.') {
     text.remove_suffix(1);
   }
-  return util::to_lower(text);
+  return text;
 }
 
 }  // namespace
 
 DomainName DomainName::parse(std::string_view text) {
-  std::string normalized = normalize(text);
-  if (!validate_normalized(normalized)) [[unlikely]] {
+  const std::string_view stripped = strip_trailing_dot(text);
+  if (!validate(stripped)) [[unlikely]] {
     util::throw_parse_error({"DomainName::parse: invalid domain name: '", text, "'"});
   }
-  return DomainName(std::move(normalized));
+  return DomainName(util::to_lower(stripped));
 }
 
 bool DomainName::is_valid(std::string_view text) {
-  return validate_normalized(normalize(text));
+  return validate(strip_trailing_dot(text));
 }
 
 bool DomainName::is_normalized(std::string_view text) {
-  // normalize() only lowercases ASCII letters and strips one trailing dot,
+  // Normalizing only lowercases ASCII letters and strips one trailing dot,
   // so a name is already normalized iff neither applies.
   if (text.empty() || text.back() == '.') {
     return false;

@@ -61,7 +61,7 @@ struct GraphcCounts {
 
 /// Streams the packed encoding: writes the container + binary header on
 /// construction, then the caller appends each section in layout order
-/// (name tables, then raw bytes or u32 values) with pad8() after
+/// (name tables, then raw bytes) with pad8() after
 /// every section. Used by save_graph_compressed and by the out-of-core
 /// writer, so both produce byte-identical files from identical logical
 /// content.
@@ -75,7 +75,6 @@ class PackedGraphcWriter {
                   const std::function<std::string_view(std::size_t)>& name_of);
 
   void bytes(const void* data, std::size_t size);
-  void u32(std::uint32_t value) { bytes(&value, sizeof(value)); }
   /// Pads the file position to the next multiple of 8.
   void pad8();
   /// Validates the stream state; call once after the last section.

@@ -6,9 +6,15 @@
 // keep masks — stays resident (O(machines + domains + e2LDs)); the edge
 // and IP-pair streams, which dominate at ISP scale, are spilled to
 // sorted/deduplicated delta+varint compressed segments and re-read through
-// k-way merges. Peak RSS is O(nodes + chunk_records), independent of the
-// edge count, which is what lets one box prepare days of 10^6-10^7
+// k-way merges. The trace is scanned in batches of kOutOfCoreBatchRecords
+// records. Peak RSS is O(nodes + chunk_records + batch), independent of
+// the edge count, which is what lets one box prepare days of 10^6-10^7
 // machines (the bench_scale_sweep "scale" section records the bound).
+//
+// The scan and the spill sorts run on the shared pool (util/parallel.h).
+// How the work is split depends only on the input, so the result — the
+// output bytes, skipped records, spill segments and bytes, PruneStats — is
+// identical for every pool size.
 //
 // The input is read through dns::FileTraceSource, so any trace format it
 // sniffs (sim TSV, SEGTRC1 binlog, dnstap, pcap) is accepted; a trace
@@ -17,8 +23,9 @@
 //
 //   save_graph_compressed(Segugio::prepare_graph(trace, ...).graph, out)
 //
-// for every chunk size (tests/graph/oocore_test.cpp asserts this), so the
-// file can be mmap-served to classification directly via map_graph().
+// for every chunk size and pool size (tests/graph/oocore_test.cpp asserts
+// this), so the file can be mmap-served to classification directly via
+// map_graph().
 //
 // Scope: the streaming prepare supports the default prepare pipeline only —
 // no prober filtering; callers needing it stay on the in-memory
@@ -33,6 +40,10 @@
 #include "graph/pruning.h"
 
 namespace seg::graph {
+
+/// Records the scan reads and resolves per batch. A constant: the scan's
+/// work split depends on it and on the input, never on the pool size.
+inline constexpr std::size_t kOutOfCoreBatchRecords = std::size_t{1} << 15;
 
 struct OutOfCoreConfig {
   PruningConfig pruning;

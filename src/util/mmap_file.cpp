@@ -1,6 +1,7 @@
 #include "util/mmap_file.h"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "util/require.h"
@@ -56,6 +57,31 @@ void MmapFile::close() {
   open_ = false;
 }
 
+// Under AddressSanitizer the buffers come from the heap instead, so their
+// bounds stay checked; a mapping is only checked to page granularity.
+#if defined(__SANITIZE_ADDRESS__)
+
+void* map_anonymous(std::size_t bytes) { return ::operator new(bytes); }
+
+void unmap_anonymous(void* data, std::size_t) noexcept { ::operator delete(data); }
+
+#else
+
+void* map_anonymous(std::size_t bytes) {
+  void* mapped = ::mmap(nullptr, std::max<std::size_t>(bytes, 1), PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return mapped;
+}
+
+void unmap_anonymous(void* data, std::size_t bytes) noexcept {
+  ::munmap(data, std::max<std::size_t>(bytes, 1));
+}
+
+#endif
+
 #else
 
 MmapFile::MmapFile(const std::string& path) {
@@ -69,6 +95,10 @@ void MmapFile::close() {
   size_ = 0;
   open_ = false;
 }
+
+void* map_anonymous(std::size_t bytes) { return ::operator new(bytes); }
+
+void unmap_anonymous(void* data, std::size_t) noexcept { ::operator delete(data); }
 
 #endif
 

@@ -1,20 +1,54 @@
-// Read-only memory-mapped files — the project's single mmap wrapper.
+// Read-only memory-mapped files and anonymous stage buffers — the
+// project's single mmap wrapper.
 //
 // All raw mmap/munmap/madvise calls in the tree live in mmap_file.cpp
 // (enforced by seg-lint rule R-MEM1): mapping lifetime bugs and page
 // release are concentrated in one reviewed translation unit.
 //
-// Mappings are private and read-only. A reader that walks a mapping once
-// from front to back (FileTraceSource over a capture) calls
+// File mappings are private and read-only. A reader that walks a mapping
+// once from front to back (FileTraceSource over a capture) calls
 // release_before() as its cursor advances, so the file's pages stay
 // resident only in a bounded window behind the cursor instead of
 // accumulating for the whole file.
+//
+// Anonymous mappings (map_anonymous, AnonymousAllocator) serve large
+// buffers that live for one stage of a call. Unmapped, their pages leave
+// the process at once; freed to malloc, such buffers stay resident in the
+// heap holes they leave, and a process that repeats the stage climbs to a
+// higher peak RSS with every repeat (docs/performance.md, "The scan on the
+// shared pool").
 #pragma once
 
 #include <cstddef>
 #include <string>
+#include <type_traits>
 
 namespace seg::util {
+
+/// Maps `bytes` of private, anonymous memory (heap memory where mappings
+/// are unavailable, and under AddressSanitizer). Throws std::bad_alloc
+/// when the system refuses.
+void* map_anonymous(std::size_t bytes);
+
+/// Unmaps memory from map_anonymous; `bytes` as passed there.
+void unmap_anonymous(void* data, std::size_t bytes) noexcept;
+
+/// An allocator that gives every allocation its own anonymous mapping, for
+/// containers of stage-lifetime buffers that reserve once and grow rarely.
+template <typename T>
+struct AnonymousAllocator {
+  using value_type = T;
+  using is_always_equal = std::true_type;
+
+  AnonymousAllocator() = default;
+  template <typename U>
+  AnonymousAllocator(const AnonymousAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) { return static_cast<T*>(map_anonymous(n * sizeof(T))); }
+  void deallocate(T* data, std::size_t n) noexcept { unmap_anonymous(data, n * sizeof(T)); }
+
+  friend bool operator==(const AnonymousAllocator&, const AnonymousAllocator&) { return true; }
+};
 
 class MmapFile {
  public:

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/require.h"
 
 namespace seg::dns {
@@ -50,8 +52,60 @@ TEST(DomainNameTest, ParseRejectsOverlongNameAndLabel) {
 }
 
 TEST(DomainNameTest, IsValidAgreesWithParse) {
-  EXPECT_TRUE(DomainName::is_valid("a.b.c"));
-  EXPECT_FALSE(DomainName::is_valid("a..c"));
+  const std::string label63(63, 'a');
+  const std::string label64(64, 'a');
+  // 63 + 1 + 63 + 1 + 63 + 1 + 61 = 253 bytes, the longest valid name.
+  const std::string name253 = label63 + "." + label63 + "." + label63 + "." + std::string(61, 'b');
+  const std::string name254 = name253 + "c";
+  const struct {
+    std::string text;
+    bool valid;
+  } corpus[] = {
+      {"a.b.c", true},
+      {"a..c", false},
+      {"WwW.ExAmPlE.CoM", true},
+      {"Example.COM.", true},
+      {"example.com..", false},
+      {".", false},
+      {"..", false},
+      {"", false},
+      {"a", true},
+      {"A.", true},
+      {".example.com", false},
+      {"caf\xc3\xa9.fr", false},
+      {"\x80" "abc.com", false},
+      {"abc.com\xff", false},
+      {"_dmarc.example.com", true},
+      {"a_.b_", true},
+      {"-a.com", false},
+      {"a-.com", false},
+      {"a.-b", false},
+      {"a.b-", false},
+      {"_-_.com", true},
+      {"A-B.C_D", true},
+      {"exa mple.com", false},
+      {"ex!ample.com", false},
+      {"example.com/", false},
+      {label63 + ".com", true},
+      {label64 + ".com", false},
+      {"www." + label63, true},
+      {"www." + label64 + ".", false},
+      {name253, true},
+      {name253 + ".", true},
+      {name253 + "..", false},
+      {name254, false},
+      {name254 + ".", false},
+  };
+  for (const auto& [text, valid] : corpus) {
+    bool parses = true;
+    try {
+      DomainName::parse(text);
+    } catch (const util::ParseError&) {
+      parses = false;
+    }
+    EXPECT_EQ(DomainName::is_valid(text), parses) << "'" << text << "'";
+    EXPECT_EQ(DomainName::is_valid(text), valid) << "'" << text << "'";
+  }
 }
 
 TEST(DomainNameTest, Labels) {

@@ -2,7 +2,8 @@
 // buffers and the caller's reused QueryRecord have grown to fit the
 // stream, decoding a record touches the heap no more. Every bounds check
 // still runs on every read; only its error text moved onto the failure
-// path (dns/wire/bytes.h).
+// path (dns/wire/bytes.h). The per-record name checks every graph builder
+// runs (DomainName::is_valid, is_normalized) allocate nothing either.
 //
 // The binary replaces the global operator new/delete with counting
 // versions, so it is an executable of its own, and it is not built under
@@ -17,6 +18,7 @@
 #include <new>
 #include <string>
 
+#include "dns/domain_name.h"
 #include "dns/query_log.h"
 #include "dns/trace_source.h"
 #include "dns/wire/dnstap.h"
@@ -134,6 +136,25 @@ TEST_F(WireAllocTest, CounterSeesHeapAllocations) {
   const std::string* text = new std::string(100, 'x');
   EXPECT_GT(g_allocations.load(), before);  // the object and its buffer
   delete text;
+}
+
+TEST_F(WireAllocTest, NameChecksAreAllocationFree) {
+  // All longer than the 15 bytes a std::string holds without the heap.
+  const std::string names[] = {
+      "Mixed-Case.Long-Label.Example.COM.", "www.some-long-domain-name.example.org",
+      "bad..name.example.com",              "trailing.dot.example.net.",
+      "UPPER.CASE.EXAMPLE.ORG",
+  };
+  const auto before = g_allocations.load();
+  std::size_t valid = 0;
+  std::size_t normalized = 0;
+  for (const auto& name : names) {
+    valid += DomainName::is_valid(name) ? 1 : 0;
+    normalized += DomainName::is_normalized(name) ? 1 : 0;
+  }
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(valid, 4u);
+  EXPECT_EQ(normalized, 2u);
 }
 
 TEST_F(WireAllocTest, DnstapDecodeIntoAReusedRecordIsAllocationFree) {

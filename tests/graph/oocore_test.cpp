@@ -1,15 +1,18 @@
 // Byte-identity tests for the out-of-core prepare (oocore.h): for every
-// chunk size, the streamed trace -> spill -> merge -> packed-write path
-// must produce exactly the file the in-memory pipeline produces via
-// build + apply_labels + prune + save_graph_compressed. Anything
-// weaker would let the mmap-served classification drift from the
+// chunk size and pool size, the streamed trace -> spill -> merge ->
+// packed-write path must produce exactly the file the in-memory pipeline
+// produces via build + apply_labels + prune + save_graph_compressed.
+// Anything weaker would let the mmap-served classification drift from the
 // heap-resident reference.
 #include "graph/oocore.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "graph/graph_compressed.h"
 #include "graph/labeling.h"
 #include "graph/pruning.h"
+#include "util/parallel.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -103,10 +107,129 @@ class OutOfCoreTest : public ::testing::Test {
     return trace;
   }
 
+  // A seeded trace three scan batches long, shaped to reach the scan's
+  // cross-batch paths: machines and domains first seen in later batches,
+  // mixed-case, trailing-dot, invalid and empty-machine rows around every
+  // batch boundary, heavy (domain, IP) repetition, and more distinct pairs
+  // than the repeat filter has slots, so pairs collide in it.
+  dns::DayTrace make_multi_batch_trace() {
+    constexpr std::size_t kBatch = kOutOfCoreBatchRecords;
+    const std::size_t total = 2 * kBatch + kBatch / 3;
+    dns::DayTrace trace;
+    trace.day = 11;
+    util::Rng rng(19);
+    const auto add = [&](const std::string& machine, const std::string& qname,
+                         std::vector<dns::IpV4> ips) {
+      dns::QueryRecord record;
+      record.day = trace.day;
+      record.machine = machine;
+      record.qname = qname;
+      record.resolved_ips = std::move(ips);
+      trace.records.push_back(std::move(record));
+    };
+    const auto domain_name = [](std::uint64_t j) {
+      return "h" + std::to_string(j % 7) + ".d" + std::to_string(j / 7) + ".com";
+    };
+    // Domains below 300 answer six addresses from one shared pool of 4096
+    // (about 10^5 distinct pairs, most seen once); the rest always give the
+    // same 1-4, and every third of them one of four shared hosting
+    // addresses.
+    const auto answers = [&](std::uint64_t j) {
+      std::vector<dns::IpV4> ips;
+      if (j < 300) {
+        for (int k = 0; k < 6; ++k) {
+          ips.push_back(dns::IpV4((10u << 24) | static_cast<std::uint32_t>(rng.next_below(4096))));
+        }
+      } else {
+        for (std::uint64_t k = 0; k <= j % 4; ++k) {
+          ips.push_back(dns::IpV4((172u << 24) | static_cast<std::uint32_t>(j << 2 | k)));
+        }
+        if (j % 3 == 0) {
+          ips.push_back(dns::IpV4::from_octets(192, 0, 2, static_cast<std::uint8_t>(j % 4)));
+        }
+      }
+      return ips;
+    };
+
+    // The first pair is (domain 0, 0.0.0.0): all-zero bits, which must not
+    // read as an empty filter slot.
+    add("m0", domain_name(400), {dns::IpV4(0)});
+    std::uint64_t machine = 0;
+    while (trace.records.size() < total) {
+      const std::size_t i = trace.records.size();
+      const std::size_t batch = i / kBatch;
+      const std::size_t offset = i % kBatch;
+      if (offset >= kBatch - 2) {
+        // Just before a boundary: an invalid name, then a new domain in
+        // mixed case with a trailing dot.
+        if (offset == kBatch - 2) {
+          add("m" + std::to_string(machine), "bad..name" + std::to_string(batch), answers(5));
+        } else {
+          add("m" + std::to_string(machine), "New" + std::to_string(batch) + ".Boundary.ORG.",
+              answers(7));
+        }
+        continue;
+      }
+      if (batch > 0 && offset < 2) {
+        // Just after it: an empty machine, then a new machine querying the
+        // normalized form of that domain.
+        if (offset == 0) {
+          add("", domain_name(3), answers(3));
+        } else {
+          add("late-host-" + std::to_string(batch),
+              "new" + std::to_string(batch - 1) + ".boundary.org", answers(7));
+        }
+        continue;
+      }
+      // Machine-grouped runs, with the odd revisit of an earlier machine.
+      if (rng.next_below(24) == 0) {
+        ++machine;
+      }
+      const std::uint64_t m = rng.next_below(50) == 0 ? rng.next_below(machine + 1) : machine;
+      // Skewed domain popularity: rare domains tend to be first seen late.
+      const std::uint64_t j = rng.next_below(rng.next_below(4000) + 1);
+      std::string qname = domain_name(j);
+      if (batch == 2 && rng.next_below(10) == 0) {
+        qname = "late" + std::to_string(rng.next_below(500)) + ".example.net";
+      }
+      if (rng.next_below(16) == 0) {
+        for (auto& c : qname) {
+          c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        }
+        qname += ".";
+      }
+      add("m" + std::to_string(m), qname, answers(j));
+    }
+    return trace;
+  }
+
+  static void expect_same_stats(const PruneStats& a, const PruneStats& b,
+                                const std::string& context) {
+    EXPECT_EQ(a.machines_before, b.machines_before) << context;
+    EXPECT_EQ(a.machines_after, b.machines_after) << context;
+    EXPECT_EQ(a.domains_before, b.domains_before) << context;
+    EXPECT_EQ(a.domains_after, b.domains_after) << context;
+    EXPECT_EQ(a.edges_before, b.edges_before) << context;
+    EXPECT_EQ(a.edges_after, b.edges_after) << context;
+    EXPECT_EQ(a.machines_removed_r1, b.machines_removed_r1) << context;
+    EXPECT_EQ(a.machines_removed_r2, b.machines_removed_r2) << context;
+    EXPECT_EQ(a.domains_removed_r3, b.domains_removed_r3) << context;
+    EXPECT_EQ(a.domains_removed_r4, b.domains_removed_r4) << context;
+    EXPECT_EQ(a.malware_machines_kept_by_exception, b.malware_machines_kept_by_exception)
+        << context;
+    EXPECT_EQ(a.malware_domains_kept_by_exception, b.malware_domains_kept_by_exception)
+        << context;
+    EXPECT_EQ(a.theta_d, b.theta_d) << context;
+    EXPECT_EQ(a.theta_m, b.theta_m) << context;
+  }
+
   NameSet blacklist() {
     NameSet set;
     set.insert("cc.evil.biz");
     set.insert("drop.evil2.biz");
+    set.insert("h1.d3.com");
+    set.insert("h4.d40.com");
+    set.insert("new0.boundary.org");
     return set;
   }
 
@@ -114,6 +237,8 @@ class OutOfCoreTest : public ::testing::Test {
     NameSet set;
     set.insert("popular.com");
     set.insert("site1.net");
+    set.insert("d0.com");
+    set.insert("d5.com");
     return set;
   }
 
@@ -169,6 +294,58 @@ TEST_F(OutOfCoreTest, MatchesInMemoryPipelineByteForByteAtEveryChunkSize) {
     EXPECT_EQ(result.prune_stats.machines_after, reference_stats.machines_after);
     EXPECT_EQ(result.prune_stats.domains_after, reference_stats.domains_after);
     EXPECT_EQ(result.prune_stats.edges_after, reference_stats.edges_after);
+  }
+}
+
+TEST_F(OutOfCoreTest, MultiBatchTraceMatchesInMemoryPipelineAtEveryPoolSize) {
+  const auto trace = make_multi_batch_trace();
+  ASSERT_GT(trace.records.size(), 2 * kOutOfCoreBatchRecords);
+  dns::write_trace_binary(trace, binary_trace_path_);
+  const auto skipped = static_cast<std::size_t>(
+      std::count_if(trace.records.begin(), trace.records.end(), [](const auto& record) {
+        return record.machine.empty() || !dns::DomainName::is_valid(record.qname);
+      }));
+  ASSERT_EQ(skipped, 4u);
+  PruningConfig pruning;
+  pruning.proxy_degree_percentile = 0.95;
+  PruneStats reference_stats;
+  const auto expected = reference_bytes(trace, pruning, &reference_stats);
+
+  struct RestorePool {
+    ~RestorePool() { util::set_parallelism(0); }
+  } restore;
+  for (const std::size_t chunk : {std::size_t{7}, std::size_t{4096}, std::size_t{1} << 20}) {
+    std::optional<OutOfCoreResult> first;
+    for (const std::size_t pool : {1, 2, 3, 8}) {
+      util::set_parallelism(pool);
+      OutOfCoreConfig config;
+      config.pruning = pruning;
+      config.chunk_records = chunk;
+      const auto result = prepare_graph_out_of_core(binary_trace_path_, psl_, blacklist(),
+                                                    whitelist(), out_path_, config);
+      const std::string context =
+          "chunk_records " + std::to_string(chunk) + ", pool " + std::to_string(pool);
+      // Not EXPECT_EQ: gtest would diff two megabyte-sized blobs by line.
+      const auto bytes = file_bytes(out_path_);
+      EXPECT_TRUE(bytes == expected) << context << ": " << bytes.size() << " bytes against "
+                                     << expected.size() << ", first difference at byte "
+                                     << std::distance(bytes.begin(),
+                                                      std::mismatch(bytes.begin(), bytes.end(),
+                                                                    expected.begin(),
+                                                                    expected.end())
+                                                          .first);
+      EXPECT_EQ(result.records, trace.records.size()) << context;
+      EXPECT_EQ(result.skipped_records, skipped) << context;
+      expect_same_stats(result.prune_stats, reference_stats, context);
+      if (!first) {
+        first = result;
+        continue;
+      }
+      // Everything observable is a function of the input, not of the pool.
+      EXPECT_EQ(result.spill_segments, first->spill_segments) << context;
+      EXPECT_EQ(result.spill_bytes, first->spill_bytes) << context;
+      expect_same_stats(result.prune_stats, first->prune_stats, context);
+    }
   }
 }
 

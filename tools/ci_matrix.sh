@@ -31,7 +31,10 @@
 # zero-copy GraphView path (mapping lifetime, crafted graphc files, spill
 # varint decode bounds, classify parity: PipelineTest maps every streamed
 # day explicitly) and the out-of-core prepare's reads through
-# FileTraceSource get sanitizer coverage; see docs/graph-format.md.
+# FileTraceSource get sanitizer coverage; see docs/graph-format.md. The
+# prepare's scan and spill sorts run on the shared pool, so the leg also
+# soaks the OutOfCore suites in the tsan tree at SEG_THREADS=8 (repeated,
+# so the interleavings vary), next to the asan runs.
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
@@ -293,6 +296,12 @@ run_oocore() {
     echo "    build FAILED (see ${log})"
     return 1
   fi
+  echo "=== [oocore] build graph tests (build-tsan, SEG_SANITIZE='thread') ==="
+  if ! cmake -B build-tsan -S . -DSEG_SANITIZE=thread >> "${log}" 2>&1 ||
+     ! cmake --build build-tsan -j "${JOBS}" --target graph_test >> "${log}" 2>&1; then
+    echo "    tsan build FAILED (see ${log})"
+    return 1
+  fi
 
   echo "=== [oocore] mmap-backing + pipeline + golden-digest + graph container suites ==="
   if ! "${build_dir}/tests/core_test" \
@@ -303,6 +312,13 @@ run_oocore() {
   if ! "${build_dir}/tests/graph_test" \
        --gtest_filter='GraphCompressed*:OutOfCore*:Varint*' >> "${log}" 2>&1; then
     echo "    graph suites FAILED under asan (see ${log})"
+    return 1
+  fi
+
+  echo "=== [oocore] tsan soak: parallel out-of-core prepare (x5, SEG_THREADS=8) ==="
+  if ! SEG_THREADS=8 build-tsan/tests/graph_test --gtest_filter='OutOfCore*' \
+       --gtest_repeat=5 >> "${log}" 2>&1; then
+    echo "    out-of-core prepare soak FAILED under tsan (see ${log})"
     return 1
   fi
   return 0
