@@ -28,10 +28,6 @@ struct LbpConfig {
   std::size_t max_iterations = 15;
   /// Stop when the largest belief change falls below this.
   double convergence_epsilon = 1e-4;
-  /// Worker threads for the synchronous message updates (the paper ran
-  /// this baseline on GraphLab's parallel engine); 0 = hardware
-  /// concurrency. Results are identical for any thread count.
-  std::size_t num_threads = 0;
 };
 
 struct LbpResult {
@@ -43,7 +39,10 @@ struct LbpResult {
   bool converged = false;
 };
 
-/// Runs synchronous-schedule LBP over a labeled graph.
+/// Runs synchronous-schedule LBP over a labeled graph. Both message sweeps
+/// run on the shared pool (util/parallel.h; the paper ran this baseline on
+/// GraphLab's parallel engine); the beliefs are identical for every pool
+/// size.
 LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
                                        const LbpConfig& config = {});
 

@@ -101,6 +101,13 @@ void PackedGraphcWriter::bytes(const void* data, std::size_t size) {
   written_ += size;
 }
 
+std::uint64_t PackedGraphcWriter::reserve_section(std::uint64_t size) {
+  const std::uint64_t offset = written_;
+  out_->seekp(static_cast<std::streamoff>(size), std::ios::cur);
+  written_ += size;
+  return offset;
+}
+
 void PackedGraphcWriter::pad8() {
   static constexpr char kZeros[8] = {};
   const std::size_t gap = pad8_gap(written_);

@@ -75,6 +75,9 @@ class PackedGraphcWriter {
                   const std::function<std::string_view(std::size_t)>& name_of);
 
   void bytes(const void* data, std::size_t size);
+  /// Skips `size` bytes that the caller fills later with positioned writes
+  /// to the same file, and returns their file offset.
+  std::uint64_t reserve_section(std::uint64_t size);
   /// Pads the file position to the next multiple of 8.
   void pad8();
   /// Validates the stream state; call once after the last section.

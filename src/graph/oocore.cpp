@@ -1,15 +1,24 @@
 #include "graph/oocore.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cerrno>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <mutex>
 #include <span>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,42 +43,106 @@ namespace {
 template <typename T>
 using StageVector = std::vector<T, util::AnonymousAllocator<T>>;
 
-// --- spill segments ---------------------------------------------------------
+constexpr std::uint32_t low32(std::uint64_t pair) {
+  return static_cast<std::uint32_t>(pair & 0xffffffffu);
+}
+constexpr std::uint32_t high32(std::uint64_t pair) {
+  return static_cast<std::uint32_t>(pair >> 32);
+}
+
+// --- spill files ------------------------------------------------------------
 //
 // A spill file holds concatenated sorted runs of distinct uint64 pairs,
-// each run delta + varint coded (util/varint.h). Runs are merged back with
-// a k-way heap; duplicates across runs collapse during the merge, so the
-// merged stream is globally sorted and distinct.
+// each block-coded (util/varint.h): every kBlockPairs pairs the delta
+// coding restarts with a verbatim value, and the file's block index
+// records each block's first pair and byte offset. A merge of one key
+// range starts every run at the block that holds the range's first key and
+// reads the run a block at a time, so it holds one block per run, whatever
+// the spill's size.
 
-struct SpillSegment {
-  std::uint64_t offset = 0;
+/// Pairs per restart block of a spill run. A merge holds one block per run
+/// and slot, so the block bounds its read buffers; a restart costs a few
+/// bytes (about 0.2% of oocore-day's spill at this size).
+constexpr std::size_t kBlockPairs = 1024;
+
+/// One run of a spill file and its blocks in the file's block index.
+struct SpillRun {
+  std::uint64_t offset = 0;  ///< file offset of the run's first byte
   std::uint64_t bytes = 0;
-  std::uint64_t count = 0;
+  std::uint64_t last = 0;    ///< the run's largest pair
+  std::size_t first_block = 0;
+  std::size_t blocks = 0;
+};
+
+/// A spill file of sorted, distinct, block-coded runs. write_run may be
+/// called from several threads at once.
+class SpillFile {
+ public:
+  explicit SpillFile(std::string path) : path_(std::move(path)), out_(path_, std::ios::binary) {
+    util::require_data(out_.is_open(), "oocore: cannot create spill file '" + path_ + "'");
+  }
+
+  /// Makes room in the index for `runs` more runs of `blocks` more blocks
+  /// in all, so that writing them allocates nothing.
+  void reserve(std::size_t runs, std::size_t blocks) {
+    runs_.reserve(runs_.size() + runs);
+    blocks_.reserve(blocks_.size() + blocks);
+  }
+
+  /// Appends one sorted, distinct run, coded into the caller's scratch
+  /// buffers first, so only the file append holds the lock.
+  template <typename Bytes>
+  void write_run(std::span<const std::uint64_t> run, Bytes& scratch,
+                 std::vector<util::RunBlock>& block_scratch) {
+    if (run.empty()) {
+      return;
+    }
+    scratch.clear();
+    block_scratch.clear();
+    util::append_block_run(scratch, run, kBlockPairs, block_scratch);
+    std::lock_guard lock(mutex_);
+    out_.write(scratch.data(), static_cast<std::streamsize>(scratch.size()));
+    runs_.push_back({bytes_, scratch.size(), run.back(), blocks_.size(), block_scratch.size()});
+    blocks_.insert(blocks_.end(), block_scratch.begin(), block_scratch.end());
+    bytes_ += scratch.size();
+  }
+
+  /// Flushes and closes the file.
+  void finish() {
+    out_.flush();
+    util::require_data(static_cast<bool>(out_), "oocore: spill write failed");
+    out_.close();
+  }
+
+  const std::string& path() const { return path_; }
+  const std::vector<SpillRun>& runs() const { return runs_; }
+  const std::vector<util::RunBlock>& blocks() const { return blocks_; }
+  std::uint64_t bytes() const { return bytes_; }
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+  std::mutex mutex_;
+  std::vector<SpillRun> runs_;
+  std::vector<util::RunBlock> blocks_;
+  std::uint64_t bytes_ = 0;
 };
 
 // A full spill buffer is sorted as up to kMaxSortSlices slices on the
 // shared pool, each at least kMinSliceRecords long; every slice becomes a
 // run of its own. The slicing depends only on the buffer's size, never on
-// the pool's, so the segments (and OutOfCoreResult) are the same at every
+// the pool's, so the runs (and OutOfCoreResult) are the same at every
 // pool size.
 constexpr std::size_t kMaxSortSlices = 8;
 constexpr std::size_t kMinSliceRecords = std::size_t{1} << 14;
 
-/// Buffers pairs and spills every `chunk_records` of them as sorted,
-/// distinct runs.
+/// Buffers the scan's pairs and spills every `chunk_records` of them as
+/// sorted, distinct runs.
 class SpillWriter {
  public:
   SpillWriter(std::string path, std::size_t chunk_records)
-      : path_(std::move(path)), out_(path_, std::ios::binary), chunk_records_(chunk_records) {
-    util::require_data(out_.is_open(), "oocore: cannot create spill file '" + path_ + "'");
+      : file_(std::move(path)), chunk_records_(chunk_records) {
     buffer_.reserve(chunk_records_);
-  }
-
-  void push(std::uint64_t pair) {
-    buffer_.push_back(pair);
-    if (buffer_.size() >= chunk_records_) {
-      spill();
-    }
   }
 
   void append(std::span<const std::uint64_t> pairs) {
@@ -84,17 +157,14 @@ class SpillWriter {
     }
   }
 
-  /// Spills what is buffered and closes the file.
+  /// Spills what is buffered, frees the buffer and closes the file.
   void finish() {
     spill();
-    out_.flush();
-    util::require_data(static_cast<bool>(out_), "oocore: spill write failed");
-    out_.close();
+    buffer_ = {};
+    file_.finish();
   }
 
-  const std::string& path() const { return path_; }
-  const std::vector<SpillSegment>& segments() const { return segments_; }
-  std::uint64_t bytes() const { return offset_; }
+  const SpillFile& file() const { return file_; }
 
  private:
   // The pool sorts and deduplicates the slices in place; this thread
@@ -114,99 +184,203 @@ class SpillWriter {
       slice_sizes_[s] = static_cast<std::size_t>(std::unique(begin, end) - begin);
     });
     for (std::size_t s = 0; s < slices; ++s) {
-      const std::span<const std::uint64_t> run(buffer_.data() + n * s / slices, slice_sizes_[s]);
-      encoded_.clear();
-      util::append_ascending_run(encoded_, run);
-      out_.write(encoded_.data(), static_cast<std::streamsize>(encoded_.size()));
-      segments_.push_back({offset_, encoded_.size(), run.size()});
-      offset_ += encoded_.size();
+      file_.write_run({buffer_.data() + n * s / slices, slice_sizes_[s]}, encoded_, blocks_);
     }
     buffer_.clear();
   }
 
-  std::string path_;
-  std::ofstream out_;
+  SpillFile file_;
   std::size_t chunk_records_;
   StageVector<std::uint64_t> buffer_;
   std::vector<std::size_t> slice_sizes_;  ///< distinct pairs per slice
   std::string encoded_;
-  std::vector<SpillSegment> segments_;
-  std::uint64_t offset_ = 0;
+  std::vector<util::RunBlock> blocks_;
 };
 
-/// Streams one segment's values back with a small refill buffer, read from
-/// the merge's one stream over the spill file, so a merge holds one file
-/// handle and at most min(segment, buffer) bytes per segment.
-class RunReader {
+/// A file opened for positioned reads or writes, which several threads
+/// may make at once: the merges read spill blocks, and the section writes
+/// fill disjoint byte ranges of the output.
+class PositionedFile {
  public:
-  explicit RunReader(const SpillSegment& segment)
-      : file_offset_(segment.offset),
-        remaining_bytes_(segment.bytes),
-        remaining_values_(segment.count) {
-    buffer_.resize(
-        static_cast<std::size_t>(std::min<std::uint64_t>(kBufferBytes, segment.bytes)));
+  PositionedFile(const std::string& path, int flags)
+      : fd_(::open(path.c_str(), flags | O_CLOEXEC)) {
+    util::require_data(fd_ >= 0, "oocore: cannot open '" + path + "'");
+  }
+  ~PositionedFile() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  PositionedFile(const PositionedFile&) = delete;
+  PositionedFile& operator=(const PositionedFile&) = delete;
+
+  void read_at(std::uint64_t offset, void* data, std::size_t size) const {
+    auto* bytes = static_cast<char*>(data);
+    while (size > 0) {
+      const ::ssize_t n = ::pread(fd_, bytes, size, static_cast<::off_t>(offset));
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      util::require_data(n > 0, "oocore: truncated spill file");
+      bytes += n;
+      size -= static_cast<std::size_t>(n);
+      offset += static_cast<std::uint64_t>(n);
+    }
   }
 
-  bool next(std::istream& in, std::uint64_t& value) {
-    if (remaining_values_ == 0) {
-      return false;
+  void write_at(std::uint64_t offset, const void* data, std::size_t size) const {
+    const auto* bytes = static_cast<const char*>(data);
+    while (size > 0) {
+      const ::ssize_t n = ::pwrite(fd_, bytes, size, static_cast<::off_t>(offset));
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      util::require_data(n > 0, "oocore: output write failed");
+      bytes += n;
+      size -= static_cast<std::size_t>(n);
+      offset += static_cast<std::uint64_t>(n);
     }
-    if (filled_ - pos_ < util::kMaxVarintBytes && remaining_bytes_ > 0) {
-      refill(in);
-    }
-    const unsigned char* p = buffer_.data() + pos_;
-    const auto raw = util::decode_varint(p, buffer_.data() + filled_);
-    pos_ = static_cast<std::size_t>(p - buffer_.data());
-    value = first_ ? raw : prev_ + raw + 1;
-    first_ = false;
-    prev_ = value;
-    --remaining_values_;
-    return true;
+  }
+
+  void close() {
+    const int fd = std::exchange(fd_, -1);
+    util::require_data(::close(fd) == 0, "oocore: output write failed");
   }
 
  private:
-  static constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
-
-  void refill(std::istream& in) {
-    const std::size_t tail = filled_ - pos_;
-    std::memmove(buffer_.data(), buffer_.data() + pos_, tail);
-    pos_ = 0;
-    filled_ = tail;
-    const auto want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(buffer_.size() - filled_, remaining_bytes_));
-    in.seekg(static_cast<std::streamoff>(file_offset_));
-    in.read(reinterpret_cast<char*>(buffer_.data() + filled_),
-            static_cast<std::streamsize>(want));
-    util::require_data(static_cast<std::size_t>(in.gcount()) == want,
-                       "oocore: truncated spill segment");
-    filled_ += want;
-    file_offset_ += want;
-    remaining_bytes_ -= want;
-  }
-
-  std::vector<unsigned char> buffer_;
-  std::size_t pos_ = 0;
-  std::size_t filled_ = 0;
-  std::uint64_t file_offset_;
-  std::uint64_t remaining_bytes_;
-  std::uint64_t remaining_values_;
-  std::uint64_t prev_ = 0;
-  bool first_ = true;
+  int fd_;
 };
 
-/// K-way merge over a spill file's segments, yielding globally sorted
-/// distinct values. Construct anew for every pass over the stream.
-class SpillMerger {
+/// A finished spill file, opened for the merges' block reads.
+class SpillReader {
  public:
-  SpillMerger(const std::string& path, const std::vector<SpillSegment>& segments)
-      : in_(path, std::ios::binary) {
-    util::require_data(in_.is_open(), "oocore: cannot reopen spill file '" + path + "'");
-    readers_.reserve(segments.size());
-    for (const auto& segment : segments) {
-      readers_.emplace_back(segment);
+  explicit SpillReader(const SpillFile& spill) : spill_(&spill), file_(spill.path(), O_RDONLY) {}
+
+  const std::vector<SpillRun>& runs() const { return spill_->runs(); }
+  std::span<const util::RunBlock> blocks(const SpillRun& run) const {
+    return {spill_->blocks().data() + run.first_block, run.blocks};
+  }
+
+  /// The size of block `b` of `run`, in bytes.
+  std::size_t block_bytes(const SpillRun& run, std::size_t b) const {
+    const auto index = blocks(run);
+    const std::uint64_t end = b + 1 < index.size() ? index[b + 1].offset : run.bytes;
+    util::require_data(index[b].offset <= end, "oocore: spill block index out of order");
+    return static_cast<std::size_t>(end - index[b].offset);
+  }
+
+  /// Reads block `b` of `run` into `buffer`, which must hold it.
+  std::span<const unsigned char> read_block(const SpillRun& run, std::size_t b,
+                                            std::span<unsigned char> buffer) const {
+    const std::size_t size = block_bytes(run, b);
+    util::require_data(size <= buffer.size(), "oocore: spill block outgrows its buffer");
+    file_.read_at(run.offset + blocks(run)[b].offset, buffer.data(), size);
+    return buffer.first(size);
+  }
+
+ private:
+  const SpillFile* spill_;
+  PositionedFile file_;
+};
+
+// --- range merges -----------------------------------------------------------
+//
+// Every merge pass after the scan runs on the shared pool as kMergeRanges
+// range tasks. A spill's keys are (node << 32 | other) pairs — machine
+// ids for edge pairs, domain ids for IP and swapped pairs — and the cuts
+// between ranges fall on node boundaries, so a node's pairs all reach one
+// task: per-node state is written without contention, and per-node
+// counting needs no merge across tasks. The cuts are quantiles of the
+// blocks' first nodes, a function of the spill's contents alone.
+//
+// Range tasks run in contiguous chunks, one MergeSlot per chunk, so the
+// slot's buffers are used by one thread at a time. A range task never calls
+// util::parallel_for: the pool has no nested dispatch, and a worker waiting
+// on nested tasks can deadlock it. The caller sizes every slot buffer a
+// task fills.
+
+// 24 ranges split evenly over 1, 2, 3, 4, 6 and 8 slots.
+constexpr std::size_t kMergeRanges = 24;
+
+/// Staged section values per positioned write.
+constexpr std::size_t kSectionBufferValues = std::size_t{1} << 14;
+
+/// kMergeRanges + 1 ascending node ids from 0 to the node count: range r
+/// holds the pairs whose node lies in [cuts[r], cuts[r + 1]).
+using MergeCuts = std::array<std::uint32_t, kMergeRanges + 1>;
+
+MergeCuts merge_cuts(const SpillFile& spill, std::size_t nodes) {
+  std::vector<std::uint32_t> firsts;
+  firsts.reserve(spill.blocks().size());
+  for (const auto& block : spill.blocks()) {
+    firsts.push_back(high32(block.first));
+  }
+  std::sort(firsts.begin(), firsts.end());
+  const auto bound = static_cast<std::uint32_t>(nodes);
+  MergeCuts cuts{};
+  for (std::size_t r = 1; r < kMergeRanges; ++r) {
+    cuts[r] = firsts.empty() ? bound
+                             : std::min(firsts[firsts.size() * r / kMergeRanges], bound);
+  }
+  cuts[kMergeRanges] = bound;
+  return cuts;
+}
+
+/// K-way merge of one key range [lo, hi) of every run of a spill, yielding
+/// the range's pairs sorted and distinct. Each run is read a block at a
+/// time into a buffer of its own. The caller sizes it (reserve); open()
+/// and next() allocate nothing.
+class RangeMerge {
+ public:
+  /// Gives every run of `spill` a source with room for its largest block.
+  void reserve(const SpillReader& spill) {
+    const auto& runs = spill.runs();
+    sources_.resize(runs.size());
+    heap_.reserve(runs.size());
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      std::size_t largest = 0;
+      for (std::size_t b = 0; b < runs[i].blocks; ++b) {
+        largest = std::max(largest, spill.block_bytes(runs[i], b));
+      }
+      sources_[i].buffer_bytes = largest;
+      bytes += largest;
+    }
+    buffers_.resize(bytes);
+    bytes = 0;
+    for (auto& source : sources_) {
+      source.buffer = std::span<unsigned char>(buffers_).subspan(bytes, source.buffer_bytes);
+      bytes += source.buffer_bytes;
+    }
+  }
+
+  void open(const SpillReader& spill, std::uint64_t lo, std::uint64_t hi) {
+    spill_ = &spill;
+    heap_.clear();
+    hi_ = hi;
+    const auto& runs = spill.runs();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      const auto blocks = spill.blocks(runs[i]);
+      if (runs[i].last < lo || blocks.front().first >= hi) {
+        continue;  // no pair of the run lies in the range
+      }
+      // Start at the last block that begins at or below lo: it may hold
+      // the range's first pairs.
+      const auto after = std::upper_bound(
+          blocks.begin(), blocks.end(), lo,
+          [](std::uint64_t key, const util::RunBlock& block) { return key < block.first; });
+      Source& source = sources_[i];
+      source.run = &runs[i];
+      source.next_block =
+          static_cast<std::size_t>(after - blocks.begin()) - (after == blocks.begin() ? 0 : 1);
+      source.cursor = {};
       std::uint64_t value = 0;
-      if (readers_.back().next(in_, value)) {
-        heap_.push_back({value, readers_.size() - 1});
+      bool more = source.next(spill, value);
+      while (more && value < lo) {
+        more = source.next(spill, value);
+      }
+      if (more && value < hi) {
+        heap_.push_back({value, i});
       }
     }
     for (std::size_t i = heap_.size() / 2; i-- > 0;) {
@@ -223,7 +397,7 @@ class SpillMerger {
     // place: one sift-down per step instead of a pop and a push.
     do {
       Entry& top = heap_.front();
-      if (!readers_[top.source].next(in_, top.value)) {
+      if (!sources_[top.source].next(*spill_, top.value) || top.value >= hi_) {
         top = heap_.back();
         heap_.pop_back();
       }
@@ -236,6 +410,29 @@ class SpillMerger {
   struct Entry {
     std::uint64_t value;
     std::size_t source;
+  };
+
+  /// One run's reader: decodes its loaded block, then reads the next.
+  struct Source {
+    std::span<unsigned char> buffer;
+    std::size_t buffer_bytes = 0;
+    const SpillRun* run = nullptr;
+    std::size_t next_block = 0;
+    util::RunBlock block;  ///< the loaded block, at offset 0 of the buffer
+    util::BlockRunCursor cursor;
+
+    bool next(const SpillReader& spill, std::uint64_t& value) {
+      while (!cursor.next(value)) {
+        if (next_block == run->blocks) {
+          return false;
+        }
+        const auto bytes = spill.read_block(*run, next_block, buffer);
+        block = spill.blocks(*run)[next_block++];
+        block.offset = 0;
+        cursor = util::BlockRunCursor(bytes, {&block, 1}, 0);
+      }
+      return true;
+    }
   };
 
   // Min-heap on value; equal values from different runs may sit in any
@@ -259,42 +456,103 @@ class SpillMerger {
     }
   }
 
-  std::ifstream in_;
-  std::vector<RunReader> readers_;
+  const SpillReader* spill_ = nullptr;
+  std::vector<Source> sources_;  ///< one per run; each cursor reads its source's block
+  StageVector<unsigned char> buffers_;
   std::vector<Entry> heap_;
+  std::uint64_t hi_ = 0;
 };
 
-/// Buffers one graphc section's u32 values and writes them in blocks.
-class U32SectionWriter {
+/// What one chunk of range tasks uses. Cache-line aligned, so no two
+/// chunks write to one line.
+struct alignas(64) MergeSlot {
+  RangeMerge merge;
+  // Second edge merge: per-domain and per-e2LD partial counts, summed
+  // over the slots afterwards, and the machine that last counted an e2LD.
+  StageVector<std::uint32_t> domain_degree;
+  StageVector<std::uint32_t> e2ld_machines;
+  StageVector<std::uint32_t> e2ld_stamp;
+  // Section writes: values staged for the next positioned write, and the
+  // (domain, machine) pairs of machine_targets awaiting a swapped run.
+  StageVector<std::uint32_t> section;
+  StageVector<std::uint64_t> swapped;
+  StageVector<std::uint64_t> swapped_scratch;
+  StageVector<char> encoded;
+  std::vector<util::RunBlock> run_blocks;
+};
+
+/// Sorts one machine range's (domain, machine) pairs, which arrive in
+/// machine order, into (domain, machine) order: a stable LSD radix sort on
+/// the `domain_bits` low bits of the domain half keeps each domain's
+/// machines in arrival order. `scratch` is as large as `pairs`.
+void sort_swapped(StageVector<std::uint64_t>& pairs, StageVector<std::uint64_t>& scratch,
+                  unsigned domain_bits) {
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  std::array<std::uint32_t, std::size_t{1} << kDigitBits> starts{};
+  scratch.resize(pairs.size());
+  for (unsigned shift = 32; shift < 32 + domain_bits; shift += kDigitBits) {
+    starts.fill(0);
+    for (const auto pair : pairs) {
+      ++starts[(pair >> shift) & kDigitMask];
+    }
+    std::uint32_t start = 0;
+    for (auto& count : starts) {
+      start += std::exchange(count, start);
+    }
+    for (const auto pair : pairs) {
+      scratch[starts[(pair >> shift) & kDigitMask]++] = pair;
+    }
+    pairs.swap(scratch);
+  }
+}
+
+/// Runs pass(slot, lo, hi) on the shared pool for every merge range
+/// [lo, hi) of `cuts`, with slot.merge open on that range of `spill`.
+template <typename Pass>
+void run_ranges(std::vector<MergeSlot>& slots, const SpillReader& spill, const MergeCuts& cuts,
+                Pass&& pass) {
+  for (auto& slot : slots) {
+    slot.merge.reserve(spill);
+  }
+  util::parallel_chunks(kMergeRanges, slots.size(),
+                        [&](std::size_t s, std::size_t begin, std::size_t end) {
+    MergeSlot& slot = slots[s];
+    for (std::size_t r = begin; r < end; ++r) {
+      slot.merge.open(spill, std::uint64_t{cuts[r]} << 32, std::uint64_t{cuts[r + 1]} << 32);
+      pass(slot, cuts[r], cuts[r + 1]);
+    }
+  });
+}
+
+/// Writes one range's slice of a u32 section, staged in a slot buffer and
+/// written at the slice's file offset in blocks.
+class SliceWriter {
  public:
-  explicit U32SectionWriter(detail::PackedGraphcWriter& writer) : writer_(&writer) {
-    block_.reserve(kBlockValues);
+  SliceWriter(const PositionedFile& file, std::uint64_t offset, StageVector<std::uint32_t>& staged)
+      : file_(&file), offset_(offset), staged_(&staged) {
+    staged_->clear();
   }
 
   void push(std::uint32_t value) {
-    block_.push_back(value);
-    if (block_.size() == kBlockValues) {
+    staged_->push_back(value);
+    if (staged_->size() == kSectionBufferValues) {
       flush();
     }
   }
 
   void flush() {
-    writer_->bytes(block_.data(), block_.size() * sizeof(std::uint32_t));
-    block_.clear();
+    const std::size_t bytes = staged_->size() * sizeof(std::uint32_t);
+    file_->write_at(offset_, staged_->data(), bytes);
+    offset_ += bytes;
+    staged_->clear();
   }
 
  private:
-  static constexpr std::size_t kBlockValues = std::size_t{1} << 14;
-  detail::PackedGraphcWriter* writer_;
-  std::vector<std::uint32_t> block_;
+  const PositionedFile* file_;
+  std::uint64_t offset_;
+  StageVector<std::uint32_t>* staged_;
 };
-
-constexpr std::uint32_t low32(std::uint64_t pair) {
-  return static_cast<std::uint32_t>(pair & 0xffffffffu);
-}
-constexpr std::uint32_t high32(std::uint64_t pair) {
-  return static_cast<std::uint32_t>(pair >> 32);
-}
 
 struct SpillCleanup {
   std::vector<std::string> paths;
@@ -360,7 +618,9 @@ struct BatchRow {
 /// A batch of records in one flat arena: every record's machine and qname
 /// bytes in one buffer, its IPs in one array. The containers keep their
 /// capacity across batches, so a steady-state batch allocates nothing.
-struct Batch {
+/// Cache-line aligned: the reader fills one batch while the pool resolves
+/// the other, and their vector headers must not share a line.
+struct alignas(64) Batch {
   StageVector<char> text;
   StageVector<dns::IpV4> ips;
   StageVector<BatchRow> rows;
@@ -621,6 +881,132 @@ void prepare_chunk(Batch& batch, std::size_t begin, std::size_t end, std::size_t
   }
 }
 
+
+/// Reads the trace into scan batches. With more than one pool worker, a
+/// reader thread fills the next batch while the pool resolves the current
+/// one; the two batch arenas are recycled. With one worker, next() reads
+/// inline, so a one-thread prepare runs on one thread. The reader counts
+/// the records and checks that they share one day; next() rethrows its
+/// errors.
+class BatchReader {
+ public:
+  BatchReader(const std::string& trace_path, bool read_ahead) : source_(trace_path) {
+    for (auto& batch : batches_) {
+      batch.rows.reserve(kOutOfCoreBatchRecords);
+    }
+    if (read_ahead) {
+      reader_ = std::thread([this] { read_ahead_loop(); });
+    }
+  }
+
+  ~BatchReader() {
+    if (reader_.joinable()) {
+      {
+        std::lock_guard lock(mutex_);
+        stop_ = true;
+      }
+      cv_.notify_all();
+      reader_.join();
+    }
+  }
+
+  BatchReader(const BatchReader&) = delete;
+  BatchReader& operator=(const BatchReader&) = delete;
+
+  /// The next batch, empty once the trace is exhausted. The batch is the
+  /// caller's until the next call.
+  Batch& next() {
+    obs::Span wait_span("oocore/scan/read-wait");
+    if (!reader_.joinable()) {
+      fill(batches_[0]);
+      return batches_[0];
+    }
+    const std::size_t k = served_++;
+    std::unique_lock lock(mutex_);
+    if (k > 0) {
+      ready_[(k - 1) % 2] = false;  // hand the previous batch back
+      cv_.notify_all();
+    }
+    cv_.wait(lock, [&] { return error_ != nullptr || ready_[k % 2]; });
+    if (error_ != nullptr) {
+      std::rethrow_exception(error_);
+    }
+    return batches_[k % 2];
+  }
+
+  /// Records read; final once next() has returned an empty batch.
+  std::size_t records() const { return records_; }
+  /// The trace's day (that of its first record).
+  dns::Day day() const { return day_; }
+
+ private:
+  void fill(Batch& batch) {
+    batch.clear();
+    while (batch.rows.size() < kOutOfCoreBatchRecords && !exhausted_) {
+      if (!source_.next(record_)) {
+        exhausted_ = true;
+        break;
+      }
+      if (records_++ == 0) {
+        day_ = record_.day;
+      } else if (record_.day != day_) [[unlikely]] {
+        throw util::ParseError("oocore: trace spans more than one day (day " +
+                               std::to_string(record_.day) + " after day " +
+                               std::to_string(day_) + ")");
+      }
+      batch.add(record_);
+    }
+  }
+
+  // The reader thread: fills batch k % 2 once the caller has handed it
+  // back, until it fills an empty one.
+  void read_ahead_loop() {
+    try {
+      for (std::size_t k = 0;; ++k) {
+        {
+          std::unique_lock lock(mutex_);
+          cv_.wait(lock, [&] { return stop_ || !ready_[k % 2]; });
+          if (stop_) {
+            return;
+          }
+        }
+        Batch& batch = batches_[k % 2];
+        fill(batch);
+        {
+          std::lock_guard lock(mutex_);
+          ready_[k % 2] = true;
+        }
+        cv_.notify_all();
+        if (batch.rows.empty()) {
+          return;
+        }
+      }
+    } catch (...) {
+      {
+        std::lock_guard lock(mutex_);
+        error_ = std::current_exception();
+      }
+      cv_.notify_all();
+    }
+  }
+
+  std::array<Batch, 2> batches_;
+  // The reader's state, on lines of its own.
+  alignas(64) dns::FileTraceSource source_;
+  dns::QueryRecord record_;
+  std::size_t records_ = 0;
+  dns::Day day_ = 0;
+  bool exhausted_ = false;
+  // The hand-off.
+  alignas(64) std::mutex mutex_;
+  std::condition_variable cv_;
+  std::array<bool, 2> ready_{};
+  bool stop_ = false;
+  std::exception_ptr error_;
+  std::size_t served_ = 0;
+  std::thread reader_;
+};
+
 }  // namespace
 
 OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
@@ -645,7 +1031,7 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   // domain/e2LD ids are assigned by first occurrence, exactly as
   // GraphBuilder::add_query (and therefore the sharded builder, which is
   // bit-identical to it) assigns them; edge and IP pairs go to sorted
-  // compressed spill segments.
+  // compressed spill runs.
   obs::Span scan_span("oocore/scan");
   const std::size_t partitions = std::min(util::parallelism(), kMaxPartitions);
   std::vector<DictionaryPartition> dictionaries(partitions);
@@ -659,142 +1045,134 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
 
   SpillWriter edge_spill(spill_base + ".spill-edges", config.chunk_records);
   SpillWriter ip_spill(spill_base + ".spill-ips", config.chunk_records);
-  cleanup.paths = {edge_spill.path(), ip_spill.path()};
+  cleanup.paths = {edge_spill.file().path(), ip_spill.file().path()};
 
   // The first record fixes the day; the output graph holds exactly one.
-  dns::FileTraceSource source(trace_path);
-  dns::QueryRecord record;
   dns::Day day = 0;
-  Batch batch;
-  batch.rows.reserve(kOutOfCoreBatchRecords);
-  for (bool more = true; more;) {
-    batch.clear();
-    while (batch.rows.size() < kOutOfCoreBatchRecords && (more = source.next(record))) {
-      if (result.records++ == 0) {
-        day = record.day;
-      } else if (record.day != day) [[unlikely]] {
-        throw util::ParseError("oocore: trace spans more than one day (day " +
-                               std::to_string(record.day) + " after day " +
-                               std::to_string(day) + ")");
+  {
+    BatchReader reader(trace_path, util::parallelism() > 1);
+    while (true) {
+      Batch& batch = reader.next();
+      auto& rows = batch.rows;
+      if (rows.empty()) {
+        break;
       }
-      batch.add(record);
-    }
-    auto& rows = batch.rows;
-    if (rows.empty()) {
-      break;
-    }
 
-    // A: validate, normalize, hash, and file the lookups. The caller sizes
-    // every buffer a worker fills, so pool threads allocate only
-    // dictionary entries.
-    for (std::size_t c = 0; c < kScanChunks; ++c) {
-      const auto [begin, end] = scan_chunk(rows.size(), c);
-      chunks[c].machine_lookups.resize(end - begin);
-      chunks[c].domain_lookups.resize(end - begin);
-    }
-    util::parallel_for(kScanChunks, [&](std::size_t c) {
-      const auto [begin, end] = scan_chunk(rows.size(), c);
-      prepare_chunk(batch, begin, end, partitions, chunks[c]);
-    });
-    for (const auto& chunk : chunks) {
-      result.skipped_records += chunk.skipped;
-    }
-
-    // B: resolve partition p's lookups, chunk by chunk, so in row order.
-    util::parallel_for(partitions, [&](std::size_t p) {
-      auto& dictionary = dictionaries[p];
-      dictionary.machine_first_seen.clear();
-      dictionary.domain_first_seen.clear();
-      for (auto& chunk : chunks) {
-        for (auto i = chunk.machine_offsets[p]; i < chunk.machine_offsets[p + 1]; ++i) {
-          Lookup& lookup = chunk.machine_lookups[i];
-          const BatchRow& row = rows[lookup.row];
-          lookup.slot = resolve(dictionary.machines, {batch.machine(row), row.machine_hash},
-                                lookup.row, dictionary.machine_first_seen, [] { return 0; });
-        }
-        for (auto i = chunk.domain_offsets[p]; i < chunk.domain_offsets[p + 1]; ++i) {
-          Lookup& lookup = chunk.domain_lookups[i];
-          const BatchRow& row = rows[lookup.row];
-          const HashedName name{batch.qname(row), row.domain_hash};
-          lookup.slot = resolve(dictionary.domains, name, lookup.row,
-                                dictionary.domain_first_seen,
-                                [&] { return psl.e2ld_or_self(name.text).size(); });
-        }
+      // A: validate, normalize, hash, and file the lookups. The caller
+      // sizes every buffer a worker fills, so pool threads allocate only
+      // dictionary entries.
+      for (std::size_t c = 0; c < kScanChunks; ++c) {
+        const auto [begin, end] = scan_chunk(rows.size(), c);
+        chunks[c].machine_lookups.resize(end - begin);
+        chunks[c].domain_lookups.resize(end - begin);
       }
-    });
-
-    // C: first-occurrence ids in row order.
-    for_each_first_sight(dictionaries, &DictionaryPartition::machine_first_seen, merge_cursors,
-                         [&](const FirstSight& sight) {
-      util::require_data(machine_names.size() < kNoId, "oocore: too many machines");
-      *sight.slot = static_cast<MachineId>(machine_names.size());
-      machine_names.emplace_back(batch.machine(rows[sight.row]));
-    });
-    for_each_first_sight(dictionaries, &DictionaryPartition::domain_first_seen, merge_cursors,
-                         [&](const FirstSight& sight) {
-      util::require_data(domain_names.size() < kNoId, "oocore: too many domains");
-      *sight.slot = static_cast<DomainId>(domain_names.size());
-      const std::string_view name = batch.qname(rows[sight.row]);
-      domain_names.emplace_back(name);
-      // e2LDs intern at domain first occurrence — the same sequence the
-      // in-memory builder produces by iterating domains in id order.
-      const std::string_view e2ld = name.substr(name.size() - sight.e2ld_size);
-      if (const auto it = e2ld_ids.find(e2ld); it != e2ld_ids.end()) {
-        domain_e2ld.push_back(it->second);
-      } else {
-        const auto e = static_cast<E2ldId>(e2ld_names.size());
-        e2ld_names.emplace_back(e2ld);
-        e2ld_ids.emplace(e2ld_names.back(), e);
-        domain_e2ld.push_back(e);
+      util::parallel_for(kScanChunks, [&](std::size_t c) {
+        const auto [begin, end] = scan_chunk(rows.size(), c);
+        prepare_chunk(batch, begin, end, partitions, chunks[c]);
+      });
+      for (const auto& chunk : chunks) {
+        result.skipped_records += chunk.skipped;
       }
-    });
 
-    // D: emit pairs into per-chunk buffers reserved here, then hand them to
-    // the spills in chunk order.
-    for (std::size_t c = 0; c < kScanChunks; ++c) {
-      const auto [begin, end] = scan_chunk(rows.size(), c);
-      chunks[c].edges.clear();
-      chunks[c].edges.reserve(end - begin);
-      chunks[c].ips.clear();
-      if (begin < end) {
-        chunks[c].ips.reserve(rows[end - 1].ips + rows[end - 1].ip_count - rows[begin].ips);
-      }
-    }
-    util::parallel_for(kScanChunks, [&](std::size_t c) {
-      const auto [begin, end] = scan_chunk(rows.size(), c);
-      auto& chunk = chunks[c];
-      std::uint64_t m = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const BatchRow& row = rows[i];
-        if (!row.valid) {
-          continue;
-        }
-        if (!row.repeats_machine) {
-          m = *chunk.machine_lookups[row.machine_lookup].slot;
-        }
-        const std::uint64_t d = *chunk.domain_lookups[row.domain_lookup].slot;
-        chunk.edges.push_back((m << 32) | d);
-        for (const auto ip : batch.row_ips(row)) {
-          const std::uint64_t pair = (d << 32) | ip.value();
-          if (chunk.ip_filter.admit(pair)) {
-            chunk.ips.push_back(pair);
+      // B: resolve partition p's lookups, chunk by chunk, so in row order.
+      util::parallel_for(partitions, [&](std::size_t p) {
+        auto& dictionary = dictionaries[p];
+        dictionary.machine_first_seen.clear();
+        dictionary.domain_first_seen.clear();
+        for (auto& chunk : chunks) {
+          for (auto i = chunk.machine_offsets[p]; i < chunk.machine_offsets[p + 1]; ++i) {
+            Lookup& lookup = chunk.machine_lookups[i];
+            const BatchRow& row = rows[lookup.row];
+            lookup.slot = resolve(dictionary.machines, {batch.machine(row), row.machine_hash},
+                                  lookup.row, dictionary.machine_first_seen, [] { return 0; });
+          }
+          for (auto i = chunk.domain_offsets[p]; i < chunk.domain_offsets[p + 1]; ++i) {
+            Lookup& lookup = chunk.domain_lookups[i];
+            const BatchRow& row = rows[lookup.row];
+            const HashedName name{batch.qname(row), row.domain_hash};
+            lookup.slot = resolve(dictionary.domains, name, lookup.row,
+                                  dictionary.domain_first_seen,
+                                  [&] { return psl.e2ld_or_self(name.text).size(); });
           }
         }
+      });
+
+      // C: first-occurrence ids in row order.
+      for_each_first_sight(dictionaries, &DictionaryPartition::machine_first_seen,
+                           merge_cursors, [&](const FirstSight& sight) {
+        util::require_data(machine_names.size() < kNoId, "oocore: too many machines");
+        *sight.slot = static_cast<MachineId>(machine_names.size());
+        machine_names.emplace_back(batch.machine(rows[sight.row]));
+      });
+      for_each_first_sight(dictionaries, &DictionaryPartition::domain_first_seen,
+                           merge_cursors, [&](const FirstSight& sight) {
+        util::require_data(domain_names.size() < kNoId, "oocore: too many domains");
+        *sight.slot = static_cast<DomainId>(domain_names.size());
+        const std::string_view name = batch.qname(rows[sight.row]);
+        domain_names.emplace_back(name);
+        // e2LDs intern at domain first occurrence — the same sequence the
+        // in-memory builder produces by iterating domains in id order.
+        const std::string_view e2ld = name.substr(name.size() - sight.e2ld_size);
+        if (const auto it = e2ld_ids.find(e2ld); it != e2ld_ids.end()) {
+          domain_e2ld.push_back(it->second);
+        } else {
+          const auto e = static_cast<E2ldId>(e2ld_names.size());
+          e2ld_names.emplace_back(e2ld);
+          e2ld_ids.emplace(e2ld_names.back(), e);
+          domain_e2ld.push_back(e);
+        }
+      });
+
+      // D: emit pairs into per-chunk buffers reserved here, then hand them
+      // to the spills in chunk order.
+      for (std::size_t c = 0; c < kScanChunks; ++c) {
+        const auto [begin, end] = scan_chunk(rows.size(), c);
+        chunks[c].edges.clear();
+        chunks[c].edges.reserve(end - begin);
+        chunks[c].ips.clear();
+        if (begin < end) {
+          chunks[c].ips.reserve(rows[end - 1].ips + rows[end - 1].ip_count - rows[begin].ips);
+        }
       }
-    });
-    for (const auto& chunk : chunks) {
-      edge_spill.append(chunk.edges);
-      ip_spill.append(chunk.ips);
+      util::parallel_for(kScanChunks, [&](std::size_t c) {
+        const auto [begin, end] = scan_chunk(rows.size(), c);
+        auto& chunk = chunks[c];
+        std::uint64_t m = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const BatchRow& row = rows[i];
+          if (!row.valid) {
+            continue;
+          }
+          if (!row.repeats_machine) {
+            m = *chunk.machine_lookups[row.machine_lookup].slot;
+          }
+          const std::uint64_t d = *chunk.domain_lookups[row.domain_lookup].slot;
+          chunk.edges.push_back((m << 32) | d);
+          for (const auto ip : batch.row_ips(row)) {
+            const std::uint64_t pair = (d << 32) | ip.value();
+            if (chunk.ip_filter.admit(pair)) {
+              chunk.ips.push_back(pair);
+            }
+          }
+        }
+      });
+      for (const auto& chunk : chunks) {
+        edge_spill.append(chunk.edges);
+        ip_spill.append(chunk.ips);
+      }
     }
+    result.records = reader.records();
+    day = reader.day();
   }
   edge_spill.finish();
   ip_spill.finish();
   dictionaries = {};
   chunks = {};
   e2ld_ids = {};
-  batch = {};
-  result.spill_segments = edge_spill.segments().size() + ip_spill.segments().size();
-  result.spill_bytes = edge_spill.bytes() + ip_spill.bytes();
+  const SpillFile& edge_file = edge_spill.file();
+  const SpillFile& ip_file = ip_spill.file();
+  result.spill_segments = edge_file.runs().size() + ip_file.runs().size();
+  result.spill_bytes = edge_file.bytes() + ip_file.bytes();
   scan_span.close();
 
   const std::size_t nm = machine_names.size();
@@ -803,57 +1181,61 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   PruneStats& stats = result.prune_stats;
   stats.machines_before = nm;
   stats.domains_before = nd;
+  std::vector<MergeSlot> slots(std::min(util::parallelism(), kMergeRanges));
 
   // --- Labels (apply_labels semantics): domains from the lists, machines
   // derived from their distinct-domain label counts during the first edge
   // merge, which also yields the unpruned machine degrees for R1/R2.
   obs::Span label_span("oocore/labels");
   std::vector<Label> domain_labels(nd, Label::kUnknown);
-  for (DomainId d = 0; d < nd; ++d) {
-    if (cc_blacklist.contains(domain_names[d])) {
-      domain_labels[d] = Label::kMalware;
-    } else if (e2ld_whitelist.contains(e2ld_names[domain_e2ld[d]])) {
-      domain_labels[d] = Label::kBenign;
-    }
-  }
-
-  std::vector<std::uint64_t> degrees(nm, 0);
-  std::vector<std::uint32_t> machine_malware(nm, 0);
-  std::vector<std::uint32_t> machine_benign(nm, 0);
-  {
-    SpillMerger merge(edge_spill.path(), edge_spill.segments());
-    std::uint64_t pair = 0;
-    while (merge.next(pair)) {
-      const auto m = high32(pair);
-      const auto d = low32(pair);
-      ++degrees[m];
-      ++stats.edges_before;
-      if (domain_labels[d] == Label::kMalware) {
-        ++machine_malware[m];
-      } else if (domain_labels[d] == Label::kBenign) {
-        ++machine_benign[m];
+  util::parallel_chunks(nd, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (std::size_t d = begin; d < end; ++d) {
+      if (cc_blacklist.contains(domain_names[d])) {
+        domain_labels[d] = Label::kMalware;
+      } else if (e2ld_whitelist.contains(e2ld_names[domain_e2ld[d]])) {
+        domain_labels[d] = Label::kBenign;
       }
     }
-  }
+  });
+
+  const SpillReader edges(edge_file);
+  const MergeCuts machine_cuts = merge_cuts(edge_file, nm);
+  std::vector<std::uint64_t> degrees(nm, 0);
   std::vector<Label> machine_labels(nm, Label::kUnknown);
-  for (MachineId m = 0; m < nm; ++m) {
-    machine_labels[m] =
-        derive_machine_label(degrees[m], machine_malware[m], machine_benign[m]);
+  run_ranges(slots, edges, machine_cuts, [&](MergeSlot& slot, std::uint32_t, std::uint32_t) {
+    std::uint64_t pair = 0;
+    bool more = slot.merge.next(pair);
+    while (more) {
+      const auto m = high32(pair);
+      std::size_t degree = 0;
+      std::size_t malware = 0;
+      std::size_t benign = 0;
+      do {
+        const Label label = domain_labels[low32(pair)];
+        ++degree;
+        malware += label == Label::kMalware ? 1 : 0;
+        benign += label == Label::kBenign ? 1 : 0;
+      } while ((more = slot.merge.next(pair)) && high32(pair) == m);
+      degrees[m] = degree;
+      machine_labels[m] = derive_machine_label(degree, malware, benign);
+    }
+  });
+  for (const auto degree : degrees) {
+    stats.edges_before += degree;
   }
-  machine_malware = {};
-  machine_benign = {};
   label_span.close();
 
   // --- R1 + R2 (same arithmetic as prune()).
   obs::Span masks_span("oocore/prune-masks");
   std::uint64_t theta_d = std::numeric_limits<std::uint64_t>::max();
   if (!degrees.empty()) {
-    std::vector<std::uint64_t> sorted = degrees;
-    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint64_t> ranked = degrees;
     const auto rank = static_cast<std::size_t>(
-        std::ceil(pruning.proxy_degree_percentile * static_cast<double>(sorted.size())));
-    const std::size_t index = rank == 0 ? 0 : rank - 1;
-    theta_d = sorted[std::min(index, sorted.size() - 1)];
+        std::ceil(pruning.proxy_degree_percentile * static_cast<double>(ranked.size())));
+    const std::size_t index = std::min(rank == 0 ? 0 : rank - 1, ranked.size() - 1);
+    std::nth_element(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(index),
+                     ranked.end());
+    theta_d = ranked[index];
     theta_d = std::max<std::uint64_t>(theta_d, pruning.inactive_machine_max_degree + 2);
   }
   stats.theta_d = theta_d;
@@ -875,29 +1257,55 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
       ++stats.machines_removed_r2;
     }
   }
+  degrees = {};
 
   // --- Second edge merge: domain degrees over kept machines, plus distinct
-  // kept machines per e2LD. The merged stream is machine-major, so each
-  // machine contributes its distinct e2LDs through a stamp array.
-  std::vector<std::uint64_t> domain_degree(nd, 0);
-  std::vector<std::uint64_t> e2ld_machines(ne, 0);
-  {
-    std::vector<std::uint32_t> stamp(ne, 0xffffffffu);
-    SpillMerger merge(edge_spill.path(), edge_spill.segments());
+  // kept machines per e2LD. A machine's pairs are contiguous, so it counts
+  // each of its e2LDs once through the slot's stamp array.
+  for (auto& slot : slots) {
+    slot.domain_degree.assign(nd, 0);
+    slot.e2ld_machines.assign(ne, 0);
+    slot.e2ld_stamp.assign(ne, kNoId);
+  }
+  run_ranges(slots, edges, machine_cuts, [&](MergeSlot& slot, std::uint32_t, std::uint32_t) {
     std::uint64_t pair = 0;
-    while (merge.next(pair)) {
+    bool more = slot.merge.next(pair);
+    while (more) {
       const auto m = high32(pair);
-      if (keep_machine[m] == 0) {
-        continue;
-      }
-      const auto d = low32(pair);
-      ++domain_degree[d];
-      const auto e = domain_e2ld[d];
-      if (stamp[e] != m) {
-        stamp[e] = m;
-        ++e2ld_machines[e];
+      const bool kept = keep_machine[m] != 0;
+      do {
+        if (kept) {
+          const auto d = low32(pair);
+          ++slot.domain_degree[d];
+          const auto e = domain_e2ld[d];
+          if (slot.e2ld_stamp[e] != m) {
+            slot.e2ld_stamp[e] = m;
+            ++slot.e2ld_machines[e];
+          }
+        }
+      } while ((more = slot.merge.next(pair)) && high32(pair) == m);
+    }
+  });
+  std::vector<std::uint32_t> domain_degree(nd, 0);
+  std::vector<std::uint32_t> e2ld_machines(ne, 0);
+  util::parallel_chunks(nd, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (const auto& slot : slots) {
+      for (std::size_t d = begin; d < end; ++d) {
+        domain_degree[d] += slot.domain_degree[d];
       }
     }
+  });
+  util::parallel_chunks(ne, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
+    for (const auto& slot : slots) {
+      for (std::size_t e = begin; e < end; ++e) {
+        e2ld_machines[e] += slot.e2ld_machines[e];
+      }
+    }
+  });
+  for (auto& slot : slots) {
+    slot.domain_degree = {};
+    slot.e2ld_machines = {};
+    slot.e2ld_stamp = {};
   }
 
   // --- R3 + R4.
@@ -921,98 +1329,101 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
       }
     }
   }
-  degrees = {};
-  domain_degree = {};
   e2ld_machines = {};
 
   // --- Dense remaps and the pruned node-level tables (prune_impl
   // semantics: names/labels carried over, e2LDs re-interned in surviving
-  // domain order).
-  std::vector<MachineId> machine_map(nm, static_cast<MachineId>(nm));
+  // domain order). A node's rank counts the kept nodes before it: a kept
+  // node's new id, and where a range of old ids starts among the kept.
+  std::vector<MachineId> machine_rank(nm + 1, 0);
   std::vector<MachineId> kept_machines;
   for (MachineId m = 0; m < nm; ++m) {
+    machine_rank[m] = static_cast<MachineId>(kept_machines.size());
     if (keep_machine[m] != 0) {
-      machine_map[m] = static_cast<MachineId>(kept_machines.size());
       kept_machines.push_back(m);
     }
   }
-  std::vector<DomainId> domain_map(nd, static_cast<DomainId>(nd));
+  machine_rank[nm] = static_cast<MachineId>(kept_machines.size());
+  std::vector<DomainId> domain_rank(nd + 1, 0);
   std::vector<DomainId> kept_domains;
   for (DomainId d = 0; d < nd; ++d) {
+    domain_rank[d] = static_cast<DomainId>(kept_domains.size());
     if (keep_domain[d] != 0) {
-      domain_map[d] = static_cast<DomainId>(kept_domains.size());
       kept_domains.push_back(d);
     }
   }
+  domain_rank[nd] = static_cast<DomainId>(kept_domains.size());
   const std::size_t nm_new = kept_machines.size();
   const std::size_t nd_new = kept_domains.size();
   stats.machines_after = nm_new;
   stats.domains_after = nd_new;
 
-  StringIdMap<E2ldId> new_e2ld_ids;
+  // Distinct e2LD ids name distinct e2LDs, so re-interning by old id is
+  // re-interning by name.
+  std::vector<E2ldId> e2ld_remap(ne, kNoId);
   std::vector<std::string> new_e2ld_names;
   std::vector<E2ldId> new_domain_e2ld;
   new_domain_e2ld.reserve(nd_new);
   for (const auto d : kept_domains) {
-    const std::string& e2ld = e2ld_names[domain_e2ld[d]];
-    if (const auto it = new_e2ld_ids.find(e2ld); it != new_e2ld_ids.end()) {
-      new_domain_e2ld.push_back(it->second);
-    } else {
-      const auto id = static_cast<E2ldId>(new_e2ld_names.size());
-      new_e2ld_names.push_back(e2ld);
-      new_e2ld_ids.emplace(e2ld, id);
-      new_domain_e2ld.push_back(id);
+    const E2ldId e = domain_e2ld[d];
+    if (e2ld_remap[e] == kNoId) {
+      e2ld_remap[e] = static_cast<E2ldId>(new_e2ld_names.size());
+      new_e2ld_names.push_back(e2ld_names[e]);
     }
+    new_domain_e2ld.push_back(e2ld_remap[e]);
   }
-  new_e2ld_ids = {};
+  e2ld_remap = {};
   masks_span.close();
 
-  // --- Third edge merge: surviving CSR shape (degrees both sides), which
-  // fixes every header count and section offset before any output byte.
+  // --- Third edge merge: surviving CSR shape, which fixes every header
+  // count and section offset before any output byte. Only the machine
+  // side needs the merge: a kept domain's CSR degree is its kept-machine
+  // degree from the second merge.
   obs::Span write_span("oocore/write");
   std::vector<std::uint64_t> machine_offsets(nm_new + 1, 0);
-  std::vector<std::uint64_t> domain_offsets(nd_new + 1, 0);
-  {
-    SpillMerger merge(edge_spill.path(), edge_spill.segments());
+  run_ranges(slots, edges, machine_cuts, [&](MergeSlot& slot, std::uint32_t, std::uint32_t) {
     std::uint64_t pair = 0;
-    while (merge.next(pair)) {
+    while (slot.merge.next(pair)) {
       const auto m = high32(pair);
-      const auto d = low32(pair);
-      if (keep_machine[m] != 0 && keep_domain[d] != 0) {
-        ++machine_offsets[machine_map[m] + 1];
-        ++domain_offsets[domain_map[d] + 1];
+      if (keep_machine[m] != 0 && keep_domain[low32(pair)] != 0) {
+        ++machine_offsets[machine_rank[m] + 1];
       }
     }
-  }
+  });
   for (std::size_t i = 1; i <= nm_new; ++i) {
     machine_offsets[i] += machine_offsets[i - 1];
   }
-  for (std::size_t i = 1; i <= nd_new; ++i) {
-    domain_offsets[i] += domain_offsets[i - 1];
+  std::vector<std::uint64_t> domain_offsets(nd_new + 1, 0);
+  for (std::size_t i = 0; i < nd_new; ++i) {
+    domain_offsets[i + 1] = domain_offsets[i] + domain_degree[kept_domains[i]];
   }
+  domain_degree = {};
   const std::uint64_t edges_after = machine_offsets.back();
+  util::require(domain_offsets.back() == edges_after, "oocore: CSR sides disagree");
   stats.edges_after = edges_after;
 
   // --- First IP merge: surviving per-domain IP-set sizes.
+  const SpillReader ips(ip_file);
+  const MergeCuts domain_cuts = merge_cuts(ip_file, nd);
   std::vector<std::uint64_t> ip_offsets(nd_new + 1, 0);
-  {
-    SpillMerger merge(ip_spill.path(), ip_spill.segments());
+  run_ranges(slots, ips, domain_cuts, [&](MergeSlot& slot, std::uint32_t, std::uint32_t) {
     std::uint64_t pair = 0;
-    while (merge.next(pair)) {
+    while (slot.merge.next(pair)) {
       const auto d = high32(pair);
       if (keep_domain[d] != 0) {
-        ++ip_offsets[domain_map[d] + 1];
+        ++ip_offsets[domain_rank[d] + 1];
       }
     }
-  }
+  });
   for (std::size_t i = 1; i <= nd_new; ++i) {
     ip_offsets[i] += ip_offsets[i - 1];
   }
   const std::uint64_t ips_after = ip_offsets.back();
 
-  // --- Stream the packed graphc file section by section. Each merged
-  // stream arrives in exactly the order the section stores (the id remaps
-  // are monotone), so every section is written strictly sequentially.
+  // --- The packed graphc file: every section but the three CSR target
+  // sections is written in order here; those are left as gaps that the
+  // range tasks below fill with positioned writes, each range at the
+  // offset its CSR prefix sums fix.
   detail::GraphcCounts counts;
   counts.day = day;
   counts.machines = nm_new;
@@ -1030,93 +1441,136 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
     counts.e2ld_name_bytes += name.size();
   }
 
-  std::ofstream out(out_path, std::ios::binary);
-  util::require_data(out.is_open(), "oocore: cannot create output file '" + out_path + "'");
-  detail::PackedGraphcWriter writer(out, counts);
-  writer.name_table(nm_new, [&](std::size_t i) {
-    return std::string_view(machine_names[kept_machines[i]]);
-  });
-  writer.name_table(nd_new, [&](std::size_t i) {
-    return std::string_view(domain_names[kept_domains[i]]);
-  });
-  writer.name_table(new_e2ld_names.size(),
-                    [&](std::size_t i) { return std::string_view(new_e2ld_names[i]); });
-
-  writer.bytes(new_domain_e2ld.data(), new_domain_e2ld.size() * sizeof(E2ldId));
-  writer.pad8();
-  writer.bytes(machine_offsets.data(), machine_offsets.size() * sizeof(std::uint64_t));
-  writer.pad8();
-
-  // machine_targets: fourth edge merge streams the kept edges in
-  // (machine, domain) order; the swapped pairs spill for the reverse CSR.
-  SpillWriter swap_spill(spill_base + ".spill-swapped", config.chunk_records);
-  cleanup.paths.push_back(swap_spill.path());
-  U32SectionWriter section(writer);
+  std::uint64_t machine_targets_at = 0;
+  std::uint64_t domain_targets_at = 0;
+  std::uint64_t ip_values_at = 0;
   {
-    SpillMerger merge(edge_spill.path(), edge_spill.segments());
+    std::ofstream out(out_path, std::ios::binary);
+    util::require_data(out.is_open(), "oocore: cannot create output file '" + out_path + "'");
+    detail::PackedGraphcWriter writer(out, counts);
+    writer.name_table(nm_new, [&](std::size_t i) {
+      return std::string_view(machine_names[kept_machines[i]]);
+    });
+    writer.name_table(nd_new, [&](std::size_t i) {
+      return std::string_view(domain_names[kept_domains[i]]);
+    });
+    writer.name_table(new_e2ld_names.size(),
+                      [&](std::size_t i) { return std::string_view(new_e2ld_names[i]); });
+    const auto section = [&writer](const auto& values) {
+      writer.bytes(values.data(), values.size() * sizeof(values[0]));
+      writer.pad8();
+    };
+    const auto gap = [&writer](std::uint64_t values) {
+      const std::uint64_t at = writer.reserve_section(values * sizeof(std::uint32_t));
+      writer.pad8();
+      return at;
+    };
+    section(new_domain_e2ld);
+    section(machine_offsets);
+    machine_targets_at = gap(edges_after);
+    section(domain_offsets);
+    domain_targets_at = gap(edges_after);
+    section(ip_offsets);
+    ip_values_at = gap(ips_after);
+    std::vector<Label> pruned(nm_new);
+    for (std::size_t i = 0; i < nm_new; ++i) {
+      pruned[i] = machine_labels[kept_machines[i]];
+    }
+    section(pruned);
+    pruned.resize(nd_new);
+    for (std::size_t i = 0; i < nd_new; ++i) {
+      pruned[i] = domain_labels[kept_domains[i]];
+    }
+    section(pruned);
+    writer.finish();
+    out.close();
+    util::require_data(static_cast<bool>(out), "oocore: output write failed");
+  }
+  PositionedFile output(out_path, O_WRONLY);
+
+  // machine_targets: the fourth edge merge writes each machine range's
+  // slice and passes its (domain, machine) pairs, in new ids, to the
+  // swapped spill as sorted runs of at most swapped_run pairs.
+  const std::size_t swapped_run = std::max(kBlockPairs, config.chunk_records / kMergeRanges);
+  SpillFile swapped(spill_base + ".spill-swapped");
+  cleanup.paths.push_back(swapped.path());
+  {
+    const std::size_t runs = edges_after / swapped_run + kMergeRanges;
+    swapped.reserve(runs, edges_after / kBlockPairs + runs);
+  }
+  for (auto& slot : slots) {
+    slot.section.reserve(kSectionBufferValues);
+    slot.swapped.reserve(swapped_run);
+    slot.swapped_scratch.reserve(swapped_run);
+    slot.encoded.reserve(swapped_run * util::kMaxVarintBytes);
+    slot.run_blocks.reserve(swapped_run / kBlockPairs + 1);
+  }
+  const auto domain_bits = static_cast<unsigned>(std::bit_width(nd_new));
+  const auto write_swapped = [&swapped, domain_bits](MergeSlot& slot) {
+    sort_swapped(slot.swapped, slot.swapped_scratch, domain_bits);
+    swapped.write_run(slot.swapped, slot.encoded, slot.run_blocks);
+    slot.swapped.clear();
+  };
+  run_ranges(slots, edges, machine_cuts, [&](MergeSlot& slot, std::uint32_t lo, std::uint32_t) {
+    const std::uint64_t first = machine_offsets[machine_rank[lo]];
+    SliceWriter targets(output, machine_targets_at + sizeof(DomainId) * first, slot.section);
     std::uint64_t pair = 0;
-    while (merge.next(pair)) {
+    while (slot.merge.next(pair)) {
       const auto m = high32(pair);
       const auto d = low32(pair);
       if (keep_machine[m] == 0 || keep_domain[d] == 0) {
         continue;
       }
-      section.push(domain_map[d]);
-      swap_spill.push((static_cast<std::uint64_t>(domain_map[d]) << 32) | machine_map[m]);
-    }
-    swap_spill.finish();
-  }
-  section.flush();
-  writer.pad8();
-
-  writer.bytes(domain_offsets.data(), domain_offsets.size() * sizeof(std::uint64_t));
-  writer.pad8();
-  {
-    SpillMerger merge(swap_spill.path(), swap_spill.segments());
-    std::uint64_t pair = 0;
-    std::uint64_t written = 0;
-    while (merge.next(pair)) {
-      section.push(low32(pair));
-      ++written;
-    }
-    util::require(written == edges_after, "oocore: swapped edge stream lost pairs");
-  }
-  section.flush();
-  writer.pad8();
-
-  writer.bytes(ip_offsets.data(), ip_offsets.size() * sizeof(std::uint64_t));
-  writer.pad8();
-  {
-    SpillMerger merge(ip_spill.path(), ip_spill.segments());
-    std::uint64_t pair = 0;
-    while (merge.next(pair)) {
-      if (keep_domain[high32(pair)] != 0) {
-        section.push(low32(pair));
+      targets.push(domain_rank[d]);
+      slot.swapped.push_back((static_cast<std::uint64_t>(domain_rank[d]) << 32) |
+                             machine_rank[m]);
+      if (slot.swapped.size() == swapped_run) {
+        write_swapped(slot);
       }
     }
+    targets.flush();
+    write_swapped(slot);
+  });
+  swapped.finish();
+  for (auto& slot : slots) {
+    slot.swapped = {};
+    slot.swapped_scratch = {};
+    slot.encoded = {};
   }
-  section.flush();
-  writer.pad8();
 
+  // domain_targets: the swapped merge, by ranges of new domain ids.
   {
-    std::vector<Label> pruned(nm_new);
-    for (std::size_t i = 0; i < nm_new; ++i) {
-      pruned[i] = machine_labels[kept_machines[i]];
-    }
-    writer.bytes(pruned.data(), pruned.size());
-    writer.pad8();
+    const SpillReader swapped_pairs(swapped);
+    const MergeCuts cuts = merge_cuts(swapped, nd_new);
+    run_ranges(slots, swapped_pairs, cuts,
+               [&](MergeSlot& slot, std::uint32_t lo, std::uint32_t hi) {
+      SliceWriter targets(output, domain_targets_at + sizeof(MachineId) * domain_offsets[lo],
+                          slot.section);
+      std::uint64_t pair = 0;
+      std::uint64_t written = 0;
+      while (slot.merge.next(pair)) {
+        targets.push(low32(pair));
+        ++written;
+      }
+      targets.flush();
+      util::require(written == domain_offsets[hi] - domain_offsets[lo],
+                    "oocore: swapped edge stream lost pairs");
+    });
   }
-  {
-    std::vector<Label> pruned(nd_new);
-    for (std::size_t i = 0; i < nd_new; ++i) {
-      pruned[i] = domain_labels[kept_domains[i]];
+
+  // resolved IPs: the second IP merge.
+  run_ranges(slots, ips, domain_cuts, [&](MergeSlot& slot, std::uint32_t lo, std::uint32_t) {
+    SliceWriter values(output, ip_values_at + sizeof(std::uint32_t) * ip_offsets[domain_rank[lo]],
+                       slot.section);
+    std::uint64_t pair = 0;
+    while (slot.merge.next(pair)) {
+      if (keep_domain[high32(pair)] != 0) {
+        values.push(low32(pair));
+      }
     }
-    writer.bytes(pruned.data(), pruned.size());
-    writer.pad8();
-  }
-  writer.finish();
-  out.flush();
-  util::require_data(static_cast<bool>(out), "oocore: output write failed");
+    values.flush();
+  });
+  output.close();
   write_span.close();
   return result;
 }

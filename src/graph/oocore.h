@@ -5,16 +5,28 @@
 // graph in memory. Node-level state — name dictionaries, labels, degrees,
 // keep masks — stays resident (O(machines + domains + e2LDs)); the edge
 // and IP-pair streams, which dominate at ISP scale, are spilled to
-// sorted/deduplicated delta+varint compressed segments and re-read through
+// sorted/deduplicated delta+varint compressed runs and re-read through
 // k-way merges. The trace is scanned in batches of kOutOfCoreBatchRecords
 // records. Peak RSS is O(nodes + chunk_records + batch), independent of
 // the edge count, which is what lets one box prepare days of 10^6-10^7
 // machines (the bench_scale_sweep "scale" section records the bound).
 //
-// The scan and the spill sorts run on the shared pool (util/parallel.h).
+// Everything after the trace read runs on the shared pool
+// (util/parallel.h):
+//   - the scan resolves each batch in parallel phases while, when the pool
+//     has more than one worker, a reader thread fills the next batch (two
+//     batch arenas, recycled);
+//   - the spill sorts run as fixed slices;
+//   - every merge pass — labels and degrees, prune masks, CSR shape, IP
+//     counts, and the machine_targets, domain_targets and resolved-IP
+//     writes — runs as fixed node-aligned key ranges. Spill runs are coded
+//     in restart blocks with a block index, so a range's merge starts
+//     each run at the block holding its first key; each range writes its
+//     slice of a section at the offset the CSR prefix sums fix.
 // How the work is split depends only on the input, so the result — the
-// output bytes, skipped records, spill segments and bytes, PruneStats — is
-// identical for every pool size.
+// output bytes, skipped records, spill runs and bytes, PruneStats — is
+// identical for every pool size, and a one-worker pool runs the whole
+// prepare on the calling thread.
 //
 // The input is read through dns::FileTraceSource, so any trace format it
 // sniffs (sim TSV, SEGTRC1 binlog, dnstap, pcap) is accepted; a trace
@@ -59,7 +71,7 @@ struct OutOfCoreResult {
   PruneStats prune_stats;
   std::size_t records = 0;        ///< trace records consumed
   std::size_t skipped_records = 0;///< invalid qname / empty machine
-  std::size_t spill_segments = 0; ///< sorted runs written across both spills
+  std::size_t spill_segments = 0; ///< sorted runs written to the edge and IP spills
   std::uint64_t spill_bytes = 0;  ///< compressed spill footprint
 };
 

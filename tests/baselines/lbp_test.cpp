@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "graph/labeling.h"
+#include "util/parallel.h"
 #include "util/require.h"
 
 namespace seg::baselines {
@@ -145,12 +146,13 @@ TEST_F(LbpTest, HandlesHighDegreeNodesWithoutUnderflow) {
 
 TEST_F(LbpTest, ThreadCountDoesNotChangeBeliefs) {
   const auto graph = make_graph();
-  LbpConfig one;
-  one.num_threads = 1;
-  LbpConfig four;
-  four.num_threads = 4;
-  const auto a = run_loopy_belief_propagation(graph, one);
-  const auto b = run_loopy_belief_propagation(graph, four);
+  struct RestorePool {
+    ~RestorePool() { util::set_parallelism(0); }
+  } restore;
+  util::set_parallelism(1);
+  const auto a = run_loopy_belief_propagation(graph);
+  util::set_parallelism(4);
+  const auto b = run_loopy_belief_propagation(graph);
   ASSERT_EQ(a.domain_belief.size(), b.domain_belief.size());
   for (std::size_t d = 0; d < a.domain_belief.size(); ++d) {
     EXPECT_DOUBLE_EQ(a.domain_belief[d], b.domain_belief[d]);

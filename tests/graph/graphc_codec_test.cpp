@@ -1,6 +1,6 @@
-// Codec tests for the varint / delta-run primitives under the out-of-core
-// spill segments. Corruption must surface as util::ParseError, never as
-// silently wrong ids.
+// Codec tests for the varint / delta-run / block-run primitives under the
+// out-of-core spill runs. Corruption must surface as util::ParseError,
+// never as silently wrong ids.
 #include "util/varint.h"
 
 #include <gtest/gtest.h>
@@ -163,6 +163,101 @@ TEST(VarintTest, RandomizedRoundTrip) {
     std::string run;
     append_ascending_run(run, std::span<const std::uint64_t>(values));
     EXPECT_EQ(decode_run(run, values.size()), values);
+  }
+}
+
+// A block-coded run of `count` ascending values with gaps of every width,
+// in blocks of `block_values`.
+struct BlockRun {
+  std::vector<std::uint64_t> values;
+  std::string bytes;
+  std::vector<RunBlock> blocks;
+
+  std::span<const unsigned char> span() const {
+    return {reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
+  }
+};
+
+BlockRun make_block_run(std::size_t count, std::size_t block_values) {
+  BlockRun run;
+  Rng rng(23);
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    value += 1 + (rng.next_below(4) == 0 ? rng.next_below(std::uint64_t{1} << 40)
+                                          : rng.next_below(3));
+    run.values.push_back(value);
+  }
+  append_block_run(run.bytes, std::span<const std::uint64_t>(run.values), block_values,
+                   run.blocks);
+  return run;
+}
+
+std::vector<std::uint64_t> read_from(std::span<const unsigned char> bytes,
+                                     std::span<const RunBlock> blocks, std::size_t block) {
+  BlockRunCursor cursor(bytes, blocks, block);
+  std::vector<std::uint64_t> values;
+  std::uint64_t value = 0;
+  while (cursor.next(value)) {
+    values.push_back(value);
+  }
+  return values;
+}
+
+TEST(BlockRunTest, DecodingFromEveryBlockStartYieldsTheSuffix) {
+  constexpr std::size_t kBlock = 7;
+  const auto run = make_block_run(100, kBlock);
+  ASSERT_EQ(run.blocks.size(), (100 + kBlock - 1) / kBlock);
+  for (std::size_t b = 0; b < run.blocks.size(); ++b) {
+    EXPECT_EQ(run.blocks[b].first, run.values[b * kBlock]) << "block " << b;
+    EXPECT_EQ(run.blocks[b].count, std::min(kBlock, 100 - b * kBlock)) << "block " << b;
+    const std::vector<std::uint64_t> suffix(
+        run.values.begin() + static_cast<std::ptrdiff_t>(b * kBlock), run.values.end());
+    EXPECT_EQ(read_from(run.span(), run.blocks, b), suffix) << "block " << b;
+  }
+  EXPECT_TRUE(read_from(run.span(), run.blocks, run.blocks.size()).empty());
+
+  // Restarting costs one verbatim value per block over the plain run.
+  std::string plain;
+  append_ascending_run(plain, std::span<const std::uint64_t>(run.values));
+  EXPECT_GE(run.bytes.size(), plain.size());
+}
+
+TEST(BlockRunTest, TruncatedBlockThrowsParseError) {
+  const auto run = make_block_run(40, 8);
+  for (std::size_t cut = 1; cut < run.bytes.size(); ++cut) {
+    const auto bytes = run.span().first(run.bytes.size() - cut);
+    // The block holding the cut, decoded from its start, must fail; so
+    // must the whole run.
+    std::size_t b = run.blocks.size() - 1;
+    while (run.blocks[b].offset > bytes.size()) {
+      --b;
+    }
+    EXPECT_THROW(read_from(bytes, run.blocks, b), ParseError) << "cut " << cut;
+    EXPECT_THROW(read_from(bytes, run.blocks, 0), ParseError) << "cut " << cut;
+  }
+}
+
+TEST(BlockRunTest, LyingIndexThrowsParseError) {
+  const auto run = make_block_run(40, 8);
+  for (std::size_t b = 0; b < run.blocks.size(); ++b) {
+    for (const std::int64_t lie : {-1, 1}) {
+      auto blocks = run.blocks;
+      blocks[b].count =
+          static_cast<std::uint64_t>(static_cast<std::int64_t>(blocks[b].count) + lie);
+      EXPECT_THROW(read_from(run.span(), blocks, b), ParseError)
+          << "block " << b << ", count off by " << lie;
+    }
+    auto blocks = run.blocks;
+    blocks[b].count = 0;
+    EXPECT_THROW(read_from(run.span(), blocks, b), ParseError) << "block " << b << ", count 0";
+    blocks = run.blocks;
+    ++blocks[b].first;
+    EXPECT_THROW(read_from(run.span(), blocks, 0), ParseError) << "block " << b << ", first";
+    if (b + 1 < run.blocks.size()) {
+      blocks = run.blocks;
+      blocks[b + 1].offset = run.bytes.size() + 1;
+      EXPECT_THROW(read_from(run.span(), blocks, b), ParseError) << "block " << b << ", offset";
+    }
   }
 }
 

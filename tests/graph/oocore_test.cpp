@@ -260,6 +260,136 @@ class OutOfCoreTest : public ::testing::Test {
     blob << in.rdbuf();
     return std::move(blob).str();
   }
+
+  // Prepares `trace` (written as a binlog) at pools 1, 2, 3 and 8 and
+  // expects the in-memory pipeline's bytes and PruneStats every time, and
+  // an OutOfCoreResult that does not depend on the pool.
+  void expect_in_memory_bytes_at_every_pool_size(const dns::DayTrace& trace,
+                                                 const PruningConfig& pruning,
+                                                 std::size_t chunk_records,
+                                                 const std::string& name) {
+    dns::write_trace_binary(trace, binary_trace_path_);
+    const auto skipped = static_cast<std::size_t>(
+        std::count_if(trace.records.begin(), trace.records.end(), [](const auto& record) {
+          return record.machine.empty() || !dns::DomainName::is_valid(record.qname);
+        }));
+    PruneStats reference_stats;
+    const auto expected = reference_bytes(trace, pruning, &reference_stats);
+    struct RestorePool {
+      ~RestorePool() { util::set_parallelism(0); }
+    } restore;
+    std::optional<OutOfCoreResult> first;
+    for (const std::size_t pool : {1, 2, 3, 8}) {
+      util::set_parallelism(pool);
+      OutOfCoreConfig config;
+      config.pruning = pruning;
+      config.chunk_records = chunk_records;
+      const auto result = prepare_graph_out_of_core(binary_trace_path_, psl_, blacklist(),
+                                                    whitelist(), out_path_, config);
+      const std::string context = name + ", chunk_records " + std::to_string(chunk_records) +
+                                  ", pool " + std::to_string(pool);
+      // Not EXPECT_EQ: gtest would diff two megabyte-sized blobs by line.
+      const auto bytes = file_bytes(out_path_);
+      EXPECT_TRUE(bytes == expected) << context << ": " << bytes.size() << " bytes against "
+                                     << expected.size() << ", first difference at byte "
+                                     << std::distance(bytes.begin(),
+                                                      std::mismatch(bytes.begin(), bytes.end(),
+                                                                    expected.begin(),
+                                                                    expected.end())
+                                                          .first);
+      EXPECT_EQ(result.records, trace.records.size()) << context;
+      EXPECT_EQ(result.skipped_records, skipped) << context;
+      expect_same_stats(result.prune_stats, reference_stats, context);
+      if (!first) {
+        first = result;
+        continue;
+      }
+      // Everything observable is a function of the input, not of the pool.
+      EXPECT_EQ(result.spill_segments, first->spill_segments) << context;
+      EXPECT_EQ(result.spill_bytes, first->spill_bytes) << context;
+      expect_same_stats(result.prune_stats, first->prune_stats, context);
+    }
+  }
+
+  // A trace for the range-parallel merges: `machines` machines over a pool
+  // of `domains` domains (five per e2LD), each querying `per_machine` of
+  // them at random, plus `wide` machines that query every domain — one
+  // machine's edge pairs then span several spill blocks — and one domain
+  // answered by `cdn_ips` distinct addresses, whose IP pairs span several
+  // blocks too.
+  static dns::DayTrace make_range_trace(std::size_t machines, std::size_t domains,
+                                        std::size_t per_machine, std::size_t wide,
+                                        std::size_t cdn_ips) {
+    dns::DayTrace trace;
+    trace.day = 11;
+    util::Rng rng(31);
+    const auto add = [&](const std::string& machine, const std::string& qname,
+                         std::vector<dns::IpV4> ips) {
+      dns::QueryRecord record;
+      record.day = trace.day;
+      record.machine = machine;
+      record.qname = qname;
+      record.resolved_ips = std::move(ips);
+      trace.records.push_back(std::move(record));
+    };
+    const auto domain = [](std::uint64_t j) {
+      return "h" + std::to_string(j % 5) + ".d" + std::to_string(j / 5) + ".net";
+    };
+    const auto address = [](std::uint64_t j) {
+      return dns::IpV4((10u << 24) | static_cast<std::uint32_t>(j));
+    };
+    for (std::size_t w = 0; w < wide; ++w) {
+      for (std::uint64_t j = 0; j < domains; ++j) {
+        add("wide-" + std::to_string(w), domain(j), {address(j)});
+      }
+    }
+    for (std::size_t m = 0; m < machines; ++m) {
+      for (std::size_t k = 0; k < per_machine; ++k) {
+        const auto j = rng.next_below(domains);
+        add("m" + std::to_string(m), domain(j), {address(j), address(j + domains)});
+      }
+      add("m" + std::to_string(m), "cc.evil.biz", {dns::IpV4::parse("185.1.2.3")});
+    }
+    for (std::uint64_t i = 0; i < cdn_ips; ++i) {
+      add("m" + std::to_string(i % std::max<std::size_t>(machines, 1)), "edge.cdn.org",
+          {dns::IpV4((172u << 24) | static_cast<std::uint32_t>(i))});
+    }
+    return trace;
+  }
+
+  // The number of threads in this process.
+  static std::size_t thread_count() {
+    std::size_t threads = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++threads;
+    }
+    return threads;
+  }
+
+  // Prepares a trace that must fail mid-scan, at pools 1 and 3: a
+  // ParseError, no thread left behind, no spill file left on disk.
+  void expect_scan_failure(const std::string& trace_path, const std::string& name) {
+    struct RestorePool {
+      ~RestorePool() { util::set_parallelism(0); }
+    } restore;
+    for (const std::size_t pool : {1, 3}) {
+      util::set_parallelism(pool);
+      util::shared_pool();  // its workers are not the prepare's to stop
+      const std::size_t threads = thread_count();
+      OutOfCoreConfig config;
+      config.chunk_records = 4096;
+      EXPECT_THROW(prepare_graph_out_of_core(trace_path, psl_, blacklist(), whitelist(),
+                                             out_path_, config),
+                   util::ParseError)
+          << name << ", pool " << pool;
+      EXPECT_EQ(thread_count(), threads) << name << ", pool " << pool;
+      for (const char* spill : {".spill-edges", ".spill-ips", ".spill-swapped"}) {
+        EXPECT_FALSE(std::filesystem::exists(out_path_ + spill))
+            << name << ", pool " << pool << ": " << spill;
+      }
+    }
+  }
 };
 
 TEST_F(OutOfCoreTest, MatchesInMemoryPipelineByteForByteAtEveryChunkSize) {
@@ -300,53 +430,75 @@ TEST_F(OutOfCoreTest, MatchesInMemoryPipelineByteForByteAtEveryChunkSize) {
 TEST_F(OutOfCoreTest, MultiBatchTraceMatchesInMemoryPipelineAtEveryPoolSize) {
   const auto trace = make_multi_batch_trace();
   ASSERT_GT(trace.records.size(), 2 * kOutOfCoreBatchRecords);
-  dns::write_trace_binary(trace, binary_trace_path_);
-  const auto skipped = static_cast<std::size_t>(
-      std::count_if(trace.records.begin(), trace.records.end(), [](const auto& record) {
-        return record.machine.empty() || !dns::DomainName::is_valid(record.qname);
-      }));
-  ASSERT_EQ(skipped, 4u);
+  ASSERT_EQ(std::count_if(trace.records.begin(), trace.records.end(),
+                          [](const auto& record) {
+                            return record.machine.empty() ||
+                                   !dns::DomainName::is_valid(record.qname);
+                          }),
+            4);
   PruningConfig pruning;
   pruning.proxy_degree_percentile = 0.95;
-  PruneStats reference_stats;
-  const auto expected = reference_bytes(trace, pruning, &reference_stats);
-
-  struct RestorePool {
-    ~RestorePool() { util::set_parallelism(0); }
-  } restore;
   for (const std::size_t chunk : {std::size_t{7}, std::size_t{4096}, std::size_t{1} << 20}) {
-    std::optional<OutOfCoreResult> first;
-    for (const std::size_t pool : {1, 2, 3, 8}) {
-      util::set_parallelism(pool);
-      OutOfCoreConfig config;
-      config.pruning = pruning;
-      config.chunk_records = chunk;
-      const auto result = prepare_graph_out_of_core(binary_trace_path_, psl_, blacklist(),
-                                                    whitelist(), out_path_, config);
-      const std::string context =
-          "chunk_records " + std::to_string(chunk) + ", pool " + std::to_string(pool);
-      // Not EXPECT_EQ: gtest would diff two megabyte-sized blobs by line.
-      const auto bytes = file_bytes(out_path_);
-      EXPECT_TRUE(bytes == expected) << context << ": " << bytes.size() << " bytes against "
-                                     << expected.size() << ", first difference at byte "
-                                     << std::distance(bytes.begin(),
-                                                      std::mismatch(bytes.begin(), bytes.end(),
-                                                                    expected.begin(),
-                                                                    expected.end())
-                                                          .first);
-      EXPECT_EQ(result.records, trace.records.size()) << context;
-      EXPECT_EQ(result.skipped_records, skipped) << context;
-      expect_same_stats(result.prune_stats, reference_stats, context);
-      if (!first) {
-        first = result;
-        continue;
-      }
-      // Everything observable is a function of the input, not of the pool.
-      EXPECT_EQ(result.spill_segments, first->spill_segments) << context;
-      EXPECT_EQ(result.spill_bytes, first->spill_bytes) << context;
-      expect_same_stats(result.prune_stats, first->prune_stats, context);
-    }
+    expect_in_memory_bytes_at_every_pool_size(trace, pruning, chunk, "multi-batch");
   }
+}
+
+// The merge passes cut each spill into fixed node-aligned ranges over
+// restart blocks of a few thousand pairs; these traces sit on the edges of
+// that split.
+TEST_F(OutOfCoreTest, RangeMergeEdgeCasesMatchInMemoryPipelineAtEveryPoolSize) {
+  PruningConfig pruning;
+  pruning.proxy_degree_percentile = 1.0;
+  pruning.popular_e2ld_fraction = 0.9;
+  // Two machines whose edge pairs, and one domain whose IP pairs, span
+  // several blocks of one run.
+  const auto wide = make_range_trace(12, 10000, 1500, 2, 9000);
+  expect_in_memory_bytes_at_every_pool_size(wide, pruning, std::size_t{1} << 20, "wide nodes");
+  // Fewer machines (and pairs) than merge ranges: most ranges are empty.
+  const auto few = make_range_trace(5, 60, 20, 0, 3);
+  ASSERT_LT(5u, kOutOfCoreBatchRecords);
+  expect_in_memory_bytes_at_every_pool_size(few, pruning, std::size_t{1} << 20, "few machines");
+  // A chunk smaller than one block: every run is a single short block.
+  expect_in_memory_bytes_at_every_pool_size(wide, pruning, 1000, "small chunks");
+}
+
+TEST_F(OutOfCoreTest, ScanFailuresOnTheReaderThreadSurfaceAndCleanUp) {
+  const auto trace = make_multi_batch_trace();
+  ASSERT_GT(trace.records.size(), 2 * kOutOfCoreBatchRecords);
+
+  // A binlog cut mid-record in its third batch: the first two batches
+  // resolve before the reader hits the cut.
+  dns::write_trace_binary(trace, binary_trace_path_);
+  const auto size = std::filesystem::file_size(binary_trace_path_);
+  std::filesystem::resize_file(binary_trace_path_, size - size / 20 - 3);
+  expect_scan_failure(binary_trace_path_, "truncated binlog");
+
+  // A second day that starts in the second batch: as a TSV trace, and as
+  // a second binlog segment.
+  const std::size_t split = kOutOfCoreBatchRecords + kOutOfCoreBatchRecords / 2;
+  dns::DayTrace first_day;
+  first_day.day = trace.day;
+  first_day.records.assign(trace.records.begin(),
+                           trace.records.begin() + static_cast<std::ptrdiff_t>(split));
+  dns::DayTrace second_day;
+  second_day.day = trace.day + 1;
+  second_day.records.assign(trace.records.begin() + static_cast<std::ptrdiff_t>(split),
+                            trace.records.end());
+  for (auto& record : second_day.records) {
+    record.day = second_day.day;
+  }
+  dns::DayTrace both = first_day;
+  both.records.insert(both.records.end(), second_day.records.begin(), second_day.records.end());
+  dns::write_trace(both, trace_path_);
+  expect_scan_failure(trace_path_, "two-day TSV");
+
+  dns::write_trace_binary(first_day, binary_trace_path_);
+  dns::write_trace_binary(second_day, capture_path_);
+  {
+    std::ofstream out(binary_trace_path_, std::ios::binary | std::ios::app);
+    out << file_bytes(capture_path_);
+  }
+  expect_scan_failure(binary_trace_path_, "two-segment binlog");
 }
 
 TEST_F(OutOfCoreTest, BinaryTraceInputMatchesTextTraceOutput) {

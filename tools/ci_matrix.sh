@@ -29,12 +29,18 @@
 # The oocore leg reuses the asan tree and re-runs the mmap-backing,
 # pipeline and golden-digest suites plus the graph container suites, so the
 # zero-copy GraphView path (mapping lifetime, crafted graphc files, spill
-# varint decode bounds, classify parity: PipelineTest maps every streamed
-# day explicitly) and the out-of-core prepare's reads through
-# FileTraceSource get sanitizer coverage; see docs/graph-format.md. The
-# prepare's scan and spill sorts run on the shared pool, so the leg also
-# soaks the OutOfCore suites in the tsan tree at SEG_THREADS=8 (repeated,
-# so the interleavings vary), next to the asan runs.
+# varint and block-run decode bounds, classify parity: PipelineTest maps
+# every streamed day explicitly) and the out-of-core prepare's reads
+# through FileTraceSource get sanitizer coverage; see docs/graph-format.md.
+# The prepare's scan, spill sorts and range-parallel merge passes run on
+# the shared pool, and a reader thread fills the next scan batch, so the
+# leg also soaks the OutOfCore suites in the tsan tree at SEG_THREADS=8
+# (repeated, so the interleavings vary), next to the asan runs. Last, it
+# builds bench_scale_sweep in the plain tree and runs it: the leg fails when
+# the sweep's own gate fails (a scale point fails, or the 160 K-machine
+# out-of-core point's peak RSS is not below the largest heap point's), and
+# the "scale" section of its BENCH_pipeline.json is archived in
+# ${LOG_DIR}/oocore/scale.json.
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
@@ -286,6 +292,7 @@ run_obs() {
 
 run_oocore() {
   local log="${LOG_DIR}/oocore.log"
+  local oocore_dir="${LOG_DIR}/oocore"
   local build_dir="build-asan"
   : > "${log}"
 
@@ -310,7 +317,7 @@ run_oocore() {
     return 1
   fi
   if ! "${build_dir}/tests/graph_test" \
-       --gtest_filter='GraphCompressed*:OutOfCore*:Varint*' >> "${log}" 2>&1; then
+       --gtest_filter='GraphCompressed*:OutOfCore*:Varint*:BlockRun*' >> "${log}" 2>&1; then
     echo "    graph suites FAILED under asan (see ${log})"
     return 1
   fi
@@ -321,6 +328,36 @@ run_oocore() {
     echo "    out-of-core prepare soak FAILED under tsan (see ${log})"
     return 1
   fi
+
+  echo "=== [oocore] scale sweep: peak RSS gate and edges/s (build-plain) ==="
+  if ! cmake -B build-plain -S . >> "${log}" 2>&1 ||
+     ! cmake --build build-plain -j "${JOBS}" --target bench_scale_sweep >> "${log}" 2>&1; then
+    echo "    scale sweep build FAILED (see ${log})"
+    return 1
+  fi
+  # The sweep writes BENCH_pipeline.json into its cwd and exits non-zero
+  # when its RSS gate fails.
+  if ! (cd build-plain && ./bench/bench_scale_sweep) >> "${log}" 2>&1; then
+    echo "    scale sweep FAILED (see ${log})"
+    return 1
+  fi
+  mkdir -p "${oocore_dir}"
+  if ! python3 - build-plain/BENCH_pipeline.json "${oocore_dir}/scale.json" \
+       >> "${log}" 2>&1 <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as source:
+    bench = json.load(source)
+with open(sys.argv[2], "w") as archive:
+    json.dump({"scale": bench["scale"]}, archive, indent=2)
+    archive.write("\n")
+PY
+  then
+    echo "    no scale section in build-plain/BENCH_pipeline.json (see ${log})"
+    return 1
+  fi
+  echo "    scale section archived in ${oocore_dir}/scale.json"
   return 0
 }
 
