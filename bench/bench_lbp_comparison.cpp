@@ -31,17 +31,15 @@ int main() {
 
   // --- LBP on the identical hidden-label test graph: rebuild it the same
   // way run_cross_day does, then hide the same test domains.
-  const auto test_graph = core::Segugio::prepare_graph(*bundle->inputs.test_trace,
-                                                       world.psl(),
-                                                       bundle->inputs.test_blacklist,
-                                                       bundle->inputs.whitelist,
-                                                       config.prepare_options())
-                              .graph;
+  const auto test_prep = core::Segugio::prepare_graph(*bundle->inputs.test_trace, world.psl(),
+                                                      bundle->inputs.test_blacklist,
+                                                      bundle->inputs.whitelist,
+                                                      config.prepare_options());
   graph::NameSet test_names;
   for (const auto& outcome : result.outcomes) {
     test_names.insert(outcome.name);
   }
-  auto hidden = test_graph;
+  auto hidden = graph::copy_graph(test_prep.graph);
   std::vector<std::pair<graph::DomainId, int>> test_rows;
   for (graph::DomainId d = 0; d < hidden.domain_count(); ++d) {
     if (test_names.contains(hidden.domain_name(d))) {

@@ -7,7 +7,7 @@
 // stages at our 1:400 scale, and we time them twice: once pinned to one
 // worker and once with parallel_thread_count() workers (8 by default, 1 on
 // single-core hosts, SEG_THREADS when set), because the whole per-day loop
-// (sharded graph build, pruning, feature extraction, classification) is
+// (graph preparation, feature extraction, classification) is
 // thread-parallel with a bit-identical-output guarantee. The run fails if
 // the two runs' domain scores differ in any bit.
 //
@@ -59,10 +59,7 @@ std::size_t parallel_thread_count() {
 }
 
 struct StageTotals {
-  double build_seconds = 0.0;     // sharded graph construction
-  double build_scan_seconds = 0.0;      // build: parallel shard scan
-  double build_merge_seconds = 0.0;     // build: dictionary merge + edge dedup
-  double build_assemble_seconds = 0.0;  // build: CSR fill, IPs, e2LDs
+  double build_seconds = 0.0;     // graph build: the engine's scan
   double label_seconds = 0.0;     // blacklist/whitelist annotation
   double prune_seconds = 0.0;     // R1-R4
   double train_feature_seconds = 0.0;
@@ -103,9 +100,6 @@ StageTotals run_pipeline(std::size_t threads, std::vector<double>* scores_out) {
                                                      config.prepare_options());
       const auto& graph = prep.graph;
       totals.build_seconds += prep.timings.build.total_seconds();
-      totals.build_scan_seconds += prep.timings.build.shard_scan_seconds;
-      totals.build_merge_seconds += prep.timings.build.merge_seconds;
-      totals.build_assemble_seconds += prep.timings.build.assemble_seconds;
       totals.label_seconds += prep.timings.label_seconds;
       totals.prune_seconds += prep.timings.prune_seconds;
       totals.records += prep.timings.build.records;
@@ -472,10 +466,7 @@ void write_ingest_json(std::FILE* out, const IngestSection& ingest) {
 void print_totals(const char* label, const StageTotals& t) {
   const auto avg = [&](double total) { return total / static_cast<double>(t.days); };
   std::printf("\n[%s] averages over %zu simulated ISP-days:\n", label, t.days);
-  std::printf("  graph build (sharded)  : %8.3f s\n", avg(t.build_seconds));
-  std::printf("    scan / merge / asm   : %8.3f / %.3f / %.3f s\n",
-              avg(t.build_scan_seconds), avg(t.build_merge_seconds),
-              avg(t.build_assemble_seconds));
+  std::printf("  graph build (scan)     : %8.3f s\n", avg(t.build_seconds));
   std::printf("  labeling               : %8.3f s\n", avg(t.label_seconds));
   std::printf("  pruning                : %8.3f s\n", avg(t.prune_seconds));
   std::printf("  training features      : %8.3f s\n", avg(t.train_feature_seconds));
@@ -490,24 +481,13 @@ void print_totals(const char* label, const StageTotals& t) {
               static_cast<double>(t.unknown_domains) / t.classify_seconds);
 }
 
-// Shard-imbalance snapshot of the parallel leg plus process peak memory —
-// the concrete fields the ROADMAP multi-core measurement item asks for.
+// Process peak memory after the parallel leg.
 struct ObsSection {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t shard_observations = 0;
   std::uint64_t rss_peak_kb = 0;
 };
 
 ObsSection collect_obs_section() {
-  ObsSection section;
-  auto& hist = seg::obs::Registry::instance().histogram(
-      "seg_build_shard_edges", seg::obs::exponential_bounds(64, 4.0, 12));
-  section.bounds = hist.bounds();
-  section.buckets = hist.bucket_counts();
-  section.shard_observations = hist.count();
-  section.rss_peak_kb = seg::obs::sample_process().rss_peak_kb;
-  return section;
+  return {seg::obs::sample_process().rss_peak_kb};
 }
 
 void write_json(const char* path, const StageTotals& serial, const StageTotals& parallel,
@@ -529,9 +509,6 @@ void write_json(const char* path, const StageTotals& serial, const StageTotals& 
                  "    \"unknown_domains\": %zu,\n"
                  "    \"stages_seconds\": {\n"
                  "      \"graph_build\": %.6f,\n"
-                 "      \"graph_build_scan\": %.6f,\n"
-                 "      \"graph_build_merge\": %.6f,\n"
-                 "      \"graph_build_assemble\": %.6f,\n"
                  "      \"labeling\": %.6f,\n"
                  "      \"pruning\": %.6f,\n"
                  "      \"train_features\": %.6f,\n"
@@ -547,7 +524,6 @@ void write_json(const char* path, const StageTotals& serial, const StageTotals& 
                  "    }\n"
                  "  }",
                  name, threads, t.days, t.records, t.edges, t.unknown_domains, t.build_seconds,
-                 t.build_scan_seconds, t.build_merge_seconds, t.build_assemble_seconds,
                  t.label_seconds, t.prune_seconds, t.train_feature_seconds, t.fit_seconds,
                  t.classify_seconds, t.learning_seconds(),
                  static_cast<double>(t.edges) / t.build_seconds,
@@ -595,17 +571,7 @@ void write_json(const char* path, const StageTotals& serial, const StageTotals& 
   array(streaming.ingest_seconds);
   std::fprintf(out, "\n  },\n");
   write_ingest_json(out, ingest);
-  std::fprintf(out, ",\n  \"obs\": {\n    \"shard_edge_histogram\": {\n      \"bounds\": ");
-  array(obs_section.bounds);
-  std::fprintf(out, ",\n      \"buckets\": [");
-  for (std::size_t i = 0; i < obs_section.buckets.size(); ++i) {
-    std::fprintf(out, "%s%llu", i == 0 ? "" : ", ",
-                 static_cast<unsigned long long>(obs_section.buckets[i]));
-  }
-  std::fprintf(out,
-               "],\n      \"shard_observations\": %llu\n    },\n"
-               "    \"rss_peak_kb\": %llu\n  }",
-               static_cast<unsigned long long>(obs_section.shard_observations),
+  std::fprintf(out, ",\n  \"obs\": {\n    \"rss_peak_kb\": %llu\n  }",
                static_cast<unsigned long long>(obs_section.rss_peak_kb));
   std::fprintf(out, ",\n");
   write_obs_overhead_json(out, overhead);
@@ -688,9 +654,6 @@ int main() {
   const auto serial = run_pipeline(1, &serial_scores);
   print_totals("1 thread", serial);
 
-  // Reset the metric registry so the shard-imbalance histogram snapshots
-  // exactly the parallel leg's builds.
-  seg::obs::Registry::instance().reset();
   std::vector<double> parallel_scores;
   const auto parallel = run_pipeline(parallel_threads, &parallel_scores);
   print_totals((std::to_string(parallel_threads) + " threads").c_str(), parallel);

@@ -2,7 +2,7 @@
 
 namespace seg::baselines {
 
-CooccurrenceResult run_cooccurrence(const graph::MachineDomainGraph& graph) {
+CooccurrenceResult run_cooccurrence(const graph::GraphView& graph) {
   CooccurrenceResult result;
   result.domain_score.assign(graph.domain_count(), 0.0);
   for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {

@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/graph_view.h"
 
 namespace seg::baselines {
 
@@ -20,6 +20,6 @@ struct CooccurrenceResult {
   std::vector<double> domain_score;
 };
 
-CooccurrenceResult run_cooccurrence(const graph::MachineDomainGraph& graph);
+CooccurrenceResult run_cooccurrence(const graph::GraphView& graph);
 
 }  // namespace seg::baselines

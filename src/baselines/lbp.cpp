@@ -31,7 +31,7 @@ std::pair<double, double> log_potential(graph::Label label, const LbpConfig& con
 
 }  // namespace
 
-LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
+LbpResult run_loopy_belief_propagation(const graph::GraphView& graph,
                                        const LbpConfig& config) {
   util::require(config.edge_potential > 0.5 && config.edge_potential < 1.0,
                 "LBP: edge_potential must be in (0.5, 1)");

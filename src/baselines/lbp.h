@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/graph_view.h"
 
 namespace seg::baselines {
 
@@ -43,7 +43,7 @@ struct LbpResult {
 /// run on the shared pool (util/parallel.h; the paper ran this baseline on
 /// GraphLab's parallel engine); the beliefs are identical for every pool
 /// size.
-LbpResult run_loopy_belief_propagation(const graph::MachineDomainGraph& graph,
+LbpResult run_loopy_belief_propagation(const graph::GraphView& graph,
                                        const LbpConfig& config = {});
 
 }  // namespace seg::baselines

@@ -46,7 +46,7 @@ double character_entropy(std::string_view name) {
 NotosLikeClassifier::NotosLikeClassifier(NotosConfig config) : config_(config) {}
 
 std::array<double, kNotosFeatureCount> NotosLikeClassifier::measure(
-    const graph::MachineDomainGraph& graph, graph::DomainId d,
+    const graph::GraphView& graph, graph::DomainId d,
     const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns) const {
   std::array<double, kNotosFeatureCount> features{};
   const auto name = graph.domain_name(d);
@@ -87,7 +87,7 @@ std::array<double, kNotosFeatureCount> NotosLikeClassifier::measure(
   return features;
 }
 
-bool NotosLikeClassifier::rejects(const graph::MachineDomainGraph& graph, graph::DomainId d,
+bool NotosLikeClassifier::rejects(const graph::GraphView& graph, graph::DomainId d,
                                   const dns::DomainActivityIndex& activity,
                                   const dns::PassiveDnsDb& pdns) const {
   const auto e2ld = graph.e2ld_name(graph.domain_e2ld(d));
@@ -112,7 +112,7 @@ bool NotosLikeClassifier::rejects(const graph::MachineDomainGraph& graph, graph:
   return true;
 }
 
-void NotosLikeClassifier::train(const graph::MachineDomainGraph& graph,
+void NotosLikeClassifier::train(const graph::GraphView& graph,
                                 const dns::DomainActivityIndex& activity,
                                 const dns::PassiveDnsDb& pdns, const graph::NameSet& blacklist,
                                 const graph::NameSet& whitelist_e2lds) {
@@ -140,7 +140,7 @@ bool NotosLikeClassifier::is_trained() const {
   return forest_ != nullptr && forest_->is_trained();
 }
 
-std::optional<double> NotosLikeClassifier::score(const graph::MachineDomainGraph& graph,
+std::optional<double> NotosLikeClassifier::score(const graph::GraphView& graph,
                                                  graph::DomainId d,
                                                  const dns::DomainActivityIndex& activity,
                                                  const dns::PassiveDnsDb& pdns) const {

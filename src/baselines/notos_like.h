@@ -23,6 +23,7 @@
 
 #include "dns/activity_index.h"
 #include "dns/pdns.h"
+#include "graph/graph_view.h"
 #include "graph/labeling.h"
 #include "ml/random_forest.h"
 
@@ -47,7 +48,7 @@ class NotosLikeClassifier {
 
   /// Trains on the labeled domains of `graph` that match the given lists
   /// (blacklist = positives, whitelist e2LDs = negatives).
-  void train(const graph::MachineDomainGraph& graph, const dns::DomainActivityIndex& activity,
+  void train(const graph::GraphView& graph, const dns::DomainActivityIndex& activity,
              const dns::PassiveDnsDb& pdns, const graph::NameSet& blacklist,
              const graph::NameSet& whitelist_e2lds);
 
@@ -55,18 +56,18 @@ class NotosLikeClassifier {
 
   /// Reputation-based malware score of a domain in `graph`, or nullopt
   /// when the reject option declines to classify it.
-  std::optional<double> score(const graph::MachineDomainGraph& graph, graph::DomainId d,
+  std::optional<double> score(const graph::GraphView& graph, graph::DomainId d,
                               const dns::DomainActivityIndex& activity,
                               const dns::PassiveDnsDb& pdns) const;
 
   /// Feature measurement (exposed for tests).
-  std::array<double, kNotosFeatureCount> measure(const graph::MachineDomainGraph& graph,
+  std::array<double, kNotosFeatureCount> measure(const graph::GraphView& graph,
                                                  graph::DomainId d,
                                                  const dns::DomainActivityIndex& activity,
                                                  const dns::PassiveDnsDb& pdns) const;
 
   /// True when the reject option would decline this domain.
-  bool rejects(const graph::MachineDomainGraph& graph, graph::DomainId d,
+  bool rejects(const graph::GraphView& graph, graph::DomainId d,
                const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns) const;
 
  private:

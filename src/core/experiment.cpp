@@ -66,7 +66,7 @@ struct TestSelection {
   graph::NameSet names;
 };
 
-TestSelection select_stratified_test_set(const graph::MachineDomainGraph& graph,
+TestSelection select_stratified_test_set(const graph::GraphView& graph,
                                          double malware_fraction, double benign_fraction,
                                          util::Rng& rng) {
   std::vector<graph::DomainId> malware_ids;
@@ -102,7 +102,7 @@ TestSelection select_stratified_test_set(const graph::MachineDomainGraph& graph,
 // graph, and score the test rows.
 EvaluationResult evaluate_with_test_set(const ExperimentInputs& inputs,
                                         const SegugioConfig& config,
-                                        const graph::MachineDomainGraph& test_graph,
+                                        const graph::GraphView& test_graph,
                                         const graph::PruneStats& test_prune,
                                         const TestSelection& selection,
                                         const graph::NameSet& train_blacklist) {
@@ -114,16 +114,15 @@ EvaluationResult evaluate_with_test_set(const ExperimentInputs& inputs,
   auto train_prep = Segugio::prepare_graph(*inputs.train_trace, *inputs.psl, train_blacklist,
                                            inputs.whitelist, config.prepare_options());
   result.train_prune = train_prep.prune_stats;
-  auto& train_graph = train_prep.graph;
   SegugioConfig local = config;
   local.training.exclude = &selection.names;
   Segugio segugio(local);
-  segugio.train(train_graph, *inputs.activity, *inputs.pdns);
+  segugio.train(train_prep.graph, *inputs.activity, *inputs.pdns);
   result.train_seconds = train_span.close();
 
   // --- Testing: hide all test-domain labels at once, relabel machines.
   obs::Span test_span("experiment/test");
-  auto hidden = test_graph;  // work on a copy; the caller may reuse test_graph
+  auto hidden = graph::copy_graph(test_graph);  // the caller may reuse test_graph
   for (const auto& [d, label] : selection.rows) {
     hidden.set_domain_label(d, graph::Label::kUnknown);
   }
@@ -286,7 +285,7 @@ std::vector<EvaluationResult> run_in_day_cross_validation(
   std::vector<EvaluationResult> results;
   for (std::size_t fold = 0; fold < options.folds; ++fold) {
     // Hide this fold's labels; the rest stays known for training.
-    auto hidden = graph;
+    auto hidden = graph::copy_graph(graph);
     std::vector<std::pair<graph::DomainId, int>> rows;
     for (std::size_t i = fold; i < malware_ids.size(); i += options.folds) {
       rows.emplace_back(malware_ids[i], 1);

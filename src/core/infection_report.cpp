@@ -5,7 +5,7 @@
 
 namespace seg::core {
 
-InfectionReport enumerate_infections(const graph::MachineDomainGraph& graph,
+InfectionReport enumerate_infections(const graph::GraphView& graph,
                                      const DetectionReport& detections, double threshold) {
   // machine id -> accumulating entry
   std::unordered_map<graph::MachineId, InfectedMachine> by_machine;

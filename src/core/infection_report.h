@@ -40,7 +40,7 @@ struct InfectionReport {
 
 /// Builds the remediation report from a labeled graph and the day's
 /// detection output at `threshold`.
-InfectionReport enumerate_infections(const graph::MachineDomainGraph& graph,
+InfectionReport enumerate_infections(const graph::GraphView& graph,
                                      const DetectionReport& detections, double threshold);
 
 }  // namespace seg::core

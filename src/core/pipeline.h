@@ -58,7 +58,7 @@ namespace seg::core {
 
 /// One ingested observation day, ready for train() / classify().
 struct PreparedDay {
-  graph::MachineDomainGraph graph;  ///< labeled, (filtered,) pruned
+  graph::PreparedGraph graph;       ///< labeled, (filtered,) pruned
   graph::PruneStats prune_stats;    ///< R1-R4 breakdown
   PrepareTimings timings;           ///< per-stage wall clock
   dns::Day day = 0;                 ///< the observation day

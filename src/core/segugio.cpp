@@ -1,8 +1,12 @@
 #include "core/segugio.h"
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <istream>
 #include <ostream>
+#include <system_error>
 
 #include "graph/labeling.h"
 #include "ml/metrics.h"
@@ -14,8 +18,8 @@
 
 namespace seg::core {
 
-PrepareOptions SegugioConfig::prepare_options() const {
-  PrepareOptions options;
+graph::OutOfCoreConfig SegugioConfig::prepare_options() const {
+  graph::OutOfCoreConfig options;
   options.pruning = pruning;
   options.prober_filter = prober_filter;
   return options;
@@ -44,34 +48,54 @@ std::vector<Detection> DetectionReport::detections_at(double threshold) const {
 
 Segugio::Segugio(SegugioConfig config) : config_(std::move(config)) {}
 
+namespace {
+
+/// A directory of one prepare_graph() call's own under the system temp
+/// path, removed with everything in it when the object goes.
+class PrepareDirectory {
+ public:
+  PrepareDirectory()
+      : path_((std::filesystem::temp_directory_path() / "segugio-prepare-XXXXXX").string()) {
+    util::require_data(::mkdtemp(path_.data()) != nullptr,
+                       "Segugio::prepare_graph: cannot create a directory in '" +
+                           std::filesystem::temp_directory_path().string() + "'");
+  }
+  ~PrepareDirectory() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  PrepareDirectory(const PrepareDirectory&) = delete;
+  PrepareDirectory& operator=(const PrepareDirectory&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+}  // namespace
+
 PrepareResult Segugio::prepare_graph(const dns::DayTrace& trace,
                                      const dns::PublicSuffixList& psl,
                                      const graph::NameSet& cc_blacklist,
                                      const graph::NameSet& e2ld_whitelist,
-                                     const PrepareOptions& options) {
+                                     const graph::OutOfCoreConfig& options) {
+  const std::int64_t start_ns = obs::now_ns();
   PrepareResult result;
   PrepareTimings& t = result.timings;
-
-  graph::ShardedGraphBuilder builder(psl);
-  builder.add_trace(trace);
-  auto graph = builder.build();
-  t.build = builder.last_timings();
-
   {
-    obs::Span span("prepare/label");
-    graph::apply_labels(graph, cc_blacklist, e2ld_whitelist);
-    t.label_seconds = span.close();
+    const PrepareDirectory directory;
+    const std::string graph_path = directory.path() + "/day.graphc";
+    const auto engine = graph::prepare_graph_out_of_core(trace, psl, cc_blacklist,
+                                                         e2ld_whitelist, graph_path, options);
+    result.graph = graph::PreparedGraph(graph::map_graph(graph_path));
+    result.prune_stats = engine.prune_stats;
+    t.build = {engine.scan_seconds, engine.records, engine.edges};
+    t.label_seconds = engine.label_seconds;
+    t.prober_seconds = engine.prober_seconds;
   }
-
-  if (options.prober_filter.has_value()) {
-    obs::Span span("prepare/prober");
-    graph = graph::remove_probers(graph, *options.prober_filter);
-    t.prober_seconds = span.close();
-  }
-
-  obs::Span prune_span("prepare/prune");
-  result.graph = graph::prune(graph, options.pruning, &result.prune_stats);
-  t.prune_seconds = prune_span.close();
+  const double total = static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
+  t.prune_seconds = total - t.build.total_seconds() - t.label_seconds - t.prober_seconds;
   return result;
 }
 

@@ -23,9 +23,12 @@
 //   Segugio segugio(config);
 //   segugio.train(prep.graph, activity, pdns);
 //
-// train() and classify() take a graph::GraphView: a heap graph converts
-// implicitly, and an mmap-resident graph (graph::map_graph) passes its
-// view. Scores and the fitted model are bit-identical for either backing.
+// prepare_graph() runs the preparation engine (graph/oocore.h) over the
+// in-memory day and serves the result from a private mapping
+// (graph::PreparedGraph, itself a GraphView). train() and classify() take
+// a graph::GraphView: a prepared graph or a heap graph passes as it is,
+// and an mmap-resident graph (graph::map_graph) passes its view. Scores
+// and the fitted model are bit-identical for every backing.
 #pragma once
 
 #include <iosfwd>
@@ -39,9 +42,10 @@
 #include "dns/public_suffix_list.h"
 #include "dns/query_log.h"
 #include "features/training_set.h"
+#include "graph/graph_compressed.h"
+#include "graph/oocore.h"
 #include "graph/prober_filter.h"
 #include "graph/pruning.h"
-#include "graph/sharded_builder.h"
 #include "ml/logistic_regression.h"
 #include "ml/random_forest.h"
 
@@ -83,16 +87,9 @@ struct SegugioConfig {
     return forest;
   }
 
-  /// The graph-preparation slice of this config, for prepare_graph().
-  struct PrepareOptions prepare_options() const;
-};
-
-/// Options for Segugio::prepare_graph (the stages before train/classify).
-struct PrepareOptions {
-  graph::PruningConfig pruning = SegugioConfig::scaled_pruning_defaults();
-  /// When set, "probing" clients (machines querying implausibly many
-  /// blacklisted domains, Section VI) are removed before pruning.
-  std::optional<graph::ProberFilterConfig> prober_filter;
+  /// The graph-preparation slice of this config (pruning and prober
+  /// filter), for prepare_graph().
+  graph::OutOfCoreConfig prepare_options() const;
 };
 
 /// Wall-clock breakdown of the last train()/classify() calls (Section IV-G).
@@ -106,15 +103,26 @@ struct PipelineTimings {
   double classify_score_seconds = 0.0;
 };
 
+/// The graph build of one prepare_graph() call: the engine's scan.
+struct BuildTimings {
+  double scan_seconds = 0.0;  ///< span "oocore/scan"
+  std::size_t records = 0;    ///< records read
+  std::size_t edges = 0;      ///< distinct edges before pruning
+
+  double total_seconds() const { return scan_seconds; }
+};
+
 /// Wall-clock breakdown of one prepare_graph() call: the learning-side
 /// stages that precede training (Section IV-G's graph build + pruning).
-/// A view over the obs spans "prepare/label", "prepare/prober",
-/// "prepare/prune" plus the builder's BuildTimings.
+/// A view over the engine's spans (graph/oocore.h); the fields add up to
+/// the whole call.
 struct PrepareTimings {
-  graph::BuildTimings build;     ///< sharded construction breakdown
-  double label_seconds = 0.0;    ///< blacklist/whitelist annotation
-  double prober_seconds = 0.0;   ///< optional prober filtering
-  double prune_seconds = 0.0;    ///< R1-R4 pruning
+  BuildTimings build;            ///< "oocore/scan"
+  double label_seconds = 0.0;    ///< "oocore/labels"
+  double prober_seconds = 0.0;   ///< "oocore/probers"; 0 without a prober filter
+  /// "oocore/prune-masks" + "oocore/write" + the map, and the rest of the
+  /// call (the per-call temporary directory).
+  double prune_seconds = 0.0;
 
   double total_seconds() const {
     return build.total_seconds() + label_seconds + prober_seconds + prune_seconds;
@@ -155,7 +163,7 @@ struct DetectionReport {
 
 /// Everything prepare_graph() produces for one day of traffic.
 struct PrepareResult {
-  graph::MachineDomainGraph graph;  ///< labeled, (filtered,) pruned
+  graph::PreparedGraph graph;       ///< labeled, (filtered,) pruned
   graph::PruneStats prune_stats;    ///< R1-R4 breakdown
   PrepareTimings timings;           ///< per-stage wall clock
 };
@@ -164,15 +172,22 @@ class Segugio {
  public:
   explicit Segugio(SegugioConfig config = {});
 
-  /// Builds (sharded, thread-parallel, bit-identical to the serial
-  /// builder), labels, (optionally) prober-filters, and prunes a behavior
-  /// graph from one day of traffic. The only in-memory preparation path:
-  /// core::Pipeline prepares every streamed day through it too.
-  static PrepareResult prepare_graph(const dns::DayTrace& trace,
-                                     const dns::PublicSuffixList& psl,
-                                     const graph::NameSet& cc_blacklist,
-                                     const graph::NameSet& e2ld_whitelist,
-                                     const PrepareOptions& options = {});
+  /// Builds, labels, (optionally) prober-filters, and prunes a behavior
+  /// graph from one day of traffic; core::Pipeline prepares every streamed
+  /// day through it too. It runs the preparation engine
+  /// (graph::prepare_graph_out_of_core) over `trace` with its spills and
+  /// output in a temporary directory of its own under
+  /// std::filesystem::temp_directory_path(), maps the output
+  /// (graph::map_graph, with all of its checks), and removes the directory
+  /// before it returns: the mapping keeps the unlinked file alive. The
+  /// graph's day is `trace.day`; a record of another day is a
+  /// util::ParseError. The bytes are those of the serial reference
+  /// (GraphBuilder, apply_labels, remove_probers, prune) for every pool
+  /// size. Safe to call from several threads at once.
+  static PrepareResult prepare_graph(
+      const dns::DayTrace& trace, const dns::PublicSuffixList& psl,
+      const graph::NameSet& cc_blacklist, const graph::NameSet& e2ld_whitelist,
+      const graph::OutOfCoreConfig& options = SegugioConfig{}.prepare_options());
 
   /// Trains the behavior-based classifier from the known domains of a
   /// prepared graph (hidden-label protocol of Figure 5).

@@ -91,7 +91,6 @@ class MachineDomainGraph {
 
  private:
   friend class GraphBuilder;
-  friend class ShardedGraphBuilder;
   friend MachineDomainGraph prune_impl(const GraphView&,
                                        const std::vector<std::uint8_t>&,
                                        const std::vector<std::uint8_t>&);

@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "graph/graph.h"
 #include "graph/graph_view.h"
@@ -35,6 +36,29 @@ void save_graph_compressed(const GraphView& graph, std::ostream& out);
 struct MappedGraph {
   util::MmapFile file;
   GraphView view;
+};
+
+/// A graph served from a mapping it owns: a move-only GraphView, so every
+/// function taking a `const GraphView&` takes it as it is. What
+/// core::Segugio::prepare_graph returns; the mapping keeps its file alive
+/// after the file is unlinked.
+class PreparedGraph : public GraphView {
+ public:
+  PreparedGraph() = default;
+  explicit PreparedGraph(MappedGraph&& mapped) noexcept
+      : GraphView(mapped.view), file_(std::move(mapped.file)) {}
+  PreparedGraph(PreparedGraph&& other) noexcept
+      : GraphView(std::exchange<GraphView>(other, GraphView{})), file_(std::move(other.file_)) {}
+  PreparedGraph& operator=(PreparedGraph&& other) noexcept {
+    GraphView::operator=(std::exchange<GraphView>(other, GraphView{}));
+    file_ = std::move(other.file_);
+    return *this;
+  }
+
+  const GraphView& view() const { return *this; }
+
+ private:
+  util::MmapFile file_;
 };
 
 /// Memory-maps a packed graphc file for zero-copy reads. Throws

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cmath>
@@ -12,10 +13,12 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -27,6 +30,7 @@
 #include "dns/trace_source.h"
 #include "graph/graph_compressed.h"
 #include "util/mmap_file.h"
+#include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 #include "util/parallel.h"
 #include "util/require.h"
@@ -554,14 +558,33 @@ class SliceWriter {
   StageVector<std::uint32_t>* staged_;
 };
 
-struct SpillCleanup {
+/// Files a prepare creates on its way: the spills and the temporary
+/// output. Whatever is still listed when the prepare ends, on success or
+/// on failure, is removed.
+struct TemporaryFiles {
   std::vector<std::string> paths;
-  ~SpillCleanup() {
+  ~TemporaryFiles() {
     for (const auto& path : paths) {
       std::remove(path.c_str());
     }
   }
 };
+
+/// Creates an empty file under a name no other prepare uses — `out_path`
+/// plus a process id and a per-process serial — and returns the name.
+std::string create_temporary_output(const std::string& out_path) {
+  static std::atomic<std::uint64_t> serial{0};
+  while (true) {
+    std::string path = out_path + ".tmp-" + std::to_string(::getpid()) + "-" +
+                       std::to_string(serial.fetch_add(1));
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+    if (fd >= 0) {
+      ::close(fd);
+      return path;
+    }
+    util::require_data(errno == EEXIST, "oocore: cannot create output file '" + path + "'");
+  }
+}
 
 // --- scan batches -------------------------------------------------------------
 //
@@ -882,15 +905,16 @@ void prepare_chunk(Batch& batch, std::size_t begin, std::size_t end, std::size_t
 }
 
 
-/// Reads the trace into scan batches. With more than one pool worker, a
-/// reader thread fills the next batch while the pool resolves the current
-/// one; the two batch arenas are recycled. With one worker, next() reads
-/// inline, so a one-thread prepare runs on one thread. The reader counts
-/// the records and checks that they share one day; next() rethrows its
-/// errors.
+/// Reads a borrowed source into scan batches. With more than one pool
+/// worker, a reader thread fills the next batch while the pool resolves the
+/// current one; the two batch arenas are recycled. With one worker, next()
+/// reads inline, so a one-thread prepare runs on one thread. The reader
+/// counts the records and checks that they share one day — `day` when
+/// given, else the first record's; next() rethrows its errors.
 class BatchReader {
  public:
-  BatchReader(const std::string& trace_path, bool read_ahead) : source_(trace_path) {
+  BatchReader(dns::TraceSource& source, std::optional<dns::Day> day, bool read_ahead)
+      : source_(&source), day_(day.value_or(0)), day_fixed_(day.has_value()) {
     for (auto& batch : batches_) {
       batch.rows.reserve(kOutOfCoreBatchRecords);
     }
@@ -936,18 +960,18 @@ class BatchReader {
 
   /// Records read; final once next() has returned an empty batch.
   std::size_t records() const { return records_; }
-  /// The trace's day (that of its first record).
+  /// The trace's day: the one given, else that of its first record.
   dns::Day day() const { return day_; }
 
  private:
   void fill(Batch& batch) {
     batch.clear();
     while (batch.rows.size() < kOutOfCoreBatchRecords && !exhausted_) {
-      if (!source_.next(record_)) {
+      if (!source_->next(record_)) {
         exhausted_ = true;
         break;
       }
-      if (records_++ == 0) {
+      if (records_++ == 0 && !day_fixed_) {
         day_ = record_.day;
       } else if (record_.day != day_) [[unlikely]] {
         throw util::ParseError("oocore: trace spans more than one day (day " +
@@ -992,10 +1016,11 @@ class BatchReader {
 
   std::array<Batch, 2> batches_;
   // The reader's state, on lines of its own.
-  alignas(64) dns::FileTraceSource source_;
+  alignas(64) dns::TraceSource* source_;
   dns::QueryRecord record_;
   std::size_t records_ = 0;
-  dns::Day day_ = 0;
+  dns::Day day_;
+  bool day_fixed_;
   bool exhausted_ = false;
   // The hand-off.
   alignas(64) std::mutex mutex_;
@@ -1009,23 +1034,31 @@ class BatchReader {
 
 }  // namespace
 
-OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
-                                          const dns::PublicSuffixList& psl,
-                                          const NameSet& cc_blacklist,
-                                          const NameSet& e2ld_whitelist,
-                                          const std::string& out_path,
-                                          const OutOfCoreConfig& config) {
+namespace {
+
+OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of_trace,
+                        const dns::PublicSuffixList& psl, const NameSet& cc_blacklist,
+                        const NameSet& e2ld_whitelist, const std::string& out_path,
+                        const OutOfCoreConfig& config) {
   util::require(config.chunk_records > 0, "oocore: chunk_records must be positive");
   const auto& pruning = config.pruning;
   util::require(pruning.proxy_degree_percentile > 0.0 && pruning.proxy_degree_percentile <= 1.0,
                 "oocore: proxy_degree_percentile must be in (0, 1]");
   util::require(pruning.popular_e2ld_fraction > 0.0 && pruning.popular_e2ld_fraction <= 1.0,
                 "oocore: popular_e2ld_fraction must be in (0, 1]");
+  const auto& prober_filter = config.prober_filter;
+  util::require(!prober_filter || (prober_filter->min_blacklisted_ratio > 0.0 &&
+                                   prober_filter->min_blacklisted_ratio <= 1.0),
+                "oocore: prober min_blacklisted_ratio must be in (0, 1]");
 
   OutOfCoreResult result;
+  TemporaryFiles temporary;
+  const std::string temp_path = create_temporary_output(out_path);
+  temporary.paths.push_back(temp_path);
   const std::string spill_base =
-      config.spill_dir.empty() ? out_path : config.spill_dir + "/oocore";
-  SpillCleanup cleanup;
+      config.spill_dir.empty()
+          ? temp_path
+          : config.spill_dir + "/" + std::filesystem::path(temp_path).filename().string();
 
   // --- Scan: batches in file order (see "scan batches" above). Machine/
   // domain/e2LD ids are assigned by first occurrence, exactly as
@@ -1043,14 +1076,18 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   std::vector<std::string> e2ld_names;
   std::vector<E2ldId> domain_e2ld;
 
+  // The spill files are listed before they exist, so a failed create is
+  // cleaned up too.
+  temporary.paths.push_back(spill_base + ".spill-edges");
+  temporary.paths.push_back(spill_base + ".spill-ips");
   SpillWriter edge_spill(spill_base + ".spill-edges", config.chunk_records);
   SpillWriter ip_spill(spill_base + ".spill-ips", config.chunk_records);
-  cleanup.paths = {edge_spill.file().path(), ip_spill.file().path()};
 
-  // The first record fixes the day; the output graph holds exactly one.
+  // The output graph holds exactly one day: the given one, else the first
+  // record's.
   dns::Day day = 0;
   {
-    BatchReader reader(trace_path, util::parallelism() > 1);
+    BatchReader reader(source, day_of_trace, util::parallelism() > 1);
     while (true) {
       Batch& batch = reader.next();
       auto& rows = batch.rows;
@@ -1173,19 +1210,19 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   const SpillFile& ip_file = ip_spill.file();
   result.spill_segments = edge_file.runs().size() + ip_file.runs().size();
   result.spill_bytes = edge_file.bytes() + ip_file.bytes();
-  scan_span.close();
+  result.scan_seconds = scan_span.close();
 
   const std::size_t nm = machine_names.size();
   const std::size_t nd = domain_names.size();
   const std::size_t ne = e2ld_names.size();
   PruneStats& stats = result.prune_stats;
-  stats.machines_before = nm;
   stats.domains_before = nd;
   std::vector<MergeSlot> slots(std::min(util::parallelism(), kMergeRanges));
 
   // --- Labels (apply_labels semantics): domains from the lists, machines
   // derived from their distinct-domain label counts during the first edge
-  // merge, which also yields the unpruned machine degrees for R1/R2.
+  // merge, which also yields the unpruned machine degrees for R1/R2 and,
+  // with a prober filter, the prober flags (detect_probers semantics).
   obs::Span label_span("oocore/labels");
   std::vector<Label> domain_labels(nd, Label::kUnknown);
   util::parallel_chunks(nd, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -1202,6 +1239,7 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   const MergeCuts machine_cuts = merge_cuts(edge_file, nm);
   std::vector<std::uint64_t> degrees(nm, 0);
   std::vector<Label> machine_labels(nm, Label::kUnknown);
+  std::vector<std::uint8_t> probers(prober_filter ? nm : 0, 0);
   run_ranges(slots, edges, machine_cuts, [&](MergeSlot& slot, std::uint32_t, std::uint32_t) {
     std::uint64_t pair = 0;
     bool more = slot.merge.next(pair);
@@ -1218,18 +1256,48 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
       } while ((more = slot.merge.next(pair)) && high32(pair) == m);
       degrees[m] = degree;
       machine_labels[m] = derive_machine_label(degree, malware, benign);
+      if (prober_filter) {
+        probers[m] = is_prober(*prober_filter, degree, malware) ? 1 : 0;
+      }
     }
   });
   for (const auto degree : degrees) {
-    stats.edges_before += degree;
+    result.edges += degree;
   }
-  label_span.close();
+  result.label_seconds = label_span.close();
+  obs::Registry::instance().counter("seg_build_records_total").add(result.records);
+  obs::Registry::instance().counter("seg_build_edges_total").add(result.edges);
 
-  // --- R1 + R2 (same arithmetic as prune()).
+  // --- The prober mask (remove_probers semantics): a prober leaves the
+  // graph before pruning, so no rule, threshold or count below sees it.
+  std::vector<std::uint8_t> keep_machine(nm, 1);
+  stats.machines_before = nm;
+  stats.edges_before = result.edges;
+  if (prober_filter) {
+    obs::Span prober_span("oocore/probers");
+    for (MachineId m = 0; m < nm; ++m) {
+      if (probers[m] != 0) {
+        keep_machine[m] = 0;
+        --stats.machines_before;
+        stats.edges_before -= degrees[m];
+      }
+    }
+    probers = {};
+    result.prober_seconds = prober_span.close();
+  }
+
+  // --- R1 + R2 (same arithmetic as prune()), over the machines the
+  // prober mask kept.
   obs::Span masks_span("oocore/prune-masks");
   std::uint64_t theta_d = std::numeric_limits<std::uint64_t>::max();
-  if (!degrees.empty()) {
-    std::vector<std::uint64_t> ranked = degrees;
+  if (stats.machines_before > 0) {
+    std::vector<std::uint64_t> ranked;
+    ranked.reserve(stats.machines_before);
+    for (MachineId m = 0; m < nm; ++m) {
+      if (keep_machine[m] != 0) {
+        ranked.push_back(degrees[m]);
+      }
+    }
     const auto rank = static_cast<std::size_t>(
         std::ceil(pruning.proxy_degree_percentile * static_cast<double>(ranked.size())));
     const std::size_t index = std::min(rank == 0 ? 0 : rank - 1, ranked.size() - 1);
@@ -1240,8 +1308,10 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   }
   stats.theta_d = theta_d;
 
-  std::vector<std::uint8_t> keep_machine(nm, 1);
   for (MachineId m = 0; m < nm; ++m) {
+    if (keep_machine[m] == 0) {
+      continue;  // a prober
+    }
     const bool is_malware = machine_labels[m] == Label::kMalware;
     if (degrees[m] <= pruning.inactive_machine_max_degree) {
       if (is_malware) {
@@ -1310,7 +1380,7 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
 
   // --- R3 + R4.
   const auto theta_m = static_cast<std::uint64_t>(
-      std::ceil(pruning.popular_e2ld_fraction * static_cast<double>(nm)));
+      std::ceil(pruning.popular_e2ld_fraction * static_cast<double>(stats.machines_before)));
   stats.theta_m = theta_m;
   std::vector<std::uint8_t> keep_domain(nd, 1);
   for (DomainId d = 0; d < nd; ++d) {
@@ -1373,7 +1443,7 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
     new_domain_e2ld.push_back(e2ld_remap[e]);
   }
   e2ld_remap = {};
-  masks_span.close();
+  result.prune_seconds = masks_span.close();
 
   // --- Third edge merge: surviving CSR shape, which fixes every header
   // count and section offset before any output byte. Only the machine
@@ -1445,8 +1515,8 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
   std::uint64_t domain_targets_at = 0;
   std::uint64_t ip_values_at = 0;
   {
-    std::ofstream out(out_path, std::ios::binary);
-    util::require_data(out.is_open(), "oocore: cannot create output file '" + out_path + "'");
+    std::ofstream out(temp_path, std::ios::binary);
+    util::require_data(out.is_open(), "oocore: cannot create output file '" + temp_path + "'");
     detail::PackedGraphcWriter writer(out, counts);
     writer.name_table(nm_new, [&](std::size_t i) {
       return std::string_view(machine_names[kept_machines[i]]);
@@ -1486,14 +1556,14 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
     out.close();
     util::require_data(static_cast<bool>(out), "oocore: output write failed");
   }
-  PositionedFile output(out_path, O_WRONLY);
+  PositionedFile output(temp_path, O_WRONLY);
 
   // machine_targets: the fourth edge merge writes each machine range's
   // slice and passes its (domain, machine) pairs, in new ids, to the
   // swapped spill as sorted runs of at most swapped_run pairs.
   const std::size_t swapped_run = std::max(kBlockPairs, config.chunk_records / kMergeRanges);
+  temporary.paths.push_back(spill_base + ".spill-swapped");
   SpillFile swapped(spill_base + ".spill-swapped");
-  cleanup.paths.push_back(swapped.path());
   {
     const std::size_t runs = edges_after / swapped_run + kMergeRanges;
     swapped.reserve(runs, edges_after / kBlockPairs + runs);
@@ -1571,8 +1641,42 @@ OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
     values.flush();
   });
   output.close();
-  write_span.close();
+  util::require_data(std::rename(temp_path.c_str(), out_path.c_str()) == 0,
+                     "oocore: cannot rename the output to '" + out_path + "'");
+  temporary.paths.erase(temporary.paths.begin());  // renamed: nothing to remove
+  result.prune_seconds += write_span.close();
   return result;
+}
+
+}  // namespace
+
+OutOfCoreResult prepare_graph_out_of_core(dns::TraceSource& source,
+                                          const dns::PublicSuffixList& psl,
+                                          const NameSet& cc_blacklist,
+                                          const NameSet& e2ld_whitelist,
+                                          const std::string& out_path,
+                                          const OutOfCoreConfig& config) {
+  return prepare(source, std::nullopt, psl, cc_blacklist, e2ld_whitelist, out_path, config);
+}
+
+OutOfCoreResult prepare_graph_out_of_core(const std::string& trace_path,
+                                          const dns::PublicSuffixList& psl,
+                                          const NameSet& cc_blacklist,
+                                          const NameSet& e2ld_whitelist,
+                                          const std::string& out_path,
+                                          const OutOfCoreConfig& config) {
+  dns::FileTraceSource source(trace_path);
+  return prepare(source, std::nullopt, psl, cc_blacklist, e2ld_whitelist, out_path, config);
+}
+
+OutOfCoreResult prepare_graph_out_of_core(const dns::DayTrace& trace,
+                                          const dns::PublicSuffixList& psl,
+                                          const NameSet& cc_blacklist,
+                                          const NameSet& e2ld_whitelist,
+                                          const std::string& out_path,
+                                          const OutOfCoreConfig& config) {
+  dns::DayTraceSource source(trace);
+  return prepare(source, trace.day, psl, cc_blacklist, e2ld_whitelist, out_path, config);
 }
 
 }  // namespace seg::graph

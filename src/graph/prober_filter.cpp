@@ -10,6 +10,14 @@ MachineDomainGraph prune_impl(const GraphView& graph,
                               const std::vector<std::uint8_t>& keep_machine,
                               const std::vector<std::uint8_t>& keep_domain);
 
+bool is_prober(const ProberFilterConfig& config, std::size_t degree, std::size_t blacklisted) {
+  if (degree == 0) {
+    return false;
+  }
+  const double ratio = static_cast<double>(blacklisted) / static_cast<double>(degree);
+  return blacklisted >= config.min_blacklisted_domains && ratio >= config.min_blacklisted_ratio;
+}
+
 std::vector<std::uint8_t> detect_probers(const MachineDomainGraph& graph,
                                          const ProberFilterConfig& config) {
   util::require(config.min_blacklisted_ratio > 0.0 && config.min_blacklisted_ratio <= 1.0,
@@ -17,18 +25,11 @@ std::vector<std::uint8_t> detect_probers(const MachineDomainGraph& graph,
   std::vector<std::uint8_t> probers(graph.machine_count(), 0);
   for (MachineId m = 0; m < graph.machine_count(); ++m) {
     const auto domains = graph.domains_of(m);
-    if (domains.empty()) {
-      continue;
-    }
-    std::uint32_t blacklisted = 0;
+    std::size_t blacklisted = 0;
     for (const auto d : domains) {
       blacklisted += graph.domain_label(d) == Label::kMalware ? 1 : 0;
     }
-    const double ratio = static_cast<double>(blacklisted) / static_cast<double>(domains.size());
-    probers[m] = blacklisted >= config.min_blacklisted_domains &&
-                         ratio >= config.min_blacklisted_ratio
-                     ? 1
-                     : 0;
+    probers[m] = is_prober(config, domains.size(), blacklisted) ? 1 : 0;
   }
   return probers;
 }

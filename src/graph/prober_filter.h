@@ -29,6 +29,10 @@ struct ProberFilterConfig {
   double min_blacklisted_ratio = 0.3;
 };
 
+/// The heuristic for one machine: it queried `degree` distinct domains,
+/// `blacklisted` of them malware-labeled.
+bool is_prober(const ProberFilterConfig& config, std::size_t degree, std::size_t blacklisted);
+
 /// Machines flagged as probers under the heuristic (by machine id; 0/1 —
 /// a byte vector, not vector<bool>, so callers can fill it in parallel).
 std::vector<std::uint8_t> detect_probers(const MachineDomainGraph& graph,

@@ -79,4 +79,8 @@ struct PruneStats {
 MachineDomainGraph prune(const GraphView& graph, const PruningConfig& config,
                          PruneStats* stats = nullptr);
 
+/// A heap-resident copy of `graph` (any backing), for callers that change
+/// labels (set_domain_label, relabel_machines) on a prepared graph.
+MachineDomainGraph copy_graph(const GraphView& graph);
+
 }  // namespace seg::graph

@@ -16,7 +16,7 @@ class NotosLikeTest : public ::testing::Test {
     return instance;
   }
 
-  static graph::MachineDomainGraph prepared_graph(dns::Day day) {
+  static graph::PreparedGraph prepared_graph(dns::Day day) {
     auto& w = world();
     const auto trace = w.generate_day(1, day);
     return core::Segugio::prepare_graph(

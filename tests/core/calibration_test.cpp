@@ -15,7 +15,7 @@ class CalibrationTest : public ::testing::Test {
     return instance;
   }
 
-  static graph::MachineDomainGraph prepared_graph(dns::Day day) {
+  static graph::PreparedGraph prepared_graph(dns::Day day) {
     auto& w = world();
     const auto trace = w.generate_day(0, day);
     return Segugio::prepare_graph(trace, w.psl(),
@@ -24,7 +24,7 @@ class CalibrationTest : public ::testing::Test {
         .graph;
   }
 
-  static Segugio trained(const graph::MachineDomainGraph& graph) {
+  static Segugio trained(const graph::GraphView& graph) {
     SegugioConfig config;
     config.forest.num_trees = 20;
     config.forest.num_threads = 1;

@@ -52,7 +52,7 @@ class PipelineStreamTest : public ::testing::Test {
     return config;
   }
 
-  static std::string graph_bytes(const graph::MachineDomainGraph& graph) {
+  static std::string graph_bytes(const graph::GraphView& graph) {
     std::ostringstream blob;
     graph::save_graph_compressed(graph, blob);
     return std::move(blob).str();

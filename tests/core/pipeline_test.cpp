@@ -39,7 +39,7 @@ class PipelineTest : public ::testing::Test {
     return config;
   }
 
-  static std::string graph_bytes(const graph::MachineDomainGraph& graph) {
+  static std::string graph_bytes(const graph::GraphView& graph) {
     std::ostringstream blob;
     graph::save_graph_compressed(graph, blob);
     return std::move(blob).str();

@@ -18,7 +18,7 @@ class SegugioIoTest : public ::testing::Test {
     return instance;
   }
 
-  static graph::MachineDomainGraph prepared_graph(dns::Day day) {
+  static graph::PreparedGraph prepared_graph(dns::Day day) {
     auto& w = world();
     const auto trace = w.generate_day(0, day);
     return Segugio::prepare_graph(trace, w.psl(),

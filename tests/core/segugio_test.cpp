@@ -18,8 +18,7 @@ class SegugioTest : public ::testing::Test {
     return instance;
   }
 
-  static graph::MachineDomainGraph prepared_graph(dns::Day day,
-                                                  graph::PruneStats* stats = nullptr) {
+  static graph::PreparedGraph prepared_graph(dns::Day day, graph::PruneStats* stats = nullptr) {
     auto& w = world();
     const auto trace = w.generate_day(0, day);
     auto prep = Segugio::prepare_graph(

@@ -246,7 +246,7 @@ int cmd_train(const util::Args& args) {
 // Shared by classify/report: load everything and score the day through a
 // streaming Pipeline session seeded with the saved model.
 struct DayRun {
-  graph::MachineDomainGraph graph;
+  graph::PreparedGraph graph;
   core::DetectionReport report;
 };
 
