@@ -7,9 +7,15 @@
 // extrapolation a multiplication instead of a hope:
 //
 //   - cost: double the machines, roughly double the work (edges/sec flat);
-//   - memory: the heap pipeline's peak RSS grows with the day, while the
-//     out-of-core prepare (graph/oocore.h) stays node-bound — its 10x-larger
-//     scale point must peak BELOW the heap pipeline's largest point.
+//   - memory: the in-memory points' peak RSS grows with the day they hold,
+//     while the out-of-core prepare (graph/oocore.h) stays node-bound — its
+//     10x-larger scale point must peak BELOW the largest in-memory point.
+//
+// The in-memory points (mode "heap", the name the JSON keeps) run the full
+// core::Pipeline over a simulated day held as a DayTrace, with the world's
+// history stores resident. Their prepare runs the same engine as the
+// out-of-core point, from the in-memory day instead of a binlog, so the
+// gate compares what each flow keeps resident besides the engine.
 //
 // Peak RSS (ru_maxrss) is monotone per process, so every scale point runs
 // in its own subprocess (this binary re-invoked with --point) and reports
@@ -77,8 +83,8 @@ bool read_point(const std::string& path, PointResult& r) {
   return r.machines != 0;
 }
 
-// --- heap scale point: the full pipeline (ingest, train, classify) over a
-// simulated day, exactly the flow ISP deployments run in memory.
+// --- in-memory ("heap") scale point: the full pipeline (ingest, train,
+// classify) over a simulated day, exactly the flow ISP deployments run.
 int run_heap_point(std::size_t machines, const std::string& out_path) {
   auto scenario = sim::ScenarioConfig::bench();
   scenario.isp_machines = {machines};
@@ -168,33 +174,32 @@ int run_oocore_point(std::size_t machines, const std::string& out_path) {
 
 // Splices the "scale" section into BENCH_pipeline.json. The file is owned
 // by bench_perf_efficiency (which rewrites it wholesale); this sweep only
-// appends/replaces its own trailing section, creating a minimal file when
-// none exists yet.
+// appends/replaces its own section, always the file's last key, creating a
+// minimal file when none exists yet.
 void merge_scale_section(const std::string& section) {
   const char* path = "BENCH_pipeline.json";
-  std::string existing;
+  std::string head;
   {
     std::ifstream in(path);
     if (in.is_open()) {
       std::ostringstream blob;
       blob << in.rdbuf();
-      existing = std::move(blob).str();
+      head = std::move(blob).str();
     }
   }
-  std::string head;
-  if (existing.empty()) {
-    head = "{\n";
-  } else if (const auto at = existing.find(",\n  \"scale\":"); at != std::string::npos) {
-    head = existing.substr(0, at) + ",\n";
-  } else if (const auto brace = existing.rfind('}'); brace != std::string::npos) {
-    head = existing.substr(0, brace);
-    while (!head.empty() && (head.back() == '\n' || head.back() == ' ')) {
-      head.pop_back();
-    }
-    head += ",\n";
+  // Cut an earlier "scale" section (with or without a key before it), else
+  // the closing brace; then the comma and whitespace before the cut.
+  if (const auto at = head.find("\"scale\":"); at != std::string::npos) {
+    head.erase(at);
+  } else if (const auto brace = head.rfind('}'); brace != std::string::npos) {
+    head.erase(brace);
   } else {
-    head = "{\n";
+    head = "{";
   }
+  while (!head.empty() && (head.back() == '\n' || head.back() == ' ' || head.back() == ',')) {
+    head.pop_back();
+  }
+  head += head == "{" ? "\n" : ",\n";
   std::ofstream out(path);
   out << head << "  \"scale\": " << section << "\n}\n";
   std::printf("\nwrote \"scale\" section of %s\n", path);

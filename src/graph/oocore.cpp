@@ -303,7 +303,8 @@ class SpillReader {
 // on nested tasks can deadlock it. The caller sizes every slot buffer a
 // task fills.
 
-// 24 ranges split evenly over 1, 2, 3, 4, 6 and 8 slots.
+// 24 ranges split evenly over 1, 2, 3, 4, 6 and 8 slots, and within one
+// range of even over any other slot count (util::chunk_bounds).
 constexpr std::size_t kMergeRanges = 24;
 
 /// Staged section values per positioned write.

@@ -83,24 +83,17 @@ void parallel_chunks(std::size_t count, std::size_t num_chunks,
     num_chunks = default_chunk_count(count);
   }
   num_chunks = std::max<std::size_t>(1, std::min(num_chunks, count));
-  const std::size_t chunk_size = (count + num_chunks - 1) / num_chunks;
+  const auto run_chunk = [&](std::size_t c) {
+    const auto [begin, end] = chunk_bounds(count, num_chunks, c);
+    fn(c, begin, end);
+  };
   if (num_chunks == 1 || parallelism() < 2) {
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      const std::size_t begin = c * chunk_size;
-      const std::size_t end = std::min(count, begin + chunk_size);
-      if (begin < end) {
-        fn(c, begin, end);
-      }
+      run_chunk(c);
     }
     return;
   }
-  shared_pool().parallel_for(num_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(count, begin + chunk_size);
-    if (begin < end) {
-      fn(c, begin, end);
-    }
-  });
+  shared_pool().parallel_for(num_chunks, run_chunk);
 }
 
 }  // namespace seg::util

@@ -37,11 +37,12 @@ ThreadPool& shared_pool();
 /// are rethrown (first one wins).
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-/// Splits [0, count) into exactly `num_chunks` (or fewer when count is
-/// small) contiguous ranges and runs fn(chunk_index, begin, end) for each.
-/// The partition depends only on (count, num_chunks), never on the pool
-/// size, so per-chunk accumulators reduced in chunk order are
-/// deterministic. num_chunks == 0 means one chunk per worker.
+/// Splits [0, count) into exactly `num_chunks` (or `count`, when smaller)
+/// contiguous, non-empty ranges whose sizes differ by at most one
+/// (chunk_bounds), and runs fn(chunk_index, begin, end) for each. The
+/// partition depends only on (count, num_chunks), never on the pool size,
+/// so per-chunk accumulators reduced in chunk order are deterministic.
+/// num_chunks == 0 means one chunk per worker.
 void parallel_chunks(std::size_t count, std::size_t num_chunks,
                      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 

@@ -42,15 +42,10 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
     return;
   }
   const std::size_t chunks = std::min(count, std::max<std::size_t>(1, workers_.size() * 4));
-  const std::size_t chunk_size = (count + chunks - 1) / chunks;
   std::vector<std::future<void>> futures;
   futures.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(count, begin + chunk_size);
-    if (begin >= end) {
-      break;
-    }
+    const auto [begin, end] = chunk_bounds(count, chunks, c);
     futures.push_back(submit([begin, end, &fn] {
       for (std::size_t i = begin; i < end; ++i) {
         fn(i);

@@ -6,6 +6,7 @@
 // and all RNG streams are pre-forked per work item).
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -13,9 +14,21 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace seg::util {
+
+/// Chunk `c` of [0, count) split into `chunks` contiguous ranges whose
+/// sizes differ by at most one: the first count % chunks ranges hold one
+/// more item. A function of (count, chunks, c) alone.
+inline std::pair<std::size_t, std::size_t> chunk_bounds(std::size_t count, std::size_t chunks,
+                                                        std::size_t c) {
+  const std::size_t base = count / chunks;
+  const std::size_t extra = count % chunks;
+  const std::size_t begin = c * base + std::min(c, extra);
+  return {begin, begin + base + (c < extra ? 1 : 0)};
+}
 
 class ThreadPool {
  public:
@@ -33,7 +46,7 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, count), partitioned into contiguous chunks
-  /// across the pool, and blocks until all complete. Exceptions from tasks
+  /// (chunk_bounds) across the pool, and blocks until all complete. Exceptions from tasks
   /// are rethrown (first one wins).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 

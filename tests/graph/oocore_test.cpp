@@ -25,6 +25,7 @@
 #include "dns/wire/pcap.h"
 #include "graph/graph_compressed.h"
 #include "graph/labeling.h"
+#include "graph/prober_filter.h"
 #include "graph/pruning.h"
 #include "util/parallel.h"
 #include "util/require.h"
@@ -104,6 +105,39 @@ class OutOfCoreTest : public ::testing::Test {
     // Invalid rows must be skipped, not interned.
     add("host-4", "bad..name", {"2.2.2.2"});
     add("", "site1.net", {"3.3.3.3"});
+    return trace;
+  }
+
+  // A blacklisted C&C name that only probers query.
+  static std::string probe_name(int i) { return "probe-cc" + std::to_string(i) + ".evil.biz"; }
+
+  // make_trace() plus probing clients injected as prober_filter_test does:
+  // two probers querying 40 blacklisted names and 10 ordinary ones, and an
+  // ordinary infection with 3 blacklisted names among 30 queries.
+  dns::DayTrace make_prober_trace() {
+    auto trace = make_trace();
+    const auto add = [&](const std::string& machine, const std::string& qname) {
+      dns::QueryRecord record;
+      record.day = trace.day;
+      record.machine = machine;
+      record.qname = qname;
+      record.resolved_ips.push_back(dns::IpV4::parse("185.7.7.7"));
+      trace.records.push_back(std::move(record));
+    };
+    for (const std::string prober : {"prober-a", "prober-b"}) {
+      for (int i = 0; i < 40; ++i) {
+        add(prober, probe_name(i));
+      }
+      for (int j = 0; j < 10; ++j) {
+        add(prober, "site" + std::to_string(j) + ".net");
+      }
+    }
+    for (int j = 0; j < 27; ++j) {
+      add("infected", "site" + std::to_string(j) + ".net");
+    }
+    for (int i = 0; i < 3; ++i) {
+      add("infected", probe_name(i));
+    }
     return trace;
   }
 
@@ -225,6 +259,9 @@ class OutOfCoreTest : public ::testing::Test {
 
   NameSet blacklist() {
     NameSet set;
+    for (int i = 0; i < 40; ++i) {
+      set.insert(probe_name(i));
+    }
     set.insert("cc.evil.biz");
     set.insert("drop.evil2.biz");
     set.insert("h1.d3.com");
@@ -242,12 +279,19 @@ class OutOfCoreTest : public ::testing::Test {
     return set;
   }
 
+  // The serial reference: GraphBuilder -> apply_labels -> [remove_probers]
+  // -> prune -> save_graph_compressed.
   std::string reference_bytes(const dns::DayTrace& trace, const PruningConfig& config,
-                              PruneStats* stats = nullptr) {
+                              PruneStats* stats = nullptr,
+                              const std::optional<ProberFilterConfig>& prober_filter = {},
+                              ProberFilterStats* removed = nullptr) {
     GraphBuilder builder(psl_);
     builder.add_trace(trace);
     auto graph = builder.build();
     apply_labels(graph, blacklist(), whitelist());
+    if (prober_filter) {
+      graph = remove_probers(graph, *prober_filter, removed);
+    }
     const auto pruned = prune(graph, config, stats);
     std::ostringstream blob;
     save_graph_compressed(pruned, blob);
@@ -367,12 +411,31 @@ class OutOfCoreTest : public ::testing::Test {
     return threads;
   }
 
-  // Prepares a trace that must fail mid-scan, at pools 1 and 3: a
-  // ParseError, no thread left behind, no spill file left on disk.
+  // Files a prepare left next to `out_path_`: its temporary output and
+  // spills are named after it.
+  std::vector<std::string> leftovers() const {
+    const std::filesystem::path out(out_path_);
+    const std::string prefix = out.filename().string() + ".";
+    std::vector<std::string> found;
+    for (const auto& entry : std::filesystem::directory_iterator(out.parent_path())) {
+      if (entry.path().filename().string().starts_with(prefix)) {
+        found.push_back(entry.path().string());
+      }
+    }
+    return found;
+  }
+
+  // Prepares a trace that must fail mid-scan, at pools 1 and 3, over a good
+  // graph already at `out_path_`: a ParseError, no thread left behind, no
+  // temporary or spill file left on disk, and the previous graph intact.
   void expect_scan_failure(const std::string& trace_path, const std::string& name) {
     struct RestorePool {
       ~RestorePool() { util::set_parallelism(0); }
     } restore;
+    dns::write_trace(make_trace(), capture_path_);
+    prepare_graph_out_of_core(capture_path_, psl_, blacklist(), whitelist(), out_path_, {});
+    const auto previous = file_bytes(out_path_);
+    ASSERT_FALSE(previous.empty());
     for (const std::size_t pool : {1, 3}) {
       util::set_parallelism(pool);
       util::shared_pool();  // its workers are not the prepare's to stop
@@ -384,10 +447,9 @@ class OutOfCoreTest : public ::testing::Test {
                    util::ParseError)
           << name << ", pool " << pool;
       EXPECT_EQ(thread_count(), threads) << name << ", pool " << pool;
-      for (const char* spill : {".spill-edges", ".spill-ips", ".spill-swapped"}) {
-        EXPECT_FALSE(std::filesystem::exists(out_path_ + spill))
-            << name << ", pool " << pool << ": " << spill;
-      }
+      EXPECT_EQ(leftovers(), std::vector<std::string>{}) << name << ", pool " << pool;
+      EXPECT_TRUE(file_bytes(out_path_) == previous)
+          << name << ", pool " << pool << ": the previous graph changed";
     }
   }
 };
@@ -424,6 +486,33 @@ TEST_F(OutOfCoreTest, MatchesInMemoryPipelineByteForByteAtEveryChunkSize) {
     EXPECT_EQ(result.prune_stats.machines_after, reference_stats.machines_after);
     EXPECT_EQ(result.prune_stats.domains_after, reference_stats.domains_after);
     EXPECT_EQ(result.prune_stats.edges_after, reference_stats.edges_after);
+  }
+}
+
+TEST_F(OutOfCoreTest, ProberFilterMatchesReferenceAtEveryChunkSize) {
+  const auto trace = make_prober_trace();
+  dns::write_trace(trace, trace_path_);
+  PruningConfig pruning;
+  pruning.proxy_degree_percentile = 0.95;
+  const ProberFilterConfig filter;
+  PruneStats reference_stats;
+  ProberFilterStats removed;
+  const auto expected = reference_bytes(trace, pruning, &reference_stats, filter, &removed);
+  ASSERT_EQ(removed.machines_removed, 2u);
+  ASSERT_NE(expected, reference_bytes(trace, pruning));  // the filter changes the graph
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                  std::size_t{1} << 20}) {
+    OutOfCoreConfig config;
+    config.pruning = pruning;
+    config.prober_filter = filter;
+    config.chunk_records = chunk;
+    const auto result = prepare_graph_out_of_core(trace_path_, psl_, blacklist(), whitelist(),
+                                                  out_path_, config);
+    const std::string context = "chunk_records " + std::to_string(chunk);
+    EXPECT_EQ(file_bytes(out_path_), expected) << context;
+    expect_same_stats(result.prune_stats, reference_stats, context);
+    EXPECT_EQ(result.edges, reference_stats.edges_before + 2 * 50) << context;
   }
 }
 
@@ -599,9 +688,7 @@ TEST_F(OutOfCoreTest, OutputIsMappableAndSpillsAreRemoved) {
                                                 out_path_, config);
   EXPECT_GT(result.spill_segments, 1u);
   EXPECT_GT(result.spill_bytes, 0u);
-  EXPECT_FALSE(std::filesystem::exists(out_path_ + ".spill-edges"));
-  EXPECT_FALSE(std::filesystem::exists(out_path_ + ".spill-ips"));
-  EXPECT_FALSE(std::filesystem::exists(out_path_ + ".spill-swapped"));
+  EXPECT_EQ(leftovers(), std::vector<std::string>{});
 
   const auto mapped = map_graph(out_path_);
   EXPECT_EQ(mapped.view.day(), 11);
@@ -613,6 +700,23 @@ TEST_F(OutOfCoreTest, OutputIsMappableAndSpillsAreRemoved) {
     found_cc = found_cc || mapped.view.domain_name(d) == "cc.evil.biz";
   }
   EXPECT_TRUE(found_cc);
+}
+
+TEST_F(OutOfCoreTest, ATraceSourceAndItsFileGiveTheSameGraph) {
+  const auto trace = make_prober_trace();
+  dns::write_trace_binary(trace, binary_trace_path_);
+  OutOfCoreConfig config;
+  config.pruning.proxy_degree_percentile = 0.95;
+  config.prober_filter = ProberFilterConfig{};
+  config.chunk_records = 64;
+  prepare_graph_out_of_core(binary_trace_path_, psl_, blacklist(), whitelist(), out_path_,
+                            config);
+  const auto from_file = file_bytes(out_path_);
+  dns::DayTraceSource source(trace);
+  prepare_graph_out_of_core(source, psl_, blacklist(), whitelist(), out_path_, config);
+  EXPECT_EQ(file_bytes(out_path_), from_file);
+  prepare_graph_out_of_core(trace, psl_, blacklist(), whitelist(), out_path_, config);
+  EXPECT_EQ(file_bytes(out_path_), from_file);
 }
 
 TEST_F(OutOfCoreTest, EmptyTraceProducesEmptyGraph) {

@@ -75,6 +75,25 @@ TEST_F(ParallelTest, ParallelChunksPartitionIsIndependentOfPoolSize) {
   EXPECT_EQ(covered, 1000u);
 }
 
+TEST_F(ParallelTest, ParallelChunksBalanceSizesWithinOne) {
+  const auto sizes = [](std::size_t count, std::size_t chunks) {
+    std::vector<std::size_t> out(chunks, 0);
+    parallel_chunks(count, chunks, [&](std::size_t c, std::size_t begin, std::size_t end) {
+      out[c] = end - begin;
+    });
+    return out;
+  };
+  for (const std::size_t pool : {1, 3}) {
+    set_parallelism(pool);
+    EXPECT_EQ(sizes(16, 3), (std::vector<std::size_t>{6, 5, 5})) << "pool " << pool;
+    EXPECT_EQ(sizes(10, 4), (std::vector<std::size_t>{3, 3, 2, 2})) << "pool " << pool;
+    // Every chunk gets work: ceil(24 / 7) = 4 would leave the seventh empty.
+    EXPECT_EQ(sizes(24, 7), (std::vector<std::size_t>{4, 4, 4, 3, 3, 3, 3})) << "pool " << pool;
+    // Fewer items than chunks: one item per chunk, and no call past count.
+    EXPECT_EQ(sizes(3, 5), (std::vector<std::size_t>{1, 1, 1, 0, 0})) << "pool " << pool;
+  }
+}
+
 TEST_F(ParallelTest, ParallelChunksPropagatesExceptions) {
   set_parallelism(4);
   EXPECT_THROW(parallel_chunks(100, 8,

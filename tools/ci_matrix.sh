@@ -27,20 +27,22 @@
 # benchmark section (SEG_BENCH_OBS_ONLY=1).
 #
 # The oocore leg reuses the asan tree and re-runs the mmap-backing,
-# pipeline and golden-digest suites plus the graph container suites, so the
-# zero-copy GraphView path (mapping lifetime, crafted graphc files, spill
-# varint and block-run decode bounds, classify parity: PipelineTest maps
-# every streamed day explicitly) and the out-of-core prepare's reads
-# through FileTraceSource get sanitizer coverage; see docs/graph-format.md.
-# The prepare's scan, spill sorts and range-parallel merge passes run on
-# the shared pool, and a reader thread fills the next scan batch, so the
-# leg also soaks the OutOfCore suites in the tsan tree at SEG_THREADS=8
-# (repeated, so the interleavings vary), next to the asan runs. Last, it
-# builds bench_scale_sweep in the plain tree and runs it: the leg fails when
-# the sweep's own gate fails (a scale point fails, or the 160 K-machine
-# out-of-core point's peak RSS is not below the largest heap point's), and
+# pipeline, golden-digest and prepare suites plus the graph container
+# suites, so the zero-copy GraphView path (mapping lifetime, crafted graphc
+# files, spill varint and block-run decode bounds, classify parity) and the
+# preparation engine — which every day goes through, from a trace file or
+# an in-memory DayTrace (Segugio::prepare_graph) — get sanitizer coverage;
+# see docs/graph-format.md. The engine's scan, spill sorts and
+# range-parallel merge passes run on the shared pool, and a reader thread
+# fills the next scan batch, so the leg also soaks the OutOfCore and
+# PrepareGraph suites in the tsan tree at SEG_THREADS=8 (repeated, so the
+# interleavings vary), next to the asan runs. Last, it builds
+# bench_scale_sweep in the plain tree and runs it: the leg fails when the
+# sweep's own gate fails (a scale point fails, or the 160 K-machine
+# out-of-core point's peak RSS is not below the largest in-memory point's;
+# both run the engine, the in-memory points through core::Pipeline), and
 # the "scale" section of its BENCH_pipeline.json is archived in
-# ${LOG_DIR}/oocore/scale.json.
+# ${LOG_DIR}/oocore/scale.json; the archive step fails on a duplicate key.
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
@@ -303,16 +305,17 @@ run_oocore() {
     echo "    build FAILED (see ${log})"
     return 1
   fi
-  echo "=== [oocore] build graph tests (build-tsan, SEG_SANITIZE='thread') ==="
+  echo "=== [oocore] build core/graph tests (build-tsan, SEG_SANITIZE='thread') ==="
   if ! cmake -B build-tsan -S . -DSEG_SANITIZE=thread >> "${log}" 2>&1 ||
-     ! cmake --build build-tsan -j "${JOBS}" --target graph_test >> "${log}" 2>&1; then
+     ! cmake --build build-tsan -j "${JOBS}" --target core_test graph_test \
+         >> "${log}" 2>&1; then
     echo "    tsan build FAILED (see ${log})"
     return 1
   fi
 
-  echo "=== [oocore] mmap-backing + pipeline + golden-digest + graph container suites ==="
+  echo "=== [oocore] mmap-backing + pipeline + golden-digest + prepare + graph container suites ==="
   if ! "${build_dir}/tests/core_test" \
-       --gtest_filter='MmapBacking*:Pipeline*:GoldenDigest*' >> "${log}" 2>&1; then
+       --gtest_filter='MmapBacking*:Pipeline*:GoldenDigest*:PrepareGraph*' >> "${log}" 2>&1; then
     echo "    core suites FAILED under asan (see ${log})"
     return 1
   fi
@@ -322,10 +325,15 @@ run_oocore() {
     return 1
   fi
 
-  echo "=== [oocore] tsan soak: parallel out-of-core prepare (x5, SEG_THREADS=8) ==="
+  echo "=== [oocore] tsan soak: parallel prepare engine (x5, SEG_THREADS=8) ==="
   if ! SEG_THREADS=8 build-tsan/tests/graph_test --gtest_filter='OutOfCore*' \
        --gtest_repeat=5 >> "${log}" 2>&1; then
     echo "    out-of-core prepare soak FAILED under tsan (see ${log})"
+    return 1
+  fi
+  if ! SEG_THREADS=8 build-tsan/tests/core_test --gtest_filter='PrepareGraph*' \
+       --gtest_repeat=5 >> "${log}" 2>&1; then
+    echo "    in-memory prepare soak FAILED under tsan (see ${log})"
     return 1
   fi
 
@@ -347,14 +355,23 @@ run_oocore() {
 import json
 import sys
 
+
+def unique_keys(pairs):
+    keys = [key for key, _ in pairs]
+    duplicates = sorted({key for key in keys if keys.count(key) > 1})
+    if duplicates:
+        raise ValueError("duplicate JSON keys: " + ", ".join(duplicates))
+    return dict(pairs)
+
+
 with open(sys.argv[1]) as source:
-    bench = json.load(source)
+    bench = json.load(source, object_pairs_hook=unique_keys)
 with open(sys.argv[2], "w") as archive:
     json.dump({"scale": bench["scale"]}, archive, indent=2)
     archive.write("\n")
 PY
   then
-    echo "    no scale section in build-plain/BENCH_pipeline.json (see ${log})"
+    echo "    no scale section, or a duplicate key, in build-plain/BENCH_pipeline.json (see ${log})"
     return 1
   fi
   echo "    scale section archived in ${oocore_dir}/scale.json"
