@@ -30,7 +30,7 @@ using DomainId = std::uint32_t;
 using E2ldId = std::uint32_t;
 
 /// Transparent-hash string→id map: lookups take string_view without
-/// materializing a std::string key. Shared by the builders (interning) and
+/// materializing a std::string key. Shared by the builder (interning) and
 /// the built graph (name→id directory).
 struct TransparentStringHash {
   using is_transparent = void;
@@ -75,7 +75,7 @@ class MachineDomainGraph {
   dns::Day day() const { return day_; }
 
   /// Looks up a domain id by name; returns domain_count() when absent. O(1):
-  /// the builders' interning maps are retained in the built graph.
+  /// the builder's interning maps are retained in the built graph.
   DomainId find_domain(std::string_view name) const;
 
   /// Looks up a machine id by name; returns machine_count() when absent.
@@ -120,7 +120,7 @@ class MachineDomainGraph {
   std::vector<Label> domain_labels_;
 
   // Name→id directory (find_machine / find_domain). Populated by the
-  // builders (moved from their interning maps) or rebuilt after
+  // builder (moved from its interning maps) or rebuilt after
   // pruning/loading; not serialized.
   StringIdMap<MachineId> machine_index_;
   StringIdMap<DomainId> domain_index_;

@@ -7,14 +7,16 @@
 //   - MachineDomainGraph::view() over the heap-resident vectors;
 //   - graph::map_graph() over a memory-mapped `segf1 graphc` packed file
 //     (graph_compressed.h), where every accessor reads the mapping
-//     directly — zero-copy load.
+//     directly — zero-copy load. graph::PreparedGraph, what
+//     core::Segugio::prepare_graph returns, is such a view that owns its
+//     mapping.
 //
 // Pruning, feature extraction, training, and classification take a
 // `const GraphView&` and nothing else, so they run identically over either
 // backing; a heap graph converts implicitly. The score bit-identity is
 // asserted by tests/core/mmap_backing_test.cpp and
 // tests/core/pipeline_test.cpp. A view never outlives its backing (the
-// graph object or the MappedGraph).
+// graph object, the MappedGraph or the PreparedGraph).
 //
 // Names come through NameTableView, which serves string_views either from
 // an array of std::string (heap graphs) or from an offsets+blob pair (the

@@ -1033,10 +1033,8 @@ class BatchReader {
   std::thread reader_;
 };
 
-}  // namespace
-
-namespace {
-
+/// The engine behind every entry point: `day_of_trace`, when set, is the
+/// day every record must carry and the graph's day.
 OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of_trace,
                         const dns::PublicSuffixList& psl, const NameSet& cc_blacklist,
                         const NameSet& e2ld_whitelist, const std::string& out_path,
@@ -1061,10 +1059,9 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
           ? temp_path
           : config.spill_dir + "/" + std::filesystem::path(temp_path).filename().string();
 
-  // --- Scan: batches in file order (see "scan batches" above). Machine/
+  // --- Scan: batches in record order (see "scan batches" above). Machine/
   // domain/e2LD ids are assigned by first occurrence, exactly as
-  // GraphBuilder::add_query (and therefore the sharded builder, which is
-  // bit-identical to it) assigns them; edge and IP pairs go to sorted
+  // GraphBuilder::add_query assigns them; edge and IP pairs go to sorted
   // compressed spill runs.
   obs::Span scan_span("oocore/scan");
   const std::size_t partitions = std::min(util::parallelism(), kMaxPartitions);
@@ -1444,7 +1441,7 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
     new_domain_e2ld.push_back(e2ld_remap[e]);
   }
   e2ld_remap = {};
-  result.prune_seconds = masks_span.close();
+  masks_span.close();
 
   // --- Third edge merge: surviving CSR shape, which fixes every header
   // count and section offset before any output byte. Only the machine
@@ -1645,7 +1642,7 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   util::require_data(std::rename(temp_path.c_str(), out_path.c_str()) == 0,
                      "oocore: cannot rename the output to '" + out_path + "'");
   temporary.paths.erase(temporary.paths.begin());  // renamed: nothing to remove
-  result.prune_seconds += write_span.close();
+  write_span.close();
   return result;
 }
 

@@ -101,7 +101,6 @@ struct OutOfCoreResult {
   double scan_seconds = 0.0;    ///< "oocore/scan"
   double label_seconds = 0.0;   ///< "oocore/labels"
   double prober_seconds = 0.0;  ///< "oocore/probers"; 0 without a prober filter
-  double prune_seconds = 0.0;   ///< "oocore/prune-masks" + "oocore/write"
 };
 
 /// Streams `trace_path` (one day, in any format FileTraceSource sniffs)

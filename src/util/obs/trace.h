@@ -9,7 +9,7 @@
 // in the worker's own buffer (no locks on the hot path).
 //
 // Span::close() returns the elapsed seconds, which is how the pipeline's
-// timing structs (graph::BuildTimings, core::PrepareTimings, ...) are now
+// timing structs (core::BuildTimings, core::PrepareTimings, ...) are now
 // computed: they are views over span measurements, not a second timing
 // mechanism. The clock is read whether or not tracing is enabled, so
 // enabling the tracer never changes what the timing structs report — and

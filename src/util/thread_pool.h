@@ -46,8 +46,8 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, count), partitioned into contiguous chunks
-  /// (chunk_bounds) across the pool, and blocks until all complete. Exceptions from tasks
-  /// are rethrown (first one wins).
+  /// (chunk_bounds) across the pool, and blocks until all complete.
+  /// Exceptions from tasks are rethrown (first one wins).
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:

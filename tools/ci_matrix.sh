@@ -476,8 +476,8 @@ run_config() {
     return 1
   fi
   if [ "${config}" = "thread" ]; then
-    # The streaming pipeline parallelizes internally (sharded build,
-    # per-domain feature extraction, parallel classify); run its suites and
+    # The streaming pipeline parallelizes internally (the preparation
+    # engine, per-domain feature extraction, parallel classify); run its suites and
     # the golden digests (which run every flow at 8 threads) explicitly
     # under tsan so a filtered ctest invocation can't skip the
     # race-contract coverage.
