@@ -139,6 +139,7 @@ class ChainedTraceSource final : public seg::dns::TraceSource {
   bool next(seg::dns::QueryRecord& record) override {
     while (index_ < sources_.size()) {
       if (sources_[index_].next(record)) {
+        ++produced_;
         return true;
       }
       ++index_;
@@ -146,20 +147,32 @@ class ChainedTraceSource final : public seg::dns::TraceSource {
     return false;
   }
 
+  std::uint64_t produced() const { return produced_; }
+
  private:
   std::vector<seg::dns::DayTraceSource> sources_;
   std::size_t index_ = 0;
+  std::uint64_t produced_ = 0;
 };
 
 // The streaming leg: one core::Pipeline session per ISP, the ISP's days
 // chained into one stream and ingested through the back-pressured queue.
 struct StreamingTotals {
-  std::vector<double> ingest_seconds;       // per ISP-day, in run order
+  std::vector<double> ingest_seconds;       // per ISP-day prepare, in run order
   std::vector<double> scores;               // for the bit-identity check
   double stream_wall_seconds = 0.0;         // ingest_stream wall clock, summed
-  std::uint64_t stream_records = 0;         // records through the queue
+  std::uint64_t source_records = 0;         // records the chained sources produced
+  std::uint64_t stream_records = 0;         // records assembled into days
   seg::util::IngestQueueStats queue;        // summed queue counters
 };
+
+// The streaming leg's record balance: what the sources produced, what was
+// pushed to the queue and what was assembled into days must agree, so a
+// batch lost anywhere between source and day fails the bench.
+bool records_balance(const StreamingTotals& totals) {
+  return totals.source_records == totals.queue.pushed_records &&
+         totals.queue.pushed_records == totals.stream_records;
+}
 
 StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
   using namespace seg;
@@ -190,6 +203,7 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
         },
         world.whitelist().all(),
         [&](core::PreparedDay&& prepared) {
+          totals.ingest_seconds.push_back(prepared.timings.total_seconds());
           pipeline.train(prepared);
           const auto report = pipeline.classify(prepared);
           for (const auto& scored : report.scores) {
@@ -197,16 +211,12 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
           }
         });
     totals.stream_wall_seconds += stream_span.close();
+    totals.source_records += source.produced();
     totals.stream_records += ingest_stats.records;
     totals.queue.pushed_batches += ingest_stats.queue.pushed_batches;
     totals.queue.pushed_records += ingest_stats.queue.pushed_records;
-    totals.queue.dropped_batches += ingest_stats.queue.dropped_batches;
-    totals.queue.dropped_records += ingest_stats.queue.dropped_records;
     totals.queue.blocked_pushes += ingest_stats.queue.blocked_pushes;
     totals.queue.max_depth = std::max(totals.queue.max_depth, ingest_stats.queue.max_depth);
-    const auto& stats = pipeline.streaming_stats();
-    totals.ingest_seconds.insert(totals.ingest_seconds.end(), stats.ingest_seconds.begin(),
-                                 stats.ingest_seconds.end());
   }
   return totals;
 }
@@ -215,14 +225,16 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
 // (a multi-segment SEGTRC1 binlog, a dnstap frame stream, a classic pcap)
 // and replayed through FileTraceSource. Parse-only qps is the number the
 // ROADMAP's 10^4-10^5 qps ingestion target is measured against; the
-// end-to-end figure (including graph preparation) and the queue counters
-// come from the streaming leg.
+// end-to-end figure (including graph preparation), the queue counters and
+// the record balance come from the streaming leg.
 struct IngestSection {
   std::uint64_t records = 0;
   double binlog_replay_qps = 0.0;
   double dnstap_replay_qps = 0.0;
   double pcap_replay_qps = 0.0;
   double end_to_end_qps = 0.0;
+  std::uint64_t source_records = 0;     // produced by the streaming leg's sources
+  std::uint64_t assembled_records = 0;  // assembled into days by ingest_stream
   seg::util::IngestQueueStats queue;
 };
 
@@ -288,6 +300,8 @@ IngestSection measure_ingest(const StreamingTotals& streaming) {
     section.end_to_end_qps =
         static_cast<double>(streaming.stream_records) / streaming.stream_wall_seconds;
   }
+  section.source_records = streaming.source_records;
+  section.assembled_records = streaming.stream_records;
   section.queue = streaming.queue;
   return section;
 }
@@ -378,7 +392,7 @@ ObsOverheadSection measure_obs_overhead(std::size_t threads) {
   section.journal_valid = obs::validate_obs_journal(journal_text).empty();
   if (section.journal_valid) {
     std::istringstream in(journal_text);
-    section.journal_entries = obs::read_journal(in).size();
+    section.journal_entries = obs::read_journal(in).entries.size();
   }
   section.scores_identical = off_scores == on_scores;
   return section;
@@ -426,12 +440,14 @@ void print_ingest(const IngestSection& section) {
   std::printf("  pcap replay            : %10.0f qps\n", section.pcap_replay_qps);
   std::printf("  streamed end-to-end    : %10.0f qps (incl. graph preparation)\n",
               section.end_to_end_qps);
-  std::printf("  queue: %llu batches pushed, %llu blocked pushes, depth high-water %zu, "
-              "%llu records dropped\n",
+  std::printf("  queue: %llu batches pushed, %llu blocked pushes, depth high-water %zu\n",
               static_cast<unsigned long long>(section.queue.pushed_batches),
               static_cast<unsigned long long>(section.queue.blocked_pushes),
-              section.queue.max_depth,
-              static_cast<unsigned long long>(section.queue.dropped_records));
+              section.queue.max_depth);
+  std::printf("  records: %llu produced, %llu pushed, %llu assembled\n",
+              static_cast<unsigned long long>(section.source_records),
+              static_cast<unsigned long long>(section.queue.pushed_records),
+              static_cast<unsigned long long>(section.assembled_records));
 }
 
 void write_ingest_json(std::FILE* out, const IngestSection& ingest) {
@@ -444,23 +460,23 @@ void write_ingest_json(std::FILE* out, const IngestSection& ingest) {
                "      \"pcap\": %.1f\n"
                "    },\n"
                "    \"stream_end_to_end_qps\": %.1f,\n"
+               "    \"source_records\": %llu,\n"
+               "    \"assembled_records\": %llu,\n"
                "    \"queue\": {\n"
                "      \"pushed_batches\": %llu,\n"
                "      \"pushed_records\": %llu,\n"
                "      \"blocked_pushes\": %llu,\n"
-               "      \"max_depth\": %zu,\n"
-               "      \"dropped_batches\": %llu,\n"
-               "      \"dropped_records\": %llu\n"
+               "      \"max_depth\": %zu\n"
                "    }\n"
                "  }",
                static_cast<unsigned long long>(ingest.records), ingest.binlog_replay_qps,
                ingest.dnstap_replay_qps, ingest.pcap_replay_qps, ingest.end_to_end_qps,
+               static_cast<unsigned long long>(ingest.source_records),
+               static_cast<unsigned long long>(ingest.assembled_records),
                static_cast<unsigned long long>(ingest.queue.pushed_batches),
                static_cast<unsigned long long>(ingest.queue.pushed_records),
                static_cast<unsigned long long>(ingest.queue.blocked_pushes),
-               ingest.queue.max_depth,
-               static_cast<unsigned long long>(ingest.queue.dropped_batches),
-               static_cast<unsigned long long>(ingest.queue.dropped_records));
+               ingest.queue.max_depth);
 }
 
 void print_totals(const char* label, const StageTotals& t) {
@@ -604,8 +620,8 @@ int main() {
 
   // SEG_BENCH_INGEST_ONLY=1 (the ci_matrix `ingest` leg): skip the two
   // full pipeline legs and measure only the wire-replay/queue section on
-  // ISP 0, writing a reduced BENCH_pipeline.json. Fails when the blocking
-  // queue dropped anything — it must never.
+  // ISP 0, writing a reduced BENCH_pipeline.json. Fails when the streaming
+  // leg's records do not balance (records_balance).
   if (const char* env = std::getenv("SEG_BENCH_INGEST_ONLY"); env != nullptr && *env == '1') {
     const auto streaming = run_streaming(parallel_threads, /*max_isps=*/1);
     seg::util::set_parallelism(0);
@@ -619,11 +635,11 @@ int main() {
       std::fclose(out);
       std::printf("\nwrote BENCH_pipeline.json (ingest section only)\n");
     }
-    const bool clean = ingest.queue.dropped_batches == 0 && ingest.queue.dropped_records == 0;
-    if (!clean) {
-      std::printf("FAIL: blocking ingest queue dropped data\n");
+    const bool balanced = records_balance(streaming);
+    if (!balanced) {
+      std::printf("FAIL: streamed records do not balance (produced/pushed/assembled)\n");
     }
-    return clean ? 0 : 1;
+    return balanced ? 0 : 1;
   }
 
   // SEG_BENCH_OBS_ONLY=1 (the ci_matrix `obs` leg): skip the pipeline legs
@@ -688,14 +704,13 @@ int main() {
 
   write_json("BENCH_pipeline.json", serial, parallel, streaming, ingest, obs_section,
              overhead, parallel_threads, identical);
-  const bool queue_clean =
-      ingest.queue.dropped_batches == 0 && ingest.queue.dropped_records == 0;
-  if (!queue_clean) {
-    std::printf("FAIL: blocking ingest queue dropped data\n");
+  const bool balanced = records_balance(streaming);
+  if (!balanced) {
+    std::printf("FAIL: streamed records do not balance (produced/pushed/assembled)\n");
   }
   const bool obs_clean = overhead.scores_identical && overhead.journal_valid;
   if (!obs_clean) {
     std::printf("FAIL: obs-on session perturbed scores or wrote an invalid journal\n");
   }
-  return identical && queue_clean && obs_clean ? 0 : 1;
+  return identical && balanced && obs_clean ? 0 : 1;
 }

@@ -3,15 +3,24 @@
 #include <exception>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/calibration.h"
 #include "features/extractor.h"
 #include "features/feature_config.h"
+#include "util/obs/drift.h"
 #include "util/obs/metrics.h"
-#include "util/obs/process.h"
 #include "util/obs/trace.h"
 
 namespace seg::core {
+
+namespace {
+
+// The journal's fixed settings (see Pipeline::set_journal).
+constexpr std::size_t kJournalScoreBins = 20;
+constexpr double kJournalCalibrationMaxFpr = 0.01;
+
+}  // namespace
 
 Pipeline::Pipeline(const dns::PublicSuffixList& psl, SegugioConfig config)
     : psl_(&psl), detector_(std::move(config)) {}
@@ -39,12 +48,11 @@ PreparedDay Pipeline::prepare_one_day(const dns::DayTrace& trace,
   day.prune_stats = prepared.prune_stats;
   day.timings = prepared.timings;
   day.day = day.graph.day();
+  span.close();
 
-  ++stats_.days_ingested;
-  stats_.ingest_seconds.push_back(span.close());
   obs::Registry::instance().counter("seg_pipeline_days_ingested_total").add(1);
   if (journal_enabled()) {
-    journal_open_day(day, trace.records.size(), stats_.ingest_seconds.back());
+    journal_open_day(day, trace.records.size());
   }
   return day;
 }
@@ -89,12 +97,7 @@ IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
   };
 
   using Batch = std::vector<dns::QueryRecord>;
-  util::IngestQueueOptions queue_options;
-  queue_options.capacity = options.queue_capacity;
-  queue_options.policy = options.policy;
-  queue_options.metrics_prefix = "seg_ingest_queue";
-  queue_options.sampled_admission = options.sampled_admission;
-  util::IngestQueue<Batch> queue(queue_options);
+  util::IngestQueue<Batch> queue(util::kDefaultQueueCapacity, "seg_ingest_queue");
 
   const std::size_t batch_records = options.batch_records == 0 ? 1 : options.batch_records;
   std::exception_ptr producer_error;
@@ -106,8 +109,7 @@ IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
       while (source.next(record)) {
         batch.push_back(std::move(record));
         if (batch.size() >= batch_records) {
-          if (!queue.push(std::move(batch)) &&
-              options.policy == util::BackpressurePolicy::kBlock) {
+          if (!queue.push(std::move(batch))) {
             break;  // consumer cancelled; stop parsing
           }
           batch = Batch{};
@@ -153,13 +155,12 @@ void Pipeline::train(const PreparedDay& day) {
   SEG_SPAN("pipeline/train");
   detector_.train(day.graph, activity_, pdns_);
   if (journal_enabled() && journal_pending_ && journal_pending_->day == day.day &&
-      journal_options_.calibrate &&
       !journal_pending_->find_gauge("calibration_threshold")) {
     const std::uint64_t* malware = journal_pending_->find_counter("malware_domains");
     const std::uint64_t* benign = journal_pending_->find_counter("benign_domains");
     if (malware && benign && *malware > 0 && *benign > 0) {
       const CalibrationResult calibration = calibrate_threshold(
-          detector_, day.graph, activity_, pdns_, journal_options_.calibration_max_fpr);
+          detector_, day.graph, activity_, pdns_, kJournalCalibrationMaxFpr);
       journal_pending_->add_gauge("calibration_threshold", calibration.threshold);
       journal_pending_->add_gauge("calibration_tpr", calibration.achieved_tpr);
       journal_pending_->add_gauge("calibration_fpr", calibration.achieved_fpr);
@@ -179,9 +180,8 @@ DetectionReport Pipeline::classify(const PreparedDay& day) const {
   return report;
 }
 
-void Pipeline::set_journal(std::ostream* out, JournalOptions options) {
+void Pipeline::set_journal(std::ostream* out) {
   flush_journal();
-  journal_options_ = options;
   journal_writer_.reset();
   journal_pending_.reset();
   journal_baseline_.reset();
@@ -194,12 +194,9 @@ void Pipeline::flush_journal() {
   if (!journal_writer_ || !journal_pending_) {
     return;
   }
-  // Pin the drift baseline: the requested day, or the first entry that
-  // carries a score histogram (i.e. the first classified day).
-  if (!journal_baseline_ &&
-      (journal_options_.baseline_day >= 0
-           ? journal_pending_->day == journal_options_.baseline_day
-           : journal_pending_->find_histogram("scores") != nullptr)) {
+  // Pin the drift baseline: the first entry that carries a score
+  // histogram (i.e. the first classified day).
+  if (!journal_baseline_ && journal_pending_->find_histogram("scores") != nullptr) {
     journal_baseline_ = *journal_pending_;
   }
   obs::Span span("obs/journal_append");
@@ -208,8 +205,7 @@ void Pipeline::flush_journal() {
   obs::Registry::instance().counter("seg_journal_entries_total").add(1);
 }
 
-void Pipeline::journal_open_day(const PreparedDay& day, std::size_t records,
-                                double ingest_seconds) {
+void Pipeline::journal_open_day(const PreparedDay& day, std::size_t records) {
   flush_journal();  // the rollover write for the previous day
   obs::JournalEntry entry;
   entry.day = day.day;
@@ -241,19 +237,6 @@ void Pipeline::journal_open_day(const PreparedDay& day, std::size_t records,
   entry.add_counter("prune_machines_removed_r2", prune.machines_removed_r2);
   entry.add_counter("prune_domains_removed_r3", prune.domains_removed_r3);
   entry.add_counter("prune_domains_removed_r4", prune.domains_removed_r4);
-  if (journal_options_.include_runtime) {
-    entry.add_runtime("ingest_seconds", ingest_seconds);
-    const obs::ProcessSample process = obs::sample_process();
-    entry.add_runtime("rss_now_kb", static_cast<double>(process.rss_now_kb));
-    entry.add_runtime("rss_peak_kb", static_cast<double>(process.rss_peak_kb));
-    obs::Registry& registry = obs::Registry::instance();
-    entry.add_runtime(
-        "queue_pushed_records",
-        static_cast<double>(registry.counter("seg_ingest_queue_pushed_records_total").value()));
-    entry.add_runtime(
-        "queue_dropped_records",
-        static_cast<double>(registry.counter("seg_ingest_queue_dropped_records_total").value()));
-  }
   journal_pending_ = std::move(entry);
 }
 
@@ -266,10 +249,9 @@ void Pipeline::journal_annotate_classify(const PreparedDay& day,
   obs::Span span("obs/journal_annotate");
 
   std::vector<double> bounds;
-  const std::size_t bins = journal_options_.score_bins == 0 ? 1 : journal_options_.score_bins;
-  bounds.reserve(bins);
-  for (std::size_t i = 1; i <= bins; ++i) {
-    bounds.push_back(static_cast<double>(i) / static_cast<double>(bins));
+  bounds.reserve(kJournalScoreBins);
+  for (std::size_t i = 1; i <= kJournalScoreBins; ++i) {
+    bounds.push_back(static_cast<double>(i) / static_cast<double>(kJournalScoreBins));
   }
   obs::JournalHistogram scores = obs::JournalHistogram::with_bounds(std::move(bounds));
   for (const DomainScore& scored : report.scores) {
@@ -305,7 +287,7 @@ void Pipeline::journal_annotate_classify(const PreparedDay& day,
 
   if (journal_baseline_) {
     const obs::DriftResult drift =
-        obs::compute_drift(*journal_baseline_, *journal_pending_, journal_options_.drift);
+        obs::compute_drift(*journal_baseline_, *journal_pending_);
     for (const auto& [name, value] : drift.gauges) {
       journal_pending_->add_gauge("drift_" + name, value);
     }

@@ -9,7 +9,13 @@
 
 namespace seg::obs {
 
-HealthSampler::HealthSampler(HealthOptions options) : options_(std::move(options)) {}
+namespace {
+
+constexpr double kEwmaAlpha = 0.3;  ///< records/s smoothing (1 = instantaneous)
+
+}  // namespace
+
+HealthSampler::HealthSampler(std::chrono::milliseconds interval) : interval_(interval) {}
 
 HealthSampler::~HealthSampler() {
   try {
@@ -67,14 +73,14 @@ void HealthSampler::run_loop() {
     lock.unlock();
     sample_once();
     lock.lock();
-    cv_.wait_for(lock, options_.interval, [&] { return stop_requested_; });
+    cv_.wait_for(lock, interval_, [&] { return stop_requested_; });
   } while (!stop_requested_);
 }
 
 void HealthSampler::sample_once() {
   Registry& registry = Registry::instance();
   const std::int64_t now = now_ns();
-  const std::uint64_t records = registry.counter(options_.records_counter).value();
+  const std::uint64_t records = registry.counter("seg_ingest_queue_pushed_records_total").value();
 
   double rate = 0.0;
   {
@@ -83,8 +89,7 @@ void HealthSampler::sample_once() {
       const double dt = static_cast<double>(now - last_ns_) * 1e-9;
       const double instantaneous =
           static_cast<double>(records - last_records_) / dt;
-      ewma_rate_ = options_.ewma_alpha * instantaneous +
-                   (1.0 - options_.ewma_alpha) * ewma_rate_;
+      ewma_rate_ = kEwmaAlpha * instantaneous + (1.0 - kEwmaAlpha) * ewma_rate_;
     }
     last_ns_ = now;
     last_records_ = records;
@@ -92,23 +97,19 @@ void HealthSampler::sample_once() {
     rate = ewma_rate_;
   }
 
-  const std::string& prefix = options_.gauge_prefix;
-  registry.gauge(prefix + "_records_per_sec_ewma").set(rate);
-  registry.gauge(prefix + "_queue_depth")
-      .set(registry.gauge(options_.queue_prefix + "_depth").value());
-  registry.gauge(prefix + "_queue_drop_rate")
-      .set(registry.gauge(options_.queue_prefix + "_drop_rate").value());
+  registry.gauge("seg_health_records_per_sec_ewma").set(rate);
+  registry.gauge("seg_health_queue_depth").set(registry.gauge("seg_ingest_queue_depth").value());
 
-  const double current_day = registry.gauge(options_.current_day_gauge).value();
-  const double watermark = registry.gauge(options_.watermark_gauge).value();
+  const double current_day = registry.gauge("seg_ingest_current_day").value();
+  const double watermark = registry.gauge("seg_ingest_day_watermark").value();
   const double lag = current_day > watermark ? current_day - watermark : 0.0;
-  registry.gauge(prefix + "_day_lag").set(lag);
+  registry.gauge("seg_health_day_lag").set(lag);
 
   const ProcessSample process = sample_process();
-  registry.gauge(prefix + "_rss_now_kb").set(static_cast<double>(process.rss_now_kb));
-  registry.gauge(prefix + "_rss_peak_kb").set(static_cast<double>(process.rss_peak_kb));
-  registry.gauge(prefix + "_uptime_seconds").set(uptime_seconds());
-  registry.counter(prefix + "_samples_total").add(1);
+  registry.gauge("seg_health_rss_now_kb").set(static_cast<double>(process.rss_now_kb));
+  registry.gauge("seg_health_rss_peak_kb").set(static_cast<double>(process.rss_peak_kb));
+  registry.gauge("seg_health_uptime_seconds").set(uptime_seconds());
+  registry.counter("seg_health_samples_total").add(1);
 }
 
 }  // namespace seg::obs

@@ -5,16 +5,16 @@
 // publishes (it reads only the obs Registry and the process, never
 // pipeline state — so it cannot perturb scores or artifacts):
 //
-//   <prefix>_records_per_sec_ewma  smoothed ingest rate, from the queue's
-//                                  pushed-records counter
-//   <prefix>_queue_depth           mirrored IngestQueue depth gauge
-//   <prefix>_queue_drop_rate       mirrored IngestQueue drop-rate EWMA
-//   <prefix>_day_lag               seg_ingest_current_day minus
-//                                  seg_ingest_day_watermark (days parsed
-//                                  but not yet prepared)
-//   <prefix>_rss_now_kb/_rss_peak_kb   resident set via process.h
-//   <prefix>_uptime_seconds        process uptime
-//   <prefix>_samples_total         counter of completed samples
+//   seg_health_records_per_sec_ewma  smoothed ingest rate (EWMA, alpha
+//                                    0.3) of the ingest queue's
+//                                    seg_ingest_queue_pushed_records_total
+//   seg_health_queue_depth           mirrored seg_ingest_queue_depth
+//   seg_health_day_lag               seg_ingest_current_day minus
+//                                    seg_ingest_day_watermark (days parsed
+//                                    but not yet prepared)
+//   seg_health_rss_now_kb/_rss_peak_kb   resident set via process.h
+//   seg_health_uptime_seconds        process uptime
+//   seg_health_samples_total         counter of completed samples
 //
 // The sampler thread routes exceptions through std::current_exception and
 // rethrows them from stop() (the R-EXC1 contract); sample_once() is public
@@ -26,30 +26,15 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
-#include <string>
 #include <thread>
 
 namespace seg::obs {
 
-struct HealthOptions {
-  /// Wall-clock period between samples (background thread only).
-  std::chrono::milliseconds interval{1000};
-  /// EWMA smoothing factor for the records/s rate (1 = instantaneous).
-  double ewma_alpha = 0.3;
-  /// Counter whose growth rate is the ingest rate.
-  std::string records_counter = "seg_ingest_queue_pushed_records_total";
-  /// Prefix of the mirrored IngestQueue gauges (`_depth`, `_drop_rate`).
-  std::string queue_prefix = "seg_ingest_queue";
-  /// Gauges holding the newest parsed day and the last prepared day.
-  std::string current_day_gauge = "seg_ingest_current_day";
-  std::string watermark_gauge = "seg_ingest_day_watermark";
-  /// Prefix of every gauge/counter the sampler itself publishes.
-  std::string gauge_prefix = "seg_health";
-};
-
 class HealthSampler {
  public:
-  explicit HealthSampler(HealthOptions options = {});
+  /// `interval` is the wall-clock period between the background thread's
+  /// samples.
+  explicit HealthSampler(std::chrono::milliseconds interval = std::chrono::milliseconds(1000));
   ~HealthSampler();  // stops the thread; a pending sampler exception is dropped
 
   HealthSampler(const HealthSampler&) = delete;
@@ -69,12 +54,10 @@ class HealthSampler {
   /// and directly by tests/benches that want deterministic sampling.
   void sample_once();
 
-  const HealthOptions& options() const { return options_; }
-
  private:
   void run_loop();
 
-  HealthOptions options_;
+  const std::chrono::milliseconds interval_;
   std::thread thread_;
   mutable std::mutex mutex_;       ///< guards stop_requested_/error_
   std::condition_variable cv_;

@@ -117,10 +117,6 @@ void JournalEntry::add_histogram(std::string name, JournalHistogram histogram) {
   histograms.emplace_back(std::move(name), std::move(histogram));
 }
 
-void JournalEntry::add_runtime(std::string name, double value) {
-  runtime.emplace_back(std::move(name), value);
-}
-
 const std::uint64_t* JournalEntry::find_counter(std::string_view name) const {
   for (const auto& [key, value] : counters) {
     if (key == name) {
@@ -171,10 +167,6 @@ void write_journal_entry(std::ostream& out, const JournalEntry& entry) {
     }
     out << ']';
   }
-  if (!entry.runtime.empty()) {
-    write_section(out, "runtime", entry.runtime,
-                  [](std::ostream& o, double v) { o << json_double(v); });
-  }
   out << '}';
 }
 
@@ -199,6 +191,21 @@ double number_or_throw(const json::Value& value, const std::string& context) {
   return value.as_number();
 }
 
+// JSON numbers arrive as doubles. Converting one that is not finite,
+// integral and inside Int's range to Int is undefined behaviour, so each
+// integer field is checked before the cast. The bounds are exact doubles:
+// 0 or -2^63 below, 2^64 or 2^63 (exclusive) above; NaN and infinities fail
+// the comparisons.
+template <typename Int>
+Int integer_or_throw(const json::Value& value, const std::string& context) {
+  const double number = number_or_throw(value, context);
+  const double low = static_cast<double>(std::numeric_limits<Int>::min());
+  const double high = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  util::require_data(number >= low && number < high && number == std::trunc(number),
+                     "obsjournal: " + context + " is not an integer in range");
+  return static_cast<Int>(number);
+}
+
 JournalHistogram parse_histogram(const json::Value& value, const std::string& context) {
   util::require_data(value.is_object(), "obsjournal: " + context + " is not an object");
   JournalHistogram histogram;
@@ -210,8 +217,7 @@ JournalHistogram parse_histogram(const json::Value& value, const std::string& co
     histogram.bounds.push_back(number_or_throw(bound, context + ".bounds"));
   }
   for (const json::Value& bucket : buckets->as_array()) {
-    histogram.buckets.push_back(
-        static_cast<std::uint64_t>(number_or_throw(bucket, context + ".buckets")));
+    histogram.buckets.push_back(integer_or_throw<std::uint64_t>(bucket, context + ".buckets"));
   }
   const json::Value* count = value.find("count");
   const json::Value* mean = value.find("mean");
@@ -219,7 +225,7 @@ JournalHistogram parse_histogram(const json::Value& value, const std::string& co
   const json::Value* max = value.find("max");
   util::require_data(count && mean && min && max,
                      "obsjournal: " + context + " missing count/mean/min/max");
-  histogram.count = static_cast<std::uint64_t>(number_or_throw(*count, context + ".count"));
+  histogram.count = integer_or_throw<std::uint64_t>(*count, context + ".count");
   histogram.mean = number_or_throw(*mean, context + ".mean");
   histogram.min = number_or_throw(*min, context + ".min");
   histogram.max = number_or_throw(*max, context + ".max");
@@ -231,12 +237,12 @@ JournalEntry parse_entry(const json::Value& root, const std::string& context) {
   JournalEntry entry;
   const json::Value* day = root.find("day");
   util::require_data(day != nullptr, "obsjournal: " + context + " missing \"day\"");
-  entry.day = static_cast<std::int64_t>(number_or_throw(*day, context + ".day"));
+  entry.day = integer_or_throw<std::int64_t>(*day, context + ".day");
   if (const json::Value* counters = root.find("counters")) {
     util::require_data(counters->is_object(), "obsjournal: " + context + ".counters");
     for (const auto& [key, value] : counters->as_object()) {
-      entry.add_counter(key, static_cast<std::uint64_t>(
-                                 number_or_throw(value, context + ".counters." + key)));
+      entry.add_counter(key,
+                        integer_or_throw<std::uint64_t>(value, context + ".counters." + key));
     }
   }
   if (const json::Value* gauges = root.find("gauges")) {
@@ -265,18 +271,12 @@ JournalEntry parse_entry(const json::Value& root, const std::string& context) {
            number_or_throw(*threshold, context + ".alerts.threshold")});
     }
   }
-  if (const json::Value* runtime = root.find("runtime")) {
-    util::require_data(runtime->is_object(), "obsjournal: " + context + ".runtime");
-    for (const auto& [key, value] : runtime->as_object()) {
-      entry.add_runtime(key, number_or_throw(value, context + ".runtime." + key));
-    }
-  }
   return entry;
 }
 
 }  // namespace
 
-std::vector<JournalEntry> read_journal(std::istream& in) {
+JournalRead read_journal(std::istream& in) {
   std::string header;
   util::require_data(static_cast<bool>(std::getline(in, header)),
                      "obsjournal: empty stream (missing header)");
@@ -286,7 +286,7 @@ std::vector<JournalEntry> read_journal(std::istream& in) {
   expected_line.pop_back();  // getline strips the newline
   util::require_data(header == expected_line,
                      "obsjournal: bad header line '" + header + "'");
-  std::vector<JournalEntry> entries;
+  JournalRead journal;
   std::string line;
   std::size_t line_number = 1;
   while (std::getline(in, line)) {
@@ -294,23 +294,31 @@ std::vector<JournalEntry> read_journal(std::istream& in) {
     if (line.empty()) {
       continue;
     }
+    const std::string context = "line " + std::to_string(line_number);
     std::string error;
     const json::Value root = json::parse(line, &error);
-    util::require_data(error.empty(),
-                       "obsjournal: line " + std::to_string(line_number) + ": " + error);
-    entries.push_back(parse_entry(root, "line " + std::to_string(line_number)));
+    // getline sets eof only when the line had no newline after it, so this
+    // is the last line, cut off before its append finished.
+    if (!error.empty() && in.eof()) {
+      journal.torn_tail = "obsjournal: " + context + " is torn (no newline after it: " +
+                          error + "); the entries before it are complete";
+      break;
+    }
+    util::require_data(error.empty(), "obsjournal: " + context + ": " + error);
+    journal.entries.push_back(parse_entry(root, context));
   }
-  return entries;
+  return journal;
 }
 
 std::string validate_obs_journal(std::string_view text) {
   std::istringstream in{std::string(text)};
-  std::vector<JournalEntry> entries;
+  JournalRead journal;
   try {
-    entries = read_journal(in);
+    journal = read_journal(in);
   } catch (const util::ParseError& error) {
     return error.what();
   }
+  const std::vector<JournalEntry>& entries = journal.entries;
   std::int64_t last_day = std::numeric_limits<std::int64_t>::min();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const JournalEntry& entry = entries[i];
@@ -360,7 +368,7 @@ std::string validate_obs_journal(std::string_view text) {
       }
     }
   }
-  return "";
+  return journal.torn_tail;
 }
 
 }  // namespace seg::obs

@@ -4,11 +4,15 @@
 // observation day, written by core::Pipeline at each day rollover, holding
 // the day's deterministic run snapshot — record/graph/prune counters,
 // the score histogram, per-feature summary histograms, calibration gauges,
-// drift gauges and any tripped alerts. Entries are fully deterministic by
-// default (byte-identical across thread counts for the same inputs);
-// wall-clock/RSS/queue extras live in an opt-in "runtime" sub-object that
-// identity tests leave disabled. See docs/FORMATS.md ("obsjournal") for
-// the byte-level spec and docs/observability.md for the field catalog.
+// drift gauges and any tripped alerts. Entries are fully deterministic
+// (byte-identical across thread counts for the same inputs): nothing
+// wall-clock or machine-dependent goes into them. See docs/FORMATS.md
+// ("obsjournal") for the byte-level spec and docs/observability.md for the
+// field catalog.
+//
+// Each line is flushed as it is appended, so a crash loses at most the
+// line being written: read_journal() returns the complete entries before
+// a torn last line and names that line.
 //
 // Like every seg::obs surface, the journal is telemetry only: nothing in
 // the pipeline reads it back, so enabling it cannot perturb scores or
@@ -62,15 +66,10 @@ struct JournalEntry {
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<std::pair<std::string, JournalHistogram>> histograms;
   std::vector<JournalAlert> alerts;
-  /// Non-deterministic extras (wall clock, RSS, queue depth...). Opt-in:
-  /// populated only when the producer was asked for runtime detail, and
-  /// excluded from byte-identity expectations.
-  std::vector<std::pair<std::string, double>> runtime;
 
   void add_counter(std::string name, std::uint64_t value);
   void add_gauge(std::string name, double value);
   void add_histogram(std::string name, JournalHistogram histogram);
-  void add_runtime(std::string name, double value);
 
   /// Lookup helpers; nullptr when the name is absent.
   const std::uint64_t* find_counter(std::string_view name) const;
@@ -101,16 +100,31 @@ class JournalWriter {
   std::int64_t last_day_ = 0;
 };
 
+/// What read_journal() recovered from a journal stream.
+struct JournalRead {
+  std::vector<JournalEntry> entries;  ///< the complete entries, in file order
+  /// "" unless the last line is torn: cut off mid-entry with no newline
+  /// after it, as a crash during JournalWriter::append leaves it. Then it
+  /// names that line, which yields no entry.
+  std::string torn_tail;
+};
+
 /// The journal_lite reader: parses a full journal stream back into
-/// entries using the dependency-free obs::json parser. Throws
-/// util::ParseError on a bad header or malformed line. Tolerates unknown
-/// keys (forward compatibility within version 1).
-std::vector<JournalEntry> read_journal(std::istream& in);
+/// entries using the dependency-free obs::json parser. A torn last line is
+/// reported in the result, not thrown. Throws util::ParseError on a bad
+/// header, on any other malformed line (one that ends in a newline or has
+/// lines after it), and on a number that does not fit its field (a day,
+/// counter, bucket or count that is not a finite integer in range).
+/// Tolerates unknown keys (forward compatibility within version 1), such
+/// as the "runtime" object older writers could add.
+JournalRead read_journal(std::istream& in);
 
 /// Validates journal text (`segugio validate-obs --journal`): header line,
-/// per-line JSON shape, required fields, histogram bucket/count
-/// consistency, finite numbers, and strictly increasing days. Returns ""
-/// when valid, else a message naming the first offending line.
+/// per-line JSON shape, required fields, integer fields, histogram
+/// bucket/count consistency, finite numbers, strictly increasing days, and
+/// a complete last line. Returns "" when valid, else a message naming the
+/// first offending line; a torn last line is reported only when every
+/// complete entry passed, with read_journal()'s torn_tail message.
 std::string validate_obs_journal(std::string_view text);
 
 }  // namespace seg::obs

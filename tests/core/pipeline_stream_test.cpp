@@ -2,8 +2,8 @@
 // pulled from a TraceSource, micro-batched through the bounded queue, cut
 // at day boundaries — produces byte-identical artifacts (graphs, model,
 // scores) to a one-day-at-a-time session fed from in-memory day traces, at
-// any parallelism and any queue tuning, as long as the back-pressure
-// policy is kBlock. A source that fails mid-day never hands that day out.
+// any parallelism and any batch size: the queue blocks instead of dropping.
+// A source that fails mid-day never hands that day out.
 // This is the acceptance test for the streaming design; docs/ingestion.md
 // points here.
 #include "core/pipeline.h"
@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "dns/wire/dnstap.h"
 #include "graph/graph_compressed.h"
 #include "sim/world.h"
+#include "util/obs/metrics.h"
 #include "util/parallel.h"
 
 namespace seg::core {
@@ -188,9 +191,8 @@ TEST_F(PipelineStreamTest, BinlogReplayMatchesBatchSessionAtOneAndEightThreads) 
     EXPECT_EQ(stats.records, total_records) << label;
     EXPECT_EQ(stats.days, 2u) << label;
     EXPECT_EQ(stats.wire_skipped, 0u) << label;
-    // The blocking policy loses nothing: every record crossed the queue.
+    // The queue loses nothing: every record crossed it.
     EXPECT_EQ(stats.queue.pushed_records, total_records) << label;
-    EXPECT_EQ(stats.queue.dropped_batches, 0u) << label;
     EXPECT_EQ(stats.queue.dropped_records, 0u) << label;
     EXPECT_EQ(stats.queue.popped_batches, stats.queue.pushed_batches) << label;
   }
@@ -236,78 +238,64 @@ TEST_F(PipelineStreamTest, DnstapReplayMatchesBatchOverItsOwnDecodedRecords) {
 }
 
 TEST_F(PipelineStreamTest, QueueTuningNeverChangesTheGraph) {
+  // Neither the batch size nor a producer blocked on the full queue
+  // changes a graph, and the queue loses nothing. 3-record batches fill the
+  // default 16-batch queue while the consumer sits at the day-8 rollover;
+  // the day callback waits there until the producer has blocked, so the
+  // blocking path runs on every host.
   auto& w = world();
   const auto config = fast_config();
-  const auto trace = w.generate_day(0, 8);
-  const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 8);
+  const std::vector<dns::DayTrace> traces = {w.generate_day(0, 8), w.generate_day(0, 9)};
+  const std::vector<graph::NameSet> blacklists = {
+      w.blacklist().as_of(sim::BlacklistKind::kCommercial, 8),
+      w.blacklist().as_of(sim::BlacklistKind::kCommercial, 9)};
   const auto whitelist = w.whitelist().all();
+  const auto binlog = write_multiday_binlog(traces, ".tuning.bin");
 
-  const auto run = [&](const IngestOptions& options, IngestStats* stats_out) {
+  std::vector<std::string> reference;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    reference.push_back(graph_bytes(Segugio::prepare_graph(traces[i], w.psl(), blacklists[i],
+                                                           whitelist, config.prepare_options())
+                                        .graph));
+  }
+
+  const auto run = [&](const IngestOptions& options, bool hold_first_day, IngestStats& stats) {
     Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-    dns::DayTraceSource source(trace);
-    PreparedDay prepared;
-    const auto stats = pipeline.ingest_stream(
-        source, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
-        whitelist, [&](PreparedDay&& day) { prepared = std::move(day); }, options);
-    if (stats_out != nullptr) {
-      *stats_out = stats;
-    }
-    return graph_bytes(prepared.graph);
+    dns::FileTraceSource source(binlog);
+    const obs::Counter& blocked =
+        obs::Registry::instance().counter("seg_ingest_queue_blocked_pushes_total");
+    const std::uint64_t blocked_before = blocked.value();
+    std::vector<std::string> graphs;
+    stats = pipeline.ingest_stream(
+        source,
+        [&](dns::Day day) -> const graph::NameSet& {
+          return blacklists[static_cast<std::size_t>(day - 8)];
+        },
+        whitelist,
+        [&](PreparedDay&& day) {
+          graphs.push_back(graph_bytes(day.graph));
+          // Bounded, so a producer that never blocks fails the test below
+          // instead of hanging it.
+          for (int ms = 0; hold_first_day && graphs.size() == 1 &&
+                           blocked.value() == blocked_before && ms < 10000;
+               ++ms) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        },
+        options);
+    return graphs;
   };
 
-  const auto reference = graph_bytes(
-      Segugio::prepare_graph(trace, w.psl(), blacklist, whitelist, config.prepare_options())
-          .graph);
+  IngestStats stats;
+  EXPECT_EQ(run(IngestOptions{}, false, stats), reference);
 
-  EXPECT_EQ(run(IngestOptions{}, nullptr), reference);
-
-  IngestOptions tiny;  // forces real back-pressure: 3-record batches, 2 slots
+  IngestOptions tiny;
   tiny.batch_records = 3;
-  tiny.queue_capacity = 2;
-  IngestStats tiny_stats;
-  EXPECT_EQ(run(tiny, &tiny_stats), reference);
-  EXPECT_EQ(tiny_stats.queue.dropped_batches, 0u);
-  EXPECT_EQ(tiny_stats.queue.pushed_records, trace.records.size());
-  EXPECT_LE(tiny_stats.queue.max_depth, 2u);
-}
-
-TEST_F(PipelineStreamTest, CountAndDropKeepsTheLedgerBalanced) {
-  // kCountAndDrop trades completeness for freshness; what it may never do
-  // is lose records *silently*. With drop-rate-aware sampling on (the
-  // pipeline default for this policy), every source record is accounted
-  // for exactly once: admitted, dropped whole-batch, or sampled out.
-  auto& w = world();
-  const auto config = fast_config();
-  const auto trace = w.generate_day(0, 9);
-  const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 9);
-
-  Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
-  dns::DayTraceSource source(trace);
-  IngestOptions options;
-  options.policy = util::BackpressurePolicy::kCountAndDrop;
-  options.batch_records = 2;
-  options.queue_capacity = 1;
-  PreparedDay prepared;
-  const auto stats = pipeline.ingest_stream(
-      source, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
-      w.whitelist().all(), [&](PreparedDay&& day) { prepared = std::move(day); }, options);
-
-  EXPECT_EQ(stats.queue.pushed_records + stats.queue.dropped_records +
-                stats.queue.sampled_out_records,
-            trace.records.size());
-  EXPECT_EQ(stats.records, stats.queue.pushed_records);
-  EXPECT_GT(stats.records, 0u);
-
-  // And with sampling explicitly off, the legacy two-way ledger holds.
-  Pipeline coarse(w.psl(), w.activity(), w.pdns(), config);
-  dns::DayTraceSource replay(trace);
-  options.sampled_admission = false;
-  const auto coarse_stats = coarse.ingest_stream(
-      replay, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
-      w.whitelist().all(), [&](PreparedDay&& day) { prepared = std::move(day); }, options);
-  EXPECT_EQ(coarse_stats.queue.sampled_out_records, 0u);
-  EXPECT_EQ(coarse_stats.queue.pushed_records + coarse_stats.queue.dropped_records,
-            trace.records.size());
+  EXPECT_EQ(run(tiny, true, stats), reference);
+  EXPECT_GT(stats.queue.blocked_pushes, 0u);
+  EXPECT_EQ(stats.queue.dropped_records, 0u);
+  EXPECT_EQ(stats.queue.pushed_records, traces[0].records.size() + traces[1].records.size());
+  EXPECT_LE(stats.queue.max_depth, util::kDefaultQueueCapacity);
 }
 
 TEST_F(PipelineStreamTest, BackwardDaysThrowThroughTheQueue) {
@@ -368,6 +356,9 @@ TEST_F(PipelineStreamTest, SourceFailureMidDayNeverHandsOutTheOpenDay) {
   const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 5);
   Pipeline pipeline(w.psl(), w.activity(), w.pdns(), fast_config());
   dns::FileTraceSource source(path);
+  const obs::Counter& prepared =
+      obs::Registry::instance().counter("seg_pipeline_days_ingested_total");
+  const std::uint64_t prepared_before = prepared.value();
   std::vector<dns::Day> handed_out;
   EXPECT_THROW(pipeline.ingest_stream(
                    source, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
@@ -375,7 +366,7 @@ TEST_F(PipelineStreamTest, SourceFailureMidDayNeverHandsOutTheOpenDay) {
                    [&](PreparedDay&& day) { handed_out.push_back(day.day); }),
                util::ParseError);
   EXPECT_EQ(handed_out, std::vector<dns::Day>{4});
-  EXPECT_EQ(pipeline.streaming_stats().days_ingested, 1u);
+  EXPECT_EQ(prepared.value() - prepared_before, 1u);  // day 5 was never prepared
 }
 
 }  // namespace

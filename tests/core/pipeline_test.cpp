@@ -85,10 +85,6 @@ TEST_F(PipelineTest, ThreeDayStreamedIngestMatchesFromScratchBuilds) {
     EXPECT_EQ(prepared.prune_stats.domains_after, scratch.prune_stats.domains_after);
     EXPECT_EQ(prepared.prune_stats.edges_after, scratch.prune_stats.edges_after);
   }
-
-  const auto& stats = pipeline.streaming_stats();
-  EXPECT_EQ(stats.days_ingested, 3u);
-  EXPECT_EQ(stats.ingest_seconds.size(), 3u);
 }
 
 TEST_F(PipelineTest, ScoresBitIdenticalAcrossThreadCountsAndSerialFlow) {
@@ -241,7 +237,8 @@ TEST_F(PipelineTest, JournalAndDriftGaugesAreByteIdenticalAcrossThreadCounts) {
   // The obs journal is part of the deterministic surface: a multi-day
   // train+classify session journaled at 1 worker thread and at 8 must
   // produce the same bytes, and every seg_drift_* gauge must carry the
-  // same value. (Runtime extras stay opt-in precisely so this holds.)
+  // same value. (Nothing wall-clock or machine-dependent enters an entry,
+  // precisely so this holds.)
   auto& w = world();
   const auto config = fast_config();
   std::vector<dns::DayTrace> traces;
@@ -298,7 +295,9 @@ TEST_F(PipelineTest, JournalAndDriftGaugesAreByteIdenticalAcrossThreadCounts) {
   // The journal recorded all three days, and days 1+ carry drift gauges
   // against the pinned day-0 baseline.
   std::istringstream journal_in{std::string(serial_journal)};
-  const auto entries = obs::read_journal(journal_in);
+  const obs::JournalRead journal = obs::read_journal(journal_in);
+  EXPECT_EQ(journal.torn_tail, "");
+  const auto& entries = journal.entries;
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_NE(entries[0].find_histogram("scores"), nullptr);
   EXPECT_NE(entries[2].find_gauge("drift_score_psi"), nullptr);

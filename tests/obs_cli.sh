@@ -82,4 +82,17 @@ if "$CLI" validate-obs --journal "$DIR/bad-journal.jsonl" 2>/dev/null; then
   exit 1
 fi
 
+# A torn last line (a crash mid-append: cut off, no newline) fails
+# validate-obs, but status still renders the complete days and names the
+# torn line on stderr.
+{ cat "$DIR/journal.jsonl"; printf '{"day":9,"counters":{"rec'; } > "$DIR/torn-journal.jsonl"
+if "$CLI" validate-obs --journal "$DIR/torn-journal.jsonl" 2>/dev/null; then
+  echo "expected failure on torn journal" >&2
+  exit 1
+fi
+"$CLI" status --journal "$DIR/torn-journal.jsonl" > "$DIR/torn-status.txt" \
+  2> "$DIR/torn-status.err"
+grep -q "2 day(s)" "$DIR/torn-status.txt"
+grep -q "line 4 is torn" "$DIR/torn-status.err"
+
 echo "obs cli ok"

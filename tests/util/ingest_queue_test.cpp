@@ -1,6 +1,5 @@
-// IngestQueue contract tests: FIFO determinism, back-pressure under both
-// policies, the close/drain and cancel protocols, and multi-producer
-// delivery. The threaded tests run in the tsan leg of the CI matrix
+// IngestQueue contract tests: FIFO determinism, blocking back-pressure,
+// the close/drain and cancel protocols, and multi-producer delivery. The threaded tests run in the tsan leg of the CI matrix
 // (tools/ci_matrix.sh, "ingest" leg) where the lock discipline is checked
 // under contention, not just here under luck.
 #include "util/ingest_queue.h"
@@ -44,17 +43,14 @@ TEST(IngestQueueTest, SingleProducerPopsInPushOrder) {
   EXPECT_EQ(stats.pushed_batches, 10u);
   EXPECT_EQ(stats.pushed_records, 30u);
   EXPECT_EQ(stats.popped_batches, 10u);
-  EXPECT_EQ(stats.dropped_batches, 0u);
   EXPECT_EQ(stats.depth, 0u);
   EXPECT_LE(stats.max_depth, 10u);
   EXPECT_GE(stats.max_depth, 1u);
 }
 
 TEST(IngestQueueTest, ZeroCapacityClampsToOne) {
-  IngestQueueOptions options;
-  options.capacity = 0;
-  IngestQueue<Batch> queue(options);
-  EXPECT_EQ(queue.options().capacity, 1u);
+  IngestQueue<Batch> queue(0);
+  EXPECT_EQ(queue.capacity(), 1u);
 }
 
 TEST(IngestQueueTest, PushAfterCloseIsRefused) {
@@ -70,35 +66,8 @@ TEST(IngestQueueTest, PushAfterCloseIsRefused) {
   EXPECT_EQ(queue.stats().pushed_batches, 1u);
 }
 
-TEST(IngestQueueTest, CountAndDropRejectsWhenFullAndCounts) {
-  IngestQueueOptions options;
-  options.capacity = 2;
-  options.policy = BackpressurePolicy::kCountAndDrop;
-  IngestQueue<Batch> queue(options);
-  EXPECT_TRUE(queue.push(make_batch(0, 4)));
-  EXPECT_TRUE(queue.push(make_batch(10, 4)));
-  EXPECT_FALSE(queue.push(make_batch(20, 5)));
-  EXPECT_FALSE(queue.push(make_batch(30, 7)));
-
-  auto stats = queue.stats();
-  EXPECT_EQ(stats.pushed_batches, 2u);
-  EXPECT_EQ(stats.dropped_batches, 2u);
-  EXPECT_EQ(stats.dropped_records, 12u);
-  EXPECT_EQ(stats.blocked_pushes, 0u);
-
-  // Draining reopens capacity: the next push is accepted again.
-  EXPECT_EQ(*queue.pop(), make_batch(0, 4));
-  EXPECT_TRUE(queue.push(make_batch(40, 1)));
-  queue.close();
-  EXPECT_EQ(*queue.pop(), make_batch(10, 4));
-  EXPECT_EQ(*queue.pop(), make_batch(40, 1));
-  EXPECT_FALSE(queue.pop().has_value());
-}
-
 TEST(IngestQueueTest, BlockingPushWaitsForSpaceAndLosesNothing) {
-  IngestQueueOptions options;
-  options.capacity = 2;
-  IngestQueue<Batch> queue(options);
+  IngestQueue<Batch> queue(2);
   constexpr int kBatches = 50;
 
   std::atomic<int> produced{0};
@@ -128,15 +97,12 @@ TEST(IngestQueueTest, BlockingPushWaitsForSpaceAndLosesNothing) {
   EXPECT_EQ(stats.pushed_batches, static_cast<std::uint64_t>(kBatches));
   EXPECT_EQ(stats.pushed_records, static_cast<std::uint64_t>(kBatches) * 2);
   EXPECT_EQ(stats.popped_batches, static_cast<std::uint64_t>(kBatches));
-  EXPECT_EQ(stats.dropped_batches, 0u);
   EXPECT_GT(stats.blocked_pushes, 0u);
   EXPECT_LE(stats.max_depth, 2u);
 }
 
 TEST(IngestQueueTest, CancelWakesBlockedProducerWithFalse) {
-  IngestQueueOptions options;
-  options.capacity = 1;
-  IngestQueue<Batch> queue(options);
+  IngestQueue<Batch> queue(1);
   ASSERT_TRUE(queue.push(make_batch(0, 1)));  // fill to capacity
 
   std::atomic<bool> push_returned{false};
@@ -166,9 +132,7 @@ TEST(IngestQueueTest, CancelWakesBlockedProducerWithFalse) {
 TEST(IngestQueueTest, MultiProducerDeliversEveryBatchOnceInPerProducerOrder) {
   constexpr int kProducers = 4;
   constexpr int kBatchesPerProducer = 100;
-  IngestQueueOptions options;
-  options.capacity = 4;  // small, so producers contend and block
-  IngestQueue<Batch> queue(options);
+  IngestQueue<Batch> queue(4);  // small, so producers contend and block
 
   std::atomic<int> open_producers{kProducers};
   std::vector<std::thread> producers;
@@ -208,109 +172,26 @@ TEST(IngestQueueTest, MultiProducerDeliversEveryBatchOnceInPerProducerOrder) {
   const auto stats = queue.stats();
   EXPECT_EQ(stats.pushed_batches, total);
   EXPECT_EQ(stats.popped_batches, total);
-  EXPECT_EQ(stats.dropped_batches, 0u);
   EXPECT_LE(stats.max_depth, 4u);
-}
-
-TEST(IngestQueueTest, SampledAdmissionKeepsEverythingWhileNothingDrops) {
-  IngestQueueOptions options;
-  options.capacity = 4;
-  options.policy = BackpressurePolicy::kCountAndDrop;
-  options.sampled_admission = true;
-  IngestQueue<Batch> queue(options);
-  // No drop has ever been observed, so the admit probability stays at
-  // 1000 permille and batches pass through untouched.
-  EXPECT_TRUE(queue.push(make_batch(0, 4)));
-  EXPECT_TRUE(queue.push(make_batch(10, 4)));
-  EXPECT_EQ(*queue.pop(), make_batch(0, 4));
-  EXPECT_EQ(*queue.pop(), make_batch(10, 4));
-  EXPECT_EQ(queue.stats().sampled_out_records, 0u);
-}
-
-TEST(IngestQueueTest, SampledAdmissionThinsAfterDropsAndBalancesTheLedger) {
-  IngestQueueOptions options;
-  options.capacity = 1;
-  options.policy = BackpressurePolicy::kCountAndDrop;
-  options.sampled_admission = true;
-  options.drop_rate_alpha = 0.5;  // react fast so the test engages sampling
-  IngestQueue<Batch> queue(options);
-
-  std::uint64_t offered = 0;
-  std::uint64_t consumed = 0;
-  // Overload: each round offers two batches to a capacity-1 queue, so the
-  // second is always dropped and the drop-rate EWMA climbs; after the
-  // first drop every admitted batch is thinned probabilistically.
-  for (int round = 0; round < 20; ++round) {
-    queue.push(make_batch(round * 100, 10));
-    offered += 10;
-    queue.push(make_batch(round * 100 + 50, 10));
-    offered += 10;
-    while (true) {
-      const auto stats = queue.stats();
-      if (stats.depth == 0) {
-        break;
-      }
-      consumed += queue.pop()->size();
-    }
-  }
-  queue.close();
-  while (auto batch = queue.pop()) {
-    consumed += batch->size();
-  }
-
-  const auto stats = queue.stats();
-  EXPECT_GT(stats.dropped_records, 0u);
-  EXPECT_GT(stats.sampled_out_records, 0u);
-  // The three-way ledger is exact: every offered record was either
-  // admitted, dropped whole-batch, or sampled out.
-  EXPECT_EQ(stats.pushed_records + stats.dropped_records + stats.sampled_out_records,
-            offered);
-  EXPECT_EQ(stats.pushed_records, consumed);
-}
-
-TEST(IngestQueueTest, SampledAdmissionMirrorsRateGaugesIntoObsRegistry) {
-  obs::Registry::instance().reset();
-  IngestQueueOptions options;
-  options.capacity = 1;
-  options.policy = BackpressurePolicy::kCountAndDrop;
-  options.sampled_admission = true;
-  options.metrics_prefix = "test_sampled_queue";
-  IngestQueue<Batch> queue(options);
-  EXPECT_TRUE(queue.push(make_batch(0, 5)));
-  EXPECT_FALSE(queue.push(make_batch(10, 5)));  // full: whole-batch drop
-
-  auto& registry = obs::Registry::instance();
-  EXPECT_GT(registry.gauge("test_sampled_queue_drop_rate").value(), 0.0);
-  EXPECT_LT(registry.gauge("test_sampled_queue_admit_permille").value(), 1000.0);
-
-  queue.pop();
-  // The next admitted push decays the drop rate again and thins the batch
-  // against the lowered admit probability; whatever is removed is counted.
-  queue.push(make_batch(20, 1000));
-  const auto stats = queue.stats();
-  EXPECT_EQ(stats.sampled_out_records,
-            registry.counter("test_sampled_queue_sampled_out_records_total").value());
-  EXPECT_EQ(stats.pushed_records + stats.dropped_records + stats.sampled_out_records,
-            1010u);
-  obs::Registry::instance().reset();
 }
 
 TEST(IngestQueueTest, NamedQueueMirrorsCountersIntoObsRegistry) {
   obs::Registry::instance().reset();
-  IngestQueueOptions options;
-  options.capacity = 1;
-  options.policy = BackpressurePolicy::kCountAndDrop;
-  options.metrics_prefix = "test_ingest_queue";
-  IngestQueue<Batch> queue(options);
+  IngestQueue<Batch> queue(1, "test_ingest_queue");
   EXPECT_TRUE(queue.push(make_batch(0, 3)));
-  EXPECT_FALSE(queue.push(make_batch(10, 2)));
+  // The second push finds the queue full and blocks until the pop below.
+  std::thread producer([&] { EXPECT_TRUE(queue.push(make_batch(10, 2))); });
+  while (queue.stats().blocked_pushes == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  queue.pop();
+  producer.join();
   queue.pop();
 
   auto& registry = obs::Registry::instance();
-  EXPECT_EQ(registry.counter("test_ingest_queue_pushed_batches_total").value(), 1u);
-  EXPECT_EQ(registry.counter("test_ingest_queue_pushed_records_total").value(), 3u);
-  EXPECT_EQ(registry.counter("test_ingest_queue_dropped_batches_total").value(), 1u);
-  EXPECT_EQ(registry.counter("test_ingest_queue_dropped_records_total").value(), 2u);
+  EXPECT_EQ(registry.counter("test_ingest_queue_pushed_batches_total").value(), 2u);
+  EXPECT_EQ(registry.counter("test_ingest_queue_pushed_records_total").value(), 5u);
+  EXPECT_EQ(registry.counter("test_ingest_queue_blocked_pushes_total").value(), 1u);
   EXPECT_EQ(registry.gauge("test_ingest_queue_depth").value(), 0.0);
   EXPECT_EQ(registry.gauge("test_ingest_queue_max_depth").value(), 1.0);
   obs::Registry::instance().reset();

@@ -1,11 +1,14 @@
 // seg::obs v2 longitudinal surface: journal round-trip through the
-// validator, drift gauge math (PSI/KS), alert trip/no-trip thresholds,
-// and the live health sampler.
+// validator, hostile numbers and torn tails in the reader, drift gauge
+// math (PSI/KS), alert trip/no-trip thresholds, and the live health
+// sampler.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "util/obs/drift.h"
 #include "util/obs/health.h"
@@ -36,8 +39,21 @@ JournalEntry sample_entry(std::int64_t day) {
                       histogram_of({0.25, 0.5, 0.75, 1.0}, {0.1, 0.3, 0.3, 0.8, 0.99}));
   entry.add_histogram("f1_infected_fraction", histogram_of({0.5, 1.0}, {0.0, 0.2, 0.9}));
   entry.alerts.push_back({"seg_drift_score_psi", 0.31, 0.2});
-  entry.add_runtime("ingest_seconds", 0.125);
   return entry;
+}
+
+std::string journal_text(const std::vector<std::int64_t>& days) {
+  std::ostringstream out;
+  JournalWriter writer(out);
+  for (const std::int64_t day : days) {
+    writer.append(sample_entry(day));
+  }
+  return out.str();
+}
+
+JournalRead read_text(const std::string& text) {
+  std::istringstream in(text);
+  return read_journal(in);
 }
 
 TEST(ObsJournal, HistogramObserveTracksBucketsAndSummary) {
@@ -62,8 +78,9 @@ TEST(ObsJournal, RoundTripsThroughWriterReaderAndValidator) {
 
   EXPECT_EQ(validate_obs_journal(text), "");
 
-  std::istringstream in(text);
-  const auto entries = read_journal(in);
+  const JournalRead journal = read_text(text);
+  EXPECT_EQ(journal.torn_tail, "");
+  const auto& entries = journal.entries;
   ASSERT_EQ(entries.size(), 2u);
   const JournalEntry& entry = entries[0];
   EXPECT_EQ(entry.day, 3);
@@ -79,8 +96,68 @@ TEST(ObsJournal, RoundTripsThroughWriterReaderAndValidator) {
   ASSERT_EQ(entry.alerts.size(), 1u);
   EXPECT_EQ(entry.alerts[0].gauge, "seg_drift_score_psi");
   EXPECT_DOUBLE_EQ(entry.alerts[0].value, 0.31);
-  ASSERT_EQ(entry.runtime.size(), 1u);
-  EXPECT_DOUBLE_EQ(entry.runtime[0].second, 0.125);
+}
+
+TEST(ObsJournal, LegacyRuntimeObjectIsIgnored) {
+  // Journals written before the "runtime" object was removed still read.
+  const std::string text =
+      "segf1 obsjournal 1\n"
+      "{\"day\":3,\"counters\":{\"records\":7},"
+      "\"runtime\":{\"ingest_seconds\":0.125,\"rss_peak_kb\":2048}}\n";
+  EXPECT_EQ(validate_obs_journal(text), "");
+  const JournalRead journal = read_text(text);
+  ASSERT_EQ(journal.entries.size(), 1u);
+  EXPECT_EQ(journal.entries[0].day, 3);
+  ASSERT_NE(journal.entries[0].find_counter("records"), nullptr);
+  EXPECT_EQ(*journal.entries[0].find_counter("records"), 7u);
+}
+
+TEST(ObsJournal, HostileNumbersInIntegerFieldsAreParseErrors) {
+  // Each integer field must hold a finite, integral, in-range number:
+  // casting anything else to its integer type would be undefined.
+  const std::string histogram =
+      "{\"day\":1,\"counters\":{},\"histograms\":{\"scores\":{\"bounds\":[1.0],";
+  std::vector<std::string> lines;
+  for (const std::string number : {"1e999", "-1", "2.5", "1e20"}) {
+    if (number != "-1") {  // a negative day fits the signed day field
+      lines.push_back("{\"day\":" + number + "}");
+    }
+    lines.push_back("{\"day\":1,\"counters\":{\"records\":" + number + "}}");
+    lines.push_back(histogram + "\"buckets\":[" + number +
+                    ",0],\"count\":0,\"mean\":0,\"min\":0,\"max\":0}}}");
+    lines.push_back(histogram + "\"buckets\":[0,0],\"count\":" + number +
+                    ",\"mean\":0,\"min\":0,\"max\":0}}}");
+  }
+  for (const std::string& line : lines) {
+    const std::string text = "segf1 obsjournal 1\n" + line + "\n";
+    EXPECT_THROW(read_text(text), util::ParseError) << line;
+    EXPECT_NE(validate_obs_journal(text), "") << line;
+  }
+}
+
+TEST(ObsJournal, TornLastLineKeepsTheCompleteEntries) {
+  // A crash during an append leaves the last line cut off with no newline:
+  // the complete days before it still read, and the torn line is named.
+  const std::string complete = journal_text({1, 2});
+  const std::string text = complete + "{\"day\":3,\"counters\":{\"rec";
+  const JournalRead journal = read_text(text);
+  ASSERT_EQ(journal.entries.size(), 2u);
+  EXPECT_EQ(journal.entries[0].day, 1);
+  EXPECT_EQ(journal.entries[1].day, 2);
+  EXPECT_NE(journal.torn_tail.find("line 4"), std::string::npos) << journal.torn_tail;
+  EXPECT_EQ(validate_obs_journal(text), journal.torn_tail);
+}
+
+TEST(ObsJournal, MalformedLineWithANewlineOrLaterLinesStaysAParseError) {
+  const std::string complete = journal_text({1});
+  const std::string cut = "{\"day\":2,\"counters\":{\"rec";
+  // Cut off, but a newline follows: the append finished writing the line.
+  EXPECT_THROW(read_text(complete + cut + "\n"), util::ParseError);
+  // Cut off, with a complete line after it.
+  std::ostringstream later;
+  write_journal_entry(later, sample_entry(3));
+  EXPECT_THROW(read_text(complete + cut + "\n" + later.str() + "\n"), util::ParseError);
+  EXPECT_NE(validate_obs_journal(complete + cut + "\n"), "");
 }
 
 TEST(ObsJournal, SerializationIsByteStableForEqualEntries) {
@@ -231,7 +308,6 @@ TEST(Health, SampleOncePublishesTheGaugeCatalog) {
   Registry::instance().reset();
   Registry::instance().counter("seg_ingest_queue_pushed_records_total").add(500);
   Registry::instance().gauge("seg_ingest_queue_depth").set(3.0);
-  Registry::instance().gauge("seg_ingest_queue_drop_rate").set(0.25);
   Registry::instance().gauge("seg_ingest_current_day").set(7.0);
   Registry::instance().gauge("seg_ingest_day_watermark").set(5.0);
 
@@ -243,7 +319,6 @@ TEST(Health, SampleOncePublishesTheGaugeCatalog) {
   Registry& registry = Registry::instance();
   EXPECT_GE(registry.gauge("seg_health_records_per_sec_ewma").value(), 0.0);
   EXPECT_DOUBLE_EQ(registry.gauge("seg_health_queue_depth").value(), 3.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("seg_health_queue_drop_rate").value(), 0.25);
   EXPECT_DOUBLE_EQ(registry.gauge("seg_health_day_lag").value(), 2.0);
   EXPECT_GT(registry.gauge("seg_health_rss_peak_kb").value(), 0.0);
   EXPECT_GT(registry.gauge("seg_health_uptime_seconds").value(), 0.0);
@@ -253,9 +328,7 @@ TEST(Health, SampleOncePublishesTheGaugeCatalog) {
 
 TEST(Health, BackgroundThreadStartsSamplesAndStopsCleanly) {
   Registry::instance().reset();
-  HealthOptions options;
-  options.interval = std::chrono::milliseconds(1);
-  HealthSampler sampler(options);
+  HealthSampler sampler(std::chrono::milliseconds(1));
   EXPECT_FALSE(sampler.running());
   sampler.start();
   EXPECT_TRUE(sampler.running());

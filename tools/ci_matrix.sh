@@ -53,8 +53,14 @@
 # UB" is checked, not assumed), the
 # decoders' allocation contract (wire_alloc_test, plain tree: it counts
 # operator new, which the sanitizers replace), and the replay benchmark
-# (SEG_BENCH_INGEST_ONLY=1), whose BENCH_pipeline.json "ingest" section is
-# archived under ${LOG_DIR}/ingest/.
+# (SEG_BENCH_INGEST_ONLY=1), which fails unless the streamed records
+# balance (produced by the source == pushed to the queue == assembled into
+# days) and whose BENCH_pipeline.json "ingest" section is archived under
+# ${LOG_DIR}/ingest/.
+#
+# The undefined leg builds with -fsanitize=undefined,float-cast-overflow
+# and -fno-sanitize-recover=all (CMakeLists.txt), so any UBSan report,
+# including an out-of-range double-to-integer cast, fails the ctest run.
 #
 # Environment:
 #   SEG_CI_JOBS     parallel build/test jobs (default: nproc)
@@ -429,7 +435,8 @@ run_ingest() {
     return 1
   fi
   # The bench writes BENCH_pipeline.json into its cwd and exits non-zero
-  # if the blocking queue ever dropped a batch.
+  # unless the streamed records balance: a batch lost anywhere between the
+  # source and the assembled day fails it.
   if ! (cd build-plain && SEG_BENCH_INGEST_ONLY=1 ./bench/bench_perf_efficiency) \
        >> "${log}" 2>&1; then
     echo "    ingest benchmark FAILED (see ${log})"

@@ -44,7 +44,9 @@
 //   segugio status --journal FILE [--last N]
 //       Renders a per-day obs journal as a human-readable health table:
 //       records, unknown domains, score mean, drift gauges (PSI/KS),
-//       calibrated threshold, and tripped alerts per day.
+//       calibrated threshold, and tripped alerts per day. A torn last
+//       line (a crash mid-append) is named on stderr; the complete days
+//       before it still render.
 //
 // Observability (train/classify/report): --trace-out FILE writes a Chrome
 // trace_event JSON of the run, --metrics-out FILE the Prometheus text
@@ -66,6 +68,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/diagnostics.h"
 #include "core/infection_report.h"
@@ -276,9 +279,7 @@ DayRun run_day(const util::Args& args) {
   }
   std::optional<obs::HealthSampler> health;
   if (const int health_ms = args.get_int_or("health-interval", 0); health_ms > 0) {
-    obs::HealthOptions health_options;
-    health_options.interval = std::chrono::milliseconds(health_ms);
-    health.emplace(health_options);
+    health.emplace(std::chrono::milliseconds(health_ms));
     health->start();
   }
 
@@ -402,16 +403,23 @@ std::string validate_prometheus_text(const std::string& text) {
   return {};
 }
 
-// One row per journaled day: counters, score summary, drift, alerts.
+// One row per journaled day: counters, score summary, drift, alerts. A
+// torn last line (a crash mid-append) is named on stderr and the complete
+// days still render; any other problem fails.
 int cmd_status(const util::Args& args) {
   const auto path = args.get("journal");
   const std::string text = read_file(path);
+  std::istringstream in(text);
+  const obs::JournalRead journal = obs::read_journal(in);
+  // validate_obs_journal names a torn last line only once every complete
+  // entry passed, so that is the one problem the table renders around.
   if (const auto problem = obs::validate_obs_journal(text); !problem.empty()) {
     std::fprintf(stderr, "status: %s: %s\n", path.c_str(), problem.c_str());
-    return 1;
+    if (problem != journal.torn_tail) {
+      return 1;
+    }
   }
-  std::istringstream in(text);
-  const auto entries = obs::read_journal(in);
+  const std::vector<obs::JournalEntry>& entries = journal.entries;
 
   const auto format_double = [](const double* value, const char* format) {
     if (value == nullptr) {
