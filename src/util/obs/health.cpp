@@ -11,7 +11,7 @@ namespace seg::obs {
 
 namespace {
 
-constexpr double kEwmaAlpha = 0.3;  ///< records/s smoothing (1 = instantaneous)
+constexpr double kEwmaAlpha = 0.3;  // records/s smoothing (1 = instantaneous)
 
 }  // namespace
 
