@@ -11,8 +11,8 @@
 //             (param_open, body range), which stay valid for any lex of
 //             identical text; the per-model file index is patched on reuse.
 //   rules     keyed by text hash combined with everything else run_rules
-//             reads: the include-closure's unordered declarations, the
-//             project-wide deprecated set, and the FileInfo classification.
+//             reads: the file's path (its FileInfo classification) and the
+//             project-wide deprecated set.
 //
 // Interprocedural results (call graph, dataflow, ODR, layering) are never
 // cached — they depend on the whole model. Thread-safe; the per-file lint

@@ -347,7 +347,8 @@ class BodyScan {
       return;
     }
     // Source: a bare unordered container (declared, aliased, or a tainted
-    // local) in the range expression — same shape R-DET2 matches.
+    // local) in the range expression; a member access or call on it
+    // iterates a derived value, not the hash table.
     std::string origin;
     std::string source;
     for (std::size_t j = colon + 1; j + 1 < close; ++j) {

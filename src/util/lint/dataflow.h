@@ -22,8 +22,7 @@
 // convergence is bounded), then a final pass emits findings:
 //
 //   R-DET3  an unordered-iteration value reaches a serialization sink,
-//           possibly through returns, out-params, or callbacks. Supersedes
-//           the file-local R-DET2 in whole-program mode.
+//           possibly through returns, out-params, or callbacks.
 //   R-EXC1  a thread body (std::thread construction, or emplace into a
 //           vector<std::thread>) neither routes exceptions itself nor calls
 //           a function that does; an escaping exception calls
@@ -67,9 +66,9 @@ struct DataflowResult {
 
 /// Runs the taint analysis over every definition in `index`.
 /// `closure_decls` holds, per model file, the unordered-container
-/// declarations visible from that file (its own plus its include closure) —
-/// the same scope the per-file R-DET2 pass uses. Deterministic: records are
-/// analyzed in index order and findings come back in discovery order.
+/// declarations visible from that file (its own plus its include closure).
+/// Deterministic: records are analyzed in index order and findings come
+/// back in discovery order.
 DataflowResult run_dataflow(const SymbolIndex& index, const CallGraph& graph,
                             const ProjectModel& model,
                             const std::vector<UnorderedDecls>& closure_decls);

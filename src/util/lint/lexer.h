@@ -4,9 +4,9 @@
 // literals stripped so rules never fire on text inside literals. Comment
 // text is scanned for seg-lint suppression directives before being dropped:
 //
-//   // seg-lint: allow(R-DET2)            suppress on this line and the next
-//   // seg-lint: allow-file(R-DET2)       suppress for the whole file
-//   // seg-lint: allow(R-DET2, R-RACE2)   several rules at once
+//   // seg-lint: allow(R-DET3)            suppress on this line and the next
+//   // seg-lint: allow-file(R-DET3)       suppress for the whole file
+//   // seg-lint: allow(R-DET3, R-RACE2)   several rules at once
 //
 // Comments are also scanned for the `// seg-deprecated` marker, which tags
 // the declaration on the following line as a deprecated entry point for
@@ -38,7 +38,7 @@ struct Token {
 
 struct Suppression {
   std::size_t line = 0;    // line the directive appears on
-  std::string rule;        // e.g. "R-DET2"
+  std::string rule;        // e.g. "R-DET3"
   bool whole_file = false;  // allow-file(...) form
 };
 

@@ -1,13 +1,11 @@
 #include "util/lint/linter.h"
 
 #include <algorithm>
-#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "util/lint/analysis_cache.h"
 #include "util/lint/call_graph.h"
@@ -22,11 +20,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-bool path_contains(std::string_view path, const std::vector<std::string>& needles) {
-  return std::any_of(needles.begin(), needles.end(), [&](const std::string& needle) {
-    return path.find(needle) != std::string_view::npos;
-  });
-}
+// The checker's own sources mention suppression directives in documentation
+// comments, which the lexer cannot tell from real ones; R-SUP1 skips them.
+constexpr std::string_view kSupExemptPath = "util/lint";
 
 bool read_file(const fs::path& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
@@ -37,66 +33,6 @@ bool read_file(const fs::path& path, std::string& out) {
   buffer << in.rdbuf();
   out = buffer.str();
   return true;
-}
-
-// Resolves a quoted include against the including file's directory and the
-// configured include roots. Returns an empty path when not found.
-fs::path resolve_include(const std::string& target, const fs::path& including_dir,
-                         const LintOptions& options) {
-  std::error_code ec;
-  const fs::path sibling = including_dir / target;
-  if (fs::is_regular_file(sibling, ec)) {
-    return sibling;
-  }
-  for (const auto& root : options.include_roots) {
-    const fs::path candidate = fs::path(root) / target;
-    if (fs::is_regular_file(candidate, ec)) {
-      return candidate;
-    }
-    // Includes are typically rooted at src/ ("graph/graph.h"); also try the
-    // root's parent so passing `src/graph` as a root still resolves them.
-    const fs::path from_parent = fs::path(root).parent_path() / target;
-    if (fs::is_regular_file(from_parent, ec)) {
-      return from_parent;
-    }
-  }
-  return {};
-}
-
-// Collects unordered-container and seg-deprecated declarations from
-// `source` and, recursively, from every reachable quoted include (project
-// headers only).
-void collect_decls_recursive(const std::string& source, const fs::path& dir,
-                             const LintOptions& options,
-                             std::unordered_set<std::string>& visited,
-                             UnorderedDecls& decls, DeprecatedDecls& deprecated) {
-  const LexResult lexed = lex(source);
-  collect_unordered_decls(lexed.tokens, decls);
-  collect_deprecated_decls(lexed, deprecated);
-  for (const auto& directive : lexed.includes) {
-    if (!directive.quoted) {
-      continue;
-    }
-    const fs::path resolved = resolve_include(directive.target, dir, options);
-    if (resolved.empty()) {
-      continue;
-    }
-    std::error_code ec;
-    const fs::path canonical = fs::weakly_canonical(resolved, ec);
-    const std::string key = (ec ? resolved : canonical).string();
-    if (!visited.insert(key).second) {
-      continue;
-    }
-    std::string text;
-    if (read_file(resolved, text)) {
-      collect_decls_recursive(text, resolved.parent_path(), options, visited, decls,
-                              deprecated);
-    }
-  }
-}
-
-bool is_header_path(std::string_view path) {
-  return path.size() >= 2 && path.substr(path.size() - 2) == ".h";
 }
 
 bool is_test_path(std::string_view path) {
@@ -124,78 +60,6 @@ std::vector<Finding> filter_rules(std::vector<Finding> findings,
 }
 
 }  // namespace
-
-bool is_emission_file(std::string_view path, const std::vector<Token>& tokens,
-                      const LintOptions& options) {
-  if (path_contains(path, options.emission_paths)) {
-    return true;
-  }
-  static constexpr std::array<std::string_view, 12> kOutputTokens = {
-      "ostream", "ofstream", "fstream",  "ostringstream", "iostream", "printf",
-      "fprintf", "fputs",    "fwrite",   "cout",          "cerr",     "to_csv",
-  };
-  return std::any_of(tokens.begin(), tokens.end(), [](const Token& tok) {
-    return tok.kind == TokKind::kIdentifier &&
-           std::find(kOutputTokens.begin(), kOutputTokens.end(), tok.text) !=
-               kOutputTokens.end();
-  });
-}
-
-std::vector<Finding> lint_text(std::string_view path, std::string_view text,
-                               const LintOptions& options,
-                               std::string_view extra_header_text) {
-  const LexResult lexed = lex(text);
-
-  UnorderedDecls decls;
-  DeprecatedDecls deprecated;
-  if (!extra_header_text.empty()) {
-    const LexResult header = lex(extra_header_text);
-    collect_unordered_decls(header.tokens, decls);
-    collect_deprecated_decls(header, deprecated);
-  }
-  collect_unordered_decls(lexed.tokens, decls);
-  collect_deprecated_decls(lexed, deprecated);
-
-  FileInfo info;
-  info.path = std::string(path);
-  info.is_header = is_header_path(path);
-  info.emission = is_emission_file(path, lexed.tokens, options);
-  info.timing_allowed = path_contains(path, options.timing_allowlist);
-  info.is_test = is_test_path(path);
-  info.obs_allowed = path_contains(path, options.obs_allowlist);
-  info.mmap_allowed = path_contains(path, options.mmap_allowlist);
-  info.wire_scope = path_contains(path, options.wire_paths);
-  info.wire_allowed = path_contains(path, options.wire_allowlist);
-
-  return filter_rules(run_rules(info, lexed, decls, deprecated), options);
-}
-
-std::vector<Finding> lint_file(const std::string& path, const LintOptions& options) {
-  std::string text;
-  if (!read_file(path, text)) {
-    return {Finding{path, 0, "IO", "cannot read file"}};
-  }
-  const LexResult lexed = lex(text);
-
-  UnorderedDecls decls;
-  DeprecatedDecls deprecated;
-  std::unordered_set<std::string> visited;
-  collect_decls_recursive(text, fs::path(path).parent_path(), options, visited, decls,
-                          deprecated);
-
-  FileInfo info;
-  info.path = path;
-  info.is_header = is_header_path(path);
-  info.emission = is_emission_file(path, lexed.tokens, options);
-  info.timing_allowed = path_contains(path, options.timing_allowlist);
-  info.is_test = is_test_path(path);
-  info.obs_allowed = path_contains(path, options.obs_allowlist);
-  info.mmap_allowed = path_contains(path, options.mmap_allowlist);
-  info.wire_scope = path_contains(path, options.wire_paths);
-  info.wire_allowed = path_contains(path, options.wire_allowlist);
-
-  return filter_rules(run_rules(info, lexed, decls, deprecated), options);
-}
 
 std::vector<std::string> collect_sources(const std::vector<std::string>& roots) {
   std::vector<std::string> sources;
@@ -273,8 +137,7 @@ std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& op
 
   // Include closure of every file, in deterministic (index) order.
   // Precomputed serially: the DFS worklist would trip R-RACE2's own
-  // captured-growth heuristic inside the parallel body, and the closures
-  // double as cache-key inputs.
+  // captured-growth heuristic inside the parallel body.
   std::vector<std::vector<std::size_t>> closures(file_count);
   for (std::size_t f = 0; f < file_count; ++f) {
     std::vector<char> seen(file_count, 0);
@@ -304,12 +167,13 @@ std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& op
     }
     const std::vector<std::size_t>& closure = closures[f];
 
-    // Unordered-container declarations come from the file plus everything
-    // it reaches through the include graph. Two passes: the first registers
-    // every alias regardless of which closure member declares it, the
-    // second resolves alias-typed declarations against the full alias set —
-    // one pass would miss a variable whose alias lives in a header scanned
-    // later (collection is idempotent, so rescanning is safe).
+    // R-DET3's unordered-container declarations come from the file plus
+    // everything it reaches through the include graph. Two passes: the
+    // first registers every alias regardless of which closure member
+    // declares it, the second resolves alias-typed declarations against the
+    // full alias set — one pass would miss a variable whose alias lives in
+    // a header scanned later (collection is idempotent, so rescanning is
+    // safe).
     UnorderedDecls& decls = closure_decls[f];
     for (int pass = 0; pass < 2; ++pass) {
       for (const std::size_t at : closure) {
@@ -320,22 +184,11 @@ std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& op
     FileInfo info;
     info.path = file.path;
     info.is_header = file.is_header;
-    info.emission = is_emission_file(file.path, file.lex.tokens, options);
-    info.timing_allowed = path_contains(file.path, options.timing_allowlist);
     info.is_test = is_test_path(file.path);
-    info.obs_allowed = path_contains(file.path, options.obs_allowlist);
-    info.mmap_allowed = path_contains(file.path, options.mmap_allowlist);
-    info.wire_scope = path_contains(file.path, options.wire_paths);
-    info.wire_allowed = path_contains(file.path, options.wire_allowlist);
-    info.whole_program = true;  // R-DET3 supersedes file-local R-DET2
 
     std::uint64_t rule_key = 0;
     if (cache != nullptr) {
-      rule_key = cache_hash(file.path);
-      for (const std::size_t at : closure) {
-        rule_key = cache_hash(model.files()[at].text, rule_key);
-      }
-      rule_key ^= deprecated_hash;
+      rule_key = cache_hash(file.text, cache_hash(file.path)) ^ deprecated_hash;
       AnalysisCache::RuleEntry entry;
       if (cache->lookup_rules(rule_key, entry) &&
           entry.suppression_used.size() == usage.used[f].size()) {
@@ -347,8 +200,7 @@ std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& op
 
     // R-API1 resolves against the project-wide deprecated set, so calls
     // through headers this file never includes are still caught.
-    per_file[f] = run_rules(info, file.lex, decls, index.deprecated(),
-                            &usage.used[f]);
+    per_file[f] = run_rules(info, file.lex, index.deprecated(), &usage.used[f]);
     if (cache != nullptr) {
       cache->store_rules(rule_key,
                          AnalysisCache::RuleEntry{per_file[f], usage.used[f]});
@@ -404,7 +256,7 @@ std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& op
   // it excused or names the wrong rule. Not itself suppressible.
   for (std::size_t f = 0; f < file_count; ++f) {
     const ProjectFile& file = model.files()[f];
-    if (path_contains(file.path, options.sup_exempt_paths)) {
+    if (file.path.find(kSupExemptPath) != std::string::npos) {
       continue;
     }
     for (std::size_t s = 0; s < file.lex.suppressions.size(); ++s) {

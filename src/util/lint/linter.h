@@ -1,15 +1,11 @@
-// seg-lint driver: file discovery, classification, and include-aware
-// declaration collection.
+// seg-lint driver: file discovery and the whole-program lint.
 //
-// The driver walks source roots for .cpp/.h files, classifies each one
-// (header? emission path? timing-allowlisted?), lexes it plus the project
-// headers it reaches through quoted #includes (so unordered members
-// declared in a class header are known when the .cpp iterates them), and
-// runs the rules from rules.h.
+// The driver walks source roots for .cpp/.h files, loads them once into
+// the project model (project_model.h), runs the per-file rules from
+// rules.h over every file, then the cross-file and interprocedural passes.
 #pragma once
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "util/lint/rules.h"
@@ -17,53 +13,15 @@
 namespace seg::lint {
 
 struct LintOptions {
-  /// Path substrings whose files may read clocks / entropy (R-DET1).
-  std::vector<std::string> timing_allowlist = {
-      "util/obs", "util/logging", "util/lint", "bench_common",
-  };
-  /// Path substrings whose files may touch raw timing primitives
-  /// (steady_clock, Stopwatch) directly; everything else must go through
-  /// the seg::obs span/metric layer (R-OBS1).
-  std::vector<std::string> obs_allowlist = {"util/obs/"};
-  /// Path substrings whose files may issue raw mapping syscalls (mmap,
-  /// munmap, mremap, madvise, mbind); everything else must go through
-  /// util::MmapFile (R-MEM1).
-  std::vector<std::string> mmap_allowlist = {"util/mmap_file"};
-  /// Path substrings on the wire-parsing surface: raw byte-buffer
-  /// subscripts and pointer arithmetic are confined to ByteCursor there
-  /// (R-WIRE1).
-  std::vector<std::string> wire_paths = {"dns/wire/"};
-  /// Path substrings of the ByteCursor implementation itself (R-WIRE1
-  /// exempt — it is where the bounds checks live).
-  std::vector<std::string> wire_allowlist = {"dns/wire/bytes"};
-  /// Path substrings exempt from stale-suppression detection (R-SUP1). The
-  /// checker's own sources mention directives in documentation comments,
-  /// which the lexer cannot tell from real ones.
-  std::vector<std::string> sup_exempt_paths = {"util/lint"};
-  /// Extra path substrings forced into R-DET2's emission scope. Files are
-  /// auto-classified as emission when they use stream/printf output or live
-  /// under a feature-extraction / serialization path.
-  std::vector<std::string> emission_paths = {"features/", "_io."};
   /// Roots the include resolver may search for quoted #includes (usually
   /// the same directories being linted; `src` matters in practice).
   std::vector<std::string> include_roots;
   /// When non-empty, only findings for these rules are reported.
   std::vector<std::string> only_rules;
-  /// Path to the layers.toml layering spec for whole-program mode. Empty
-  /// disables R-ARCH1 (the include graph is still built for R-ARCH2/R-ODR1).
+  /// Path to the layers.toml layering spec. Empty disables R-ARCH1 (the
+  /// include graph is still built for R-ARCH2/R-ODR1).
   std::string layers_file;
 };
-
-/// Lints one in-memory source (used by the unit tests and the CLI's stdin
-/// mode). `extra_header_text` optionally supplies companion-header content
-/// for declaration collection.
-std::vector<Finding> lint_text(std::string_view path, std::string_view text,
-                               const LintOptions& options,
-                               std::string_view extra_header_text = {});
-
-/// Lints one on-disk file, resolving its quoted includes against
-/// `options.include_roots`.
-std::vector<Finding> lint_file(const std::string& path, const LintOptions& options);
 
 /// All .cpp/.h files under `roots` (files are accepted verbatim),
 /// lexicographically sorted so diagnostics order is stable.
@@ -92,9 +50,5 @@ std::vector<Finding> lint_project(const std::vector<std::string>& sources,
 std::vector<Finding> lint_model(const ProjectModel& model,
                                 const LintOptions& options,
                                 AnalysisCache* cache = nullptr);
-
-/// Classification used for R-DET2 scoping; exposed for tests.
-bool is_emission_file(std::string_view path, const std::vector<Token>& tokens,
-                      const LintOptions& options);
 
 }  // namespace seg::lint

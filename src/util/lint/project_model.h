@@ -1,7 +1,6 @@
-// Whole-program project model for seg-lint v2.
+// Whole-program project model for seg-lint.
 //
-// Where linter.h lints one file at a time (plus the headers it reaches),
-// the project model loads *every* file under the lint roots once, lexes it
+// The project model loads *every* file under the lint roots once, lexes it
 // once, resolves every quoted #include into an edge of an include graph,
 // and assigns each file a layer from a declarative `tools/layers.toml`.
 // The cross-file rules run on top of this model:
@@ -63,7 +62,7 @@ LayersConfig parse_layers(std::string_view toml_text);
 /// One file of the project model.
 struct ProjectFile {
   /// Project-relative display path (normalize_path of the discovered path);
-  /// all findings and messages use this form so baseline keys from an
+  /// all findings and messages use this form so finding keys from an
   /// absolute checkout and from a `git archive` scratch tree compare equal.
   std::string path;
   std::string disk_path;  ///< as discovered on disk; used for include resolution

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <map>
 #include <ostream>
-#include <stdexcept>
 
 namespace seg::lint {
 
@@ -53,7 +51,6 @@ std::string json_escape(std::string_view text) {
 
 std::string_view rule_description(std::string_view rule) {
   if (rule == "R-DET1") return "no ambient time or randomness in pipeline code";
-  if (rule == "R-DET2") return "no unordered-container iteration on emission paths";
   if (rule == "R-DET3") return "no unordered-iteration values reaching serialization sinks";
   if (rule == "R-RACE1") return "no std::vector<bool> (racy packed-bit proxy)";
   if (rule == "R-RACE2") return "no shared-capture growth inside parallel lambdas";
@@ -71,137 +68,6 @@ std::string_view rule_description(std::string_view rule) {
   if (rule == "R-SUP1") return "suppression directives must cover a live finding";
   return "seg-lint diagnostic";
 }
-
-// --- minimal JSON reader (objects / arrays / strings / numbers / literals),
-// just enough to parse write_json's own output back in. ---------------------
-
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of document");
-    }
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (!at_end() && peek() == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          fail("dangling escape");
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              fail("truncated \\u escape");
-            }
-            unsigned value = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = text_[pos_++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("bad \\u escape");
-            }
-            // Only the control-plane escapes write_json emits matter here.
-            out += static_cast<char>(value & 0xff);
-            break;
-          }
-          default: out += esc;
-        }
-      } else {
-        out += c;
-      }
-    }
-    if (pos_ >= text_.size()) {
-      fail("unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  // Parses and discards any value.
-  void skip_value() {
-    const char c = peek();
-    if (c == '"') {
-      parse_string();
-    } else if (c == '{') {
-      ++pos_;
-      if (!consume('}')) {
-        do {
-          parse_string();
-          expect(':');
-          skip_value();
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (c == '[') {
-      ++pos_;
-      if (!consume(']')) {
-        do {
-          skip_value();
-        } while (consume(','));
-        expect(']');
-      }
-    } else {
-      // number / true / false / null
-      while (pos_ < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 ||
-              text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.')) {
-        ++pos_;
-      }
-    }
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("baseline JSON: " + what + " at offset " +
-                             std::to_string(pos_));
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -298,57 +164,10 @@ void write_sarif(std::ostream& out, const std::vector<Finding>& findings) {
       << "}\n";
 }
 
-std::vector<std::string> load_baseline_keys(std::string_view json_text) {
-  JsonReader reader(json_text);
-  std::vector<std::string> keys;
-  reader.expect('{');
-  if (!reader.consume('}')) {
-    do {
-      const std::string field = reader.parse_string();
-      reader.expect(':');
-      if (field != "findings") {
-        reader.skip_value();
-        continue;
-      }
-      reader.expect('[');
-      if (reader.consume(']')) {
-        continue;
-      }
-      do {
-        Finding finding;
-        reader.expect('{');
-        if (!reader.consume('}')) {
-          do {
-            const std::string name = reader.parse_string();
-            reader.expect(':');
-            if (name == "file") {
-              finding.file = reader.parse_string();
-            } else if (name == "rule") {
-              finding.rule = reader.parse_string();
-            } else if (name == "message") {
-              finding.message = reader.parse_string();
-            } else {
-              reader.skip_value();
-            }
-          } while (reader.consume(','));
-          reader.expect('}');
-        }
-        if (finding.file.empty() || finding.rule.empty()) {
-          reader.fail("finding entry missing \"file\" or \"rule\"");
-        }
-        keys.push_back(finding_key(finding));
-      } while (reader.consume(','));
-      reader.expect(']');
-    } while (reader.consume(','));
-    reader.expect('}');
-  }
-  return keys;
-}
-
 std::vector<Finding> subtract_baseline(std::vector<Finding> findings,
-                                       const std::vector<std::string>& baseline_keys) {
+                                       const std::vector<std::string>& base_keys) {
   std::map<std::string, std::size_t> budget;
-  for (const auto& key : baseline_keys) {
+  for (const auto& key : base_keys) {
     ++budget[key];
   }
   std::vector<Finding> fresh;

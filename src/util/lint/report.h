@@ -1,18 +1,17 @@
-// seg-lint output and baseline layer.
+// seg-lint output layer.
 //
 // Three serializations of a finding list:
 //
 //   text   the classic `file:line: [RULE] message` lines;
-//   json   a versioned machine-readable document, also the on-disk format
-//          of the checked-in baseline (tools/lint-baseline.json);
+//   json   a versioned machine-readable document;
 //   sarif  SARIF 2.1.0 for code-scanning UIs and CI artifact upload.
 //
-// Baselines identify findings by a *line-free* key — normalized project
-// path + rule + message — so editing code above a known finding does not
-// churn the baseline, and findings from an absolute ctest path compare
-// equal to the same findings from a `git archive` scratch tree
-// (--diff-base). Subtraction is multiset-style: three baselined R-DET2
-// findings in a file absorb exactly three current ones.
+// --diff-base identifies findings by a *line-free* key — normalized
+// project path + rule + message — so editing code above a known finding
+// does not make it new, and findings from an absolute ctest path compare
+// equal to the same findings from a `git archive` scratch tree.
+// Subtraction is multiset-style: three R-DET3 findings in a file at the
+// base revision absorb exactly three current ones.
 #pragma once
 
 #include <iosfwd>
@@ -30,23 +29,19 @@ namespace seg::lint {
 /// roots come back unchanged.
 std::string normalize_path(std::string_view path);
 
-/// Stable baseline identity of a finding: normalized path, rule, and
-/// message joined with an unprintable separator. Line numbers are
-/// deliberately excluded (see file banner).
+/// Stable identity of a finding: normalized path, rule, and message joined
+/// with an unprintable separator. Line numbers are deliberately excluded
+/// (see file banner).
 std::string finding_key(const Finding& finding);
 
 void write_text(std::ostream& out, const std::vector<Finding>& findings);
 void write_json(std::ostream& out, const std::vector<Finding>& findings);
 void write_sarif(std::ostream& out, const std::vector<Finding>& findings);
 
-/// Parses a findings/baseline JSON document (the shape write_json emits)
-/// and returns the finding keys, one per entry. Throws std::runtime_error
-/// with a position-bearing message on malformed input.
-std::vector<std::string> load_baseline_keys(std::string_view json_text);
-
 /// Multiset subtraction: drops each finding matched by a not-yet-consumed
-/// baseline key; what remains is "new relative to the baseline".
+/// key of the base revision's findings; what remains is "new relative to
+/// the base".
 std::vector<Finding> subtract_baseline(std::vector<Finding> findings,
-                                       const std::vector<std::string>& baseline_keys);
+                                       const std::vector<std::string>& base_keys);
 
 }  // namespace seg::lint

@@ -117,6 +117,10 @@ bool contains(const std::vector<std::string>& haystack, std::string_view needle)
   return std::find(haystack.begin(), haystack.end(), needle) != haystack.end();
 }
 
+bool path_has(const FileInfo& info, std::string_view part) {
+  return info.path.find(part) != std::string::npos;
+}
+
 // --- R-DET1 ---------------------------------------------------------------
 
 // True when the call at `i` is qualified by something other than `std`
@@ -135,8 +139,15 @@ bool foreign_qualified(const Tokens& toks, std::size_t i) {
   return false;
 }
 
+// Path substrings whose files may read clocks / entropy: measuring time is
+// their job.
+constexpr std::array<std::string_view, 4> kTimingAllowlist = {
+    "util/obs", "util/logging", "util/lint", "bench_common",
+};
+
 void rule_det1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& out) {
-  if (info.timing_allowed) {
+  if (std::any_of(kTimingAllowlist.begin(), kTimingAllowlist.end(),
+                  [&](std::string_view part) { return path_has(info, part); })) {
     return;
   }
   const auto flag = [&](std::size_t i, std::string message) {
@@ -169,8 +180,11 @@ void rule_det1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& o
 
 // --- R-OBS1 ---------------------------------------------------------------
 
+// The obs layer, the one place raw timing primitives are allowed.
+constexpr std::string_view kObsLayerPath = "util/obs/";
+
 void rule_obs1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& out) {
-  if (info.obs_allowed) {
+  if (path_has(info, kObsLayerPath)) {
     return;
   }
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -195,8 +209,11 @@ void rule_obs1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& o
 
 // --- R-MEM1 ---------------------------------------------------------------
 
+// The mmap wrapper, the one place raw mapping syscalls are allowed.
+constexpr std::string_view kMmapWrapperPath = "util/mmap_file";
+
 void rule_mem1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& out) {
-  if (info.mmap_allowed) {
+  if (path_has(info, kMmapWrapperPath)) {
     return;
   }
   for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -226,11 +243,14 @@ void rule_mem1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& o
 //
 // The dns/wire parsers take untrusted bytes straight off the network, so
 // every bounds check must live in one place: dns/wire/bytes.h::ByteCursor.
-// On the wire surface (info.wire_scope), subscripting a raw byte buffer
-// with a computed index, or doing pointer arithmetic on a raw byte pointer,
-// is a finding. Literal-index subscripts (rdata[0] ... rdata[3]) are
-// fixed-lane extraction from an already bounds-checked take() and stay
-// legal; the ByteCursor implementation itself is allowlisted.
+// On the wire surface (kWirePath), subscripting a raw byte buffer with a
+// computed index, or doing pointer arithmetic on a raw byte pointer, is a
+// finding. Literal-index subscripts (rdata[0] ... rdata[3]) are fixed-lane
+// extraction from an already bounds-checked take() and stay legal; the
+// ByteCursor implementation itself (kByteCursorPath) is allowlisted.
+
+constexpr std::string_view kWirePath = "dns/wire/";
+constexpr std::string_view kByteCursorPath = "dns/wire/bytes";
 
 // True when the template argument list starting at `open` (pointing at `<`)
 // spells a byte element type: `unsigned char`, `uint8_t`, or `byte`.
@@ -250,7 +270,7 @@ bool byte_template_args(const Tokens& toks, std::size_t open, std::size_t past) 
 }
 
 void rule_wire1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& out) {
-  if (!info.wire_scope || info.wire_allowed) {
+  if (!path_has(info, kWirePath) || path_has(info, kByteCursorPath)) {
     return;
   }
   std::vector<std::string> buffers;   // span-typed / take()-derived views
@@ -341,64 +361,6 @@ void rule_wire1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& 
           "pointer arithmetic on raw parser bytes '" + std::string(toks[i].text) +
               "': advance a dns/wire/bytes.h ByteCursor instead so the bounds "
               "check cannot be skipped"});
-    }
-  }
-}
-
-// --- R-DET2 ---------------------------------------------------------------
-
-void rule_det2(const FileInfo& info, const Tokens& toks, const UnorderedDecls& decls,
-               std::vector<Finding>& out) {
-  // In whole-program mode the interprocedural R-DET3 pass (dataflow.h)
-  // supersedes this file-local heuristic: it sees through returns,
-  // out-params, and callbacks, so it both catches more and false-positives
-  // less. R-DET2 stays on for the one-file/stdin drivers, which have no
-  // call graph to lean on.
-  if (!info.emission || info.whole_program) {
-    return;
-  }
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!is_id(toks[i], "for") || !is_punct(toks[i + 1], "(")) {
-      continue;
-    }
-    const std::size_t close = skip_balanced(toks, i + 1);
-    // Locate the last top-level `:`; tokens after it (up to `)`) are the
-    // range expression. A `;` after it would mean a classic for loop.
-    std::size_t colon = 0;
-    int depth = 0;
-    for (std::size_t j = i + 1; j + 1 < close; ++j) {
-      if (is_punct(toks[j], "(") || is_punct(toks[j], "[") || is_punct(toks[j], "{")) {
-        ++depth;
-      } else if (is_punct(toks[j], ")") || is_punct(toks[j], "]") ||
-                 is_punct(toks[j], "}")) {
-        --depth;
-      } else if (depth == 1 && is_punct(toks[j], ":")) {
-        colon = j;
-      } else if (depth == 1 && is_punct(toks[j], ";")) {
-        colon = 0;  // classic-for init/condition separator resets
-      }
-    }
-    if (colon == 0) {
-      continue;
-    }
-    for (std::size_t j = colon + 1; j + 1 < close; ++j) {
-      if (toks[j].kind != TokKind::kIdentifier ||
-          (!decls.has_name(toks[j].text) && !decls.has_alias(toks[j].text))) {
-        continue;
-      }
-      // `index.at(key)` / `days_.find(k)->second` iterate a value derived
-      // from the container, not the hash table itself — only a bare
-      // reference to the container is the ordering hazard.
-      if (j + 1 < close && (is_punct(toks[j + 1], ".") || is_punct(toks[j + 1], "->") ||
-                            is_punct(toks[j + 1], "(") || is_punct(toks[j + 1], "["))) {
-        continue;
-      }
-      out.push_back(Finding{
-          info.path, toks[j].line, "R-DET2",
-          "range-for over unordered container '" + std::string(toks[j].text) +
-              "' in an emission path: hash-table iteration order leaks into "
-              "output; iterate sorted keys or switch to an ordered container"});
-      break;
     }
   }
 }
@@ -1080,7 +1042,6 @@ std::vector<Finding> apply_suppressions(std::vector<Finding> findings,
 }
 
 std::vector<Finding> run_rules(const FileInfo& info, const LexResult& lex,
-                               const UnorderedDecls& decls,
                                const DeprecatedDecls& deprecated,
                                std::vector<char>* suppression_used) {
   std::vector<Finding> findings;
@@ -1088,7 +1049,6 @@ std::vector<Finding> run_rules(const FileInfo& info, const LexResult& lex,
   rule_obs1(info, lex.tokens, findings);
   rule_mem1(info, lex.tokens, findings);
   rule_wire1(info, lex.tokens, findings);
-  rule_det2(info, lex.tokens, decls, findings);
   rule_race1(info, lex.tokens, findings);
   rule_race2(info, lex.tokens, findings);
   rule_api1(info, lex.tokens, deprecated, findings);

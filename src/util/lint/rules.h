@@ -6,9 +6,6 @@
 //   R-DET1  no wall-clock / ambient-randomness calls (rand, srand,
 //           std::random_device, time(nullptr), system_clock::now) in
 //           pipeline code outside the timing/instrumentation allowlist.
-//   R-DET2  no range-for iteration over std::unordered_map /
-//           std::unordered_set in files that serialize, extract features,
-//           or emit scores — hash-table ordering leaks into output.
 //   R-RACE1 no std::vector<bool> anywhere; its packed-bit proxy reference
 //           makes element writes from different threads race.
 //   R-RACE2 lambdas passed to parallel_for / parallel_chunks that capture
@@ -18,10 +15,9 @@
 //   R-HDR2  no `using namespace` at header scope.
 //   R-API1  no calls to deprecated entry points (declarations tagged with
 //           a `// seg-deprecated` marker comment in a header) from
-//           non-test code; arity disambiguates same-name overloads. In
-//           whole-program mode (project_model.h) the deprecated set comes
-//           from the cross-TU symbol index, so calls through headers the
-//           caller never includes are still caught.
+//           non-test code; arity disambiguates same-name overloads. The
+//           deprecated set comes from the cross-TU symbol index, so calls
+//           through headers the caller never includes are still caught.
 //   R-LIFE1 no returning a reference, string_view, or span that points at
 //           function-local storage or at the temporary returned by a
 //           `*_batch` call (the parallel feature path hands out batch
@@ -34,11 +30,15 @@
 //           mbind) outside src/util/mmap_file.{h,cpp} — mapping lifetime,
 //           page release, and error handling live behind util::MmapFile so
 //           every mapping is released exactly once.
+//   R-WIRE1 no computed subscripts or pointer arithmetic on raw parser
+//           bytes under src/dns/wire/ outside the ByteCursor itself.
 //
 // Rules operate on the token stream from lexer.h plus a per-file
-// classification computed by the driver in linter.h. All matching is
-// intentionally heuristic; `// seg-lint: allow(RULE)` suppresses a finding
-// on the directive's line or the line below it.
+// classification computed by the driver in linter.h; the path allowlists
+// that scope R-DET1, R-OBS1, R-MEM1 and R-WIRE1 are constants beside each
+// rule in rules.cpp. All matching is intentionally heuristic;
+// `// seg-lint: allow(RULE)` suppresses a finding on the directive's line
+// or the line below it.
 #pragma once
 
 #include <cstddef>
@@ -60,32 +60,14 @@ struct Finding {
 struct FileInfo {
   std::string path;
   bool is_header = false;
-  /// File serializes, extracts features, or emits scores (R-DET2 scope).
-  bool emission = false;
-  /// File is on the timing/instrumentation allowlist (R-DET1 exempt).
-  bool timing_allowed = false;
   /// Test code (under tests/ or named *_test.cpp): exempt from R-API1 so
   /// deprecated entry points keep regression coverage until deleted.
   bool is_test = false;
-  /// File lives inside the obs layer and may use raw timing primitives
-  /// (R-OBS1 exempt).
-  bool obs_allowed = false;
-  /// File is the mmap wrapper itself and may issue raw mapping syscalls
-  /// (R-MEM1 exempt).
-  bool mmap_allowed = false;
-  /// File is on the wire-parsing surface (R-WIRE1 scope): raw byte-buffer
-  /// subscripts and pointer arithmetic must stay inside ByteCursor.
-  bool wire_scope = false;
-  /// File is the ByteCursor implementation itself (R-WIRE1 exempt).
-  bool wire_allowed = false;
-  /// Set by the whole-program driver: file-local R-DET2 is superseded there
-  /// by the interprocedural R-DET3 pass (dataflow.h), so run_rules skips it.
-  bool whole_program = false;
 };
 
-/// Identifiers known (from this file and its reachable project headers) to
-/// name unordered containers: variables/members/parameters plus type
-/// aliases that expand to unordered_map/unordered_set.
+/// Identifiers known (from a file and its include closure) to name
+/// unordered containers: variables/members/parameters plus type aliases
+/// that expand to unordered_map/unordered_set. R-DET3's taint sources.
 struct UnorderedDecls {
   std::vector<std::string> names;
   std::vector<std::string> aliases;
@@ -95,8 +77,8 @@ struct UnorderedDecls {
 };
 
 /// Scans a token stream for unordered-container declarations, accumulating
-/// into `decls`. Called for the linted file and for each reachable project
-/// header so member types declared away from their use are still known.
+/// into `decls`. Called for every file of a file's include closure so
+/// member types declared away from their use are still known.
 void collect_unordered_decls(const std::vector<Token>& tokens, UnorderedDecls& decls);
 
 /// Entry points tagged `// seg-deprecated`: the function declared directly
@@ -113,17 +95,15 @@ struct DeprecatedDecls {
 };
 
 /// Scans a lexed file for `seg-deprecated` markers and records the tagged
-/// declarations. Called for the linted file and its reachable headers.
+/// declarations. The symbol index calls it for every file of the model.
 void collect_deprecated_decls(const LexResult& lex, DeprecatedDecls& decls);
 
-/// Runs every rule over one file's token stream. `decls` and `deprecated`
-/// should already contain the header-derived declarations. Suppressed
-/// findings are dropped before returning. When `suppression_used` is
-/// non-null it must be sized to `lex.suppressions.size()`; entries whose
-/// directive dropped at least one finding are set to 1 (stale-suppression
-/// detection, R-SUP1).
+/// Runs every per-file rule over one file's token stream; `deprecated` is
+/// the project-wide R-API1 set. Suppressed findings are dropped before
+/// returning. When `suppression_used` is non-null it must be sized to
+/// `lex.suppressions.size()`; entries whose directive dropped at least one
+/// finding are set to 1 (stale-suppression detection, R-SUP1).
 std::vector<Finding> run_rules(const FileInfo& info, const LexResult& lex,
-                               const UnorderedDecls& decls,
                                const DeprecatedDecls& deprecated,
                                std::vector<char>* suppression_used = nullptr);
 
@@ -141,7 +121,7 @@ std::size_t skip_balanced(const std::vector<Token>& toks, std::size_t open);
 /// comparison). `>>` closes two levels.
 std::size_t skip_template_args(const std::vector<Token>& toks, std::size_t open);
 /// True for unordered_map / unordered_set / unordered_multimap /
-/// unordered_multiset (the R-DET2/R-DET3 source containers).
+/// unordered_multiset (the R-DET3 source containers).
 bool is_unordered_container(std::string_view id);
 /// Argument/parameter count of the parenthesized list opening at `open`.
 std::size_t paren_list_arity(const std::vector<Token>& toks, std::size_t open);
@@ -156,8 +136,8 @@ bool is_function_heading(const std::vector<Token>& toks, std::size_t name,
 bool suppression_covers(std::string_view directive_rule, std::string_view rule);
 
 /// Drops findings covered by a suppression on their own line or the line
-/// above, or by an allow-file directive. Shared by the per-file driver and
-/// the whole-program passes in project_model.h. When `used` is non-null it
+/// above, or by an allow-file directive. Shared by the per-file rules and
+/// the cross-file passes in project_model.h. When `used` is non-null it
 /// must be sized to `suppressions.size()`; directives that dropped at least
 /// one finding are marked 1.
 std::vector<Finding> apply_suppressions(std::vector<Finding> findings,
@@ -165,9 +145,9 @@ std::vector<Finding> apply_suppressions(std::vector<Finding> findings,
                                         std::vector<char>* used = nullptr);
 
 /// Per-model-file record of which suppression directives covered a finding:
-/// `used[file_index][suppression_index]`. The whole-program driver threads
-/// one instance through every pass, then reports directives that never
-/// fired as R-SUP1 stale-suppression findings.
+/// `used[file_index][suppression_index]`. The driver threads one instance
+/// through every pass, then reports directives that never fired as R-SUP1
+/// stale-suppression findings.
 struct SuppressionUsage {
   std::vector<std::vector<char>> used;
 };

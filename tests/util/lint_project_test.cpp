@@ -1,5 +1,5 @@
 // Whole-program seg-lint tests: project model, layering, include cycles,
-// cross-TU symbol index / ODR, the report/baseline layer, and the v3
+// cross-TU symbol index / ODR, the report layer, and the v3
 // interprocedural passes (call graph, R-DET3 dataflow, R-EXC1, R-SUP1,
 // the analysis cache, and thread-count determinism).
 #include "util/lint/project_model.h"
@@ -17,6 +17,7 @@
 #include "util/lint/dataflow.h"
 #include "util/lint/report.h"
 #include "util/lint/symbol_index.h"
+#include "util/obs/json_lite.h"
 #include "util/parallel.h"
 
 namespace seg::lint {
@@ -316,37 +317,48 @@ TEST(Report, NormalizePathStripsCheckoutPrefixes) {
   EXPECT_NE(finding_key(abs_form), finding_key(other_rule));
 }
 
+// Keys of the `findings` entries of a write_json document, read back with
+// the obs JSON parser.
+std::vector<std::string> json_finding_keys(const std::string& text) {
+  std::string error;
+  const obs::json::Value doc = obs::json::parse(text, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  std::vector<std::string> keys;
+  const obs::json::Value* list = doc.find("findings");
+  if (list == nullptr || !list->is_array()) {
+    ADD_FAILURE() << "no findings array in: " << text;
+    return keys;
+  }
+  for (const auto& entry : list->as_array()) {
+    const auto field = [&](std::string_view name) {
+      const obs::json::Value* value = entry.find(name);
+      return value != nullptr && value->is_string() ? value->as_string() : std::string{};
+    };
+    keys.push_back(finding_key(Finding{field("file"), 0, field("rule"), field("message")}));
+  }
+  return keys;
+}
+
 TEST(Report, JsonRoundTripsThroughBaselineKeys) {
   const std::vector<Finding> findings = {
-      {"src/util/a.h", 3, "R-DET2", "iterating 'seen' (std::unordered_map)"},
+      {"src/util/a.h", 3, "R-DET3", "iterating 'seen' (std::unordered_map)"},
       {"src/core/b.cpp", 7, "R-RACE1", "std::vector<bool> with \"quotes\"\nand newline"},
   };
   std::ostringstream out;
   write_json(out, findings);
-  const auto keys = load_baseline_keys(out.str());
+  const auto keys = json_finding_keys(out.str());
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0], finding_key(findings[0]));
   EXPECT_EQ(keys[1], finding_key(findings[1]));
 
-  // Subtracting a finding list from its own baseline leaves nothing…
+  // Subtracting a finding list's own keys leaves nothing…
   EXPECT_TRUE(subtract_baseline(findings, keys).empty());
-  // …and subtraction is multiset-style: two equal findings, one baselined.
+  // …and subtraction is multiset-style: two equal findings, one key.
   std::vector<Finding> doubled = {findings[0], findings[0]};
   const auto remaining =
       subtract_baseline(doubled, {finding_key(findings[0])});
   ASSERT_EQ(remaining.size(), 1u);
-  EXPECT_EQ(remaining[0].rule, "R-DET2");
-}
-
-TEST(Report, LoadBaselineRejectsMalformedJson) {
-  EXPECT_THROW(load_baseline_keys("{"), std::runtime_error);
-  EXPECT_THROW(load_baseline_keys("{\"findings\": [{\"rule\": \"R-X\"}]}"),
-               std::runtime_error);  // entry missing "file"
-  EXPECT_THROW(load_baseline_keys("{\"findings\": [3"), std::runtime_error);
-  // Unknown fields and absent findings arrays are tolerated.
-  EXPECT_TRUE(load_baseline_keys("{\"version\": 1, \"extra\": [1, {\"a\": true}]}")
-                  .empty());
-  EXPECT_TRUE(load_baseline_keys("{\"findings\": []}").empty());
+  EXPECT_EQ(remaining[0].rule, "R-DET3");
 }
 
 TEST(Report, SarifGoldenDocument) {
@@ -391,7 +403,7 @@ TEST(Report, SarifGoldenDocument) {
 TEST(Report, EmptyFindingsProduceValidDocuments) {
   std::ostringstream json;
   write_json(json, {});
-  EXPECT_TRUE(load_baseline_keys(json.str()).empty());
+  EXPECT_TRUE(json_finding_keys(json.str()).empty());
   std::ostringstream sarif;
   write_sarif(sarif, {});
   EXPECT_NE(sarif.str().find("\"results\": []"), std::string::npos);
@@ -489,6 +501,28 @@ void dump(const std::unordered_map<std::string, int>& counts) {
   EXPECT_NE(findings[1].message.find("'name'"), std::string::npos);
   EXPECT_NE(findings[0].message.find("reaches output stream 'cout'"),
             std::string::npos);
+}
+
+TEST(Det3, AliasTypedMemberFromIncludedHeaderIsFlagged) {
+  // The member's alias type lives in the class header; the .cpp that
+  // iterates it sees the declaration only through its #include.
+  const Files files = {{"src/dns/store.h", R"cpp(
+#pragma once
+class Store {
+  using DayIndex = std::unordered_map<unsigned, int>;
+  DayIndex ip_index_;
+};
+)cpp"},
+                       {"src/dns/store.cpp", R"cpp(
+#include "dns/store.h"
+void Store::save(std::ostream& out) {
+  for (const auto& [ip, days] : ip_index_) { out << ip; }
+}
+)cpp"}};
+  const auto findings = lint_tree(files, {"R-DET3"});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/dns/store.cpp");
+  EXPECT_NE(findings[0].message.find("'ip'"), std::string::npos);
 }
 
 TEST(Det3, SortBeforeEmitIsClean) {

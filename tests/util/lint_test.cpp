@@ -6,16 +6,27 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/lint/project_model.h"
 
 namespace seg::lint {
 namespace {
 
-std::vector<Finding> run(std::string_view path, std::string_view text,
-                         std::string_view header = {}) {
-  LintOptions options;
-  return lint_text(path, text, options, header);
+using Files = std::vector<std::pair<std::string, std::string>>;
+
+// Lints an in-memory tree with the whole-program driver. Quoted includes
+// resolve by path suffix, so a fixture sees a companion header's
+// declarations by #including it.
+std::vector<Finding> run(const Files& files) {
+  return lint_model(ProjectModel::from_memory(files, LayersConfig{}), LintOptions{});
+}
+
+std::vector<Finding> run(std::string_view path, std::string_view text) {
+  return run(Files{{std::string(path), std::string(text)}});
 }
 
 bool has_rule(const std::vector<Finding>& findings, std::string_view rule) {
@@ -168,65 +179,6 @@ TEST(RMem1, LiteralsNeverMatch) {
     const char* doc = "raw mmap( and munmap( belong in util/mmap_file";
   )cpp");
   EXPECT_FALSE(has_rule(findings, "R-MEM1"));
-}
-
-// --- R-DET2: unordered iteration in emission paths --------------------------
-
-TEST(RDet2, FlagsUnorderedRangeForWhenSerializing) {
-  const auto findings = run("src/dns/store.cpp", R"cpp(
-    void save(std::ostream& out, const std::unordered_map<int, int>& index) {
-      for (const auto& [key, value] : index) { out << key << value; }
-    }
-  )cpp");
-  ASSERT_TRUE(has_rule(findings, "R-DET2"));
-}
-
-TEST(RDet2, FlagsMemberDeclaredInCompanionHeader) {
-  const std::string header = R"cpp(
-    #pragma once
-    class Store {
-      using DayIndex = std::unordered_map<unsigned, int>;
-      DayIndex ip_index_;
-    };
-  )cpp";
-  const auto findings = run("src/dns/store.cpp", R"cpp(
-    void Store::save(std::ostream& out) {
-      for (const auto& [ip, days] : ip_index_) { out << ip; }
-    }
-  )cpp",
-                            header);
-  EXPECT_TRUE(has_rule(findings, "R-DET2"));
-}
-
-TEST(RDet2, OrderedContainersAndNonEmissionFilesPass) {
-  // std::map iteration is fine even when serializing.
-  const auto ordered = run("src/dns/store.cpp", R"cpp(
-    void save(std::ostream& out, const std::map<int, int>& index) {
-      for (const auto& [key, value] : index) { out << key; }
-    }
-  )cpp");
-  EXPECT_FALSE(has_rule(ordered, "R-DET2"));
-  // Unordered iteration is fine in a file with no output surface.
-  const auto internal = run("src/graph/degree.cpp", R"cpp(
-    int total(const std::unordered_map<int, int>& degree) {
-      int sum = 0;
-      for (const auto& [node, count] : degree) { sum += count; }
-      return sum;
-    }
-  )cpp");
-  EXPECT_FALSE(has_rule(internal, "R-DET2"));
-}
-
-TEST(RDet2, SuppressionComment) {
-  const auto findings = run("src/dns/store.cpp", R"cpp(
-    std::size_t count(const std::unordered_map<int, int>& index, std::ostream& log) {
-      std::size_t n = 0;
-      // Order-insensitive count.  seg-lint: allow(R-DET2)
-      for (const auto& [key, value] : index) { ++n; }
-      return n;
-    }
-  )cpp");
-  EXPECT_FALSE(has_rule(findings, "R-DET2"));
 }
 
 // --- R-RACE1: vector<bool> ---------------------------------------------------
@@ -387,7 +339,7 @@ TEST(RHdr2, SuppressionComment) {
 // --- R-API1: calls to deprecated entry points --------------------------------
 
 namespace {
-constexpr std::string_view kDeprecatedHeader = R"cpp(
+constexpr char kDeprecatedHeader[] = R"cpp(
   #pragma once
   struct Report {
     std::vector<Detection> detections_at(double threshold) const;
@@ -398,53 +350,57 @@ constexpr std::string_view kDeprecatedHeader = R"cpp(
 }  // namespace
 
 TEST(RApi1, FlagsCallWithMatchingArity) {
-  const auto findings = run("src/core/use.cpp", R"cpp(
+  const auto findings = run({{"src/core/report.h", kDeprecatedHeader},
+                             {"src/core/use.cpp", R"cpp(
+    #include "core/report.h"
     void emit(const Report& report, const Graph& graph) {
       const auto hits = report.detections_at(0.5, graph);
     }
-  )cpp",
-                            kDeprecatedHeader);
+  )cpp"}});
   EXPECT_TRUE(has_rule(findings, "R-API1"));
 }
 
 TEST(RApi1, ReplacementOverloadWithDifferentArityPasses) {
-  const auto findings = run("src/core/use.cpp", R"cpp(
+  const auto findings = run({{"src/core/report.h", kDeprecatedHeader},
+                             {"src/core/use.cpp", R"cpp(
+    #include "core/report.h"
     void emit(const Report& report) {
       const auto hits = report.detections_at(0.5);
     }
-  )cpp",
-                            kDeprecatedHeader);
+  )cpp"}});
   EXPECT_FALSE(has_rule(findings, "R-API1"));
 }
 
 TEST(RApi1, DefinitionAndHeaderAreNotFlagged) {
-  const auto cpp_findings = run("src/core/report.cpp", R"cpp(
+  const auto cpp_findings = run({{"src/core/report.h", kDeprecatedHeader},
+                                 {"src/core/report.cpp", R"cpp(
+    #include "core/report.h"
     std::vector<Detection> Report::detections_at(double threshold,
                                                  const Graph& graph) const {
       return {};
     }
-  )cpp",
-                                kDeprecatedHeader);
+  )cpp"}});
   EXPECT_FALSE(has_rule(cpp_findings, "R-API1"));
   const auto header_findings = run("src/core/report.h", kDeprecatedHeader);
   EXPECT_FALSE(has_rule(header_findings, "R-API1"));
 }
 
 TEST(RApi1, SuppressionComment) {
-  const auto findings = run("src/core/use.cpp", R"cpp(
+  const auto findings = run({{"src/core/report.h", kDeprecatedHeader},
+                             {"src/core/use.cpp", R"cpp(
+    #include "core/report.h"
     void emit(const Report& report, const Graph& graph) {
       // seg-lint: allow(R-API1)
       const auto hits = report.detections_at(0.5, graph);
     }
-  )cpp",
-                            kDeprecatedHeader);
+  )cpp"}});
   EXPECT_FALSE(has_rule(findings, "R-API1"));
 }
 
 // The ingestion redesign's deprecation surface: ingest_day survives as a
 // tagged adapter while ingest_stream is the replacement entry point.
 namespace {
-constexpr std::string_view kPipelineHeader = R"cpp(
+constexpr char kPipelineHeader[] = R"cpp(
   #pragma once
   class Pipeline {
    public:
@@ -458,36 +414,39 @@ constexpr std::string_view kPipelineHeader = R"cpp(
 }  // namespace
 
 TEST(RApi1, FlagsLegacyIngestDayOutsideTests) {
-  const auto findings = run("bench/bench_thing.cpp", R"cpp(
+  const auto findings = run({{"src/core/pipeline.h", kPipelineHeader},
+                             {"bench/bench_thing.cpp", R"cpp(
+    #include "core/pipeline.h"
     void go(Pipeline& pipeline, const DayTrace& trace, const NameSet& bl,
             const NameSet& wl) {
       const auto day = pipeline.ingest_day(trace, bl, wl);
     }
-  )cpp",
-                            kPipelineHeader);
+  )cpp"}});
   EXPECT_TRUE(has_rule(findings, "R-API1"));
 }
 
 TEST(RApi1, IngestStreamReplacementPasses) {
-  const auto findings = run("bench/bench_thing.cpp", R"cpp(
+  const auto findings = run({{"src/core/pipeline.h", kPipelineHeader},
+                             {"bench/bench_thing.cpp", R"cpp(
+    #include "core/pipeline.h"
     void go(Pipeline& pipeline, TraceSource& source, const BlacklistProvider& bl,
             const NameSet& wl, const DayCallback& on_day) {
       const auto stats = pipeline.ingest_stream(source, bl, wl, on_day);
     }
-  )cpp",
-                            kPipelineHeader);
+  )cpp"}});
   EXPECT_FALSE(has_rule(findings, "R-API1"));
 }
 
 TEST(RApi1, TestFilesMayKeepLegacyIngestDay) {
   // The batch-vs-stream parity tests deliberately call the adapter.
-  const auto findings = run("tests/core/pipeline_test.cpp", R"cpp(
+  const auto findings = run({{"src/core/pipeline.h", kPipelineHeader},
+                             {"tests/core/pipeline_test.cpp", R"cpp(
+    #include "core/pipeline.h"
     void go(Pipeline& pipeline, const DayTrace& trace, const NameSet& bl,
             const NameSet& wl) {
       const auto day = pipeline.ingest_day(trace, bl, wl);
     }
-  )cpp",
-                            kPipelineHeader);
+  )cpp"}});
   EXPECT_FALSE(has_rule(findings, "R-API1"));
 }
 
@@ -506,8 +465,9 @@ TEST(Engine, AllowFileSuppressesEveryInstance) {
 TEST(Engine, OnlyRulesFilter) {
   LintOptions options;
   options.only_rules = {"R-HDR1"};
-  const auto findings = lint_text("src/util/thing.h",
-                                  "std::vector<bool> a;\n", options);
+  const auto model = ProjectModel::from_memory(
+      {{"src/util/thing.h", "std::vector<bool> a;\n"}}, LayersConfig{});
+  const auto findings = lint_model(model, options);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, "R-HDR1");
 }

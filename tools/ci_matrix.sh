@@ -9,8 +9,9 @@
 #
 # The lint-diff leg runs seg-lint v3 in whole-program diff mode against
 # origin/main (falls back to HEAD outside a clone with that ref): CI fails
-# only on findings *introduced* by the change under test, and a SARIF
-# artifact lands in ${LOG_DIR}/seg-lint.sarif for code-scanning upload.
+# only on findings *introduced* by the change under test (those the base
+# already had are subtracted), and a SARIF artifact lands in
+# ${LOG_DIR}/seg-lint.sarif for code-scanning upload.
 # The leg also checks the checker's own determinism contract — the SARIF
 # document must be byte-identical at SEG_THREADS=1 and SEG_THREADS=8 — and
 # archives the --diff-base analysis-cache hit statistics; both land under
@@ -107,7 +108,7 @@ run_lint_diff() {
   "${seg_lint}" --format=sarif --layers tools/layers.toml \
     src tools bench tests examples > "${LOG_DIR}/seg-lint.sarif" 2>> "${log}"
   if ! "${seg_lint}" --error-exit --format=json --diff-base "${base}" \
-       --layers tools/layers.toml --baseline tools/lint-baseline.json \
+       --layers tools/layers.toml \
        src tools bench tests examples > "${LOG_DIR}/seg-lint-diff.json" \
        2> "${LOG_DIR}/lint-determinism/cache-stats.txt"; then
     echo "    new lint findings vs ${base} (see ${LOG_DIR}/seg-lint-diff.json)"

@@ -3,27 +3,26 @@
 //
 // Usage:
 //   seg_lint [--error-exit] [--format text|json|sarif] [--rule R-XXX]...
-//            [--layers FILE] [--baseline FILE] [--diff-base REV]
-//            [--allow-timing SUBSTR]... PATH...
+//            [--layers FILE] [--diff-base REV] PATH...
 //
 // PATH arguments are files or directories (directories are walked for
-// .cpp/.h). v2 always runs in whole-program mode: every file is lexed once
-// into the project model, per-file rules run with the cross-TU symbol
-// index backing R-API1, and the include graph feeds R-ARCH2 (cycles) and
-// R-ODR1. R-ARCH1 layering activates when --layers names a layers.toml.
+// .cpp/.h). Every run is whole-program: every file is lexed once into the
+// project model, per-file rules run with the cross-TU symbol index backing
+// R-API1, the include graph feeds R-ARCH2 (cycles) and R-ODR1, and the call
+// graph feeds R-DET3 and R-EXC1. R-ARCH1 layering activates when --layers
+// names a layers.toml.
 //
-// --baseline subtracts the checked-in known-findings set (line-free keys;
-// see report.h). --diff-base REV lints the same roots inside a
-// `git archive REV` scratch tree and subtracts those findings, so CI fails
-// only on findings *introduced* by the change under test. With
-// --error-exit the process exits 1 when any finding survives subtraction.
+// A finding is accepted only by a suppression directive at its site (the
+// usage text shows the forms); R-SUP1 reports a directive that covers
+// nothing. --diff-base REV lints the same roots inside a `git archive REV`
+// scratch tree and subtracts those findings (line-free keys; see
+// report.h), so CI fails only on findings *introduced* by the change under
+// test. With --error-exit the process exits 1 when any finding survives.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,27 +38,15 @@ void print_usage() {
   std::fprintf(
       stderr,
       "usage: seg_lint [--error-exit] [--format text|json|sarif]\n"
-      "                [--rule R-XXX]... [--layers FILE] [--baseline FILE]\n"
-      "                [--diff-base REV] [--allow-timing SUBSTR]... PATH...\n"
-      "rules: R-DET1 R-DET2 R-DET3 R-RACE1 R-RACE2 R-API1 R-HDR1 R-HDR2\n"
-      "       R-ARCH1 R-ARCH2 R-ODR1 R-LIFE1 R-OBS1 R-MEM1 R-WIRE1 R-EXC1\n"
-      "       R-SUP1\n"
+      "                [--rule R-XXX]... [--layers FILE] [--diff-base REV]\n"
+      "                PATH...\n"
+      "rules: R-DET1 R-DET3 R-RACE1 R-RACE2 R-API1 R-HDR1 R-HDR2 R-ARCH1\n"
+      "       R-ARCH2 R-ODR1 R-LIFE1 R-OBS1 R-MEM1 R-WIRE1 R-EXC1 R-SUP1\n"
       "mark deprecated entry points with // seg-deprecated above the "
       "declaration\n"
       "suppress one site: // seg-lint: allow(R-XXX)   (same or next line)\n"
       "suppress a file:   // seg-lint: allow-file(R-XXX)\n"
       "suppress a category: // seg-lint: allow(arch)  (covers R-ARCH1/2)\n");
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
 }
 
 std::string shell_quote(const std::string& text) {
@@ -173,7 +160,6 @@ int main(int argc, char** argv) {
   seg::lint::LintOptions options;
   std::vector<std::string> roots;
   std::string format = "text";
-  std::string baseline_path;
   std::string diff_base;
   bool error_exit = false;
 
@@ -183,12 +169,8 @@ int main(int argc, char** argv) {
       error_exit = true;
     } else if (arg == "--rule" && i + 1 < argc) {
       options.only_rules.emplace_back(argv[++i]);
-    } else if (arg == "--allow-timing" && i + 1 < argc) {
-      options.timing_allowlist.emplace_back(argv[++i]);
     } else if (arg == "--layers" && i + 1 < argc) {
       options.layers_file = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
     } else if (arg == "--diff-base" && i + 1 < argc) {
       diff_base = argv[++i];
     } else if (arg == "--format" && i + 1 < argc) {
@@ -234,22 +216,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "seg_lint: %s: %s\n", findings.front().file.c_str(),
                  findings.front().message.c_str());
     return 2;
-  }
-
-  if (!baseline_path.empty()) {
-    std::string baseline_text;
-    if (!read_file(baseline_path, baseline_text)) {
-      std::fprintf(stderr, "seg_lint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    try {
-      findings = seg::lint::subtract_baseline(
-          std::move(findings), seg::lint::load_baseline_keys(baseline_text));
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "seg_lint: %s: %s\n", baseline_path.c_str(), error.what());
-      return 2;
-    }
   }
 
   if (!diff_base.empty()) {
