@@ -1,7 +1,10 @@
 // IngestQueue contract tests: FIFO determinism, blocking back-pressure,
-// the close/drain and cancel protocols, and multi-producer delivery. The threaded tests run in the tsan leg of the CI matrix
-// (tools/ci_matrix.sh, "ingest" leg) where the lock discipline is checked
-// under contention, not just here under luck.
+// the close/drain and cancel protocols, and multi-producer delivery. The
+// threaded tests run in the tsan leg of the CI matrix (tools/ci_matrix.sh,
+// "ingest" leg) where the lock discipline is checked under contention, not
+// just here under luck. A queue that wrongly refuses a push must fail these
+// tests, not hang them: producers stop on a refusal but still close the
+// queue, and assertions that return wait until every thread is joined.
 #include "util/ingest_queue.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +13,7 @@
 #include <chrono>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/obs/metrics.h"
@@ -70,11 +74,13 @@ TEST(IngestQueueTest, BlockingPushWaitsForSpaceAndLosesNothing) {
   IngestQueue<Batch> queue(2);
   constexpr int kBatches = 50;
 
-  std::atomic<int> produced{0};
   std::thread producer([&] {
     for (int i = 0; i < kBatches; ++i) {
-      ASSERT_TRUE(queue.push(make_batch(i, 2)));
-      produced.fetch_add(1);
+      const bool accepted = queue.push(make_batch(i, 2));
+      EXPECT_TRUE(accepted) << "push " << i << " refused";
+      if (!accepted) {
+        break;
+      }
     }
     queue.close();
   });
@@ -141,7 +147,11 @@ TEST(IngestQueueTest, MultiProducerDeliversEveryBatchOnceInPerProducerOrder) {
       for (int i = 0; i < kBatchesPerProducer; ++i) {
         // Batch payload encodes (producer, sequence) so the consumer can
         // check per-producer FIFO without any cross-thread bookkeeping.
-        ASSERT_TRUE(queue.push(Batch{p, i}));
+        const bool accepted = queue.push(Batch{p, i});
+        EXPECT_TRUE(accepted) << "producer " << p << " push " << i << " refused";
+        if (!accepted) {
+          break;
+        }
       }
       if (open_producers.fetch_sub(1) == 1) {
         queue.close();  // last producer out closes the stream
@@ -149,22 +159,28 @@ TEST(IngestQueueTest, MultiProducerDeliversEveryBatchOnceInPerProducerOrder) {
     });
   }
 
-  std::vector<int> next_sequence(kProducers, 0);
-  std::size_t total = 0;
+  // Drain first, check after the join: an ASSERT that returned while the
+  // producers were still joinable would end the process in std::terminate.
+  std::vector<Batch> received;
   while (auto batch = queue.pop()) {
-    ASSERT_EQ(batch->size(), 2u);
-    const int producer = (*batch)[0];
-    const int sequence = (*batch)[1];
+    received.push_back(std::move(*batch));
+  }
+  for (auto& thread : producers) {
+    thread.join();
+  }
+
+  std::vector<int> next_sequence(kProducers, 0);
+  for (const Batch& batch : received) {
+    ASSERT_EQ(batch.size(), 2u);
+    const int producer = batch[0];
+    const int sequence = batch[1];
     ASSERT_GE(producer, 0);
     ASSERT_LT(producer, kProducers);
     EXPECT_EQ(sequence, next_sequence[static_cast<std::size_t>(producer)])
         << "producer " << producer << " batches reordered";
     ++next_sequence[static_cast<std::size_t>(producer)];
-    ++total;
   }
-  for (auto& thread : producers) {
-    thread.join();
-  }
+  const std::size_t total = received.size();
   EXPECT_EQ(total, static_cast<std::size_t>(kProducers) * kBatchesPerProducer);
   for (int p = 0; p < kProducers; ++p) {
     EXPECT_EQ(next_sequence[static_cast<std::size_t>(p)], kBatchesPerProducer);
@@ -180,12 +196,17 @@ TEST(IngestQueueTest, NamedQueueMirrorsCountersIntoObsRegistry) {
   IngestQueue<Batch> queue(1, "test_ingest_queue");
   EXPECT_TRUE(queue.push(make_batch(0, 3)));
   // The second push finds the queue full and blocks until the pop below.
-  std::thread producer([&] { EXPECT_TRUE(queue.push(make_batch(10, 2))); });
-  while (queue.stats().blocked_pushes == 0) {
+  std::atomic<bool> push_returned{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(queue.push(make_batch(10, 2)));
+    push_returned.store(true);
+  });
+  while (queue.stats().blocked_pushes == 0 && !push_returned.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   queue.pop();
   producer.join();
+  queue.close();  // so the drain below returns even if the push was refused
   queue.pop();
 
   auto& registry = obs::Registry::instance();
