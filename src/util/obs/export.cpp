@@ -1,12 +1,10 @@
 #include "util/obs/export.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
 
 #include "util/obs/metrics.h"
 #include "util/obs/process.h"
@@ -15,36 +13,6 @@
 namespace seg::obs {
 
 namespace {
-
-void write_escaped(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-std::string json_double(double value) {
-  if (!std::isfinite(value)) {
-    // JSON has no Inf/NaN; the only expected case is the histogram +Inf
-    // bound, which the exporter spells as a string elsewhere.
-    return "null";
-  }
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
 
 struct SpanAggregate {
   std::uint64_t count = 0;
@@ -73,7 +41,7 @@ void write_run_report(std::ostream& out, std::string_view command,
   out << "{\n";
   out << "  \"version\": 1,\n";
   out << "  \"command\": \"";
-  write_escaped(out, command);
+  json::write_escaped(out, command);
   out << "\",\n";
   out << "  \"threads\": " << util::parallelism() << ",\n";
   out << "  \"process\": {\"rss_peak_kb\": " << process.rss_peak_kb
@@ -86,7 +54,7 @@ void write_run_report(std::ostream& out, std::string_view command,
   bool first = true;
   for (const Counter* counter : registry.counters()) {
     out << (first ? "" : ",") << "\n      \"";
-    write_escaped(out, counter->name());
+    json::write_escaped(out, counter->name());
     out << "\": " << counter->value();
     first = false;
   }
@@ -96,8 +64,8 @@ void write_run_report(std::ostream& out, std::string_view command,
   first = true;
   for (const Gauge* gauge : registry.gauges()) {
     out << (first ? "" : ",") << "\n      \"";
-    write_escaped(out, gauge->name());
-    out << "\": " << json_double(gauge->value());
+    json::write_escaped(out, gauge->name());
+    out << "\": " << json::format_double(gauge->value());
     first = false;
   }
   out << (first ? "" : "\n    ") << "},\n";
@@ -106,11 +74,11 @@ void write_run_report(std::ostream& out, std::string_view command,
   first = true;
   for (const HistogramMetric* histogram : registry.histograms()) {
     out << (first ? "" : ",") << "\n      \"";
-    write_escaped(out, histogram->name());
+    json::write_escaped(out, histogram->name());
     out << "\": {\"bounds\": [";
     bool first_bound = true;
     for (const double bound : histogram->bounds()) {
-      out << (first_bound ? "" : ", ") << json_double(bound);
+      out << (first_bound ? "" : ", ") << json::format_double(bound);
       first_bound = false;
     }
     out << "], \"buckets\": [";
@@ -120,7 +88,7 @@ void write_run_report(std::ostream& out, std::string_view command,
       first_bucket = false;
     }
     out << "], \"count\": " << histogram->count()
-        << ", \"sum\": " << json_double(histogram->sum()) << "}";
+        << ", \"sum\": " << json::format_double(histogram->sum()) << "}";
     first = false;
   }
   out << (first ? "" : "\n    ") << "}\n";
@@ -130,11 +98,12 @@ void write_run_report(std::ostream& out, std::string_view command,
   first = true;
   for (const auto& [name, agg] : spans) {
     out << (first ? "" : ",") << "\n    \"";
-    write_escaped(out, name);
+    json::write_escaped(out, name);
     out << "\": {\"count\": " << agg.count
-        << ", \"total_seconds\": " << json_double(static_cast<double>(agg.total_ns) * 1e-9)
-        << ", \"min_seconds\": " << json_double(static_cast<double>(agg.min_ns) * 1e-9)
-        << ", \"max_seconds\": " << json_double(static_cast<double>(agg.max_ns) * 1e-9) << "}";
+        << ", \"total_seconds\": " << json::format_double(static_cast<double>(agg.total_ns) * 1e-9)
+        << ", \"min_seconds\": " << json::format_double(static_cast<double>(agg.min_ns) * 1e-9)
+        << ", \"max_seconds\": " << json::format_double(static_cast<double>(agg.max_ns) * 1e-9)
+        << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "}\n";

@@ -15,48 +15,18 @@ namespace seg::obs {
 
 namespace {
 
-// Same escaping/formatting idiom as the run-report exporter (export.cpp):
-// precision-17 doubles make serialization reproducible for identical bits.
-void write_escaped(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-std::string json_double(double value) {
-  if (!std::isfinite(value)) {
-    return "null";  // journal values are expected finite; validator rejects null
-  }
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
-
 void write_histogram(std::ostream& out, const JournalHistogram& histogram) {
   out << "{\"bounds\":[";
   for (std::size_t i = 0; i < histogram.bounds.size(); ++i) {
-    out << (i ? "," : "") << json_double(histogram.bounds[i]);
+    out << (i ? "," : "") << json::format_double(histogram.bounds[i]);
   }
   out << "],\"buckets\":[";
   for (std::size_t i = 0; i < histogram.buckets.size(); ++i) {
     out << (i ? "," : "") << histogram.buckets[i];
   }
-  out << "],\"count\":" << histogram.count << ",\"mean\":" << json_double(histogram.mean)
-      << ",\"min\":" << json_double(histogram.min)
-      << ",\"max\":" << json_double(histogram.max) << "}";
+  out << "],\"count\":" << histogram.count << ",\"mean\":" << json::format_double(histogram.mean)
+      << ",\"min\":" << json::format_double(histogram.min)
+      << ",\"max\":" << json::format_double(histogram.max) << "}";
 }
 
 template <typename Value, typename WriteValue>
@@ -66,7 +36,7 @@ void write_section(std::ostream& out, std::string_view key,
   out << ",\"" << key << "\":{";
   for (std::size_t i = 0; i < items.size(); ++i) {
     out << (i ? "," : "") << '"';
-    write_escaped(out, items[i].first);
+    json::write_escaped(out, items[i].first);
     out << "\":";
     write_value(out, items[i].second);
   }
@@ -150,7 +120,7 @@ void write_journal_entry(std::ostream& out, const JournalEntry& entry) {
                 [](std::ostream& o, std::uint64_t v) { o << v; });
   if (!entry.gauges.empty()) {
     write_section(out, "gauges", entry.gauges,
-                  [](std::ostream& o, double v) { o << json_double(v); });
+                  [](std::ostream& o, double v) { o << json::format_double(v); });
   }
   if (!entry.histograms.empty()) {
     write_section(out, "histograms", entry.histograms,
@@ -161,9 +131,9 @@ void write_journal_entry(std::ostream& out, const JournalEntry& entry) {
     for (std::size_t i = 0; i < entry.alerts.size(); ++i) {
       const JournalAlert& alert = entry.alerts[i];
       out << (i ? "," : "") << "{\"gauge\":\"";
-      write_escaped(out, alert.gauge);
-      out << "\",\"value\":" << json_double(alert.value)
-          << ",\"threshold\":" << json_double(alert.threshold) << '}';
+      json::write_escaped(out, alert.gauge);
+      out << "\",\"value\":" << json::format_double(alert.value)
+          << ",\"threshold\":" << json::format_double(alert.threshold) << '}';
     }
     out << ']';
   }

@@ -1,7 +1,10 @@
 #include "util/obs/json_lite.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <ostream>
+#include <sstream>
 
 namespace seg::obs::json {
 
@@ -314,6 +317,34 @@ Value parse(std::string_view text, std::string* error) {
     error->clear();
   }
   return out;
+}
+
+void write_escaped(std::ostream& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out << "\\\""; break;
+      case '\\': out << "\\\\"; break;
+      case '\n': out << "\\n"; break;
+      case '\t': out << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static const char* kHex = "0123456789abcdef";
+          out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
+        } else {
+          out << c;
+        }
+    }
+  }
+}
+
+std::string format_double(double value) {
+  if (!std::isfinite(value)) {
+    return "null";
+  }
+  std::ostringstream out;
+  out.precision(17);
+  out << value;
+  return out.str();
 }
 
 }  // namespace seg::obs::json

@@ -1,9 +1,11 @@
 // Minimal JSON DOM parser used to validate obs exporter output
-// (`segugio validate-obs`) without external dependencies. Not a general
-// serialization layer: it accepts strict JSON, keeps numbers as doubles,
-// and stores objects as insertion-ordered key/value vectors.
+// (`segugio validate-obs`) without external dependencies, plus the two
+// value writers every obs exporter shares. Not a general serialization
+// layer: it accepts strict JSON, keeps numbers as doubles, and stores
+// objects as insertion-ordered key/value vectors.
 #pragma once
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -59,5 +61,17 @@ class Value {
 /// Parses `text` as one JSON document. On failure returns a Null value and
 /// sets *error (when non-null) to a message with a byte offset.
 Value parse(std::string_view text, std::string* error);
+
+/// Writes `text` as the inside of a JSON string literal (no quotes): `"`,
+/// `\`, newline and tab get their short escapes, other control bytes
+/// `\u00XX`. The trace, run-report and journal writers all escape through
+/// it, so one name is spelled the same in every artifact.
+void write_escaped(std::ostream& out, std::string_view text);
+
+/// `value` as a JSON number at precision 17, so identical bits always
+/// serialize to identical bytes. JSON has no Inf/NaN: a non-finite value
+/// comes back as `null` (the run report spells its +Inf histogram bound as
+/// a string instead; the journal validator rejects null).
+std::string format_double(double value);
 
 }  // namespace seg::obs::json

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <ostream>
 
+#include "util/obs/json_lite.h"
+
 namespace seg::obs {
 
 namespace {
@@ -121,28 +123,6 @@ double Span::elapsed_seconds() const noexcept {
   return static_cast<double>(now_ns() - start_ns_) * 1e-9;
 }
 
-namespace {
-
-void write_json_escaped(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void write_chrome_trace(std::ostream& out, const std::vector<SpanRecord>& records) {
   out << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
   bool first = true;
@@ -156,7 +136,7 @@ void write_chrome_trace(std::ostream& out, const std::vector<SpanRecord>& record
     const std::int64_t ts_us = record.start_ns / 1000;
     const std::int64_t end_us = (record.start_ns + record.dur_ns) / 1000;
     out << "\n  {\"name\": \"";
-    write_json_escaped(out, record.name);
+    json::write_escaped(out, record.name);
     out << "\", \"cat\": \"seg\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << record.tid
         << ", \"ts\": " << ts_us << ", \"dur\": " << (end_us - ts_us) << "}";
   }
