@@ -216,11 +216,13 @@ std::vector<EvaluationResult> run_cross_family(
       return false;
     };
 
-    // Test selection: benign split at random; malware = blacklisted
-    // domains of the fold's families that appear in the test graph.
+    // Test selection: half the benign domains at random (families only
+    // exist for malware); malware = blacklisted domains of the fold's
+    // families that appear in the test graph.
+    constexpr double kBenignTestFraction = 0.5;
     util::Rng fold_rng = rng.fork(fold + 1);
     TestSelection selection =
-        select_stratified_test_set(test_graph, 0.0, options.benign_test_fraction, fold_rng);
+        select_stratified_test_set(test_graph, 0.0, kBenignTestFraction, fold_rng);
     for (graph::DomainId d = 0; d < test_graph.domain_count(); ++d) {
       if (test_graph.domain_label(d) != graph::Label::kMalware) {
         continue;

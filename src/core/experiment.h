@@ -78,9 +78,6 @@ EvaluationResult run_cross_day(const ExperimentInputs& inputs, const SegugioConf
 
 struct CrossFamilyOptions {
   std::size_t folds = 5;
-  /// Benign domains are still split at random (families only exist for
-  /// malware).
-  double benign_test_fraction = 0.5;
   std::uint64_t seed = 2013'04'15;
 };
 

@@ -122,7 +122,7 @@ void Segugio::train(const graph::GraphView& graph, const dns::DomainActivityInde
     forest_->train(dataset);
     logistic_.reset();
   } else {
-    logistic_ = std::make_unique<ml::LogisticRegression>(config_.logistic);
+    logistic_ = std::make_unique<ml::LogisticRegression>();
     logistic_->train(dataset);
     forest_.reset();
   }

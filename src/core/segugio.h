@@ -57,7 +57,6 @@ struct SegugioConfig {
   graph::PruningConfig pruning = scaled_pruning_defaults();
   features::FeatureConfig features;
   ml::RandomForestConfig forest = balanced_forest_defaults();
-  ml::LogisticRegressionConfig logistic;
   ClassifierKind classifier = ClassifierKind::kRandomForest;
   features::TrainingSetOptions training;
   /// Feature columns to use (indices into the 11-feature vector); empty

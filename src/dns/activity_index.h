@@ -8,15 +8,14 @@
 // queried anywhere in the monitored network.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/types.h"
+#include "util/hash.h"
 
 namespace seg::dns {
 
@@ -56,14 +55,7 @@ class DomainActivityIndex {
   static constexpr int kFormatVersion = 2;
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  std::unordered_map<std::string, std::vector<Day>, StringHash, std::equal_to<>> days_;
+  util::StringMap<std::vector<Day>> days_;
 };
 
 }  // namespace seg::dns

@@ -18,8 +18,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
+
+#include "util/hash.h"
 
 namespace seg::dns {
 
@@ -59,21 +60,13 @@ class PublicSuffixList {
  private:
   enum class RuleKind { kNormal, kWildcard, kException };
 
-  // Transparent hashing lets public_suffix() probe with string_views
-  // without allocating per candidate suffix.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using RuleSet = std::unordered_set<std::string, StringHash, std::equal_to<>>;
-
   // Rules are stored by their literal label string (wildcard rules store the
-  // suffix *without* the leading "*."), in separate sets per kind.
-  RuleSet normal_;
-  RuleSet wildcard_;   // "*.ck" stored as "ck"
-  RuleSet exception_;  // "!www.ck" stored as "www.ck"
+  // suffix *without* the leading "*."), in separate sets per kind. The
+  // transparent hash lets public_suffix() probe with string_views without
+  // allocating per candidate suffix.
+  util::StringSet normal_;
+  util::StringSet wildcard_;   // "*.ck" stored as "ck"
+  util::StringSet exception_;  // "!www.ck" stored as "www.ck"
 };
 
 /// The embedded snapshot used by with_default_rules(): common ICANN

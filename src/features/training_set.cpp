@@ -43,22 +43,18 @@ TrainingSetResult build_training_set(const graph::GraphView& graph,
     (label == graph::Label::kMalware ? malware_ids : benign_ids).push_back(d);
   }
 
-  util::Rng rng(options.seed);
-  const auto subsample = [&rng](std::vector<graph::DomainId>& ids, std::size_t cap) {
-    if (cap == 0 || ids.size() <= cap) {
-      return;
-    }
-    const auto chosen = rng.sample_without_replacement(ids.size(), cap);
+  const std::size_t cap = options.max_benign;
+  if (cap != 0 && benign_ids.size() > cap) {
+    util::Rng rng(options.seed);
+    const auto chosen = rng.sample_without_replacement(benign_ids.size(), cap);
     std::vector<graph::DomainId> kept;
     kept.reserve(cap);
     for (const auto i : chosen) {
-      kept.push_back(ids[i]);
+      kept.push_back(benign_ids[i]);
     }
     std::sort(kept.begin(), kept.end());
-    ids = std::move(kept);
-  };
-  subsample(benign_ids, options.max_benign);
-  subsample(malware_ids, options.max_malware);
+    benign_ids = std::move(kept);
+  }
 
   TrainingSetResult result{ml::Dataset(feature_names()), malware_ids.size(),
                            benign_ids.size(), excluded};

@@ -20,9 +20,8 @@ namespace seg::features {
 
 struct TrainingSetOptions {
   /// Cap on benign rows (0 = no cap); subsampled uniformly when exceeded.
+  /// Malware rows are never capped.
   std::size_t max_benign = 0;
-  /// Cap on malware rows (0 = no cap).
-  std::size_t max_malware = 0;
   /// Domains whose *names* appear here are skipped entirely (test
   /// quarantine). May be null.
   const graph::NameSet* exclude = nullptr;

@@ -15,31 +15,19 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/ip.h"
 #include "dns/public_suffix_list.h"
 #include "dns/query_log.h"
 #include "graph/labels.h"
+#include "util/hash.h"
 
 namespace seg::graph {
 
 using MachineId = std::uint32_t;
 using DomainId = std::uint32_t;
 using E2ldId = std::uint32_t;
-
-/// Transparent-hash string→id map: lookups take string_view without
-/// materializing a std::string key. Shared by the builder (interning) and
-/// the built graph (name→id directory).
-struct TransparentStringHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-template <typename V>
-using StringIdMap = std::unordered_map<std::string, V, TransparentStringHash, std::equal_to<>>;
 
 class GraphView;
 
@@ -122,8 +110,8 @@ class MachineDomainGraph {
   // Name→id directory (find_machine / find_domain). Populated by the
   // builder (moved from its interning maps) or rebuilt after
   // pruning/loading; not serialized.
-  StringIdMap<MachineId> machine_index_;
-  StringIdMap<DomainId> domain_index_;
+  util::StringMap<MachineId> machine_index_;
+  util::StringMap<DomainId> domain_index_;
 };
 
 /// Accumulates query observations and produces an immutable graph.
@@ -157,8 +145,8 @@ class GraphBuilder {
   const dns::PublicSuffixList* psl_;
   dns::Day day_ = 0;
 
-  StringIdMap<MachineId> machine_ids_;
-  StringIdMap<DomainId> domain_ids_;
+  util::StringMap<MachineId> machine_ids_;
+  util::StringMap<DomainId> domain_ids_;
   std::vector<std::string> machine_names_;
   std::vector<std::string> domain_names_;
 

@@ -10,11 +10,10 @@
 // *unknown* otherwise.
 #pragma once
 
-#include <string>
 #include <string_view>
-#include <unordered_set>
 
 #include "graph/graph.h"
+#include "util/hash.h"
 
 namespace seg::graph {
 
@@ -37,22 +36,12 @@ class NameSet {
     return set;
   }
 
- private:
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using Storage = std::unordered_set<std::string, StringHash, std::equal_to<>>;
-
- public:
-  using const_iterator = Storage::const_iterator;
+  using const_iterator = util::StringSet::const_iterator;
   const_iterator begin() const { return names_.begin(); }
   const_iterator end() const { return names_.end(); }
 
  private:
-  Storage names_;
+  util::StringSet names_;
 };
 
 struct LabelingResult {

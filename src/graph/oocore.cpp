@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -1054,10 +1053,6 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   TemporaryFiles temporary;
   const std::string temp_path = create_temporary_output(out_path);
   temporary.paths.push_back(temp_path);
-  const std::string spill_base =
-      config.spill_dir.empty()
-          ? temp_path
-          : config.spill_dir + "/" + std::filesystem::path(temp_path).filename().string();
 
   // --- Scan: batches in record order (see "scan batches" above). Machine/
   // domain/e2LD ids are assigned by first occurrence, exactly as
@@ -1070,16 +1065,16 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   std::vector<std::size_t> merge_cursors;
   std::vector<std::string> machine_names;
   std::vector<std::string> domain_names;
-  StringIdMap<E2ldId> e2ld_ids;
+  util::StringMap<E2ldId> e2ld_ids;
   std::vector<std::string> e2ld_names;
   std::vector<E2ldId> domain_e2ld;
 
   // The spill files are listed before they exist, so a failed create is
   // cleaned up too.
-  temporary.paths.push_back(spill_base + ".spill-edges");
-  temporary.paths.push_back(spill_base + ".spill-ips");
-  SpillWriter edge_spill(spill_base + ".spill-edges", config.chunk_records);
-  SpillWriter ip_spill(spill_base + ".spill-ips", config.chunk_records);
+  temporary.paths.push_back(temp_path + ".spill-edges");
+  temporary.paths.push_back(temp_path + ".spill-ips");
+  SpillWriter edge_spill(temp_path + ".spill-edges", config.chunk_records);
+  SpillWriter ip_spill(temp_path + ".spill-ips", config.chunk_records);
 
   // The output graph holds exactly one day: the given one, else the first
   // record's.
@@ -1560,8 +1555,8 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   // slice and passes its (domain, machine) pairs, in new ids, to the
   // swapped spill as sorted runs of at most swapped_run pairs.
   const std::size_t swapped_run = std::max(kBlockPairs, config.chunk_records / kMergeRanges);
-  temporary.paths.push_back(spill_base + ".spill-swapped");
-  SpillFile swapped(spill_base + ".spill-swapped");
+  temporary.paths.push_back(temp_path + ".spill-swapped");
+  SpillFile swapped(temp_path + ".spill-swapped");
   {
     const std::size_t runs = edges_after / swapped_run + kMergeRanges;
     swapped.reserve(runs, edges_after / kBlockPairs + runs);

@@ -86,8 +86,6 @@ struct OutOfCoreConfig {
   /// set scales with this (8 bytes per buffered pair) plus the node
   /// dictionaries.
   std::size_t chunk_records = std::size_t{1} << 20;
-  /// Directory for spill segment files; empty means next to `out_path`.
-  std::string spill_dir;
 };
 
 struct OutOfCoreResult {

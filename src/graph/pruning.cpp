@@ -38,7 +38,7 @@ MachineDomainGraph prune_impl(const GraphView& graph,
     }
   }
   // e2LD ids are re-assigned by first occurrence among surviving domains.
-  StringIdMap<E2ldId> e2ld_ids;
+  util::StringMap<E2ldId> e2ld_ids;
   for (DomainId d = 0; d < old_nd; ++d) {
     if (keep_domain[d] == 0) {
       continue;

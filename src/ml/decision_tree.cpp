@@ -182,7 +182,7 @@ std::int32_t DecisionTree::build_node(const FeatureRanks& ranks, Scratch& scratc
   nodes_[node_index].prob = static_cast<double>(pos) / static_cast<double>(n);
 
   const bool pure = pos == 0 || pos == n;
-  if (pure || depth >= config_.max_depth || n < config_.min_samples_split) {
+  if (pure || depth >= config_.max_depth || n < 2) {
     return node_index;  // leaf
   }
 

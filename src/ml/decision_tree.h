@@ -29,7 +29,6 @@ namespace seg::ml {
 
 struct DecisionTreeConfig {
   std::size_t max_depth = 30;
-  std::size_t min_samples_split = 2;
   std::size_t min_samples_leaf = 1;
   /// Number of candidate features per split; 0 means all features.
   std::size_t mtry = 0;

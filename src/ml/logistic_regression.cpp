@@ -7,7 +7,6 @@
 #include <ostream>
 
 #include "util/require.h"
-#include "util/rng.h"
 
 namespace seg::ml {
 
@@ -58,11 +57,12 @@ void LogisticRegression::train(const Dataset& dataset) {
     }
   }
 
-  const double pos_weight =
-      config_.positive_weight > 0.0
-          ? config_.positive_weight
-          : static_cast<double>(dataset.count_label(0)) /
-                static_cast<double>(dataset.count_label(1));
+  // Positive-class rows weigh negatives / positives, countering imbalance.
+  const double pos_weight = static_cast<double>(dataset.count_label(0)) /
+                            static_cast<double>(dataset.count_label(1));
+  constexpr double kLearningRate = 0.1;
+  constexpr double kL2 = 1e-4;
+  constexpr std::size_t kEpochs = 200;
 
   weights_.assign(d, 0.0);
   bias_ = 0.0;
@@ -71,7 +71,7 @@ void LogisticRegression::train(const Dataset& dataset) {
   // problem sizes here (tens of thousands x 11) make full passes cheap.
   std::vector<double> grad(d);
   std::vector<double> z(d);
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
     std::fill(grad.begin(), grad.end(), 0.0);
     double grad_bias = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -89,10 +89,9 @@ void LogisticRegression::train(const Dataset& dataset) {
       }
       grad_bias += error;
     }
-    const double lr =
-        config_.learning_rate / (1.0 + 0.01 * static_cast<double>(epoch));
+    const double lr = kLearningRate / (1.0 + 0.01 * static_cast<double>(epoch));
     for (std::size_t f = 0; f < d; ++f) {
-      weights_[f] -= lr * (grad[f] / static_cast<double>(n) + config_.l2 * weights_[f]);
+      weights_[f] -= lr * (grad[f] / static_cast<double>(n) + kL2 * weights_[f]);
     }
     bias_ -= lr * grad_bias / static_cast<double>(n);
   }

@@ -5,7 +5,6 @@
 // so callers can feed raw Segugio feature vectors.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
@@ -13,20 +12,8 @@
 
 namespace seg::ml {
 
-struct LogisticRegressionConfig {
-  double learning_rate = 0.1;
-  double l2 = 1e-4;
-  std::size_t epochs = 200;
-  std::uint64_t seed = 7;
-  /// Weight applied to positive-class samples to counter imbalance; 0 means
-  /// auto (negatives / positives).
-  double positive_weight = 0.0;
-};
-
 class LogisticRegression final : public Classifier {
  public:
-  explicit LogisticRegression(LogisticRegressionConfig config = {}) : config_(config) {}
-
   void train(const Dataset& dataset) override;
   double predict_proba(std::span<const double> features) const override;
   bool is_trained() const override { return !weights_.empty(); }
@@ -38,7 +25,6 @@ class LogisticRegression final : public Classifier {
   static LogisticRegression load(std::istream& in);
 
  private:
-  LogisticRegressionConfig config_;
   std::vector<double> weights_;
   double bias_ = 0.0;
   std::vector<double> mean_;

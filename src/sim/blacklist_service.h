@@ -12,12 +12,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/types.h"
 #include "graph/labeling.h"
 #include "sim/ground_truth.h"
+#include "util/hash.h"
 
 namespace seg::sim {
 
@@ -48,16 +48,9 @@ class BlacklistService {
   std::size_t family_count() const { return family_count_; }
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   std::vector<MalwareDomainInfo> records_;
   std::vector<std::string> public_noise_;
-  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>> index_;
+  util::StringMap<std::size_t> index_;
   std::size_t family_count_ = 0;
 };
 

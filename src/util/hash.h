@@ -1,9 +1,15 @@
-// Hashing helpers: FNV-1a for strings, a 64-bit mixer for integers, and a
-// combine helper for composite keys.
+// Hashing helpers: FNV-1a for strings, a 64-bit mixer for integers, a
+// combine helper for composite keys, and the transparent string hash behind
+// the string-keyed containers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace seg::util {
 
@@ -28,5 +34,18 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
   return mix64(seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2)));
 }
+
+/// std::hash<std::string_view> made transparent: string-keyed containers
+/// can be probed with a string_view without materializing a std::string.
+struct TransparentStringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+template <typename V>
+using StringMap = std::unordered_map<std::string, V, TransparentStringHash, std::equal_to<>>;
+using StringSet = std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>;
 
 }  // namespace seg::util

@@ -10,7 +10,7 @@ namespace {
 using Tokens = std::vector<Token>;
 
 // Mirrors the symbol index's macro filter: ALL_CAPS call-shaped names are
-// macro invocations (EXPECT_EQ, SEG_LOG, ...), not functions.
+// macro invocations (EXPECT_EQ, ASSERT_TRUE, ...), not functions.
 bool macro_like(std::string_view name) {
   bool has_upper = false;
   for (const char c : name) {

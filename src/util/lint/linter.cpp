@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/lint/analysis_cache.h"
 #include "util/lint/call_graph.h"
 #include "util/lint/dataflow.h"
 #include "util/lint/project_model.h"
@@ -88,41 +87,9 @@ std::vector<std::string> collect_sources(const std::vector<std::string>& roots) 
   return sources;
 }
 
-std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& options,
-                                AnalysisCache* cache) {
+std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& options) {
   const std::size_t file_count = model.files().size();
-
-  // Symbol index, reusing cached per-file scans for byte-identical files.
-  SymbolIndex index;
-  if (cache != nullptr) {
-    for (std::size_t f = 0; f < file_count; ++f) {
-      const ProjectFile& file = model.files()[f];
-      const std::uint64_t key = cache_hash(file.text);
-      AnalysisCache::SymbolEntry entry;
-      if (cache->lookup_symbols(key, entry)) {
-        index.add_cached(entry.records, entry.deprecated, f, file.path);
-        continue;
-      }
-      const std::size_t record_base = index.records().size();
-      const std::size_t deprecated_base = index.deprecated().decls.size();
-      index.add_file(file, f);
-      entry.records.assign(index.records().begin() + record_base,
-                           index.records().end());
-      entry.deprecated.assign(index.deprecated().decls.begin() + deprecated_base,
-                              index.deprecated().decls.end());
-      cache->store_symbols(key, std::move(entry));
-    }
-  } else {
-    index = SymbolIndex::build(model);
-  }
-
-  // Hash of the project-wide deprecated set: part of the per-file rule
-  // cache key, since R-API1 resolves against it.
-  std::uint64_t deprecated_hash = 1469598103934665603ULL;
-  for (const auto& decl : index.deprecated().decls) {
-    deprecated_hash = cache_hash(decl.name, deprecated_hash);
-    deprecated_hash = cache_hash(std::to_string(decl.arity), deprecated_hash);
-  }
+  const SymbolIndex index = SymbolIndex::build(model);
 
   // Per-file pass, parallelized over util::parallel_for. Results land in
   // per-file slots and are concatenated in model order afterwards, so the
@@ -186,25 +153,9 @@ std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& op
     info.is_header = file.is_header;
     info.is_test = is_test_path(file.path);
 
-    std::uint64_t rule_key = 0;
-    if (cache != nullptr) {
-      rule_key = cache_hash(file.text, cache_hash(file.path)) ^ deprecated_hash;
-      AnalysisCache::RuleEntry entry;
-      if (cache->lookup_rules(rule_key, entry) &&
-          entry.suppression_used.size() == usage.used[f].size()) {
-        per_file[f] = std::move(entry.findings);
-        usage.used[f] = std::move(entry.suppression_used);
-        return;
-      }
-    }
-
     // R-API1 resolves against the project-wide deprecated set, so calls
     // through headers this file never includes are still caught.
     per_file[f] = run_rules(info, file.lex, index.deprecated(), &usage.used[f]);
-    if (cache != nullptr) {
-      cache->store_rules(rule_key,
-                         AnalysisCache::RuleEntry{per_file[f], usage.used[f]});
-    }
   });
 
   std::vector<Finding> findings;
@@ -284,7 +235,7 @@ std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& op
 }
 
 std::vector<Finding> lint_project(const std::vector<std::string>& sources,
-                                  const LintOptions& options, AnalysisCache* cache) {
+                                  const LintOptions& options) {
   LayersConfig layers;
   if (!options.layers_file.empty()) {
     std::string toml;
@@ -299,7 +250,7 @@ std::vector<Finding> lint_project(const std::vector<std::string>& sources,
   }
 
   const ProjectModel model = ProjectModel::build(sources, options, layers);
-  return lint_model(model, options, cache);
+  return lint_model(model, options);
 }
 
 }  // namespace seg::lint

@@ -28,7 +28,6 @@ struct LintOptions {
 std::vector<std::string> collect_sources(const std::vector<std::string>& roots);
 
 class ProjectModel;
-class AnalysisCache;
 
 /// Whole-program lint (seg-lint v3): loads every source once into the
 /// project model (project_model.h), runs the per-file rules in parallel
@@ -39,16 +38,12 @@ class AnalysisCache;
 /// and the interprocedural dataflow rules R-DET3 / R-EXC1 (dataflow.h).
 /// Suppression directives that cover no finding come back as R-SUP1.
 /// Findings are sorted by (file, line, rule). A malformed layers file
-/// yields a single CONFIG finding. `cache` (analysis_cache.h) optionally
-/// reuses per-file results across runs — the --diff-base double lint.
+/// yields a single CONFIG finding.
 std::vector<Finding> lint_project(const std::vector<std::string>& sources,
-                                  const LintOptions& options,
-                                  AnalysisCache* cache = nullptr);
+                                  const LintOptions& options);
 
 /// The analysis half of lint_project, over an already-built model. Exposed
 /// so tests can lint in-memory trees (ProjectModel::from_memory).
-std::vector<Finding> lint_model(const ProjectModel& model,
-                                const LintOptions& options,
-                                AnalysisCache* cache = nullptr);
+std::vector<Finding> lint_model(const ProjectModel& model, const LintOptions& options);
 
 }  // namespace seg::lint

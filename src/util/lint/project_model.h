@@ -62,8 +62,8 @@ LayersConfig parse_layers(std::string_view toml_text);
 /// One file of the project model.
 struct ProjectFile {
   /// Project-relative display path (normalize_path of the discovered path);
-  /// all findings and messages use this form so finding keys from an
-  /// absolute checkout and from a `git archive` scratch tree compare equal.
+  /// all findings and messages use this form, so a report does not depend on
+  /// where the checkout lives.
   std::string path;
   std::string disk_path;  ///< as discovered on disk; used for include resolution
   std::string text;       ///< full source; lex token views point into it

@@ -9,8 +9,6 @@ namespace seg::lint {
 
 namespace {
 
-constexpr char kKeySep = '\x1f';
-
 constexpr std::array<std::string_view, 5> kProjectRoots = {
     "src/", "tools/", "bench/", "tests/", "examples/",
 };
@@ -87,15 +85,6 @@ std::string normalize_path(std::string_view path) {
   return best == std::string::npos ? p : p.substr(best);
 }
 
-std::string finding_key(const Finding& finding) {
-  std::string key = normalize_path(finding.file);
-  key += kKeySep;
-  key += finding.rule;
-  key += kKeySep;
-  key += finding.message;
-  return key;
-}
-
 void write_text(std::ostream& out, const std::vector<Finding>& findings) {
   for (const auto& finding : findings) {
     out << finding.file << ":" << finding.line << ": [" << finding.rule << "] "
@@ -162,24 +151,6 @@ void write_sarif(std::ostream& out, const std::vector<Finding>& findings) {
       << "    }\n"
       << "  ]\n"
       << "}\n";
-}
-
-std::vector<Finding> subtract_baseline(std::vector<Finding> findings,
-                                       const std::vector<std::string>& base_keys) {
-  std::map<std::string, std::size_t> budget;
-  for (const auto& key : base_keys) {
-    ++budget[key];
-  }
-  std::vector<Finding> fresh;
-  for (auto& finding : findings) {
-    const auto it = budget.find(finding_key(finding));
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-      continue;
-    }
-    fresh.push_back(std::move(finding));
-  }
-  return fresh;
 }
 
 }  // namespace seg::lint

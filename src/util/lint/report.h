@@ -6,12 +6,9 @@
 //   json   a versioned machine-readable document;
 //   sarif  SARIF 2.1.0 for code-scanning UIs and CI artifact upload.
 //
-// --diff-base identifies findings by a *line-free* key — normalized
-// project path + rule + message — so editing code above a known finding
-// does not make it new, and findings from an absolute ctest path compare
-// equal to the same findings from a `git archive` scratch tree.
-// Subtraction is multiset-style: three R-DET3 findings in a file at the
-// base revision absorb exactly three current ones.
+// json and sarif name each file by its project-relative path
+// (normalize_path), so the documents do not depend on where the checkout
+// lives.
 #pragma once
 
 #include <iosfwd>
@@ -29,19 +26,8 @@ namespace seg::lint {
 /// roots come back unchanged.
 std::string normalize_path(std::string_view path);
 
-/// Stable identity of a finding: normalized path, rule, and message joined
-/// with an unprintable separator. Line numbers are deliberately excluded
-/// (see file banner).
-std::string finding_key(const Finding& finding);
-
 void write_text(std::ostream& out, const std::vector<Finding>& findings);
 void write_json(std::ostream& out, const std::vector<Finding>& findings);
 void write_sarif(std::ostream& out, const std::vector<Finding>& findings);
-
-/// Multiset subtraction: drops each finding matched by a not-yet-consumed
-/// key of the base revision's findings; what remains is "new relative to
-/// the base".
-std::vector<Finding> subtract_baseline(std::vector<Finding> findings,
-                                       const std::vector<std::string>& base_keys);
 
 }  // namespace seg::lint

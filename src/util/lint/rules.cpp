@@ -141,8 +141,8 @@ bool foreign_qualified(const Tokens& toks, std::size_t i) {
 
 // Path substrings whose files may read clocks / entropy: measuring time is
 // their job.
-constexpr std::array<std::string_view, 4> kTimingAllowlist = {
-    "util/obs", "util/logging", "util/lint", "bench_common",
+constexpr std::array<std::string_view, 3> kTimingAllowlist = {
+    "util/obs", "util/lint", "bench_common",
 };
 
 void rule_det1(const FileInfo& info, const Tokens& toks, std::vector<Finding>& out) {

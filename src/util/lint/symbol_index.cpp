@@ -324,19 +324,6 @@ void SymbolIndex::add_file(const ProjectFile& file, std::size_t file_index) {
   }
 }
 
-void SymbolIndex::add_cached(const std::vector<SymbolRecord>& records,
-                             const std::vector<DeprecatedDecls::Decl>& deprecated,
-                             std::size_t file_index, const std::string& path) {
-  for (SymbolRecord record : records) {
-    record.file = path;
-    record.file_index = file_index;
-    records_.push_back(std::move(record));
-  }
-  for (const auto& decl : deprecated) {
-    deprecated_.decls.push_back(decl);
-  }
-}
-
 SymbolIndex SymbolIndex::build(const ProjectModel& model) {
   SymbolIndex index;
   for (std::size_t f = 0; f < model.files().size(); ++f) {

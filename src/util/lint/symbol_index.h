@@ -48,8 +48,7 @@ struct SymbolRecord {
   bool in_header = false;
   /// FNV-1a fingerprint of the definition's body tokens (0 when !has_body).
   std::uint64_t body_hash = 0;
-  /// Index of the owning file in the project model (npos for records added
-  /// through the bare test entry point).
+  /// Index of the owning file in the project model.
   std::size_t file_index = static_cast<std::size_t>(-1);
   /// Token index of the parameter list's `(` in the owning file's stream.
   std::size_t param_open = 0;
@@ -72,20 +71,11 @@ class SymbolIndex {
   /// `// seg-deprecated` tags), for symbol-index-backed R-API1.
   const DeprecatedDecls& deprecated() const { return deprecated_; }
 
-  /// Exposed for tests: scans one file's tokens into `records_`.
-  /// `file_index` is the file's position in the owning model (npos when the
-  /// caller has no model).
-  void add_file(const ProjectFile& file,
-                std::size_t file_index = static_cast<std::size_t>(-1));
-
-  /// Reuses a cached per-file scan (analysis_cache.h): appends `records`
-  /// with file/file_index patched to this model's view, and merges the
-  /// file's deprecated-tag contribution.
-  void add_cached(const std::vector<SymbolRecord>& records,
-                  const std::vector<DeprecatedDecls::Decl>& deprecated,
-                  std::size_t file_index, const std::string& path);
-
  private:
+  /// Scans one file's tokens into `records_`; `file_index` is the file's
+  /// position in the model.
+  void add_file(const ProjectFile& file, std::size_t file_index);
+
   std::vector<SymbolRecord> records_;
   DeprecatedDecls deprecated_;
 };

@@ -1,10 +1,10 @@
 #include "util/obs/drift.h"
 
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <string>
 
-#include "util/logging.h"
 #include "util/obs/metrics.h"
 #include "util/require.h"
 
@@ -158,8 +158,8 @@ void export_drift(const DriftResult& result, std::string_view prefix) {
   if (!result.alerts.empty()) {
     registry.counter(std::string(prefix) + "_alerts_total").add(result.alerts.size());
     for (const JournalAlert& alert : result.alerts) {
-      util::log_warn("drift alert: ", alert.gauge, " = ", alert.value,
-                     " exceeds threshold ", alert.threshold);
+      std::fprintf(stderr, "drift alert: %s = %g exceeds threshold %g\n",
+                   alert.gauge.c_str(), alert.value, alert.threshold);
     }
   }
 }

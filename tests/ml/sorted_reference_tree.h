@@ -65,7 +65,7 @@ class SortedReferenceTree {
     nodes_[node_index].prob = static_cast<double>(pos) / static_cast<double>(n);
 
     const bool pure = pos == 0 || pos == n;
-    if (pure || depth >= config_.max_depth || n < config_.min_samples_split) {
+    if (pure || depth >= config_.max_depth || n < 2) {
       return node_index;
     }
 

@@ -118,15 +118,24 @@ TEST(IngestQueueTest, CancelWakesBlockedProducerWithFalse) {
     push_returned.store(true);
   });
 
-  // The producer is (or is about to be) blocked on a full queue; cancel()
-  // must wake it promptly with a refusal.
-  while (queue.stats().blocked_pushes == 0 && !push_returned.load()) {
+  // Wait, bounded so that a queue which never blocks fails instead of
+  // hanging, until the producer has counted itself blocked on the full
+  // queue; a moment later its push must still not have returned.
+  for (int waited_ms = 0; waited_ms < 5000 && queue.stats().blocked_pushes == 0 &&
+                          !push_returned.load();
+       ++waited_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  EXPECT_EQ(queue.stats().blocked_pushes, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(push_returned.load()) << "push returned before cancel()";
+
+  // cancel() must wake the blocked producer with a refusal.
   queue.cancel();
   producer.join();
   EXPECT_TRUE(push_returned.load());
   EXPECT_FALSE(push_result.load());
+  EXPECT_EQ(queue.stats().blocked_pushes, 1u);
 
   // cancel() discarded the queued batch: the consumer sees a closed, empty
   // queue, and later pushes are refused outright.

@@ -5,16 +5,14 @@
 # race-freedom contract; seg-lint runs inside every leg as a tier-1 test.
 #
 # Usage:
-#   tools/ci_matrix.sh [config ...]   # default: plain thread address undefined lint-diff obs oocore ingest
+#   tools/ci_matrix.sh [config ...]   # default: plain thread address undefined lint obs oocore ingest
 #
-# The lint-diff leg runs seg-lint v3 in whole-program diff mode against
-# origin/main (falls back to HEAD outside a clone with that ref): CI fails
-# only on findings *introduced* by the change under test (those the base
-# already had are subtracted), and a SARIF artifact lands in
-# ${LOG_DIR}/seg-lint.sarif for code-scanning upload.
-# The leg also checks the checker's own determinism contract — the SARIF
-# document must be byte-identical at SEG_THREADS=1 and SEG_THREADS=8 — and
-# archives the --diff-base analysis-cache hit statistics; both land under
+# The lint leg runs seg-lint v3 over the whole tree with --error-exit: any
+# finding fails it (a deliberate exception needs a `// seg-lint: allow(...)`
+# directive at its site), and the SARIF document lands in
+# ${LOG_DIR}/seg-lint.sarif for code-scanning upload. The leg also checks
+# the checker's own determinism contract: the SARIF document must be
+# byte-identical at SEG_THREADS=1 and SEG_THREADS=8; both copies land under
 # ${LOG_DIR}/lint-determinism/.
 #
 # The obs leg runs the two-day CLI example with --trace-out/--metrics-out/
@@ -75,7 +73,7 @@ cd "$(dirname "$0")/.."
 
 CONFIGS=("$@")
 if [ ${#CONFIGS[@]} -eq 0 ]; then
-  CONFIGS=(plain thread address undefined lint-diff obs oocore ingest)
+  CONFIGS=(plain thread address undefined lint obs oocore ingest)
 fi
 
 JOBS="${SEG_CI_JOBS:-$(nproc 2>/dev/null || echo 2)}"
@@ -85,13 +83,13 @@ mkdir -p "${LOG_DIR}"
 declare -A RESULTS
 FAILED=0
 
-run_lint_diff() {
-  local log="${LOG_DIR}/lint-diff.log"
+run_lint() {
+  local log="${LOG_DIR}/lint.log"
   local build_dir="build-plain"
   : > "${log}"
   mkdir -p "${LOG_DIR}/lint-determinism"
 
-  echo "=== [lint-diff] build seg_lint (${build_dir}) ==="
+  echo "=== [lint] build seg_lint (${build_dir}) ==="
   if ! cmake -B "${build_dir}" -S . >> "${log}" 2>&1 ||
      ! cmake --build "${build_dir}" -j "${JOBS}" --target seg_lint >> "${log}" 2>&1; then
     echo "    seg_lint build FAILED (see ${log})"
@@ -99,25 +97,15 @@ run_lint_diff() {
   fi
   local seg_lint="${build_dir}/tools/seg_lint"
 
-  local base="origin/main"
-  if ! git rev-parse --verify --quiet "${base}" > /dev/null; then
-    base="HEAD"
-  fi
-
-  echo "=== [lint-diff] seg_lint --diff-base ${base} (json gate + sarif artifact) ==="
-  "${seg_lint}" --format=sarif --layers tools/layers.toml \
-    src tools bench tests examples > "${LOG_DIR}/seg-lint.sarif" 2>> "${log}"
-  if ! "${seg_lint}" --error-exit --format=json --diff-base "${base}" \
-       --layers tools/layers.toml \
-       src tools bench tests examples > "${LOG_DIR}/seg-lint-diff.json" \
-       2> "${LOG_DIR}/lint-determinism/cache-stats.txt"; then
-    echo "    new lint findings vs ${base} (see ${LOG_DIR}/seg-lint-diff.json)"
-    cat "${LOG_DIR}/seg-lint-diff.json" >> "${log}"
+  echo "=== [lint] seg_lint --error-exit (sarif gate + artifact) ==="
+  if ! "${seg_lint}" --error-exit --format=sarif --layers tools/layers.toml \
+       src tools bench tests examples > "${LOG_DIR}/seg-lint.sarif" 2>> "${log}"; then
+    echo "    lint findings (see ${LOG_DIR}/seg-lint.sarif)"
+    cat "${LOG_DIR}/seg-lint.sarif" >> "${log}"
     return 1
   fi
-  cat "${LOG_DIR}/lint-determinism/cache-stats.txt" >> "${log}"
 
-  echo "=== [lint-diff] SARIF determinism: SEG_THREADS=1 vs SEG_THREADS=8 ==="
+  echo "=== [lint] SARIF determinism: SEG_THREADS=1 vs SEG_THREADS=8 ==="
   local det_dir="${LOG_DIR}/lint-determinism"
   SEG_THREADS=1 "${seg_lint}" --format=sarif --layers tools/layers.toml \
     src tools bench tests examples > "${det_dir}/seg-lint-serial.sarif" 2>> "${log}"
@@ -456,12 +444,12 @@ run_config() {
     thread)    build_dir="build-tsan";      sanitize="thread" ;;
     address)   build_dir="build-asan";      sanitize="address" ;;
     undefined) build_dir="build-ubsan";     sanitize="undefined" ;;
-    lint-diff) run_lint_diff; return $? ;;
+    lint)      run_lint; return $? ;;
     obs)       run_obs; return $? ;;
     oocore)    run_oocore; return $? ;;
     ingest)    run_ingest; return $? ;;
     *)
-      echo "ci_matrix: unknown config '${config}' (plain|thread|address|undefined|lint-diff|obs|oocore|ingest)" >&2
+      echo "ci_matrix: unknown config '${config}' (plain|thread|address|undefined|lint|obs|oocore|ingest)" >&2
       return 2
       ;;
   esac
