@@ -162,12 +162,12 @@ struct StreamingTotals {
   std::vector<double> scores;               // for the bit-identity check
   double stream_wall_seconds = 0.0;         // ingest_stream wall clock, summed
   std::uint64_t source_records = 0;         // records the chained sources produced
-  std::uint64_t stream_records = 0;         // records assembled into days
+  std::uint64_t stream_records = 0;         // records scanned into days
   seg::util::IngestQueueStats queue;        // summed queue counters
 };
 
 // The streaming leg's record balance: what the sources produced, what was
-// pushed to the queue and what was assembled into days must agree, so a
+// pushed to the queue and what was scanned into days must agree, so a
 // batch lost anywhere between source and day fails the bench.
 bool records_balance(const StreamingTotals& totals) {
   return totals.source_records == totals.queue.pushed_records &&
@@ -234,7 +234,7 @@ struct IngestSection {
   double pcap_replay_qps = 0.0;
   double end_to_end_qps = 0.0;
   std::uint64_t source_records = 0;     // produced by the streaming leg's sources
-  std::uint64_t assembled_records = 0;  // assembled into days by ingest_stream
+  std::uint64_t scanned_records = 0;    // scanned into days by ingest_stream
   seg::util::IngestQueueStats queue;
 };
 
@@ -301,7 +301,7 @@ IngestSection measure_ingest(const StreamingTotals& streaming) {
         static_cast<double>(streaming.stream_records) / streaming.stream_wall_seconds;
   }
   section.source_records = streaming.source_records;
-  section.assembled_records = streaming.stream_records;
+  section.scanned_records = streaming.stream_records;
   section.queue = streaming.queue;
   return section;
 }
@@ -444,10 +444,10 @@ void print_ingest(const IngestSection& section) {
               static_cast<unsigned long long>(section.queue.pushed_batches),
               static_cast<unsigned long long>(section.queue.blocked_pushes),
               section.queue.max_depth);
-  std::printf("  records: %llu produced, %llu pushed, %llu assembled\n",
+  std::printf("  records: %llu produced, %llu pushed, %llu scanned\n",
               static_cast<unsigned long long>(section.source_records),
               static_cast<unsigned long long>(section.queue.pushed_records),
-              static_cast<unsigned long long>(section.assembled_records));
+              static_cast<unsigned long long>(section.scanned_records));
 }
 
 void write_ingest_json(std::FILE* out, const IngestSection& ingest) {
@@ -461,7 +461,7 @@ void write_ingest_json(std::FILE* out, const IngestSection& ingest) {
                "    },\n"
                "    \"stream_end_to_end_qps\": %.1f,\n"
                "    \"source_records\": %llu,\n"
-               "    \"assembled_records\": %llu,\n"
+               "    \"scanned_records\": %llu,\n"
                "    \"queue\": {\n"
                "      \"pushed_batches\": %llu,\n"
                "      \"pushed_records\": %llu,\n"
@@ -472,7 +472,7 @@ void write_ingest_json(std::FILE* out, const IngestSection& ingest) {
                static_cast<unsigned long long>(ingest.records), ingest.binlog_replay_qps,
                ingest.dnstap_replay_qps, ingest.pcap_replay_qps, ingest.end_to_end_qps,
                static_cast<unsigned long long>(ingest.source_records),
-               static_cast<unsigned long long>(ingest.assembled_records),
+               static_cast<unsigned long long>(ingest.scanned_records),
                static_cast<unsigned long long>(ingest.queue.pushed_batches),
                static_cast<unsigned long long>(ingest.queue.pushed_records),
                static_cast<unsigned long long>(ingest.queue.blocked_pushes),
@@ -637,7 +637,7 @@ int main() {
     }
     const bool balanced = records_balance(streaming);
     if (!balanced) {
-      std::printf("FAIL: streamed records do not balance (produced/pushed/assembled)\n");
+      std::printf("FAIL: streamed records do not balance (produced/pushed/scanned)\n");
     }
     return balanced ? 0 : 1;
   }
@@ -706,7 +706,7 @@ int main() {
              overhead, parallel_threads, identical);
   const bool balanced = records_balance(streaming);
   if (!balanced) {
-    std::printf("FAIL: streamed records do not balance (produced/pushed/assembled)\n");
+    std::printf("FAIL: streamed records do not balance (produced/pushed/scanned)\n");
   }
   const bool obs_clean = overhead.scores_identical && overhead.journal_valid;
   if (!obs_clean) {

@@ -1,11 +1,15 @@
 #include "core/pipeline.h"
 
 #include <exception>
+#include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/calibration.h"
+#include "dns/record_arena.h"
 #include "features/extractor.h"
 #include "features/feature_config.h"
 #include "util/obs/drift.h"
@@ -19,6 +23,59 @@ namespace {
 // The journal's fixed settings (see Pipeline::set_journal).
 constexpr std::size_t kJournalScoreBins = 20;
 constexpr double kJournalCalibrationMaxFpr = 0.01;
+
+/// Arenas the consumer has scanned, for the producer to refill. The
+/// producer takes a new arena only when none is free, so a session holds
+/// at most the queue's arenas and the two in hand, and once they have
+/// grown to fit the stream, filling one allocates nothing.
+class ArenaPool {
+ public:
+  dns::RecordArena take() {
+    std::lock_guard lock(mutex_);
+    if (free_.empty()) {
+      return {};
+    }
+    dns::RecordArena arena = std::move(free_.back());
+    free_.pop_back();
+    return arena;
+  }
+
+  void give(dns::RecordArena&& arena) {
+    arena.clear();
+    std::lock_guard lock(mutex_);
+    free_.push_back(std::move(arena));
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<dns::RecordArena> free_;
+};
+
+/// The open day of a stream: its temporary directory and the engine's
+/// scan, from the day's first arena to its rollover. Dropped unfinished,
+/// it removes the directory and everything the scan wrote.
+class OpenDay {
+ public:
+  OpenDay(dns::Day day, const dns::PublicSuffixList& psl, const graph::OutOfCoreConfig& options)
+      : engine_(day, psl, directory_.graph_path(), options), day_(day) {}
+
+  dns::Day day() const { return day_; }
+
+  void add(const dns::RecordArena& arena) { engine_.add(arena); }
+
+  /// The rollover: the last partial batch, the passes after the scan and
+  /// the map.
+  PrepareResult finish(const graph::NameSet& cc_blacklist, const graph::NameSet& e2ld_whitelist) {
+    const std::int64_t start_ns = obs::now_ns();
+    const double scanned = engine_.scan_seconds();
+    return directory_.map(engine_.finish(cc_blacklist, e2ld_whitelist), start_ns, scanned);
+  }
+
+ private:
+  PrepareDirectory directory_;  // first: the engine's files live in it
+  graph::StreamingPrepare engine_;
+  dns::Day day_;
+};
 
 }  // namespace
 
@@ -37,87 +94,48 @@ void Pipeline::absorb_history(const dns::DomainActivityIndex& activity,
   pdns_.absorb(pdns);
 }
 
-PreparedDay Pipeline::prepare_one_day(const dns::DayTrace& trace,
-                                      const graph::NameSet& cc_blacklist,
-                                      const graph::NameSet& e2ld_whitelist) {
-  obs::Span span("pipeline/ingest_day");
-  auto prepared = Segugio::prepare_graph(trace, *psl_, cc_blacklist, e2ld_whitelist,
-                                         detector_.config().prepare_options());
-  PreparedDay day;
-  day.graph = std::move(prepared.graph);
-  day.prune_stats = prepared.prune_stats;
-  day.timings = prepared.timings;
-  day.day = day.graph.day();
-  span.close();
-
-  obs::Registry::instance().counter("seg_pipeline_days_ingested_total").add(1);
-  if (journal_enabled()) {
-    journal_open_day(day, trace.records.size());
-  }
-  return day;
-}
-
 IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
                                     const BlacklistProvider& cc_blacklist,
                                     const graph::NameSet& e2ld_whitelist,
                                     const DayCallback& on_day, const IngestOptions& options) {
   SEG_SPAN("pipeline/ingest_stream");
   IngestStats stats;
-  dns::DayTrace current;
-  bool open = false;
-
-  const auto flush_day = [&] {
-    const dns::Day day = current.day;
-    PreparedDay prepared = prepare_one_day(current, cc_blacklist(day), e2ld_whitelist);
-    current = dns::DayTrace{};
-    open = false;
-    ++stats.days;
-    // Day watermark: the newest *prepared* day. The health sampler reports
-    // the gap to seg_ingest_current_day as lag.
-    obs::Registry::instance().gauge("seg_ingest_day_watermark").set(static_cast<double>(day));
-    if (on_day) {
-      on_day(std::move(prepared));
-    }
-  };
-  const auto deliver = [&](dns::QueryRecord&& record) {
-    ++stats.records;
-    if (open && record.day != current.day) {
-      util::require_data(record.day > current.day,
-                         "ingest_stream: day went backwards (" + std::to_string(record.day) +
-                             " after " + std::to_string(current.day) + ")");
-      flush_day();
-    }
-    if (!open) {
-      current.day = record.day;
-      open = true;
-      obs::Registry::instance().gauge("seg_ingest_current_day").set(
-          static_cast<double>(record.day));
-    }
-    current.records.push_back(std::move(record));
-  };
-
-  using Batch = std::vector<dns::QueryRecord>;
-  util::IngestQueue<Batch> queue(util::kDefaultQueueCapacity, "seg_ingest_queue");
+  util::IngestQueue<dns::RecordArena> queue(util::kDefaultQueueCapacity, "seg_ingest_queue");
+  ArenaPool arenas;
 
   const std::size_t batch_records = options.batch_records == 0 ? 1 : options.batch_records;
   std::exception_ptr producer_error;
   std::thread producer([&] {
     try {
-      Batch batch;
-      batch.reserve(batch_records);
+      // An arena ends at each day change and after every batch_records-th
+      // record of the stream, so the pushes fall at the same stream
+      // positions whatever the day lengths, plus one per day change.
+      // `record` holds a decoded record no arena has taken yet while
+      // `pending` is set.
       dns::QueryRecord record;
-      while (source.next(record)) {
-        batch.push_back(std::move(record));
-        if (batch.size() >= batch_records) {
-          if (!queue.push(std::move(batch))) {
-            break;  // consumer cancelled; stop parsing
-          }
-          batch = Batch{};
-          batch.reserve(batch_records);
+      bool pending = false;
+      bool exhausted = false;
+      std::uint64_t decoded = 0;
+      while (!exhausted) {
+        obs::Span fill_span("ingest/fill");
+        if (!pending && !source.next(record)) {
+          break;
         }
-      }
-      if (!batch.empty()) {
-        queue.push(std::move(batch));
+        dns::RecordArena arena = arenas.take();
+        const dns::Day day = record.day;
+        do {
+          arena.add(record);
+          pending = false;
+          if (++decoded % batch_records == 0) {
+            break;
+          }
+          pending = source.next(record);
+          exhausted = !pending;
+        } while (pending && record.day == day);
+        fill_span.close();
+        if (!queue.push(std::move(arena))) {
+          break;  // consumer cancelled; stop parsing
+        }
       }
     } catch (...) {
       producer_error = std::current_exception();
@@ -125,11 +143,48 @@ IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
     queue.close();
   });
 
+  std::optional<OpenDay> open;
+  const auto roll_over = [&] {
+    obs::Span span("pipeline/ingest_day");
+    const dns::Day day = open->day();
+    auto prepared = open->finish(cc_blacklist(day), e2ld_whitelist);
+    open.reset();
+    PreparedDay ready;
+    ready.graph = std::move(prepared.graph);
+    ready.prune_stats = prepared.prune_stats;
+    ready.timings = prepared.timings;
+    ready.day = day;
+    span.close();
+
+    obs::Registry::instance().counter("seg_pipeline_days_ingested_total").add(1);
+    if (journal_enabled()) {
+      journal_open_day(ready, ready.timings.build.records);
+    }
+    ++stats.days;
+    // Day watermark: the newest *prepared* day. The health sampler reports
+    // the gap to seg_ingest_current_day as lag.
+    obs::Registry::instance().gauge("seg_ingest_day_watermark").set(static_cast<double>(day));
+    if (on_day) {
+      on_day(std::move(ready));
+    }
+  };
+
   try {
-    while (auto batch = queue.pop()) {
-      for (auto& record : *batch) {
-        deliver(std::move(record));
+    while (auto arena = queue.pop()) {
+      if (open && arena->day != open->day()) {
+        util::require_data(arena->day > open->day(),
+                           "ingest_stream: day went backwards (" + std::to_string(arena->day) +
+                               " after " + std::to_string(open->day()) + ")");
+        roll_over();
       }
+      if (!open) {
+        open.emplace(arena->day, *psl_, detector_.config().prepare_options());
+        obs::Registry::instance().gauge("seg_ingest_current_day").set(
+            static_cast<double>(arena->day));
+      }
+      open->add(*arena);
+      stats.records += arena->size();
+      arenas.give(std::move(*arena));
     }
   } catch (...) {
     queue.cancel();  // wake any blocked push before joining
@@ -138,13 +193,13 @@ IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
   }
   producer.join();
   // A failed source may have cut the open day short: rethrow before it is
-  // prepared, so on_day only ever sees days that ended at a rollover or at
+  // finished, so on_day only ever sees days that ended at a rollover or at
   // a clean end of the source.
   if (producer_error) {
     std::rethrow_exception(producer_error);
   }
   if (open) {
-    flush_day();
+    roll_over();
   }
   stats.queue = queue.stats();
   stats.wire_skipped = source.skipped();

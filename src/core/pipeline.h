@@ -6,12 +6,20 @@
 // domain inside the feature extraction's parallel loop; const lookups into
 // a hash map need no sharding to run in parallel.
 //
-// Records enter through ingest_stream(): a TraceSource (dnstap capture,
-// pcap, SEGTRC1 binlog, sim TSV, or an in-memory trace) is parsed on a
-// producer thread, micro-batched through a bounded util::IngestQueue
-// whose push blocks while it is full, assembled into observation days on
-// the caller thread, and each completed day is prepared by
-// Segugio::prepare_graph and handed to a callback.
+// Records enter through ingest_stream(). A producer thread parses a
+// TraceSource (dnstap capture, pcap, SEGTRC1 binlog, sim TSV, or an
+// in-memory trace) into one reused record and appends each record to a
+// recycled dns::RecordArena, cut at every day change and after every
+// IngestOptions::batch_records-th record of the stream. The arenas cross a
+// bounded util::IngestQueue, whose push blocks while it is full, to the
+// caller thread. There each arena joins its day's graph::StreamingPrepare,
+// which scans a batch as soon as the arenas fill one, and the arena goes
+// back to the producer. When the next day's first arena arrives (or the source
+// ends), only the day's last partial batch and the passes after the scan
+// remain; the prepared day is then handed to a callback. No whole day of
+// records is ever held in memory, and the spills and graph of the open day
+// live in a PrepareDirectory of its own from its first arena to its
+// rollover.
 //
 // Determinism contract: every PreparedDay graph and every classify()
 // score is bit-identical to what a from-scratch Segugio::prepare_graph /
@@ -63,14 +71,18 @@ struct PreparedDay {
 };
 
 /// Tuning for ingest_stream()'s producer stage. The queue holds
-/// util::kDefaultQueueCapacity batches.
+/// util::kDefaultQueueCapacity arenas. The engine's scan batch is
+/// graph::kStreamedBatchRecords whatever this is.
 struct IngestOptions {
-  std::size_t batch_records = 1024;  ///< records per micro-batch pushed (0 counts as 1)
+  /// Records per arena pushed (0 counts as 1): the producer cuts an arena
+  /// after every batch_records-th record of the stream, and at each day
+  /// change.
+  std::size_t batch_records = 1024;
 };
 
 /// What one ingest_stream() call observed.
 struct IngestStats {
-  std::uint64_t records = 0;       ///< records assembled into days
+  std::uint64_t records = 0;       ///< records scanned into days
   std::uint64_t wire_skipped = 0;  ///< filtered wire messages (FileTraceSource)
   std::size_t days = 0;            ///< completed days handed to the callback
   util::IngestQueueStats queue;    ///< final queue counters
@@ -102,21 +114,23 @@ class Pipeline {
   /// day.
   void absorb_history(const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns);
 
-  /// Consumes `source` to exhaustion: parses records on a producer thread,
-  /// moves them through a bounded queue that blocks the producer while it
-  /// is full (see IngestOptions), cuts the stream at day boundaries (days
-  /// must be non-decreasing; util::ParseError otherwise), prepares each
-  /// completed day with Segugio::prepare_graph, and hands it to `on_day`. A
-  /// day is complete when the next day's first record arrives or when the
-  /// source ends cleanly. Each day's graph is bit-identical to
+  /// Consumes `source` to exhaustion: parses records into arenas on a
+  /// producer thread, moves them through a bounded queue that blocks the
+  /// producer while it is full (see IngestOptions), cuts the stream at day
+  /// boundaries (days must be non-decreasing; util::ParseError otherwise),
+  /// scans each day's records as they arrive, and hands each completed,
+  /// prepared day to `on_day`. A day is complete when the next day's first
+  /// record arrives or when the source ends cleanly. Each day's graph,
+  /// PruneStats and timings.build.records are those of
   /// Segugio::prepare_graph over that day's records. History stores are
   /// fed separately through absorb_history(), keeping feature inputs
   /// identical to the one-shot flow. Exceptions from the producer
   /// (malformed wire data) or from `on_day` propagate to the caller after
   /// the producer thread is joined. A producer failure discards the day
-  /// still open at that point: it is never prepared or handed to `on_day`,
-  /// because its records may be cut short. Top-level calls only (the build
-  /// uses the shared pool).
+  /// still open at that point: it is never handed to `on_day`, because its
+  /// records may be cut short, and its temporary directory is removed, as
+  /// on a backward day or an `on_day` that throws. Top-level calls only
+  /// (the scan uses the shared pool).
   IngestStats ingest_stream(dns::TraceSource& source, const BlacklistProvider& cc_blacklist,
                             const graph::NameSet& e2ld_whitelist, const DayCallback& on_day,
                             const IngestOptions& options = {});
@@ -156,10 +170,6 @@ class Pipeline {
   const dns::PassiveDnsDb& pdns() const { return pdns_; }
 
  private:
-  /// The per-day preparation behind ingest_stream().
-  PreparedDay prepare_one_day(const dns::DayTrace& trace, const graph::NameSet& cc_blacklist,
-                              const graph::NameSet& e2ld_whitelist);
-
   /// Opens the journal entry for a freshly prepared day (flushing the
   /// previous one — the rollover write).
   void journal_open_day(const PreparedDay& day, std::size_t records);

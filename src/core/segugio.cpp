@@ -48,32 +48,38 @@ std::vector<Detection> DetectionReport::detections_at(double threshold) const {
 
 Segugio::Segugio(SegugioConfig config) : config_(std::move(config)) {}
 
-namespace {
+PrepareDirectory::PrepareDirectory()
+    : path_((std::filesystem::temp_directory_path() / "segugio-prepare-XXXXXX").string()) {
+  util::require_data(::mkdtemp(path_.data()) != nullptr,
+                     "cannot create a prepare directory in '" +
+                         std::filesystem::temp_directory_path().string() + "'");
+  graph_path_ = path_ + "/day.graphc";
+}
 
-/// A directory of one prepare_graph() call's own under the system temp
-/// path, removed with everything in it when the object goes.
-class PrepareDirectory {
- public:
-  PrepareDirectory()
-      : path_((std::filesystem::temp_directory_path() / "segugio-prepare-XXXXXX").string()) {
-    util::require_data(::mkdtemp(path_.data()) != nullptr,
-                       "Segugio::prepare_graph: cannot create a directory in '" +
-                           std::filesystem::temp_directory_path().string() + "'");
-  }
-  ~PrepareDirectory() {
+PrepareDirectory::~PrepareDirectory() {
+  if (!path_.empty()) {
     std::error_code ignored;
     std::filesystem::remove_all(path_, ignored);
   }
-  PrepareDirectory(const PrepareDirectory&) = delete;
-  PrepareDirectory& operator=(const PrepareDirectory&) = delete;
+}
 
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-}  // namespace
+PrepareResult PrepareDirectory::map(const graph::OutOfCoreResult& engine, std::int64_t start_ns,
+                                    double earlier_seconds) {
+  PrepareResult result;
+  result.graph = graph::PreparedGraph(graph::map_graph(graph_path_));
+  std::error_code ignored;
+  std::filesystem::remove_all(path_, ignored);
+  path_.clear();
+  result.prune_stats = engine.prune_stats;
+  PrepareTimings& t = result.timings;
+  t.build = {engine.scan_seconds, engine.records, engine.edges};
+  t.label_seconds = engine.label_seconds;
+  t.prober_seconds = engine.prober_seconds;
+  const double total =
+      earlier_seconds + static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
+  t.prune_seconds = total - t.build.total_seconds() - t.label_seconds - t.prober_seconds;
+  return result;
+}
 
 PrepareResult Segugio::prepare_graph(const dns::DayTrace& trace,
                                      const dns::PublicSuffixList& psl,
@@ -81,22 +87,10 @@ PrepareResult Segugio::prepare_graph(const dns::DayTrace& trace,
                                      const graph::NameSet& e2ld_whitelist,
                                      const graph::OutOfCoreConfig& options) {
   const std::int64_t start_ns = obs::now_ns();
-  PrepareResult result;
-  PrepareTimings& t = result.timings;
-  {
-    const PrepareDirectory directory;
-    const std::string graph_path = directory.path() + "/day.graphc";
-    const auto engine = graph::prepare_graph_out_of_core(trace, psl, cc_blacklist,
-                                                         e2ld_whitelist, graph_path, options);
-    result.graph = graph::PreparedGraph(graph::map_graph(graph_path));
-    result.prune_stats = engine.prune_stats;
-    t.build = {engine.scan_seconds, engine.records, engine.edges};
-    t.label_seconds = engine.label_seconds;
-    t.prober_seconds = engine.prober_seconds;
-  }
-  const double total = static_cast<double>(obs::now_ns() - start_ns) * 1e-9;
-  t.prune_seconds = total - t.build.total_seconds() - t.label_seconds - t.prober_seconds;
-  return result;
+  PrepareDirectory directory;
+  const auto engine = graph::prepare_graph_out_of_core(trace, psl, cc_blacklist, e2ld_whitelist,
+                                                       directory.graph_path(), options);
+  return directory.map(engine, start_ns);
 }
 
 void Segugio::train(const graph::GraphView& graph, const dns::DomainActivityIndex& activity,

@@ -25,12 +25,15 @@
 //
 // prepare_graph() runs the preparation engine (graph/oocore.h) over the
 // in-memory day and serves the result from a private mapping
-// (graph::PreparedGraph, itself a GraphView). train() and classify() take
+// (graph::PreparedGraph, itself a GraphView); a streamed day
+// (core::Pipeline) goes through the same engine arena by arena, into a
+// PrepareDirectory of its own. train() and classify() take
 // a graph::GraphView: a prepared graph or a heap graph passes as it is,
 // and an mmap-resident graph (graph::map_graph) passes its view. Scores
 // and the fitted model are bit-identical for every backing.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -102,25 +105,32 @@ struct PipelineTimings {
   double classify_score_seconds = 0.0;
 };
 
-/// The graph build of one prepare_graph() call: the engine's scan.
+/// The graph build of one day's prepare: the engine's scan.
 struct BuildTimings {
-  double scan_seconds = 0.0;  ///< span "oocore/scan"
-  std::size_t records = 0;    ///< records read
+  /// The "oocore/scan" spans: the one span of a prepare_graph() call, or
+  /// the sum of a streamed day's per-batch spans, which leaves out the
+  /// queue waits and arena copies between them.
+  double scan_seconds = 0.0;
+  std::size_t records = 0;    ///< every record of the day, skipped ones included
   std::size_t edges = 0;      ///< distinct edges before pruning
 
   double total_seconds() const { return scan_seconds; }
 };
 
-/// Wall-clock breakdown of one prepare_graph() call: the learning-side
-/// stages that precede training (Section IV-G's graph build + pruning).
-/// A view over the engine's spans (graph/oocore.h); the fields add up to
-/// the whole call.
+/// Wall-clock breakdown of one day's prepare: the learning-side stages
+/// that precede training (Section IV-G's graph build + pruning). A view
+/// over the engine's spans (graph/oocore.h) on the calling thread, so the
+/// fields are disjoint. For prepare_graph() they add up to the whole call.
+/// For a day core::Pipeline streams they add up to the day's scan batches
+/// plus its rollover (the last batch and the passes after the scan); the
+/// consumer's time between batches — queue pops and copying arenas into
+/// scan batches — is in none of them.
 struct PrepareTimings {
   BuildTimings build;            ///< "oocore/scan"
   double label_seconds = 0.0;    ///< "oocore/labels"
   double prober_seconds = 0.0;   ///< "oocore/probers"; 0 without a prober filter
   /// "oocore/prune-masks" + "oocore/write" + the map, and the rest of the
-  /// call (the per-call temporary directory).
+  /// call or rollover (the day's temporary directory).
   double prune_seconds = 0.0;
 
   double total_seconds() const {
@@ -167,19 +177,45 @@ struct PrepareResult {
   PrepareTimings timings;           ///< per-stage wall clock
 };
 
+/// The temporary directory of one day's prepare, under
+/// std::filesystem::temp_directory_path(): the engine's spills and output
+/// live in it while the day is prepared. Segugio::prepare_graph and each
+/// day core::Pipeline streams run the engine into one.
+class PrepareDirectory {
+ public:
+  /// Creates the directory; util::ParseError when it cannot.
+  PrepareDirectory();
+  /// Removes the directory with everything in it, unless map() has.
+  ~PrepareDirectory();
+  PrepareDirectory(const PrepareDirectory&) = delete;
+  PrepareDirectory& operator=(const PrepareDirectory&) = delete;
+
+  /// Where the engine writes the day's graph.
+  const std::string& graph_path() const { return graph_path_; }
+
+  /// Maps the engine's output (graph::map_graph, with all of its checks),
+  /// removes the directory — the mapping keeps the unlinked file alive —
+  /// and fills the result from `engine`'s. prune_seconds is what the
+  /// engine's spans leave of the prepare's time: `earlier_seconds` plus
+  /// the time since `start_ns` (obs::now_ns()).
+  PrepareResult map(const graph::OutOfCoreResult& engine, std::int64_t start_ns,
+                    double earlier_seconds = 0.0);
+
+ private:
+  std::string path_;
+  std::string graph_path_;
+};
+
 class Segugio {
  public:
   explicit Segugio(SegugioConfig config = {});
 
   /// Builds, labels, (optionally) prober-filters, and prunes a behavior
-  /// graph from one day of traffic; core::Pipeline prepares every streamed
-  /// day through it too. It runs the preparation engine
-  /// (graph::prepare_graph_out_of_core) over `trace` with its spills and
-  /// output in a temporary directory of its own under
-  /// std::filesystem::temp_directory_path(), maps the output
-  /// (graph::map_graph, with all of its checks), and removes the directory
-  /// before it returns: the mapping keeps the unlinked file alive. The
-  /// graph's day is `trace.day`; a record of another day is a
+  /// graph from one day of traffic. It runs the preparation engine
+  /// (graph::prepare_graph_out_of_core) over `trace` in a PrepareDirectory
+  /// and serves the mapped output; core::Pipeline's streamed days make the
+  /// same bytes through graph::StreamingPrepare. The graph's day is
+  /// `trace.day`; a record of another day is a
   /// util::ParseError. The bytes are those of the serial reference
   /// (GraphBuilder, apply_labels, remove_probers, prune) for every pool
   /// size. Safe to call from several threads at once.

@@ -48,6 +48,7 @@ void write_trace(const DayTrace& trace, const std::string& path) {
     row[3] = util::join(ips, ",");
     writer.write_row(row);
   }
+  writer.close();
 }
 
 void write_trace_binary(const DayTrace& trace, const std::string& path) {
@@ -59,7 +60,7 @@ void write_trace_binary(const DayTrace& trace, const std::string& path) {
 }
 
 BinaryTraceWriter::BinaryTraceWriter(const std::string& path, Day day, std::uint64_t count)
-    : out_(path, std::ios::binary), expected_(count) {
+    : out_(path, std::ios::binary), path_(path), expected_(count) {
   util::require_data(out_.is_open(), "BinaryTraceWriter: cannot create '" + path + "'");
   out_.write(kBinaryMagic, static_cast<std::streamsize>(kMagicLength));
   write_le<std::int32_t>(out_, day);
@@ -94,9 +95,8 @@ void BinaryTraceWriter::finish() {
   finished_ = true;
   util::require(written_ == expected_,
                 "BinaryTraceWriter: record count mismatch with declared header count");
-  out_.flush();
-  util::require_data(static_cast<bool>(out_), "BinaryTraceWriter: write failed");
   out_.close();
+  util::require_data(!out_.fail(), "BinaryTraceWriter: cannot write '" + path_ + "'");
 }
 
 }  // namespace seg::dns

@@ -66,6 +66,7 @@ class BinaryTraceWriter {
 
  private:
   std::ofstream out_;
+  std::string path_;
   std::uint64_t expected_;
   std::uint64_t written_ = 0;
   bool finished_ = false;

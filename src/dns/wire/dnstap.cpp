@@ -314,7 +314,8 @@ void write_dnstap_trace(const DayTrace& trace, const std::string& path) {
   write_u32be(0);
   write_u32be(4);
   write_u32be(kControlStop);
-  util::require_data(static_cast<bool>(out), "write_dnstap_trace: write failed");
+  out.close();
+  util::require_data(!out.fail(), "write_dnstap_trace: cannot write '" + path + "'");
 }
 
 }  // namespace seg::dns::wire

@@ -232,7 +232,8 @@ void write_pcap_trace(const DayTrace& trace, const std::string& path) {
 
   out.write(reinterpret_cast<const char*>(buf.data()),
             static_cast<std::streamsize>(buf.size()));
-  util::require_data(static_cast<bool>(out), "write_pcap_trace: write failed");
+  out.close();
+  util::require_data(!out.fail(), "write_pcap_trace: cannot write '" + path + "'");
 }
 
 }  // namespace seg::dns::wire

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "dns/domain_name.h"
+#include "dns/record_arena.h"
 #include "dns/trace_source.h"
 #include "graph/graph_compressed.h"
 #include "util/mmap_file.h"
@@ -588,8 +589,8 @@ std::string create_temporary_output(const std::string& out_path) {
 
 // --- scan batches -------------------------------------------------------------
 //
-// The scan reads the trace in batches of kOutOfCoreBatchRecords records
-// and resolves each batch in four phases:
+// The scan takes the records in batches and resolves each batch in four
+// phases:
 //
 //   A  parallel over row chunks: validate, normalize the qname in place,
 //      hash both names, and file each name lookup under its chunk and its
@@ -608,9 +609,12 @@ std::string create_temporary_output(const std::string& out_path) {
 // A name's first occurrence in the trace is its first occurrence in the
 // first batch that holds it, and phase C visits a batch's first
 // occurrences in row order, so ids follow the serial scan's
-// first-occurrence order for every partition count. Phases A and D use
-// kScanChunks fixed chunks, each with its own repeat filter, so the pairs
-// reaching the spills depend only on the input, never on the pool size.
+// first-occurrence order for every partition count and batch size. Phases
+// A and D use kScanChunks fixed chunks, each with its own repeat filter,
+// so the pairs reaching the spills depend only on the input and the batch
+// size, never on the pool size. A batch holds kOutOfCoreBatchRecords
+// records when the engine reads a trace (BatchReader) and
+// kStreamedBatchRecords when a stream hands it arenas (StreamingPrepare).
 
 constexpr std::size_t kScanChunks = 8;
 constexpr std::size_t kMaxPartitions = 64;
@@ -620,14 +624,8 @@ constexpr unsigned kRepeatFilterBits = 16;
 /// and, as a domain id, the empty-slot marker of the repeat filter.
 constexpr std::uint32_t kNoId = 0xffffffffu;
 
-/// One record of a batch: offsets into the batch arena plus what phase A
-/// derives from them.
-struct BatchRow {
-  std::size_t text = 0;  ///< arena offset of the machine bytes, then the qname's
-  std::size_t ips = 0;   ///< offset into Batch::ips
-  std::uint32_t machine_size = 0;
-  std::uint32_t qname_size = 0;  ///< normalized length once phase A has run
-  std::uint32_t ip_count = 0;
+/// What phase A derives from one row of a batch.
+struct RowScan {
   std::uint32_t machine_partition = 0;
   std::uint32_t domain_partition = 0;
   std::uint32_t machine_lookup = 0;  ///< index into its chunk's machine lookups
@@ -638,47 +636,14 @@ struct BatchRow {
   std::size_t domain_hash = 0;
 };
 
-/// A batch of records in one flat arena: every record's machine and qname
-/// bytes in one buffer, its IPs in one array. The containers keep their
-/// capacity across batches, so a steady-state batch allocates nothing.
-/// Cache-line aligned: the reader fills one batch while the pool resolves
-/// the other, and their vector headers must not share a line.
+/// A scan batch: its records in one flat arena (dns/record_arena.h) and
+/// what phase A derives from each row. The containers keep their capacity
+/// across batches, so a steady-state batch allocates nothing. Cache-line
+/// aligned: the reader fills one batch while the pool resolves the other,
+/// and their vector headers must not share a line.
 struct alignas(64) Batch {
-  StageVector<char> text;
-  StageVector<dns::IpV4> ips;
-  StageVector<BatchRow> rows;
-
-  void clear() {
-    text.clear();
-    ips.clear();
-    rows.clear();
-  }
-
-  void add(const dns::QueryRecord& record) {
-    constexpr std::size_t kMaxField = std::numeric_limits<std::uint32_t>::max();
-    util::require_data(record.machine.size() <= kMaxField && record.qname.size() <= kMaxField &&
-                           record.resolved_ips.size() <= kMaxField,
-                       "oocore: record field too long");
-    BatchRow& row = rows.emplace_back();
-    row.text = text.size();
-    row.machine_size = static_cast<std::uint32_t>(record.machine.size());
-    row.qname_size = static_cast<std::uint32_t>(record.qname.size());
-    text.insert(text.end(), record.machine.begin(), record.machine.end());
-    text.insert(text.end(), record.qname.begin(), record.qname.end());
-    row.ips = ips.size();
-    row.ip_count = static_cast<std::uint32_t>(record.resolved_ips.size());
-    ips.insert(ips.end(), record.resolved_ips.begin(), record.resolved_ips.end());
-  }
-
-  std::string_view machine(const BatchRow& row) const {
-    return {text.data() + row.text, row.machine_size};
-  }
-  std::string_view qname(const BatchRow& row) const {
-    return {text.data() + row.text + row.machine_size, row.qname_size};
-  }
-  std::span<const dns::IpV4> row_ips(const BatchRow& row) const {
-    return {ips.data() + row.ips, row.ip_count};
-  }
+  dns::RecordArena records;
+  StageVector<RowScan> scan;
 };
 
 /// Rows [begin, end) of scan chunk `c` in a batch of `rows` rows.
@@ -747,33 +712,35 @@ std::uint32_t partition_of(std::size_t hash, std::size_t partitions) {
                                     32);
 }
 
-/// Phase A for one row: validity, in-place normalization (strip one
+/// Phase A for row `i`: validity, in-place normalization (strip one
 /// trailing dot, lowercase ASCII — DomainName::parse(q).str() for a valid
-/// name), the name hashes and partitions. `previous` is the row before it
-/// in its chunk, if any.
-void prepare_row(Batch& batch, BatchRow& row, const BatchRow* previous,
-                 std::size_t partitions) {
-  const std::string_view qname = batch.qname(row);
-  row.valid = row.machine_size != 0 && dns::DomainName::is_valid(qname);
-  if (!row.valid) {
+/// name), the name hashes and partitions. `chunk_start` says the row opens
+/// its chunk, so no previous row can lend it a machine.
+void prepare_row(Batch& batch, std::size_t i, bool chunk_start, std::size_t partitions) {
+  dns::RecordArena& records = batch.records;
+  dns::ArenaRow& row = records.rows[i];
+  RowScan& scan = batch.scan[i];
+  const std::string_view qname = records.qname(row);
+  scan.valid = row.machine_size != 0 && dns::DomainName::is_valid(qname);
+  if (!scan.valid) {
     return;
   }
   if (qname.back() == '.') {
     --row.qname_size;
   }
-  char* text = batch.text.data() + row.text + row.machine_size;
-  for (std::size_t i = 0; i < row.qname_size; ++i) {
-    const bool upper = static_cast<unsigned char>(text[i] - 'A') < 26;
-    text[i] = static_cast<char>(text[i] + (upper ? 'a' - 'A' : 0));
+  char* text = records.text.data() + row.text + row.machine_size;
+  for (std::size_t k = 0; k < row.qname_size; ++k) {
+    const bool upper = static_cast<unsigned char>(text[k] - 'A') < 26;
+    text[k] = static_cast<char>(text[k] + (upper ? 'a' - 'A' : 0));
   }
-  row.repeats_machine =
-      previous != nullptr && previous->valid && batch.machine(*previous) == batch.machine(row);
-  if (!row.repeats_machine) {
-    row.machine_hash = name_hash(batch.machine(row));
-    row.machine_partition = partition_of(row.machine_hash, partitions);
+  scan.repeats_machine = !chunk_start && batch.scan[i - 1].valid &&
+                         records.machine(records.rows[i - 1]) == records.machine(row);
+  if (!scan.repeats_machine) {
+    scan.machine_hash = name_hash(records.machine(row));
+    scan.machine_partition = partition_of(scan.machine_hash, partitions);
   }
-  row.domain_hash = name_hash(batch.qname(row));
-  row.domain_partition = partition_of(row.domain_hash, partitions);
+  scan.domain_hash = name_hash(records.qname(row));
+  scan.domain_partition = partition_of(scan.domain_hash, partitions);
 }
 
 /// Phase B: the id slot of `name`, inserting it with a pending id (and
@@ -866,22 +833,21 @@ void for_each_first_sight(const std::vector<DictionaryPartition>& partitions,
 /// files each lookup under its partition (a counting sort, so each
 /// partition's lookups stay in row order).
 void prepare_chunk(Batch& batch, std::size_t begin, std::size_t end, std::size_t partitions,
-                  ScanChunk& chunk) {
-  auto& rows = batch.rows;
+                   ScanChunk& chunk) {
   PartitionOffsets machine_counts{};
   PartitionOffsets domain_counts{};
   chunk.skipped = 0;
   for (std::size_t i = begin; i < end; ++i) {
-    BatchRow& row = rows[i];
-    prepare_row(batch, row, i > begin ? &rows[i - 1] : nullptr, partitions);
-    if (!row.valid) {
+    prepare_row(batch, i, i == begin, partitions);
+    const RowScan& scan = batch.scan[i];
+    if (!scan.valid) {
       ++chunk.skipped;
       continue;
     }
-    if (!row.repeats_machine) {
-      ++machine_counts[row.machine_partition + 1];
+    if (!scan.repeats_machine) {
+      ++machine_counts[scan.machine_partition + 1];
     }
-    ++domain_counts[row.domain_partition + 1];
+    ++domain_counts[scan.domain_partition + 1];
   }
   for (std::size_t p = 0; p < partitions; ++p) {
     machine_counts[p + 1] += machine_counts[p];
@@ -890,17 +856,17 @@ void prepare_chunk(Batch& batch, std::size_t begin, std::size_t end, std::size_t
   chunk.machine_offsets = machine_counts;
   chunk.domain_offsets = domain_counts;
   for (std::size_t i = begin; i < end; ++i) {
-    BatchRow& row = rows[i];
-    if (!row.valid) {
+    RowScan& scan = batch.scan[i];
+    if (!scan.valid) {
       continue;
     }
     const auto index = static_cast<std::uint32_t>(i);
-    if (!row.repeats_machine) {
-      row.machine_lookup = machine_counts[row.machine_partition]++;
-      chunk.machine_lookups[row.machine_lookup] = {index, nullptr};
+    if (!scan.repeats_machine) {
+      scan.machine_lookup = machine_counts[scan.machine_partition]++;
+      chunk.machine_lookups[scan.machine_lookup] = {index, nullptr};
     }
-    row.domain_lookup = domain_counts[row.domain_partition]++;
-    chunk.domain_lookups[row.domain_lookup] = {index, nullptr};
+    scan.domain_lookup = domain_counts[scan.domain_partition]++;
+    chunk.domain_lookups[scan.domain_lookup] = {index, nullptr};
   }
 }
 
@@ -909,14 +875,14 @@ void prepare_chunk(Batch& batch, std::size_t begin, std::size_t end, std::size_t
 /// worker, a reader thread fills the next batch while the pool resolves the
 /// current one; the two batch arenas are recycled. With one worker, next()
 /// reads inline, so a one-thread prepare runs on one thread. The reader
-/// counts the records and checks that they share one day — `day` when
-/// given, else the first record's; next() rethrows its errors.
+/// checks that the records share one day — `day` when given, else the
+/// first record's; next() rethrows its errors.
 class BatchReader {
  public:
   BatchReader(dns::TraceSource& source, std::optional<dns::Day> day, bool read_ahead)
       : source_(&source), day_(day.value_or(0)), day_fixed_(day.has_value()) {
     for (auto& batch : batches_) {
-      batch.rows.reserve(kOutOfCoreBatchRecords);
+      batch.records.rows.reserve(kOutOfCoreBatchRecords);
     }
     if (read_ahead) {
       reader_ = std::thread([this] { read_ahead_loop(); });
@@ -958,27 +924,26 @@ class BatchReader {
     return batches_[k % 2];
   }
 
-  /// Records read; final once next() has returned an empty batch.
-  std::size_t records() const { return records_; }
   /// The trace's day: the one given, else that of its first record.
   dns::Day day() const { return day_; }
 
  private:
   void fill(Batch& batch) {
-    batch.clear();
-    while (batch.rows.size() < kOutOfCoreBatchRecords && !exhausted_) {
+    batch.records.clear();
+    while (batch.records.size() < kOutOfCoreBatchRecords && !exhausted_) {
       if (!source_->next(record_)) {
         exhausted_ = true;
         break;
       }
-      if (records_++ == 0 && !day_fixed_) {
-        day_ = record_.day;
+      if (!day_fixed_) {
+        day_ = record_.day;  // the first record's day
+        day_fixed_ = true;
       } else if (record_.day != day_) [[unlikely]] {
         throw util::ParseError("oocore: trace spans more than one day (day " +
                                std::to_string(record_.day) + " after day " +
                                std::to_string(day_) + ")");
       }
-      batch.add(record_);
+      batch.records.add(record_);
     }
   }
 
@@ -1001,7 +966,7 @@ class BatchReader {
           ready_[k % 2] = true;
         }
         cv_.notify_all();
-        if (batch.rows.empty()) {
+        if (batch.records.empty()) {
           return;
         }
       }
@@ -1018,7 +983,6 @@ class BatchReader {
   // The reader's state, on lines of its own.
   alignas(64) dns::TraceSource* source_;
   dns::QueryRecord record_;
-  std::size_t records_ = 0;
   dns::Day day_;
   bool day_fixed_;
   bool exhausted_ = false;
@@ -1032,12 +996,14 @@ class BatchReader {
   std::thread reader_;
 };
 
-/// The engine behind every entry point: `day_of_trace`, when set, is the
-/// day every record must carry and the graph's day.
-OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of_trace,
-                        const dns::PublicSuffixList& psl, const NameSet& cc_blacklist,
-                        const NameSet& e2ld_whitelist, const std::string& out_path,
-                        const OutOfCoreConfig& config) {
+/// Lists `path` in `temporary`, for removal when the prepare ends, and
+/// returns it.
+std::string listed(TemporaryFiles& temporary, std::string path) {
+  temporary.paths.push_back(path);
+  return path;
+}
+
+const OutOfCoreConfig& checked(const OutOfCoreConfig& config) {
   util::require(config.chunk_records > 0, "oocore: chunk_records must be positive");
   const auto& pruning = config.pruning;
   util::require(pruning.proxy_degree_percentile > 0.0 && pruning.proxy_degree_percentile <= 1.0,
@@ -1048,162 +1014,202 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   util::require(!prober_filter || (prober_filter->min_blacklisted_ratio > 0.0 &&
                                    prober_filter->min_blacklisted_ratio <= 1.0),
                 "oocore: prober min_blacklisted_ratio must be in (0, 1]");
+  return config;
+}
 
-  OutOfCoreResult result;
-  TemporaryFiles temporary;
-  const std::string temp_path = create_temporary_output(out_path);
-  temporary.paths.push_back(temp_path);
+/// One prepare: the scan state, fed one batch at a time, and the passes
+/// after the scan. Every entry point runs on it — prepare() feeds it the
+/// batches a BatchReader reads, StreamingPrepare the batches it assembles
+/// from a stream's arenas. The temporary output and the spills are removed
+/// when the engine goes, unless finish() renamed the output.
+class Engine {
+ public:
+  Engine(const dns::PublicSuffixList& psl, std::string out_path, const OutOfCoreConfig& config)
+      : config_(checked(config)),
+        psl_(&psl),
+        out_path_(std::move(out_path)),
+        temp_path_(listed(temporary_, create_temporary_output(out_path_))),
+        partitions_(std::min(util::parallelism(), kMaxPartitions)),
+        dictionaries_(partitions_),
+        chunks_(kScanChunks),
+        // The spill files are listed before they exist, so a failed create
+        // is cleaned up too.
+        edge_spill_(listed(temporary_, temp_path_ + ".spill-edges"), config_.chunk_records),
+        ip_spill_(listed(temporary_, temp_path_ + ".spill-ips"), config_.chunk_records) {}
 
-  // --- Scan: batches in record order (see "scan batches" above). Machine/
-  // domain/e2LD ids are assigned by first occurrence, exactly as
-  // GraphBuilder::add_query assigns them; edge and IP pairs go to sorted
-  // compressed spill runs.
-  obs::Span scan_span("oocore/scan");
-  const std::size_t partitions = std::min(util::parallelism(), kMaxPartitions);
-  std::vector<DictionaryPartition> dictionaries(partitions);
-  std::vector<ScanChunk> chunks(kScanChunks);
-  std::vector<std::size_t> merge_cursors;
-  std::vector<std::string> machine_names;
-  std::vector<std::string> domain_names;
-  util::StringMap<E2ldId> e2ld_ids;
-  std::vector<std::string> e2ld_names;
-  std::vector<E2ldId> domain_e2ld;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
-  // The spill files are listed before they exist, so a failed create is
-  // cleaned up too.
-  temporary.paths.push_back(temp_path + ".spill-edges");
-  temporary.paths.push_back(temp_path + ".spill-ips");
-  SpillWriter edge_spill(temp_path + ".spill-edges", config.chunk_records);
-  SpillWriter ip_spill(temp_path + ".spill-ips", config.chunk_records);
+  /// Phases A-D over one batch (see "scan batches" above): machine/domain/
+  /// e2LD ids are assigned by first occurrence, exactly as
+  /// GraphBuilder::add_query assigns them; edge and IP pairs go to sorted
+  /// compressed spill runs.
+  void scan(Batch& batch);
 
-  // The output graph holds exactly one day: the given one, else the first
-  // record's.
-  dns::Day day = 0;
-  {
-    BatchReader reader(source, day_of_trace, util::parallelism() > 1);
-    while (true) {
-      Batch& batch = reader.next();
-      auto& rows = batch.rows;
-      if (rows.empty()) {
-        break;
+  /// The scan's last step: closes the spills and frees the dictionaries.
+  void end_scan();
+
+  /// The passes after the scan; writes the graph of `day` to the output
+  /// path. `scan_seconds` is what the caller's "oocore/scan" spans took.
+  OutOfCoreResult finish(dns::Day day, double scan_seconds, const NameSet& cc_blacklist,
+                         const NameSet& e2ld_whitelist);
+
+ private:
+  TemporaryFiles temporary_;  // first, so it outlives every open file
+  OutOfCoreConfig config_;
+  const dns::PublicSuffixList* psl_;
+  std::string out_path_;
+  std::string temp_path_;
+  std::size_t partitions_;
+  std::vector<DictionaryPartition> dictionaries_;
+  std::vector<ScanChunk> chunks_;
+  std::vector<std::size_t> merge_cursors_;
+  std::vector<std::string> machine_names_;
+  std::vector<std::string> domain_names_;
+  util::StringMap<E2ldId> e2ld_ids_;
+  std::vector<std::string> e2ld_names_;
+  std::vector<E2ldId> domain_e2ld_;
+  SpillWriter edge_spill_;
+  SpillWriter ip_spill_;
+  OutOfCoreResult result_;
+};
+
+void Engine::scan(Batch& batch) {
+  dns::RecordArena& records = batch.records;
+  const auto& rows = records.rows;
+  const std::size_t n = rows.size();
+  batch.scan.resize(n);
+  result_.records += n;
+
+  // A: validate, normalize, hash, and file the lookups. The caller sizes
+  // every buffer a worker fills, so pool threads allocate only dictionary
+  // entries.
+  for (std::size_t c = 0; c < kScanChunks; ++c) {
+    const auto [begin, end] = scan_chunk(n, c);
+    chunks_[c].machine_lookups.resize(end - begin);
+    chunks_[c].domain_lookups.resize(end - begin);
+  }
+  util::parallel_for(kScanChunks, [&](std::size_t c) {
+    const auto [begin, end] = scan_chunk(n, c);
+    prepare_chunk(batch, begin, end, partitions_, chunks_[c]);
+  });
+  for (const auto& chunk : chunks_) {
+    result_.skipped_records += chunk.skipped;
+  }
+
+  // B: resolve partition p's lookups, chunk by chunk, so in row order.
+  util::parallel_for(partitions_, [&](std::size_t p) {
+    auto& dictionary = dictionaries_[p];
+    dictionary.machine_first_seen.clear();
+    dictionary.domain_first_seen.clear();
+    for (auto& chunk : chunks_) {
+      for (auto i = chunk.machine_offsets[p]; i < chunk.machine_offsets[p + 1]; ++i) {
+        Lookup& lookup = chunk.machine_lookups[i];
+        const HashedName name{records.machine(rows[lookup.row]),
+                              batch.scan[lookup.row].machine_hash};
+        lookup.slot = resolve(dictionary.machines, name, lookup.row,
+                              dictionary.machine_first_seen, [] { return 0; });
       }
-
-      // A: validate, normalize, hash, and file the lookups. The caller
-      // sizes every buffer a worker fills, so pool threads allocate only
-      // dictionary entries.
-      for (std::size_t c = 0; c < kScanChunks; ++c) {
-        const auto [begin, end] = scan_chunk(rows.size(), c);
-        chunks[c].machine_lookups.resize(end - begin);
-        chunks[c].domain_lookups.resize(end - begin);
-      }
-      util::parallel_for(kScanChunks, [&](std::size_t c) {
-        const auto [begin, end] = scan_chunk(rows.size(), c);
-        prepare_chunk(batch, begin, end, partitions, chunks[c]);
-      });
-      for (const auto& chunk : chunks) {
-        result.skipped_records += chunk.skipped;
-      }
-
-      // B: resolve partition p's lookups, chunk by chunk, so in row order.
-      util::parallel_for(partitions, [&](std::size_t p) {
-        auto& dictionary = dictionaries[p];
-        dictionary.machine_first_seen.clear();
-        dictionary.domain_first_seen.clear();
-        for (auto& chunk : chunks) {
-          for (auto i = chunk.machine_offsets[p]; i < chunk.machine_offsets[p + 1]; ++i) {
-            Lookup& lookup = chunk.machine_lookups[i];
-            const BatchRow& row = rows[lookup.row];
-            lookup.slot = resolve(dictionary.machines, {batch.machine(row), row.machine_hash},
-                                  lookup.row, dictionary.machine_first_seen, [] { return 0; });
-          }
-          for (auto i = chunk.domain_offsets[p]; i < chunk.domain_offsets[p + 1]; ++i) {
-            Lookup& lookup = chunk.domain_lookups[i];
-            const BatchRow& row = rows[lookup.row];
-            const HashedName name{batch.qname(row), row.domain_hash};
-            lookup.slot = resolve(dictionary.domains, name, lookup.row,
-                                  dictionary.domain_first_seen,
-                                  [&] { return psl.e2ld_or_self(name.text).size(); });
-          }
-        }
-      });
-
-      // C: first-occurrence ids in row order.
-      for_each_first_sight(dictionaries, &DictionaryPartition::machine_first_seen,
-                           merge_cursors, [&](const FirstSight& sight) {
-        util::require_data(machine_names.size() < kNoId, "oocore: too many machines");
-        *sight.slot = static_cast<MachineId>(machine_names.size());
-        machine_names.emplace_back(batch.machine(rows[sight.row]));
-      });
-      for_each_first_sight(dictionaries, &DictionaryPartition::domain_first_seen,
-                           merge_cursors, [&](const FirstSight& sight) {
-        util::require_data(domain_names.size() < kNoId, "oocore: too many domains");
-        *sight.slot = static_cast<DomainId>(domain_names.size());
-        const std::string_view name = batch.qname(rows[sight.row]);
-        domain_names.emplace_back(name);
-        // e2LDs intern at domain first occurrence — the same sequence the
-        // in-memory builder produces by iterating domains in id order.
-        const std::string_view e2ld = name.substr(name.size() - sight.e2ld_size);
-        if (const auto it = e2ld_ids.find(e2ld); it != e2ld_ids.end()) {
-          domain_e2ld.push_back(it->second);
-        } else {
-          const auto e = static_cast<E2ldId>(e2ld_names.size());
-          e2ld_names.emplace_back(e2ld);
-          e2ld_ids.emplace(e2ld_names.back(), e);
-          domain_e2ld.push_back(e);
-        }
-      });
-
-      // D: emit pairs into per-chunk buffers reserved here, then hand them
-      // to the spills in chunk order.
-      for (std::size_t c = 0; c < kScanChunks; ++c) {
-        const auto [begin, end] = scan_chunk(rows.size(), c);
-        chunks[c].edges.clear();
-        chunks[c].edges.reserve(end - begin);
-        chunks[c].ips.clear();
-        if (begin < end) {
-          chunks[c].ips.reserve(rows[end - 1].ips + rows[end - 1].ip_count - rows[begin].ips);
-        }
-      }
-      util::parallel_for(kScanChunks, [&](std::size_t c) {
-        const auto [begin, end] = scan_chunk(rows.size(), c);
-        auto& chunk = chunks[c];
-        std::uint64_t m = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const BatchRow& row = rows[i];
-          if (!row.valid) {
-            continue;
-          }
-          if (!row.repeats_machine) {
-            m = *chunk.machine_lookups[row.machine_lookup].slot;
-          }
-          const std::uint64_t d = *chunk.domain_lookups[row.domain_lookup].slot;
-          chunk.edges.push_back((m << 32) | d);
-          for (const auto ip : batch.row_ips(row)) {
-            const std::uint64_t pair = (d << 32) | ip.value();
-            if (chunk.ip_filter.admit(pair)) {
-              chunk.ips.push_back(pair);
-            }
-          }
-        }
-      });
-      for (const auto& chunk : chunks) {
-        edge_spill.append(chunk.edges);
-        ip_spill.append(chunk.ips);
+      for (auto i = chunk.domain_offsets[p]; i < chunk.domain_offsets[p + 1]; ++i) {
+        Lookup& lookup = chunk.domain_lookups[i];
+        const HashedName name{records.qname(rows[lookup.row]),
+                              batch.scan[lookup.row].domain_hash};
+        lookup.slot = resolve(dictionary.domains, name, lookup.row,
+                              dictionary.domain_first_seen,
+                              [&] { return psl_->e2ld_or_self(name.text).size(); });
       }
     }
-    result.records = reader.records();
-    day = reader.day();
+  });
+
+  // C: first-occurrence ids in row order.
+  for_each_first_sight(dictionaries_, &DictionaryPartition::machine_first_seen, merge_cursors_,
+                       [&](const FirstSight& sight) {
+    util::require_data(machine_names_.size() < kNoId, "oocore: too many machines");
+    *sight.slot = static_cast<MachineId>(machine_names_.size());
+    machine_names_.emplace_back(records.machine(rows[sight.row]));
+  });
+  for_each_first_sight(dictionaries_, &DictionaryPartition::domain_first_seen, merge_cursors_,
+                       [&](const FirstSight& sight) {
+    util::require_data(domain_names_.size() < kNoId, "oocore: too many domains");
+    *sight.slot = static_cast<DomainId>(domain_names_.size());
+    const std::string_view name = records.qname(rows[sight.row]);
+    domain_names_.emplace_back(name);
+    // e2LDs intern at domain first occurrence — the same sequence the
+    // in-memory builder produces by iterating domains in id order.
+    const std::string_view e2ld = name.substr(name.size() - sight.e2ld_size);
+    if (const auto it = e2ld_ids_.find(e2ld); it != e2ld_ids_.end()) {
+      domain_e2ld_.push_back(it->second);
+    } else {
+      const auto e = static_cast<E2ldId>(e2ld_names_.size());
+      e2ld_names_.emplace_back(e2ld);
+      e2ld_ids_.emplace(e2ld_names_.back(), e);
+      domain_e2ld_.push_back(e);
+    }
+  });
+
+  // D: emit pairs into per-chunk buffers reserved here, then hand them to
+  // the spills in chunk order.
+  for (std::size_t c = 0; c < kScanChunks; ++c) {
+    const auto [begin, end] = scan_chunk(n, c);
+    chunks_[c].edges.clear();
+    chunks_[c].edges.reserve(end - begin);
+    chunks_[c].ips.clear();
+    if (begin < end) {
+      chunks_[c].ips.reserve(rows[end - 1].ips + rows[end - 1].ip_count - rows[begin].ips);
+    }
   }
-  edge_spill.finish();
-  ip_spill.finish();
-  dictionaries = {};
-  chunks = {};
-  e2ld_ids = {};
-  const SpillFile& edge_file = edge_spill.file();
-  const SpillFile& ip_file = ip_spill.file();
-  result.spill_segments = edge_file.runs().size() + ip_file.runs().size();
-  result.spill_bytes = edge_file.bytes() + ip_file.bytes();
-  result.scan_seconds = scan_span.close();
+  util::parallel_for(kScanChunks, [&](std::size_t c) {
+    const auto [begin, end] = scan_chunk(n, c);
+    auto& chunk = chunks_[c];
+    std::uint64_t m = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const RowScan& scan = batch.scan[i];
+      if (!scan.valid) {
+        continue;
+      }
+      if (!scan.repeats_machine) {
+        m = *chunk.machine_lookups[scan.machine_lookup].slot;
+      }
+      const std::uint64_t d = *chunk.domain_lookups[scan.domain_lookup].slot;
+      chunk.edges.push_back((m << 32) | d);
+      for (const auto ip : records.row_ips(rows[i])) {
+        const std::uint64_t pair = (d << 32) | ip.value();
+        if (chunk.ip_filter.admit(pair)) {
+          chunk.ips.push_back(pair);
+        }
+      }
+    }
+  });
+  for (const auto& chunk : chunks_) {
+    edge_spill_.append(chunk.edges);
+    ip_spill_.append(chunk.ips);
+  }
+}
+
+void Engine::end_scan() {
+  edge_spill_.finish();
+  ip_spill_.finish();
+  dictionaries_ = {};
+  chunks_ = {};
+  e2ld_ids_ = {};
+  const SpillFile& edge_file = edge_spill_.file();
+  const SpillFile& ip_file = ip_spill_.file();
+  result_.spill_segments = edge_file.runs().size() + ip_file.runs().size();
+  result_.spill_bytes = edge_file.bytes() + ip_file.bytes();
+}
+
+OutOfCoreResult Engine::finish(dns::Day day, double scan_seconds, const NameSet& cc_blacklist,
+                               const NameSet& e2ld_whitelist) {
+  const auto& pruning = config_.pruning;
+  const auto& prober_filter = config_.prober_filter;
+  OutOfCoreResult& result = result_;
+  result.scan_seconds = scan_seconds;
+  const std::vector<std::string>& machine_names = machine_names_;
+  const std::vector<std::string>& domain_names = domain_names_;
+  const std::vector<std::string>& e2ld_names = e2ld_names_;
+  const std::vector<E2ldId>& domain_e2ld = domain_e2ld_;
+  const SpillFile& edge_file = edge_spill_.file();
+  const SpillFile& ip_file = ip_spill_.file();
 
   const std::size_t nm = machine_names.size();
   const std::size_t nd = domain_names.size();
@@ -1443,6 +1449,7 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   // side needs the merge: a kept domain's CSR degree is its kept-machine
   // degree from the second merge.
   obs::Span write_span("oocore/write");
+  obs::Span shape_span("oocore/write/shape");
   std::vector<std::uint64_t> machine_offsets(nm_new + 1, 0);
   run_ranges(slots, edges, machine_cuts, [&](MergeSlot& slot, std::uint32_t, std::uint32_t) {
     std::uint64_t pair = 0;
@@ -1464,8 +1471,10 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   const std::uint64_t edges_after = machine_offsets.back();
   util::require(domain_offsets.back() == edges_after, "oocore: CSR sides disagree");
   stats.edges_after = edges_after;
+  shape_span.close();
 
   // --- First IP merge: surviving per-domain IP-set sizes.
+  obs::Span ip_counts_span("oocore/write/ip-counts");
   const SpillReader ips(ip_file);
   const MergeCuts domain_cuts = merge_cuts(ip_file, nd);
   std::vector<std::uint64_t> ip_offsets(nd_new + 1, 0);
@@ -1482,11 +1491,13 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
     ip_offsets[i] += ip_offsets[i - 1];
   }
   const std::uint64_t ips_after = ip_offsets.back();
+  ip_counts_span.close();
 
   // --- The packed graphc file: every section but the three CSR target
   // sections is written in order here; those are left as gaps that the
   // range tasks below fill with positioned writes, each range at the
   // offset its CSR prefix sums fix.
+  obs::Span sections_span("oocore/write/sections");
   detail::GraphcCounts counts;
   counts.day = day;
   counts.machines = nm_new;
@@ -1508,8 +1519,8 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   std::uint64_t domain_targets_at = 0;
   std::uint64_t ip_values_at = 0;
   {
-    std::ofstream out(temp_path, std::ios::binary);
-    util::require_data(out.is_open(), "oocore: cannot create output file '" + temp_path + "'");
+    std::ofstream out(temp_path_, std::ios::binary);
+    util::require_data(out.is_open(), "oocore: cannot create output file '" + temp_path_ + "'");
     detail::PackedGraphcWriter writer(out, counts);
     writer.name_table(nm_new, [&](std::size_t i) {
       return std::string_view(machine_names[kept_machines[i]]);
@@ -1549,14 +1560,16 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
     out.close();
     util::require_data(static_cast<bool>(out), "oocore: output write failed");
   }
-  PositionedFile output(temp_path, O_WRONLY);
+  PositionedFile output(temp_path_, O_WRONLY);
+  sections_span.close();
 
   // machine_targets: the fourth edge merge writes each machine range's
   // slice and passes its (domain, machine) pairs, in new ids, to the
   // swapped spill as sorted runs of at most swapped_run pairs.
-  const std::size_t swapped_run = std::max(kBlockPairs, config.chunk_records / kMergeRanges);
-  temporary.paths.push_back(temp_path + ".spill-swapped");
-  SpillFile swapped(temp_path + ".spill-swapped");
+  obs::Span machine_targets_span("oocore/write/machine-targets");
+  const std::size_t swapped_run = std::max(kBlockPairs, config_.chunk_records / kMergeRanges);
+  temporary_.paths.push_back(temp_path_ + ".spill-swapped");
+  SpillFile swapped(temp_path_ + ".spill-swapped");
   {
     const std::size_t runs = edges_after / swapped_run + kMergeRanges;
     swapped.reserve(runs, edges_after / kBlockPairs + runs);
@@ -1600,9 +1613,11 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
     slot.swapped_scratch = {};
     slot.encoded = {};
   }
+  machine_targets_span.close();
 
   // domain_targets: the swapped merge, by ranges of new domain ids.
   {
+    obs::Span domain_targets_span("oocore/write/domain-targets");
     const SpillReader swapped_pairs(swapped);
     const MergeCuts cuts = merge_cuts(swapped, nd_new);
     run_ranges(slots, swapped_pairs, cuts,
@@ -1622,6 +1637,7 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
   }
 
   // resolved IPs: the second IP merge.
+  obs::Span ips_span("oocore/write/ips");
   run_ranges(slots, ips, domain_cuts, [&](MergeSlot& slot, std::uint32_t lo, std::uint32_t) {
     SliceWriter values(output, ip_values_at + sizeof(std::uint32_t) * ip_offsets[domain_rank[lo]],
                        slot.section);
@@ -1633,15 +1649,103 @@ OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of
     }
     values.flush();
   });
+  ips_span.close();
+
+  obs::Span close_span("oocore/write/close");
   output.close();
-  util::require_data(std::rename(temp_path.c_str(), out_path.c_str()) == 0,
-                     "oocore: cannot rename the output to '" + out_path + "'");
-  temporary.paths.erase(temporary.paths.begin());  // renamed: nothing to remove
+  util::require_data(std::rename(temp_path_.c_str(), out_path_.c_str()) == 0,
+                     "oocore: cannot rename the output to '" + out_path_ + "'");
+  temporary_.paths.erase(temporary_.paths.begin());  // renamed: nothing to remove
+  close_span.close();
   write_span.close();
   return result;
 }
 
+/// The trace entry points: `day_of_trace`, when set, is the day every
+/// record must carry and the graph's day. The whole scan, the reads
+/// included, is one "oocore/scan" span.
+OutOfCoreResult prepare(dns::TraceSource& source, std::optional<dns::Day> day_of_trace,
+                        const dns::PublicSuffixList& psl, const NameSet& cc_blacklist,
+                        const NameSet& e2ld_whitelist, const std::string& out_path,
+                        const OutOfCoreConfig& config) {
+  Engine engine(psl, out_path, config);
+  obs::Span scan_span("oocore/scan");
+  dns::Day day = 0;
+  {
+    BatchReader reader(source, day_of_trace, util::parallelism() > 1);
+    for (Batch* batch = &reader.next(); !batch->records.empty(); batch = &reader.next()) {
+      engine.scan(*batch);
+    }
+    day = reader.day();
+  }
+  engine.end_scan();
+  return engine.finish(day, scan_span.close(), cc_blacklist, e2ld_whitelist);
+}
+
 }  // namespace
+
+struct StreamingPrepare::State {
+  State(dns::Day day, const dns::PublicSuffixList& psl, std::string out_path,
+        const OutOfCoreConfig& config)
+      : engine(psl, std::move(out_path), config), day(day) {
+    batch.records.rows.reserve(kStreamedBatchRecords);
+  }
+
+  /// Scans the pending batch in an "oocore/scan" span of its own.
+  void scan(bool last) {
+    obs::Span span("oocore/scan");
+    if (!batch.records.empty()) {
+      engine.scan(batch);
+      batch.records.clear();
+    }
+    if (last) {
+      batch = {};
+      engine.end_scan();
+    }
+    scan_seconds += span.close();
+  }
+
+  Engine engine;
+  Batch batch;  ///< the records of the scan batch being assembled
+  dns::Day day;
+  double scan_seconds = 0.0;
+};
+
+StreamingPrepare::StreamingPrepare(dns::Day day, const dns::PublicSuffixList& psl,
+                                   std::string out_path, const OutOfCoreConfig& config)
+    : state_(std::make_unique<State>(day, psl, std::move(out_path), config)) {}
+
+StreamingPrepare::~StreamingPrepare() = default;
+
+void StreamingPrepare::add(const dns::RecordArena& arena) {
+  util::require(state_ != nullptr, "StreamingPrepare::add: the prepare has finished");
+  util::require(arena.empty() || arena.day == state_->day,
+                "StreamingPrepare::add: an arena of another day");
+  dns::RecordArena& pending = state_->batch.records;
+  for (std::size_t first = 0; first < arena.size();) {
+    const std::size_t take =
+        std::min(arena.size() - first, kStreamedBatchRecords - pending.size());
+    pending.append(arena, first, take);
+    first += take;
+    if (pending.size() == kStreamedBatchRecords) {
+      state_->scan(false);
+    }
+  }
+}
+
+OutOfCoreResult StreamingPrepare::finish(const NameSet& cc_blacklist,
+                                         const NameSet& e2ld_whitelist) {
+  util::require(state_ != nullptr, "StreamingPrepare::finish: called twice");
+  state_->scan(true);
+  OutOfCoreResult result =
+      state_->engine.finish(state_->day, state_->scan_seconds, cc_blacklist, e2ld_whitelist);
+  state_.reset();  // removes the spills
+  return result;
+}
+
+double StreamingPrepare::scan_seconds() const {
+  return state_ != nullptr ? state_->scan_seconds : 0.0;
+}
 
 OutOfCoreResult prepare_graph_out_of_core(dns::TraceSource& source,
                                           const dns::PublicSuffixList& psl,
@@ -1673,3 +1777,4 @@ OutOfCoreResult prepare_graph_out_of_core(const dns::DayTrace& trace,
 }
 
 }  // namespace seg::graph
+

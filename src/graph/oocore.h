@@ -1,27 +1,33 @@
 // The graph-preparation engine: one day of records -> a labeled, pruned
 // packed graphc file.
 //
-// prepare_graph_out_of_core() is the only build + label + prune path in
-// production: the out-of-core flow runs it over a trace file, and
-// core::Segugio::prepare_graph (so every one-shot and streamed day) runs
-// it over an in-memory DayTrace. Its input is a dns::TraceSource — a trace
-// file of any format dns::FileTraceSource sniffs (sim TSV, SEGTRC1 binlog,
-// dnstap, pcap), or a borrowed DayTrace — and it never materializes the
-// behavior graph in memory. Node-level state — name dictionaries, labels,
-// degrees, keep masks — stays resident (O(machines + domains + e2LDs));
-// the edge and IP-pair streams, which dominate at ISP scale, are spilled to
-// sorted/deduplicated delta+varint compressed runs and re-read through
-// k-way merges. The records are scanned in batches of
-// kOutOfCoreBatchRecords. Peak RSS is O(nodes + chunk_records + batch),
-// independent of the edge count, which is what lets one box prepare days
-// of 10^6-10^7 machines (the bench_scale_sweep "scale" section records the
-// bound).
+// One engine is the only build + label + prune path in production. It has
+// two feeders:
+//   - prepare_graph_out_of_core() reads a dns::TraceSource: a trace file
+//     of any format dns::FileTraceSource sniffs (sim TSV, SEGTRC1 binlog,
+//     dnstap, pcap) for the out-of-core flow, or a borrowed DayTrace for
+//     core::Segugio::prepare_graph. It scans batches of
+//     kOutOfCoreBatchRecords records, read by a reader thread of its own.
+//   - StreamingPrepare takes the dns::RecordArenas a stream hands it
+//     (core::Pipeline's streamed days) and scans a batch of
+//     kStreamedBatchRecords records each time the arenas fill one, so when
+//     the day ends only its last partial batch and the passes after the
+//     scan are left.
+// Either way the engine never materializes the behavior graph in memory.
+// Node-level state — name dictionaries, labels, degrees, keep masks —
+// stays resident (O(machines + domains + e2LDs)); the edge and IP-pair
+// streams, which dominate at ISP scale, are spilled to sorted/deduplicated
+// delta+varint compressed runs and re-read through k-way merges. Peak RSS
+// is O(nodes + chunk_records + batch), independent of the edge count,
+// which is what lets one box prepare days of 10^6-10^7 machines (the
+// bench_scale_sweep "scale" section records the bound).
 //
 // Everything after the record read runs on the shared pool
 // (util/parallel.h):
-//   - the scan resolves each batch in parallel phases while, when the pool
-//     has more than one worker, a reader thread fills the next batch (two
-//     batch arenas, recycled);
+//   - the scan resolves each batch in parallel phases while, in the trace
+//     feeder, a reader thread fills the next batch when the pool has more
+//     than one worker (two batch arenas, recycled), and in the streaming
+//     feeder the stream's producer decodes ahead;
 //   - the spill sorts run as fixed slices;
 //   - every merge pass — labels and degrees, prune masks, CSR shape, IP
 //     counts, and the machine_targets, domain_targets and resolved-IP
@@ -29,10 +35,12 @@
 //     in restart blocks with a block index, so a range's merge starts
 //     each run at the block holding its first key; each range writes its
 //     slice of a section at the offset the CSR prefix sums fix.
-// How the work is split depends only on the input, so the result — the
-// output bytes, skipped records, spill runs and bytes, PruneStats — is
-// identical for every pool size, and a one-worker pool runs the whole
-// prepare on the calling thread.
+// How the work is split depends only on the input and the feeder's batch
+// size, so the result — the output bytes, skipped records, spill runs and
+// bytes, PruneStats — is identical for every pool size, and a one-worker
+// pool runs the whole prepare on the calling thread. The two feeders
+// write the same output bytes and PruneStats for the same records; their
+// spill runs differ, since their batches do.
 //
 // The optional prober filter (graph/prober_filter.h, Section VI) is one
 // more per-machine mask in the labels pass: the first edge merge yields
@@ -59,11 +67,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "dns/public_suffix_list.h"
 #include "dns/query_log.h"
+#include "dns/record_arena.h"
 #include "dns/trace_source.h"
 #include "graph/labeling.h"
 #include "graph/prober_filter.h"
@@ -71,9 +81,17 @@
 
 namespace seg::graph {
 
-/// Records the scan reads and resolves per batch. A constant: the scan's
-/// work split depends on it and on the input, never on the pool size.
+/// Records the scan reads and resolves per batch when it reads a trace. A
+/// constant: the scan's work split depends on it and on the input, never
+/// on the pool size.
 inline constexpr std::size_t kOutOfCoreBatchRecords = std::size_t{1} << 15;
+
+/// Records per scan batch when a stream hands the engine its records
+/// (StreamingPrepare): a constant too, never a function of the stream's
+/// arena size or of thread timing. Half of kOutOfCoreBatchRecords, so that
+/// core::Pipeline's queue (util::kDefaultQueueCapacity arenas of 1024
+/// records by default) can refill while one batch resolves.
+inline constexpr std::size_t kStreamedBatchRecords = std::size_t{1} << 14;
 
 /// Options of a prepare, for every entry point (core::Segugio::prepare_graph
 /// takes them too).
@@ -90,13 +108,13 @@ struct OutOfCoreConfig {
 
 struct OutOfCoreResult {
   PruneStats prune_stats;
-  std::size_t records = 0;        ///< trace records consumed
+  std::size_t records = 0;        ///< records scanned, skipped ones included
   std::size_t skipped_records = 0;///< invalid qname / empty machine
   std::size_t edges = 0;          ///< distinct edges before the prober filter and pruning
   std::size_t spill_segments = 0; ///< sorted runs written to the edge and IP spills
   std::uint64_t spill_bytes = 0;  ///< compressed spill footprint
   // Wall clock of the engine's spans (util/obs/trace.h), in seconds.
-  double scan_seconds = 0.0;    ///< "oocore/scan"
+  double scan_seconds = 0.0;    ///< "oocore/scan" (summed over StreamingPrepare's batches)
   double label_seconds = 0.0;   ///< "oocore/labels"
   double prober_seconds = 0.0;  ///< "oocore/probers"; 0 without a prober filter
 };
@@ -131,5 +149,37 @@ OutOfCoreResult prepare_graph_out_of_core(const dns::DayTrace& trace,
                                           const NameSet& e2ld_whitelist,
                                           const std::string& out_path,
                                           const OutOfCoreConfig& config = {});
+
+/// A prepare of one day fed record arenas as they arrive. add() scans each
+/// scan batch of kStreamedBatchRecords records as soon as the arenas
+/// complete it, each batch in an "oocore/scan" span of its own; finish()
+/// scans the last partial batch, in one more such span with the close of
+/// the spills, and runs the passes after the scan. The graph is the one
+/// prepare_graph_out_of_core writes over the same records, also when no
+/// record arrives. The temporary output and the spills sit next to
+/// `out_path` from construction until finish() or destruction, which
+/// removes them. Top-level calls only (the scan uses the shared pool).
+class StreamingPrepare {
+ public:
+  StreamingPrepare(dns::Day day, const dns::PublicSuffixList& psl, std::string out_path,
+                   const OutOfCoreConfig& config = {});
+  ~StreamingPrepare();
+  StreamingPrepare(const StreamingPrepare&) = delete;
+  StreamingPrepare& operator=(const StreamingPrepare&) = delete;
+
+  /// Appends the records of `arena`, whose day must be the prepare's, and
+  /// scans every batch they complete. The arena is not kept.
+  void add(const dns::RecordArena& arena);
+
+  /// Writes the labeled, pruned graph to `out_path`. Call once.
+  OutOfCoreResult finish(const NameSet& cc_blacklist, const NameSet& e2ld_whitelist);
+
+  /// Seconds of the "oocore/scan" spans so far.
+  double scan_seconds() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 }  // namespace seg::graph

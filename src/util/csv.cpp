@@ -29,7 +29,7 @@ bool DsvReader::next(std::vector<std::string_view>& fields) {
 }
 
 DsvWriter::DsvWriter(const std::string& path, char delimiter)
-    : stream_(path), delimiter_(delimiter) {
+    : stream_(path), path_(path), delimiter_(delimiter) {
   require_data(stream_.is_open(), "DsvWriter: cannot open '" + path + "'");
 }
 
@@ -63,6 +63,7 @@ void DsvWriter::write_row(const std::vector<std::string_view>& fields) {
 void DsvWriter::close() {
   if (stream_.is_open()) {
     stream_.close();
+    require_data(!stream_.fail(), "DsvWriter: cannot write '" + path_ + "'");
   }
 }
 

@@ -45,11 +45,13 @@ class DsvWriter {
   void write_row(const std::vector<std::string>& fields);
   void write_row(const std::vector<std::string_view>& fields);
 
-  /// Flushes and closes; called automatically by the destructor.
+  /// Flushes and closes; throws ParseError, naming the file, when a write
+  /// to it failed. The destructor closes without that check.
   void close();
 
  private:
   std::ofstream stream_;
+  std::string path_;
   char delimiter_;
 };
 

@@ -18,6 +18,10 @@
 // A queue constructed with a metrics prefix mirrors its counters into the
 // seg::obs registry (see IngestQueue's constructor for the catalog), so a
 // deployment can watch `<prefix>_depth` without touching the queue itself.
+// A push that waits for space is an "ingest/push-wait" span on the
+// producer's thread, and a pop that waits for a batch an "ingest/pop-wait"
+// span on the consumer's (util/obs/trace.h); a push or pop that does not
+// wait records none.
 //
 // Shutdown/drain protocol:
 //
@@ -44,6 +48,7 @@
 #include <utility>
 
 #include "util/obs/metrics.h"
+#include "util/obs/trace.h"
 
 namespace seg::util {
 
@@ -96,6 +101,7 @@ class IngestQueue {
     if (queue_.size() >= capacity_ && !closed_) {
       ++stats_.blocked_pushes;
       bump("_blocked_pushes_total", 1);
+      obs::Span wait_span("ingest/push-wait");
       space_.wait(lock, [&] { return queue_.size() < capacity_ || closed_; });
     }
     if (closed_) {
@@ -119,7 +125,10 @@ class IngestQueue {
   /// (the consumer's signal to stop). Single consumer thread only.
   std::optional<Batch> pop() {
     std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return !queue_.empty() || closed_; });
+    if (queue_.empty() && !closed_) {
+      obs::Span wait_span("ingest/pop-wait");
+      ready_.wait(lock, [&] { return !queue_.empty() || closed_; });
+    }
     if (queue_.empty()) {
       return std::nullopt;
     }

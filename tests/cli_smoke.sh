@@ -64,4 +64,32 @@ if "$CLI" classify --input "$DIR/day1.bin" --format bogus --model "$DIR/model.tx
   exit 1
 fi
 
+# A write that fails is an error naming the file, never a silent success.
+# /dev/full opens for writing and fails every write; it is a device node,
+# so nothing here renames over it.
+if [ -e /dev/full ]; then
+  if "$CLI" train --input "$DIR/day0.bin" \
+    --blacklist "$DIR/blacklist-day0.txt" --whitelist "$DIR/whitelist.txt" \
+    --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" \
+    --model /dev/full --trees 20 >"$DIR/full-out.txt" 2>"$DIR/full-err.txt"; then
+    echo "expected failure on --model /dev/full" >&2
+    exit 1
+  fi
+  grep -q "cannot write '/dev/full'" "$DIR/full-err.txt"
+  if grep -q "model written" "$DIR/full-out.txt"; then
+    echo "--model /dev/full reported a written model" >&2
+    exit 1
+  fi
+  for option in --journal --trace-out --metrics-out --run-report; do
+    if "$CLI" classify --input "$DIR/day1.bin" --model "$DIR/model.txt" \
+      --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt" \
+      --activity "$DIR/activity.txt" --pdns "$DIR/pdns.txt" \
+      "$option" /dev/full >/dev/null 2>"$DIR/full-err.txt"; then
+      echo "expected failure on $option /dev/full" >&2
+      exit 1
+    fi
+    grep -q "cannot write '/dev/full'" "$DIR/full-err.txt"
+  done
+fi
+
 echo "cli smoke ok"

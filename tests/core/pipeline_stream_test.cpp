@@ -1,20 +1,27 @@
 // The ingest_stream() determinism contract: a streamed session — records
-// pulled from a TraceSource, micro-batched through the bounded queue, cut
-// at day boundaries — produces byte-identical artifacts (graphs, model,
-// scores) to a one-day-at-a-time session fed from in-memory day traces, at
-// any parallelism and any batch size: the queue blocks instead of dropping.
-// A source that fails mid-day never hands that day out.
+// pulled from a TraceSource into recycled arenas, micro-batched through
+// the bounded queue, cut at day boundaries and scanned batch by batch as
+// they arrive — produces byte-identical artifacts (graphs, model, scores)
+// to a one-day-at-a-time session fed from in-memory day traces, at any
+// parallelism and any batch size: the queue blocks instead of dropping.
+// A source that fails mid-day never hands that day out, and no failure
+// leaves a day's temporary directory behind.
 // This is the acceptance test for the streaming design; docs/ingestion.md
 // points here.
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,12 +30,48 @@
 #include "dns/trace_source.h"
 #include "dns/wire/dnstap.h"
 #include "graph/graph_compressed.h"
+#include "graph/oocore.h"
 #include "sim/world.h"
 #include "util/obs/metrics.h"
 #include "util/parallel.h"
 
 namespace seg::core {
 namespace {
+
+// Points TMPDIR at a fresh directory for the test's lifetime, so a test
+// can see every prepare directory a session leaves behind.
+class ScopedTempDir {
+ public:
+  ScopedTempDir()
+      : path_((std::filesystem::temp_directory_path() / "seg-stream-tmp-XXXXXX").string()) {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed");
+    }
+    if (const char* saved = std::getenv("TMPDIR"); saved != nullptr) {
+      saved_ = saved;
+    }
+    ::setenv("TMPDIR", path_.c_str(), 1);
+  }
+  ~ScopedTempDir() {
+    if (saved_) {
+      ::setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+    std::filesystem::remove_all(path_);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  std::size_t entries() const {
+    return static_cast<std::size_t>(std::distance(std::filesystem::directory_iterator(path_),
+                                                  std::filesystem::directory_iterator()));
+  }
+
+ private:
+  std::string path_;
+  std::optional<std::string> saved_;
+};
 
 class PipelineStreamTest : public ::testing::Test {
  protected:
@@ -309,6 +352,7 @@ TEST_F(PipelineStreamTest, BackwardDaysThrowThroughTheQueue) {
 
   Pipeline pipeline(w.psl(), fast_config());
   dns::DayTraceSource source(disordered);
+  const ScopedTempDir temp;
   EXPECT_THROW(pipeline.ingest_stream(
                    source, [&](dns::Day) -> const graph::NameSet& {
                      static const graph::NameSet empty;
@@ -316,6 +360,7 @@ TEST_F(PipelineStreamTest, BackwardDaysThrowThroughTheQueue) {
                    },
                    w.whitelist().all(), [](PreparedDay&&) {}),
                util::ParseError);
+  EXPECT_EQ(temp.entries(), 0u);  // the open day 5 took its directory along
 }
 
 TEST_F(PipelineStreamTest, ProducerParseErrorsPropagateAfterDrain) {
@@ -360,6 +405,7 @@ TEST_F(PipelineStreamTest, SourceFailureMidDayNeverHandsOutTheOpenDay) {
       obs::Registry::instance().counter("seg_pipeline_days_ingested_total");
   const std::uint64_t prepared_before = prepared.value();
   std::vector<dns::Day> handed_out;
+  const ScopedTempDir temp;
   EXPECT_THROW(pipeline.ingest_stream(
                    source, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
                    w.whitelist().all(),
@@ -367,6 +413,141 @@ TEST_F(PipelineStreamTest, SourceFailureMidDayNeverHandsOutTheOpenDay) {
                util::ParseError);
   EXPECT_EQ(handed_out, std::vector<dns::Day>{4});
   EXPECT_EQ(prepared.value() - prepared_before, 1u);  // day 5 was never prepared
+  // Day 5's scan had spilled into its directory; the failure removed it.
+  EXPECT_EQ(temp.entries(), 0u);
+}
+
+TEST_F(PipelineStreamTest, AThrowingDayCallbackLeavesNoTemporaryDirectory) {
+  // on_day throws on the first day, while the producer has day 5's arenas
+  // queued behind it: the exception reaches the caller and no day's
+  // directory outlives it.
+  auto& w = world();
+  const std::vector<dns::DayTrace> traces = {w.generate_day(0, 4), w.generate_day(0, 5)};
+  const auto path = write_multiday_binlog(traces, ".throwing.bin");
+  const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 4);
+  Pipeline pipeline(w.psl(), w.activity(), w.pdns(), fast_config());
+  dns::FileTraceSource source(path);
+  const ScopedTempDir temp;
+  std::vector<dns::Day> handed_out;
+  EXPECT_THROW(pipeline.ingest_stream(
+                   source, [&](dns::Day) -> const graph::NameSet& { return blacklist; },
+                   w.whitelist().all(),
+                   [&](PreparedDay&& day) {
+                     handed_out.push_back(day.day);
+                     throw std::runtime_error("archive full");
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(handed_out, std::vector<dns::Day>{4});
+  EXPECT_EQ(temp.entries(), 0u);
+}
+
+TEST_F(PipelineStreamTest, ScanBatchBoundariesMatchPrepareGraph) {
+  // Three days around the streamed scan batch: one record short of it,
+  // exactly one batch, and one record past it, so a day ends just before,
+  // on and just after a batch boundary. The day changes fall inside a
+  // producer arena (at 3 and 1024 records per arena), an invalid qname
+  // closes the first scan batch and an empty machine opens the third
+  // day's second one. At every arena size and pool size, each day's graph
+  // bytes, PruneStats and record count equal Segugio::prepare_graph's over
+  // the same records.
+  auto& w = world();
+  const auto config = fast_config();
+  constexpr std::size_t kBatch = graph::kStreamedBatchRecords;
+  std::vector<dns::QueryRecord> pool;
+  for (dns::Day day = 4; pool.size() < 3 * kBatch + 1; ++day) {
+    auto trace = w.generate_day(0, day);
+    pool.insert(pool.end(), std::make_move_iterator(trace.records.begin()),
+                std::make_move_iterator(trace.records.end()));
+  }
+  std::vector<dns::DayTrace> traces;
+  std::size_t next = 0;
+  for (const std::size_t size : {kBatch - 1, kBatch, kBatch + 1}) {
+    dns::DayTrace trace;
+    trace.day = static_cast<dns::Day>(20 + traces.size());
+    for (std::size_t i = 0; i < size; ++i) {
+      dns::QueryRecord record = pool[next++];
+      record.day = trace.day;
+      trace.records.push_back(std::move(record));
+    }
+    traces.push_back(std::move(trace));
+  }
+  traces[0].records[kBatch - 2].qname = "bad..name.example";
+  traces[2].records[kBatch].machine.clear();
+  for (const std::size_t arena : {std::size_t{3}, std::size_t{1024}}) {
+    std::size_t start = 0;
+    bool inside = false;
+    for (const auto& trace : traces) {
+      start += trace.records.size();
+      inside = inside || start % arena != 0;
+    }
+    ASSERT_TRUE(inside) << "arena " << arena;
+  }
+  const auto blacklist = w.blacklist().as_of(sim::BlacklistKind::kCommercial, 6);
+  const auto whitelist = w.whitelist().all();
+
+  struct Reference {
+    std::string bytes;
+    graph::PruneStats stats;
+    std::size_t records = 0;
+  };
+  std::vector<Reference> reference;
+  for (const auto& trace : traces) {
+    auto prep = Segugio::prepare_graph(trace, w.psl(), blacklist, whitelist,
+                                       config.prepare_options());
+    reference.push_back({graph_bytes(prep.graph), prep.prune_stats, prep.timings.build.records});
+    ASSERT_EQ(reference.back().records, trace.records.size());
+  }
+
+  dns::DayTrace stream;
+  for (const auto& trace : traces) {
+    stream.records.insert(stream.records.end(), trace.records.begin(), trace.records.end());
+  }
+  for (const std::size_t pool_size : {1, 3, 8}) {
+    util::set_parallelism(pool_size);
+    for (const std::size_t arena : {std::size_t{1}, std::size_t{3}, std::size_t{1024}}) {
+      const auto label = "pool " + std::to_string(pool_size) + ", arena " + std::to_string(arena);
+      Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
+      dns::DayTraceSource source(stream);
+      IngestOptions options;
+      options.batch_records = arena;
+      std::size_t index = 0;
+      const auto stats = pipeline.ingest_stream(
+          source, [&](dns::Day) -> const graph::NameSet& { return blacklist; }, whitelist,
+          [&](PreparedDay&& day) {
+            ASSERT_LT(index, reference.size()) << label;
+            const Reference& ref = reference[index];
+            EXPECT_EQ(day.day, traces[index].day) << label;
+            EXPECT_EQ(graph_bytes(day.graph), ref.bytes) << label << ", day " << index;
+            const graph::PruneStats& got = day.prune_stats;
+            EXPECT_EQ(got.machines_before, ref.stats.machines_before) << label;
+            EXPECT_EQ(got.machines_after, ref.stats.machines_after) << label;
+            EXPECT_EQ(got.domains_before, ref.stats.domains_before) << label;
+            EXPECT_EQ(got.domains_after, ref.stats.domains_after) << label;
+            EXPECT_EQ(got.edges_before, ref.stats.edges_before) << label;
+            EXPECT_EQ(got.edges_after, ref.stats.edges_after) << label;
+            EXPECT_EQ(got.machines_removed_r1, ref.stats.machines_removed_r1) << label;
+            EXPECT_EQ(got.machines_removed_r2, ref.stats.machines_removed_r2) << label;
+            EXPECT_EQ(got.domains_removed_r3, ref.stats.domains_removed_r3) << label;
+            EXPECT_EQ(got.domains_removed_r4, ref.stats.domains_removed_r4) << label;
+            EXPECT_EQ(got.malware_machines_kept_by_exception,
+                      ref.stats.malware_machines_kept_by_exception)
+                << label;
+            EXPECT_EQ(got.malware_domains_kept_by_exception,
+                      ref.stats.malware_domains_kept_by_exception)
+                << label;
+            EXPECT_EQ(got.theta_d, ref.stats.theta_d) << label;
+            EXPECT_EQ(got.theta_m, ref.stats.theta_m) << label;
+            EXPECT_EQ(day.timings.build.records, ref.records) << label;
+            ++index;
+          },
+          options);
+      EXPECT_EQ(index, traces.size()) << label;
+      EXPECT_EQ(stats.days, traces.size()) << label;
+      EXPECT_EQ(stats.records, stream.records.size()) << label;
+      EXPECT_EQ(stats.queue.pushed_records, stream.records.size()) << label;
+    }
+  }
+  util::set_parallelism(0);
 }
 
 }  // namespace

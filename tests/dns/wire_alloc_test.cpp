@@ -3,7 +3,9 @@
 // stream, decoding a record touches the heap no more. Every bounds check
 // still runs on every read; only its error text moved onto the failure
 // path (dns/wire/bytes.h). The per-record name checks every graph builder
-// runs (DomainName::is_valid, is_normalized) allocate nothing either.
+// runs (DomainName::is_valid, is_normalized) allocate nothing either, nor
+// does appending each decoded record to a recycled RecordArena, the
+// streaming pipeline's producer loop (core::Pipeline::ingest_stream).
 //
 // The binary replaces the global operator new/delete with counting
 // versions, so it is an executable of its own, and it is not built under
@@ -16,10 +18,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "dns/domain_name.h"
 #include "dns/query_log.h"
+#include "dns/record_arena.h"
 #include "dns/trace_source.h"
 #include "dns/wire/dnstap.h"
 #include "dns/wire/pcap.h"
@@ -81,29 +85,65 @@ DayTrace make_trace() {
   return trace;
 }
 
+// Rows per arena in the arena cases, the pipeline's default batch.
+constexpr std::size_t kArenaRows = 1024;
+
 struct Decoded {
   std::uint64_t records = 0;
   std::uint64_t mismatches = 0;
   std::uint64_t allocations = 0;  // after the warm-up
 };
 
+// Capacities of an arena's buffers. The arena takes anonymous mappings,
+// which the operator new counter cannot see, so a buffer that grows is
+// counted as one allocation when its capacity changes.
+struct ArenaCapacity {
+  std::size_t text = 0;
+  std::size_t ips = 0;
+  std::size_t rows = 0;
+
+  explicit ArenaCapacity(const RecordArena& arena)
+      : text(arena.text.capacity()), ips(arena.ips.capacity()), rows(arena.rows.capacity()) {}
+  bool operator==(const ArenaCapacity&) const = default;
+};
+
 // Reads `path` back into one reused record, checking each against the
-// trace it was written from. Nothing inside the loop may allocate except
-// the decoder itself.
-Decoded decode(const std::string& path, const DayTrace& trace) {
+// trace it was written from. With an arena, each record is appended to it
+// and the arena is recycled (cleared) every kArenaRows records, as the
+// pipeline's producer does; the warm-up then lasts one full arena. Nothing
+// inside the loop may allocate except the decoder and the arena growing.
+Decoded decode(const std::string& path, const DayTrace& trace, RecordArena* arena = nullptr) {
   FileTraceSource source(path);
   QueryRecord record;
   Decoded out;
+  const std::uint64_t warmup = arena != nullptr ? kArenaRows : kWarmup;
   std::uint64_t at_warmup = g_allocations.load(std::memory_order_relaxed);
+  std::uint64_t arena_growth = 0;
+  std::optional<ArenaCapacity> capacity;
   while (source.next(record)) {
     if (out.records >= trace.records.size() || !(record == trace.records[out.records])) {
       ++out.mismatches;
     }
-    if (++out.records == kWarmup) {
+    if (arena != nullptr) {
+      arena->add(record);
+      if (arena->size() == kArenaRows) {
+        arena->clear();
+      }
+      if (capacity && !(ArenaCapacity(*arena) == *capacity)) {
+        ++arena_growth;
+      }
+      if (capacity) {
+        *capacity = ArenaCapacity(*arena);
+      }
+    }
+    if (++out.records == warmup) {
       at_warmup = g_allocations.load(std::memory_order_relaxed);
+      if (arena != nullptr) {
+        capacity.emplace(*arena);
+      }
     }
   }
-  out.allocations = g_allocations.load(std::memory_order_relaxed) - at_warmup;
+  out.allocations = g_allocations.load(std::memory_order_relaxed) - at_warmup + arena_growth;
   return out;
 }
 
@@ -123,6 +163,17 @@ class WireAllocTest : public ::testing::Test {
     EXPECT_LE(result.allocations, kGrowthBudget)
         << format << ": " << result.allocations << " allocations over "
         << kRecords - kWarmup << " records";
+  }
+
+  // Decoding into a recycled arena stays within the same budget.
+  void expect_arena_fill_allocation_free(const std::string& format) {
+    RecordArena arena;
+    const auto result = decode(path_, trace_, &arena);
+    EXPECT_EQ(result.records, kRecords) << format;
+    EXPECT_EQ(result.mismatches, 0u) << format;
+    EXPECT_LE(result.allocations, kGrowthBudget)
+        << format << " into an arena: " << result.allocations << " allocations over "
+        << kRecords - kArenaRows << " records";
   }
 
   static const DayTrace trace_;
@@ -160,16 +211,28 @@ TEST_F(WireAllocTest, NameChecksAreAllocationFree) {
 TEST_F(WireAllocTest, DnstapDecodeIntoAReusedRecordIsAllocationFree) {
   wire::write_dnstap_trace(trace_, path_);
   expect_allocation_free("dnstap");
+  expect_arena_fill_allocation_free("dnstap");
 }
 
 TEST_F(WireAllocTest, PcapDecodeIntoAReusedRecordIsAllocationFree) {
   wire::write_pcap_trace(trace_, path_);
   expect_allocation_free("pcap");
+  expect_arena_fill_allocation_free("pcap");
 }
 
 TEST_F(WireAllocTest, BinlogDecodeIntoAReusedRecordIsAllocationFree) {
   write_trace_binary(trace_, path_);
   expect_allocation_free("binlog");
+  expect_arena_fill_allocation_free("binlog");
+}
+
+TEST_F(WireAllocTest, ArenaGrowthIsCounted) {
+  // The arena cases count buffer growth by capacity: a fresh arena that
+  // fills past its first buffers must register.
+  RecordArena arena;
+  const ArenaCapacity empty(arena);
+  arena.add(trace_.records.front());
+  EXPECT_FALSE(ArenaCapacity(arena) == empty);
 }
 
 }  // namespace

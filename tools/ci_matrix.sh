@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# CI sanitizer matrix: configure + build + ctest under {plain, thread,
-# address, undefined} in separate build-<config>/ trees, with per-config
-# logs. The thread leg is what validates the parallel pipeline's
-# race-freedom contract; seg-lint runs inside every leg as a tier-1 test.
+# CI matrix: eight legs. Four sanitizer legs configure + build + ctest
+# under {plain, thread, address, undefined} in separate build-<config>/
+# trees, with per-config logs; four focused legs (lint, obs, oocore,
+# ingest) re-run one area with its own gates. The thread leg is what
+# validates the parallel pipeline's race-freedom contract; seg-lint runs
+# inside every sanitizer leg as a tier-1 test.
 #
 # Usage:
 #   tools/ci_matrix.sh [config ...]   # default: plain thread address undefined lint obs oocore ingest
@@ -29,8 +31,9 @@
 # pipeline, golden-digest and prepare suites plus the graph container
 # suites, so the zero-copy GraphView path (mapping lifetime, crafted graphc
 # files, spill varint and block-run decode bounds, classify parity) and the
-# preparation engine — which every day goes through, from a trace file or
-# an in-memory DayTrace (Segugio::prepare_graph) — get sanitizer coverage;
+# preparation engine — which every day goes through, from a trace file, an
+# in-memory DayTrace (Segugio::prepare_graph) or a stream's arenas
+# (core::Pipeline) — get sanitizer coverage;
 # see docs/graph-format.md. The engine's scan, spill sorts and
 # range-parallel merge passes run on the shared pool, and a reader thread
 # fills the next scan batch, so the leg also soaks the OutOfCore and
@@ -45,15 +48,17 @@
 #
 # The ingest leg covers the streaming front end (docs/ingestion.md): a
 # tsan soak of the queue and stream-determinism suites (repeated, so the
-# producer/consumer interleavings actually vary; the stream suite includes
-# a source that fails mid-day, whose open day must never reach the day
-# callback), the malformed-wire
+# producer/consumer interleavings actually vary, and the stream suite once
+# more at SEG_THREADS=8, where the arena hand-back between the producer
+# and the consumer runs beside the pool's scan workers; the stream suite
+# includes a source that fails mid-day, whose open day must never reach
+# the day callback), the malformed-wire
 # corpus and the mapped reader's page release under asan (where "never
 # UB" is checked, not assumed), the
 # decoders' allocation contract (wire_alloc_test, plain tree: it counts
 # operator new, which the sanitizers replace), and the replay benchmark
 # (SEG_BENCH_INGEST_ONLY=1), which fails unless the streamed records
-# balance (produced by the source == pushed to the queue == assembled into
+# balance (produced by the source == pushed to the queue == scanned into
 # days) and whose BENCH_pipeline.json "ingest" section is archived under
 # ${LOG_DIR}/ingest/.
 #
@@ -402,6 +407,11 @@ run_ingest() {
     echo "    pipeline stream soak FAILED under tsan (see ${log})"
     return 1
   fi
+  if ! SEG_THREADS=8 build-tsan/tests/core_test --gtest_filter='PipelineStream*' \
+       --gtest_repeat=5 >> "${log}" 2>&1; then
+    echo "    pipeline stream soak FAILED under tsan at SEG_THREADS=8 (see ${log})"
+    return 1
+  fi
 
   echo "=== [ingest] asan: malformed wire corpus + mapped reader page release ==="
   if ! build-asan/tests/dns_test --gtest_filter='WireTest*:TraceSourceTest*' \
@@ -417,15 +427,15 @@ run_ingest() {
     echo "    plain build FAILED (see ${log})"
     return 1
   fi
-  # Decoding into a reused record must not touch the heap once its buffers
-  # have grown to fit the stream.
+  # Decoding into a reused record, and appending it to a recycled arena,
+  # must not touch the heap once the buffers have grown to fit the stream.
   if ! build-plain/tests/wire_alloc_test >> "${log}" 2>&1; then
     echo "    wire allocation contract FAILED (see ${log})"
     return 1
   fi
   # The bench writes BENCH_pipeline.json into its cwd and exits non-zero
   # unless the streamed records balance: a batch lost anywhere between the
-  # source and the assembled day fails it.
+  # source and the day's scan fails it.
   if ! (cd build-plain && SEG_BENCH_INGEST_ONLY=1 ./bench/bench_perf_efficiency) \
        >> "${log}" 2>&1; then
     echo "    ingest benchmark FAILED (see ${log})"
