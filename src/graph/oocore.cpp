@@ -624,17 +624,20 @@ constexpr unsigned kRepeatFilterBits = 16;
 /// and, as a domain id, the empty-slot marker of the repeat filter.
 constexpr std::uint32_t kNoId = 0xffffffffu;
 
-/// What phase A derives from one row of a batch.
+/// What phase A derives from one row of a batch, in 32 bytes: with its
+/// 32-byte dns::ArenaRow, a row costs a batch 64 bytes besides its names
+/// and IPs.
 struct RowScan {
-  std::uint32_t machine_partition = 0;
-  std::uint32_t domain_partition = 0;
-  std::uint32_t machine_lookup = 0;  ///< index into its chunk's machine lookups
-  std::uint32_t domain_lookup = 0;   ///< index into its chunk's domain lookups
-  bool valid = false;
-  bool repeats_machine = false;  ///< same machine as the previous row of its chunk
   std::size_t machine_hash = 0;
   std::size_t domain_hash = 0;
+  std::uint32_t machine_lookup = 0;  ///< index into its chunk's machine lookups
+  std::uint32_t domain_lookup = 0;   ///< index into its chunk's domain lookups
+  std::uint8_t machine_partition = 0;
+  std::uint8_t domain_partition = 0;
+  bool valid = false;
+  bool repeats_machine = false;  ///< same machine as the previous row of its chunk
 };
+static_assert(kMaxPartitions <= 256, "RowScan keeps a partition in one byte");
 
 /// A scan batch: its records in one flat arena (dns/record_arena.h) and
 /// what phase A derives from each row. The containers keep their capacity
@@ -707,9 +710,9 @@ std::size_t name_hash(std::string_view name) { return std::hash<std::string_view
 
 /// The dictionary partition of a name hash: its high bits, which the
 /// map's bucket index (the hash modulo a prime) does not lean on.
-std::uint32_t partition_of(std::size_t hash, std::size_t partitions) {
-  return static_cast<std::uint32_t>(((static_cast<std::uint64_t>(hash) >> 32) * partitions) >>
-                                    32);
+std::uint8_t partition_of(std::size_t hash, std::size_t partitions) {
+  return static_cast<std::uint8_t>(((static_cast<std::uint64_t>(hash) >> 32) * partitions) >>
+                                   32);
 }
 
 /// Phase A for row `i`: validity, in-place normalization (strip one

@@ -11,15 +11,12 @@
 #include "core/pipeline.h"
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -34,44 +31,10 @@
 #include "sim/world.h"
 #include "util/obs/metrics.h"
 #include "util/parallel.h"
+#include "scoped_temp_dir.h"
 
 namespace seg::core {
 namespace {
-
-// Points TMPDIR at a fresh directory for the test's lifetime, so a test
-// can see every prepare directory a session leaves behind.
-class ScopedTempDir {
- public:
-  ScopedTempDir()
-      : path_((std::filesystem::temp_directory_path() / "seg-stream-tmp-XXXXXX").string()) {
-    if (::mkdtemp(path_.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    if (const char* saved = std::getenv("TMPDIR"); saved != nullptr) {
-      saved_ = saved;
-    }
-    ::setenv("TMPDIR", path_.c_str(), 1);
-  }
-  ~ScopedTempDir() {
-    if (saved_) {
-      ::setenv("TMPDIR", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("TMPDIR");
-    }
-    std::filesystem::remove_all(path_);
-  }
-  ScopedTempDir(const ScopedTempDir&) = delete;
-  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
-
-  std::size_t entries() const {
-    return static_cast<std::size_t>(std::distance(std::filesystem::directory_iterator(path_),
-                                                  std::filesystem::directory_iterator()));
-  }
-
- private:
-  std::string path_;
-  std::optional<std::string> saved_;
-};
 
 class PipelineStreamTest : public ::testing::Test {
  protected:

@@ -1,16 +1,11 @@
 #include "core/segugio.h"
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <filesystem>
-#include <iterator>
-#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +17,7 @@
 #include "sim/world.h"
 #include "util/parallel.h"
 #include "util/require.h"
+#include "scoped_temp_dir.h"
 
 namespace seg::core {
 namespace {
@@ -228,42 +224,6 @@ bool same_stats(const graph::PruneStats& a, const graph::PruneStats& b) {
          a.malware_domains_kept_by_exception == b.malware_domains_kept_by_exception &&
          a.theta_d == b.theta_d && a.theta_m == b.theta_m;
 }
-
-// Points std::filesystem::temp_directory_path() (TMPDIR) at a fresh
-// directory for the object's lifetime, so a test sees every entry a
-// prepare leaves there, whatever other processes do in the system's.
-class ScopedTempDir {
- public:
-  ScopedTempDir()
-      : path_((std::filesystem::temp_directory_path() / "segugio-test-XXXXXX").string()) {
-    if (::mkdtemp(path_.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    if (const char* saved = std::getenv("TMPDIR"); saved != nullptr) {
-      saved_ = saved;
-    }
-    ::setenv("TMPDIR", path_.c_str(), 1);
-  }
-  ~ScopedTempDir() {
-    if (saved_) {
-      ::setenv("TMPDIR", saved_->c_str(), 1);
-    } else {
-      ::unsetenv("TMPDIR");
-    }
-    std::filesystem::remove_all(path_);
-  }
-  ScopedTempDir(const ScopedTempDir&) = delete;
-  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
-
-  std::size_t entries() const {
-    return static_cast<std::size_t>(std::distance(std::filesystem::directory_iterator(path_),
-                                                  std::filesystem::directory_iterator()));
-  }
-
- private:
-  std::string path_;
-  std::optional<std::string> saved_;
-};
 
 class PrepareGraphTest : public SegugioTest {
  protected:
