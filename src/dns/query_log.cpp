@@ -95,8 +95,7 @@ void BinaryTraceWriter::finish() {
   finished_ = true;
   util::require(written_ == expected_,
                 "BinaryTraceWriter: record count mismatch with declared header count");
-  out_.close();
-  util::require_data(!out_.fail(), "BinaryTraceWriter: cannot write '" + path_ + "'");
+  util::close_output(out_, path_);
 }
 
 }  // namespace seg::dns

@@ -314,8 +314,7 @@ void write_dnstap_trace(const DayTrace& trace, const std::string& path) {
   write_u32be(0);
   write_u32be(4);
   write_u32be(kControlStop);
-  out.close();
-  util::require_data(!out.fail(), "write_dnstap_trace: cannot write '" + path + "'");
+  util::close_output(out, path);
 }
 
 }  // namespace seg::dns::wire

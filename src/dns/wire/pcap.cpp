@@ -232,8 +232,7 @@ void write_pcap_trace(const DayTrace& trace, const std::string& path) {
 
   out.write(reinterpret_cast<const char*>(buf.data()),
             static_cast<std::streamsize>(buf.size()));
-  out.close();
-  util::require_data(!out.fail(), "write_pcap_trace: cannot write '" + path + "'");
+  util::close_output(out, path);
 }
 
 }  // namespace seg::dns::wire

@@ -62,8 +62,7 @@ void DsvWriter::write_row(const std::vector<std::string_view>& fields) {
 
 void DsvWriter::close() {
   if (stream_.is_open()) {
-    stream_.close();
-    require_data(!stream_.fail(), "DsvWriter: cannot write '" + path_ + "'");
+    close_output(stream_, path_);
   }
 }
 

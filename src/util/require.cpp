@@ -1,6 +1,13 @@
 #include "util/require.h"
 
+#include <fstream>
+
 namespace seg::util {
+
+void close_output(std::ofstream& out, const std::string& path) {
+  out.close();
+  require_data(!out.fail(), "cannot write '" + path + "'");
+}
 
 void MessagePart::append_to(std::string& out) const {
   if (is_number_) {

@@ -9,6 +9,7 @@
 #include <concepts>
 #include <cstdint>
 #include <initializer_list>
+#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -44,6 +45,11 @@ inline void require_data(bool condition, std::string_view message) {
     throw ParseError(std::string(message));
   }
 }
+
+/// Closes an output file after its last write; throws ParseError naming
+/// `path` when any write to it failed (a full disk, /dev/full), so no
+/// writer reports a file it did not write.
+void close_output(std::ofstream& out, const std::string& path);
 
 /// One piece of a throw_parse_error() message: text, or an unsigned integer
 /// printed in decimal exactly as std::to_string prints it.

@@ -89,14 +89,6 @@ namespace {
 
 using namespace seg;
 
-// Closes an output file after its last write and fails, naming the file,
-// when any write to it failed (a full disk, /dev/full): a command must
-// never report a file it did not write.
-void finish_output(std::ofstream& out, const std::string& path) {
-  out.close();
-  util::require_data(!out.fail(), "cannot write '" + path + "'");
-}
-
 graph::NameSet load_name_set(const std::string& path) {
   std::ifstream in(path);
   util::require_data(in.is_open(), "cannot open '" + path + "'");
@@ -117,7 +109,7 @@ void save_name_set(const graph::NameSet& set, const std::string& path) {
   for (const auto& name : set) {
     out << name << '\n';
   }
-  finish_output(out, path);
+  util::close_output(out, path);
 }
 
 dns::DomainActivityIndex load_activity(const std::string& path) {
@@ -213,14 +205,14 @@ int cmd_simgen(const util::Args& args) {
     std::ofstream out(path);
     util::require_data(out.is_open(), "cannot create '" + path + "'");
     world.activity().save(out);
-    finish_output(out, path);
+    util::close_output(out, path);
   }
   {
     const auto path = out_dir + "/pdns.txt";
     std::ofstream out(path);
     util::require_data(out.is_open(), "cannot create '" + path + "'");
     world.pdns().save(out);
-    finish_output(out, path);
+    util::close_output(out, path);
   }
   std::printf("wrote %s/{whitelist.txt,activity.txt,pdns.txt}\n", out_dir.c_str());
   return 0;
@@ -251,7 +243,7 @@ int cmd_train(const util::Args& args) {
   std::ofstream out(model_path);
   util::require_data(out.is_open(), "cannot create '" + model_path + "'");
   segugio.save(out);
-  finish_output(out, model_path);
+  util::close_output(out, model_path);
   std::printf("trained on %zu records: %zu machines, %zu domains (%zu malware, %zu benign)\n",
               trace.records.size(), graph.machine_count(), graph.domain_count(),
               graph.count_domains_with(graph::Label::kMalware),
@@ -323,7 +315,7 @@ DayRun run_day(const util::Args& args) {
   auto report = journaling ? std::move(journaled_report) : pipeline.classify(last);
   if (journaling) {
     pipeline.set_journal(nullptr);  // appends the last day's entry
-    finish_output(journal_out, journal_path);
+    util::close_output(journal_out, journal_path);
   }
   return {std::move(last.graph), std::move(report)};
 }
@@ -535,21 +527,21 @@ void write_obs_outputs(const std::string& command, const util::Args& args) {
     std::ofstream out(path);
     util::require_data(out.is_open(), "cannot create '" + path + "'");
     obs::write_chrome_trace(out);
-    finish_output(out, path);
+    util::close_output(out, path);
   }
   if (args.has("run-report")) {
     const auto path = args.get("run-report");
     std::ofstream out(path);
     util::require_data(out.is_open(), "cannot create '" + path + "'");
     obs::write_run_report(out, command);
-    finish_output(out, path);
+    util::close_output(out, path);
   }
   if (args.has("metrics-out")) {
     const auto path = args.get("metrics-out");
     std::ofstream out(path);
     util::require_data(out.is_open(), "cannot create '" + path + "'");
     obs::Registry::instance().write_prometheus(out);
-    finish_output(out, path);
+    util::close_output(out, path);
   }
 }
 
