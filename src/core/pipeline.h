@@ -72,7 +72,7 @@ struct PreparedDay {
 
 /// Tuning for ingest_stream()'s producer stage. The queue holds
 /// util::kDefaultQueueCapacity arenas. The engine's scan batch is
-/// graph::kStreamedBatchRecords whatever this is.
+/// graph::kScanBatchRecords whatever this is.
 struct IngestOptions {
   /// Records per arena pushed (0 counts as 1): the producer cuts an arena
   /// after every batch_records-th record of the stream, and at each day

@@ -6,13 +6,12 @@
 //   - prepare_graph_out_of_core() reads a dns::TraceSource: a trace file
 //     of any format dns::FileTraceSource sniffs (sim TSV, SEGTRC1 binlog,
 //     dnstap, pcap) for the out-of-core flow, or a borrowed DayTrace for
-//     core::Segugio::prepare_graph. It scans batches of
-//     kOutOfCoreBatchRecords records, read by a reader thread of its own.
+//     core::Segugio::prepare_graph, through a reader thread of its own.
 //   - StreamingPrepare takes the dns::RecordArenas a stream hands it
-//     (core::Pipeline's streamed days) and scans a batch of
-//     kStreamedBatchRecords records each time the arenas fill one, so when
-//     the day ends only its last partial batch and the passes after the
-//     scan are left.
+//     (core::Pipeline's streamed days) and scans each batch as soon as the
+//     arenas fill it, so when the day ends only its last partial batch and
+//     the passes after the scan are left.
+// Both feeders scan batches of kScanBatchRecords records.
 // Either way the engine never materializes the behavior graph in memory.
 // Node-level state — name dictionaries, labels, degrees, keep masks —
 // stays resident (O(machines + domains + e2LDs)); the edge and IP-pair
@@ -35,12 +34,10 @@
 //     in restart blocks with a block index, so a range's merge starts
 //     each run at the block holding its first key; each range writes its
 //     slice of a section at the offset the CSR prefix sums fix.
-// How the work is split depends only on the input and the feeder's batch
-// size, so the result — the output bytes, skipped records, spill runs and
-// bytes, PruneStats — is identical for every pool size, and a one-worker
-// pool runs the whole prepare on the calling thread. The two feeders
-// write the same output bytes and PruneStats for the same records; their
-// spill runs differ, since their batches do.
+// How the work is split depends only on the input, so the result — the
+// output bytes, skipped records, spill runs and bytes, PruneStats — is
+// identical for every pool size and for both feeders, and a one-worker
+// pool runs the whole prepare on the calling thread.
 //
 // The optional prober filter (graph/prober_filter.h, Section VI) is one
 // more per-machine mask in the labels pass: the first edge merge yields
@@ -81,17 +78,12 @@
 
 namespace seg::graph {
 
-/// Records the scan reads and resolves per batch when it reads a trace. A
-/// constant: the scan's work split depends on it and on the input, never
-/// on the pool size.
-inline constexpr std::size_t kOutOfCoreBatchRecords = std::size_t{1} << 15;
-
-/// Records per scan batch when a stream hands the engine its records
-/// (StreamingPrepare): a constant too, never a function of the stream's
-/// arena size or of thread timing. Half of kOutOfCoreBatchRecords, so that
+/// Records the scan resolves per batch, for both feeders. A constant: the
+/// scan's work split depends on it and on the input, never on the pool
+/// size, a stream's arena size or thread timing. At most the records of
 /// core::Pipeline's queue (util::kDefaultQueueCapacity arenas of 1024
-/// records by default) can refill while one batch resolves.
-inline constexpr std::size_t kStreamedBatchRecords = std::size_t{1} << 14;
+/// records by default), so the queue can refill while one batch resolves.
+inline constexpr std::size_t kScanBatchRecords = std::size_t{1} << 14;
 
 /// Options of a prepare, for every entry point (core::Segugio::prepare_graph
 /// takes them too).
@@ -151,7 +143,7 @@ OutOfCoreResult prepare_graph_out_of_core(const dns::DayTrace& trace,
                                           const OutOfCoreConfig& config = {});
 
 /// A prepare of one day fed record arenas as they arrive. add() scans each
-/// scan batch of kStreamedBatchRecords records as soon as the arenas
+/// scan batch of kScanBatchRecords records as soon as the arenas
 /// complete it, each batch in an "oocore/scan" span of its own; finish()
 /// scans the last partial batch, in one more such span with the close of
 /// the spills, and runs the passes after the scan. The graph is the one

@@ -381,9 +381,13 @@ TEST_F(PipelineStreamTest, SourceFailureMidDayNeverHandsOutTheOpenDay) {
 }
 
 TEST_F(PipelineStreamTest, AThrowingDayCallbackLeavesNoTemporaryDirectory) {
-  // on_day throws on the first day, while the producer has day 5's arenas
-  // queued behind it: the exception reaches the caller and no day's
-  // directory outlives it.
+  // on_day throws on the first of two days: the exception reaches the
+  // caller and no directory outlives it. A regression guard for the
+  // rollover order: day 4's directory is mapped and removed before on_day
+  // runs, and day 5 opens only after on_day returns, so no prepare
+  // directory exists when it throws. Dropping an open day unfinished is
+  // covered by SourceFailureMidDayNeverHandsOutTheOpenDay and
+  // BackwardDaysThrowThroughTheQueue.
   auto& w = world();
   const std::vector<dns::DayTrace> traces = {w.generate_day(0, 4), w.generate_day(0, 5)};
   const auto path = write_multiday_binlog(traces, ".throwing.bin");
@@ -415,7 +419,7 @@ TEST_F(PipelineStreamTest, ScanBatchBoundariesMatchPrepareGraph) {
   // the same records.
   auto& w = world();
   const auto config = fast_config();
-  constexpr std::size_t kBatch = graph::kStreamedBatchRecords;
+  constexpr std::size_t kBatch = graph::kScanBatchRecords;
   std::vector<dns::QueryRecord> pool;
   for (dns::Day day = 4; pool.size() < 3 * kBatch + 1; ++day) {
     auto trace = w.generate_day(0, day);

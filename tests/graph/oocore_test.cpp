@@ -147,7 +147,7 @@ class OutOfCoreTest : public ::testing::Test {
   // batch boundary, heavy (domain, IP) repetition, and more distinct pairs
   // than the repeat filter has slots, so pairs collide in it.
   dns::DayTrace make_multi_batch_trace() {
-    constexpr std::size_t kBatch = kOutOfCoreBatchRecords;
+    constexpr std::size_t kBatch = kScanBatchRecords;
     const std::size_t total = 2 * kBatch + kBatch / 3;
     dns::DayTrace trace;
     trace.day = 11;
@@ -518,7 +518,7 @@ TEST_F(OutOfCoreTest, ProberFilterMatchesReferenceAtEveryChunkSize) {
 
 TEST_F(OutOfCoreTest, MultiBatchTraceMatchesInMemoryPipelineAtEveryPoolSize) {
   const auto trace = make_multi_batch_trace();
-  ASSERT_GT(trace.records.size(), 2 * kOutOfCoreBatchRecords);
+  ASSERT_GT(trace.records.size(), 2 * kScanBatchRecords);
   ASSERT_EQ(std::count_if(trace.records.begin(), trace.records.end(),
                           [](const auto& record) {
                             return record.machine.empty() ||
@@ -545,7 +545,7 @@ TEST_F(OutOfCoreTest, RangeMergeEdgeCasesMatchInMemoryPipelineAtEveryPoolSize) {
   expect_in_memory_bytes_at_every_pool_size(wide, pruning, std::size_t{1} << 20, "wide nodes");
   // Fewer machines (and pairs) than merge ranges: most ranges are empty.
   const auto few = make_range_trace(5, 60, 20, 0, 3);
-  ASSERT_LT(5u, kOutOfCoreBatchRecords);
+  ASSERT_LT(5u, kScanBatchRecords);
   expect_in_memory_bytes_at_every_pool_size(few, pruning, std::size_t{1} << 20, "few machines");
   // A chunk smaller than one block: every run is a single short block.
   expect_in_memory_bytes_at_every_pool_size(wide, pruning, 1000, "small chunks");
@@ -553,7 +553,7 @@ TEST_F(OutOfCoreTest, RangeMergeEdgeCasesMatchInMemoryPipelineAtEveryPoolSize) {
 
 TEST_F(OutOfCoreTest, ScanFailuresOnTheReaderThreadSurfaceAndCleanUp) {
   const auto trace = make_multi_batch_trace();
-  ASSERT_GT(trace.records.size(), 2 * kOutOfCoreBatchRecords);
+  ASSERT_GT(trace.records.size(), 2 * kScanBatchRecords);
 
   // A binlog cut mid-record in its third batch: the first two batches
   // resolve before the reader hits the cut.
@@ -564,7 +564,7 @@ TEST_F(OutOfCoreTest, ScanFailuresOnTheReaderThreadSurfaceAndCleanUp) {
 
   // A second day that starts in the second batch: as a TSV trace, and as
   // a second binlog segment.
-  const std::size_t split = kOutOfCoreBatchRecords + kOutOfCoreBatchRecords / 2;
+  const std::size_t split = kScanBatchRecords + kScanBatchRecords / 2;
   dns::DayTrace first_day;
   first_day.day = trace.day;
   first_day.records.assign(trace.records.begin(),
@@ -717,6 +717,48 @@ TEST_F(OutOfCoreTest, ATraceSourceAndItsFileGiveTheSameGraph) {
   EXPECT_EQ(file_bytes(out_path_), from_file);
   prepare_graph_out_of_core(trace, psl_, blacklist(), whitelist(), out_path_, config);
   EXPECT_EQ(file_bytes(out_path_), from_file);
+}
+
+TEST_F(OutOfCoreTest, StreamedArenasMatchTheTraceFeederToTheSpillRun) {
+  // Both feeders scan batches of kScanBatchRecords records, so arenas
+  // that never line up with a batch still give the trace feeder's output
+  // bytes and every count of its result, spill runs and bytes included.
+  const auto trace = make_multi_batch_trace();
+  ASSERT_GT(trace.records.size(), 2 * kScanBatchRecords);
+  OutOfCoreConfig config;
+  config.pruning.proxy_degree_percentile = 0.95;
+  config.chunk_records = 4096;
+  struct RestorePool {
+    ~RestorePool() { util::set_parallelism(0); }
+  } restore;
+  for (const std::size_t pool : {1, 3}) {
+    util::set_parallelism(pool);
+    const std::string context = "pool " + std::to_string(pool);
+    const auto expected =
+        prepare_graph_out_of_core(trace, psl_, blacklist(), whitelist(), out_path_, config);
+    const auto expected_bytes = file_bytes(out_path_);
+    std::filesystem::remove(out_path_);
+
+    StreamingPrepare prepare(trace.day, psl_, out_path_, config);
+    dns::RecordArena arena;
+    for (const auto& record : trace.records) {
+      arena.add(record);
+      if (arena.size() == 1000) {
+        prepare.add(arena);
+        arena.clear();
+      }
+    }
+    prepare.add(arena);
+    const auto streamed = prepare.finish(blacklist(), whitelist());
+    EXPECT_EQ(file_bytes(out_path_), expected_bytes) << context;
+    expect_same_stats(streamed.prune_stats, expected.prune_stats, context);
+    EXPECT_EQ(streamed.records, expected.records) << context;
+    EXPECT_EQ(streamed.skipped_records, expected.skipped_records) << context;
+    EXPECT_EQ(streamed.edges, expected.edges) << context;
+    EXPECT_GT(expected.spill_segments, 2u) << context;
+    EXPECT_EQ(streamed.spill_segments, expected.spill_segments) << context;
+    EXPECT_EQ(streamed.spill_bytes, expected.spill_bytes) << context;
+  }
 }
 
 TEST_F(OutOfCoreTest, EmptyTraceProducesEmptyGraph) {
