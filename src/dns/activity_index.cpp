@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <vector>
 
-#include "util/require.h"
+#include "dns/store_text.h"
 #include "util/serialize.h"
 
 namespace seg::dns {
@@ -13,9 +13,9 @@ namespace seg::dns {
 void DomainActivityIndex::mark_active(std::string_view name, Day day) {
   auto it = days_.find(name);
   if (it == days_.end()) {
-    it = days_.emplace(std::string(name), std::vector<Day>{}).first;
+    it = days_.emplace(std::string(name), DaySet{}).first;
   }
-  insert_day(it->second, day);
+  it->second.insert(day);
 }
 
 int DomainActivityIndex::active_days(std::string_view name, Day from, Day to) const {
@@ -23,33 +23,16 @@ int DomainActivityIndex::active_days(std::string_view name, Day from, Day to) co
   if (it == days_.end()) {
     return 0;
   }
-  const auto& days = it->second;
-  const auto lo = std::lower_bound(days.begin(), days.end(), from);
-  const auto hi = std::upper_bound(days.begin(), days.end(), to);
-  return static_cast<int>(hi - lo);
+  if (from > to) {
+    // Neither end overflows: to < from <= INT32_MAX and from > to >= INT32_MIN.
+    return -it->second.count(to + 1, from - 1);
+  }
+  return it->second.count(from, to);
 }
 
 int DomainActivityIndex::consecutive_days_ending(std::string_view name, Day day) const {
   const auto it = days_.find(name);
-  if (it == days_.end()) {
-    return 0;
-  }
-  const auto& days = it->second;
-  auto pos = std::lower_bound(days.begin(), days.end(), day);
-  if (pos == days.end() || *pos != day) {
-    return 0;
-  }
-  int count = 1;
-  Day expected = day - 1;
-  while (pos != days.begin()) {
-    --pos;
-    if (*pos != expected) {
-      break;
-    }
-    ++count;
-    --expected;
-  }
-  return count;
+  return it == days_.end() ? 0 : it->second.run_ending(day);
 }
 
 std::optional<Day> DomainActivityIndex::first_seen(std::string_view name) const {
@@ -57,7 +40,7 @@ std::optional<Day> DomainActivityIndex::first_seen(std::string_view name) const 
   if (it == days_.end() || it->second.empty()) {
     return std::nullopt;
   }
-  return it->second.front();
+  return it->second.first();
 }
 
 void DomainActivityIndex::absorb(const DomainActivityIndex& other) {
@@ -65,13 +48,11 @@ void DomainActivityIndex::absorb(const DomainActivityIndex& other) {
     return;
   }
   for (const auto& [name, days] : other.days_) {
-    // A new name takes an exact-size copy of its days, so absorbing into
+    // A new name takes an exact-size copy of its words, so absorbing into
     // an empty index costs what a plain copy costs.
     const auto [it, inserted] = days_.try_emplace(name, days);
     if (!inserted) {
-      for (const auto day : days) {
-        insert_day(it->second, day);
-      }
+      it->second.absorb(days);
     }
   }
 }
@@ -89,35 +70,22 @@ void DomainActivityIndex::save(std::ostream& out) const {
   out << "activity " << days_.size() << "\n";
   for (const auto name : names) {
     out << name;
-    for (const auto day : days_.find(name)->second) {
-      out << ' ' << day;
-    }
+    days_.find(name)->second.for_each([&out](Day day) { out << ' ' << day; });
     out << '\n';
   }
 }
 
 DomainActivityIndex DomainActivityIndex::load(std::istream& in) {
-  (void)util::read_format_header(in, "activity", kFormatVersion);
-  std::string tag;
-  std::size_t count = 0;
-  in >> tag >> count;
-  util::require_data(static_cast<bool>(in) && tag == "activity",
-                     "DomainActivityIndex::load: malformed header");
-  std::string line;
-  std::getline(in, line);  // consume rest of header line
+  StoreTextReader reader(in, "DomainActivityIndex::load");
+  reader.format_header("activity", kFormatVersion);
+  const auto count = reader.section("activity");
   DomainActivityIndex index;
-  for (std::size_t i = 0; i < count; ++i) {
-    util::require_data(static_cast<bool>(std::getline(in, line)),
-                       "DomainActivityIndex::load: truncated file");
-    std::istringstream fields(line);
-    std::string name;
-    fields >> name;
-    util::require_data(!name.empty(), "DomainActivityIndex::load: empty name");
-    Day day = 0;
-    while (fields >> day) {
-      index.mark_active(name, day);
-    }
+  for (std::uint64_t i = 0; i < count; ++i) {
+    auto& days = index.days_.try_emplace(std::string(reader.entry())).first->second;
+    reader.days(days);
+    days.shrink_to_fit();
   }
+  reader.end();
   return index;
 }
 

@@ -4,15 +4,14 @@
 // (Section II-A3): over the n = 14 days preceding the graph day, how many
 // days was the domain actively queried, and how many consecutive days ending
 // at the graph day. Both are measured for the FQDN and for its effective
-// 2LD. This index stores, per name, the sorted set of days on which it was
-// queried anywhere in the monitored network.
+// 2LD. This index stores, per name, the set of days on which it was queried
+// anywhere in the monitored network, as 64-day bit words (dns::DaySet).
 #pragma once
 
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "dns/types.h"
 #include "util/hash.h"
@@ -25,7 +24,9 @@ class DomainActivityIndex {
   /// as actively queried on `day`. Idempotent per (name, day).
   void mark_active(std::string_view name, Day day);
 
-  /// Number of distinct active days in [from, to] inclusive.
+  /// Number of distinct active days in [from, to] inclusive. An inverted
+  /// window (from > to) gives minus the active days strictly between its
+  /// ends: upper_bound(to) - lower_bound(from) over the sorted days.
   int active_days(std::string_view name, Day from, Day to) const;
 
   /// Number of consecutive active days ending exactly at `day` (0 when the
@@ -44,10 +45,13 @@ class DomainActivityIndex {
   /// twice changes nothing.
   void absorb(const DomainActivityIndex& other);
 
-  /// Text serialization: one `name day day ...` line per tracked name,
-  /// prefixed with the versioned `segf1 activity <version>` header
-  /// (util/serialize.h). load() throws util::ParseError on a stream without
-  /// the header.
+  /// Text serialization: one `name day day ...` line per tracked name, days
+  /// ascending, prefixed with the versioned `segf1 activity <version>`
+  /// header (util/serialize.h). load() throws util::ParseError naming the
+  /// line on a stream without the header, a day that is not an integer in
+  /// range, a name with no day, fewer lines than the count, or content after
+  /// the last counted line (docs/FORMATS.md); days may come in any order and
+  /// repeat.
   void save(std::ostream& out) const;
   static DomainActivityIndex load(std::istream& in);
 
@@ -55,7 +59,7 @@ class DomainActivityIndex {
   static constexpr int kFormatVersion = 2;
 
  private:
-  util::StringMap<std::vector<Day>> days_;
+  util::StringMap<DaySet> days_;
 };
 
 }  // namespace seg::dns

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
-#include <string>
+#include <vector>
 
-#include "util/require.h"
+#include "dns/store_text.h"
 #include "util/serialize.h"
 
 namespace seg::dns {
@@ -14,12 +13,12 @@ namespace seg::dns {
 void PassiveDnsDb::add_observation(Day day, IpV4 ip, PdnsAssociation kind) {
   switch (kind) {
     case PdnsAssociation::kMalware:
-      insert_day(ip_malware_[ip.value()], day);
-      insert_day(prefix_malware_[ip.prefix24()], day);
+      ip_malware_[ip.value()].insert(day);
+      prefix_malware_[ip.prefix24()].insert(day);
       break;
     case PdnsAssociation::kUnknown:
-      insert_day(ip_unknown_[ip.value()], day);
-      insert_day(prefix_unknown_[ip.prefix24()], day);
+      ip_unknown_[ip.value()].insert(day);
+      prefix_unknown_[ip.prefix24()].insert(day);
       break;
     case PdnsAssociation::kBenign:
       // Benign associations are not consulted by F3; we still count them so
@@ -65,12 +64,7 @@ std::size_t PassiveDnsDb::distinct_ip_count() const {
 
 bool PassiveDnsDb::any_in_range(const DayIndex& index, std::uint32_t key, Day from, Day to) {
   const auto it = index.find(key);
-  if (it == index.end()) {
-    return false;
-  }
-  const auto& days = it->second;
-  const auto lo = std::lower_bound(days.begin(), days.end(), from);
-  return lo != days.end() && *lo <= to;
+  return it != index.end() && it->second.any_in(from, to);
 }
 
 void PassiveDnsDb::absorb(const PassiveDnsDb& other) {
@@ -85,13 +79,11 @@ void PassiveDnsDb::absorb(const PassiveDnsDb& other) {
 
 void PassiveDnsDb::absorb_index(DayIndex& into, const DayIndex& from) {
   for (const auto& [key, days] : from) {
-    // A new key takes an exact-size copy of its days, so absorbing into an
+    // A new key takes an exact-size copy of its words, so absorbing into an
     // empty database costs what a plain copy costs.
     const auto [it, inserted] = into.try_emplace(key, days);
     if (!inserted) {
-      for (const auto day : days) {
-        insert_day(it->second, day);
-      }
+      it->second.absorb(days);
     }
   }
 }
@@ -99,7 +91,7 @@ void PassiveDnsDb::absorb_index(DayIndex& into, const DayIndex& from) {
 namespace {
 
 void save_index(std::ostream& out, const char* tag,
-                const std::unordered_map<std::uint32_t, std::vector<Day>>& index) {
+                const std::unordered_map<std::uint32_t, DaySet>& index) {
   // Emit keys in sorted order: iterating the hash table directly would leak
   // its bucket order into the serialized bytes, so two identical databases
   // could produce different files.
@@ -112,36 +104,18 @@ void save_index(std::ostream& out, const char* tag,
   out << tag << ' ' << index.size() << '\n';
   for (const auto key : keys) {
     out << key;
-    for (const auto day : index.at(key)) {
-      out << ' ' << day;
-    }
+    index.at(key).for_each([&out](Day day) { out << ' ' << day; });
     out << '\n';
   }
 }
 
-void load_index(std::istream& in, const char* expected_tag,
-                std::unordered_map<std::uint32_t, std::vector<Day>>& index) {
-  std::string tag;
-  std::size_t count = 0;
-  in >> tag >> count;
-  util::require_data(static_cast<bool>(in) && tag == expected_tag,
-                     std::string("PassiveDnsDb::load: expected section '") + expected_tag +
-                         "', got '" + tag + "'");
-  std::string line;
-  std::getline(in, line);
-  for (std::size_t i = 0; i < count; ++i) {
-    util::require_data(static_cast<bool>(std::getline(in, line)),
-                       "PassiveDnsDb::load: truncated section");
-    std::istringstream fields(line);
-    std::uint32_t key = 0;
-    fields >> key;
-    auto& days = index[key];
-    Day day = 0;
-    while (fields >> day) {
-      days.push_back(day);
-    }
-    std::sort(days.begin(), days.end());
-    days.erase(std::unique(days.begin(), days.end()), days.end());
+void load_index(StoreTextReader& reader, const char* tag,
+                std::unordered_map<std::uint32_t, DaySet>& index) {
+  const auto count = reader.section(tag);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    auto& days = index[reader.key_u32(reader.entry())];
+    reader.days(days);
+    days.shrink_to_fit();
   }
 }
 
@@ -157,18 +131,15 @@ void PassiveDnsDb::save(std::ostream& out) const {
 }
 
 PassiveDnsDb PassiveDnsDb::load(std::istream& in) {
-  (void)util::read_format_header(in, "pdns", kFormatVersion);
-  std::string tag;
-  std::size_t observations = 0;
-  in >> tag >> observations;
-  util::require_data(static_cast<bool>(in) && tag == "pdns",
-                     "PassiveDnsDb::load: malformed header");
+  StoreTextReader reader(in, "PassiveDnsDb::load");
+  reader.format_header("pdns", kFormatVersion);
   PassiveDnsDb db;
-  db.observations_ = observations;
-  load_index(in, "ip_malware", db.ip_malware_);
-  load_index(in, "ip_unknown", db.ip_unknown_);
-  load_index(in, "prefix_malware", db.prefix_malware_);
-  load_index(in, "prefix_unknown", db.prefix_unknown_);
+  db.observations_ = reader.section("pdns");
+  load_index(reader, "ip_malware", db.ip_malware_);
+  load_index(reader, "ip_unknown", db.ip_unknown_);
+  load_index(reader, "prefix_malware", db.prefix_malware_);
+  load_index(reader, "prefix_unknown", db.prefix_unknown_);
+  reader.end();
   return db;
 }
 

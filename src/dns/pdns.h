@@ -12,7 +12,6 @@
 #include <iosfwd>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "dns/ip.h"
 #include "dns/types.h"
@@ -60,7 +59,11 @@ class PassiveDnsDb {
 
   /// Text serialization of the malware/unknown indexes, prefixed with the
   /// versioned `segf1 pdns <version>` header (util/serialize.h). load()
-  /// throws util::ParseError on a stream without the header.
+  /// throws util::ParseError naming the section and the line on a stream
+  /// without the header, a key that is not a decimal uint32, a day that is
+  /// not an integer in range, a key with no day, a missing line or section,
+  /// or content after the last section (docs/FORMATS.md); days may come in
+  /// any order and repeat.
   void save(std::ostream& out) const;
   static PassiveDnsDb load(std::istream& in);
 
@@ -68,10 +71,10 @@ class PassiveDnsDb {
   static constexpr int kFormatVersion = 2;
 
  private:
-  // Sorted day lists per key; days are appended mostly in order (the
-  // simulator feeds history chronologically), so we keep a sorted invariant
-  // lazily with an insertion that is O(1) for in-order appends.
-  using DayIndex = std::unordered_map<std::uint32_t, std::vector<Day>>;
+  // One day set per key (an IP or a /24), as 64-day bit words: a key's
+  // months of history cost a few words, and the in-order days the
+  // simulator and the loader feed append to or OR into the last word.
+  using DayIndex = std::unordered_map<std::uint32_t, DaySet>;
 
   static void absorb_index(DayIndex& into, const DayIndex& from);
   static bool any_in_range(const DayIndex& index, std::uint32_t key, Day from, Day to);

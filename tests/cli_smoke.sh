@@ -64,6 +64,19 @@ if "$CLI" classify --input "$DIR/day1.bin" --format bogus --model "$DIR/model.tx
   exit 1
 fi
 
+# A history store with one malformed line is an error naming the file and
+# the line: line 4 (the first line after the ip_malware section's header,
+# or the next section's header) gains a day that is not an integer.
+sed '4s/ / zz /' "$DIR/pdns.txt" > "$DIR/bad-pdns.txt"
+if "$CLI" classify --input "$DIR/day1.bin" --model "$DIR/model.txt" \
+  --blacklist "$DIR/blacklist-day1.txt" --whitelist "$DIR/whitelist.txt" \
+  --activity "$DIR/activity.txt" --pdns "$DIR/bad-pdns.txt" \
+  >/dev/null 2>"$DIR/bad-pdns-err.txt"; then
+  echo "expected failure on a malformed --pdns file" >&2
+  exit 1
+fi
+grep -q "'$DIR/bad-pdns.txt': PassiveDnsDb::load: .*line 4:" "$DIR/bad-pdns-err.txt"
+
 # A write that fails is an error naming the file, never a silent success.
 # /dev/full opens for writing and fails every write; it is a device node,
 # so nothing here renames over it.

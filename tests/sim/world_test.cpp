@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <unordered_map>
 
 #include "util/require.h"
@@ -29,6 +30,25 @@ TEST_F(WorldTest, ConstructionBuildsOracles) {
   EXPECT_GT(w.sandbox().size(), 0u);
   EXPECT_GT(w.pdns().observation_count(), 0u);
   EXPECT_GT(w.activity().tracked_names(), 0u);
+}
+
+// The world's two history stores survive save -> load -> save byte for
+// byte: the loader rebuilds the day sets the simulator filled.
+TEST_F(WorldTest, HistoryStoresSaveLoadSaveByteIdentically) {
+  const auto& w = world();
+  std::stringstream activity;
+  w.activity().save(activity);
+  const auto activity_bytes = activity.str();
+  std::ostringstream activity_again;
+  dns::DomainActivityIndex::load(activity).save(activity_again);
+  EXPECT_EQ(activity_again.str(), activity_bytes);
+
+  std::stringstream pdns;
+  w.pdns().save(pdns);
+  const auto pdns_bytes = pdns.str();
+  std::ostringstream pdns_again;
+  dns::PassiveDnsDb::load(pdns).save(pdns_again);
+  EXPECT_EQ(pdns_again.str(), pdns_bytes);
 }
 
 TEST_F(WorldTest, TraceHasExpectedShape) {

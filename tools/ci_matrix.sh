@@ -53,8 +53,9 @@
 # and the consumer runs beside the pool's scan workers; the stream suite
 # includes a source that fails mid-day, whose open day must never reach
 # the day callback), the malformed-wire
-# corpus and the mapped reader's page release under asan (where "never
-# UB" is checked, not assumed), the
+# corpus, the mapped reader's page release and the history stores' suites
+# (the day sets against their sorted-list oracle, and hostile activity and
+# pdns bytes) under asan (where "never UB" is checked, not assumed), the
 # decoders' allocation contract (wire_alloc_test, plain tree: it counts
 # operator new, which the sanitizers replace), and the replay benchmark
 # (SEG_BENCH_INGEST_ONLY=1), which fails unless the streamed records
@@ -413,10 +414,12 @@ run_ingest() {
     return 1
   fi
 
-  echo "=== [ingest] asan: malformed wire corpus + mapped reader page release ==="
-  if ! build-asan/tests/dns_test --gtest_filter='WireTest*:TraceSourceTest*' \
+  echo "=== [ingest] asan: malformed wire corpus + mapped reader page release + history stores ==="
+  # ActivityIndex* covers ActivityIndexTest and ActivityIndexIoTest.
+  if ! build-asan/tests/dns_test \
+       --gtest_filter='WireTest*:TraceSourceTest*:ActivityIndex*:PassiveDnsDb*:PdnsIoTest*:*DaySet*' \
        >> "${log}" 2>&1; then
-    echo "    wire corpus or trace source FAILED under asan (see ${log})"
+    echo "    wire corpus, trace source or history stores FAILED under asan (see ${log})"
     return 1
   fi
 

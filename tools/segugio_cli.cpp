@@ -112,10 +112,18 @@ void save_name_set(const graph::NameSet& set, const std::string& path) {
   util::close_output(out, path);
 }
 
-dns::DomainActivityIndex load_activity(const std::string& path) {
+// Loads a history store (dns::DomainActivityIndex or dns::PassiveDnsDb); a
+// malformed file is a ParseError that names it before the loader's message,
+// which names the section and the line.
+template <typename Store>
+Store load_store(const std::string& path) {
   std::ifstream in(path);
   util::require_data(in.is_open(), "cannot open '" + path + "'");
-  return dns::DomainActivityIndex::load(in);
+  try {
+    return Store::load(in);
+  } catch (const util::ParseError& error) {
+    throw util::ParseError("'" + path + "': " + error.what());
+  }
 }
 
 // Resolves the input trace path for train/classify/report.
@@ -143,12 +151,6 @@ dns::DayTrace load_input(const util::Args& args) {
   util::require_data(days <= 1, "'" + path + "' spans " + std::to_string(days) +
                                     " days; train expects a single-day trace");
   return trace;
-}
-
-dns::PassiveDnsDb load_pdns(const std::string& path) {
-  std::ifstream in(path);
-  util::require_data(in.is_open(), "cannot open '" + path + "'");
-  return dns::PassiveDnsDb::load(in);
 }
 
 int cmd_simgen(const util::Args& args) {
@@ -222,8 +224,8 @@ int cmd_train(const util::Args& args) {
   const auto trace = load_input(args);
   const auto blacklist = load_name_set(args.get("blacklist"));
   const auto whitelist = load_name_set(args.get("whitelist"));
-  const auto activity = load_activity(args.get("activity"));
-  const auto pdns = load_pdns(args.get("pdns"));
+  const auto activity = load_store<dns::DomainActivityIndex>(args.get("activity"));
+  const auto pdns = load_store<dns::PassiveDnsDb>(args.get("pdns"));
   const auto psl = dns::PublicSuffixList::with_default_rules();
 
   core::SegugioConfig config;
@@ -263,8 +265,8 @@ DayRun run_day(const util::Args& args) {
   const auto path = input_path(args);
   const auto blacklist = load_name_set(args.get("blacklist"));
   const auto whitelist = load_name_set(args.get("whitelist"));
-  const auto activity = load_activity(args.get("activity"));
-  const auto pdns = load_pdns(args.get("pdns"));
+  const auto activity = load_store<dns::DomainActivityIndex>(args.get("activity"));
+  const auto pdns = load_store<dns::PassiveDnsDb>(args.get("pdns"));
   const auto psl = dns::PublicSuffixList::with_default_rules();
   std::ifstream model_in(args.get("model"));
   util::require_data(model_in.is_open(), "cannot open model file");
