@@ -29,12 +29,11 @@ int main() {
   std::map<std::string, dns::Day> flagged;  // first detection day
   for (std::size_t isp = 0; isp < world.isp_count(); ++isp) {
     // One streaming session per ISP: the pipeline carries the detector
-    // and history stores across the four days.
-    core::Pipeline pipeline(world.psl(), config);
+    // across the four days and reads the world's history stores.
+    core::Pipeline pipeline(world.psl(), world.activity(), world.pdns(), config);
     for (dns::Day day = 10; day <= 13; ++day) {
       const auto trace = world.generate_day(isp, day);
       const auto blacklist = world.blacklist().as_of(sim::BlacklistKind::kCommercial, day);
-      pipeline.absorb_history(world.activity(), world.pdns());
       core::PreparedDay prepared;
       dns::DayTraceSource source(trace);
       pipeline.ingest_stream(

@@ -182,17 +182,13 @@ StreamingTotals run_streaming(std::size_t threads, std::size_t max_isps) {
 
   StreamingTotals totals;
   for (std::size_t isp = 0; isp < std::min(world.isp_count(), max_isps); ++isp) {
-    core::Pipeline pipeline(world.psl(), config);
+    core::Pipeline pipeline(world.psl(), world.activity(), world.pdns(), config);
     std::vector<dns::DayTrace> traces;
     std::vector<graph::NameSet> blacklists;
     for (dns::Day day = 10; day <= 13; ++day) {
       traces.push_back(world.generate_day(isp, day));
       blacklists.push_back(world.blacklist().as_of(sim::BlacklistKind::kCommercial, day));
     }
-    // prepare never reads the history stores (only train/classify do), and
-    // post-warm-up the world's stores are already final for these days, so
-    // one absorb up front equals the old absorb-before-every-day loop.
-    pipeline.absorb_history(world.activity(), world.pdns());
 
     ChainedTraceSource source(traces);
     obs::Span stream_span("bench/ingest_stream");
@@ -337,8 +333,7 @@ ObsOverheadSection measure_obs_overhead(std::size_t threads) {
   }
 
   const auto run_once = [&](std::ostringstream* journal, std::vector<double>& scores) {
-    core::Pipeline pipeline(world.psl(), config);
-    pipeline.absorb_history(world.activity(), world.pdns());
+    core::Pipeline pipeline(world.psl(), world.activity(), world.pdns(), config);
     if (journal != nullptr) {
       pipeline.set_journal(journal);
     }

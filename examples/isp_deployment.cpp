@@ -1,8 +1,8 @@
 // ISP deployment walkthrough on the synthetic ISP world.
 //
 // Mirrors the paper's operational story (Section II, Figure 2) as a
-// streaming multi-day session: one core::Pipeline owns the history stores
-// and the detector, ingests a day of resolver traffic,
+// streaming multi-day session: one core::Pipeline reads the history stores
+// and owns the detector, ingests a day of resolver traffic,
 // trains, then ingests and classifies the next day's *unknown* domains,
 // reporting the detected malware-control domains together with the
 // infected machines that query them and the pipeline timing breakdown
@@ -60,11 +60,11 @@ int main() {
   std::printf("train wall time: %.2fs (features %.2fs, fit %.2fs)\n\n", train_seconds,
               segugio.timings().train_feature_seconds, segugio.timings().train_fit_seconds);
 
-  // --- Day 1: detect. The same session carries the trained detector and
-  // the history stores forward; the day's graph is built from scratch.
+  // --- Day 1: detect. The same session carries the trained detector
+  // forward and reads the same history stores; the day's graph is built
+  // from scratch.
   obs::Span detect_span("example/detect_day");
   const auto test_trace = world.generate_day(0, 1);
-  pipeline.absorb_history(world.activity(), world.pdns());
   core::PreparedDay day1;
   {
     dns::DayTraceSource source(test_trace);

@@ -20,6 +20,10 @@ namespace seg::core {
 
 namespace {
 
+// The stores a session reads until absorb_history() names the caller's.
+const dns::DomainActivityIndex kNoActivity;
+const dns::PassiveDnsDb kNoPdns;
+
 // The journal's fixed settings (see Pipeline::set_journal).
 constexpr std::size_t kJournalScoreBins = 20;
 constexpr double kJournalCalibrationMaxFpr = 0.01;
@@ -80,18 +84,16 @@ class OpenDay {
 }  // namespace
 
 Pipeline::Pipeline(const dns::PublicSuffixList& psl, SegugioConfig config)
-    : psl_(&psl), detector_(std::move(config)) {}
+    : Pipeline(psl, kNoActivity, kNoPdns, std::move(config)) {}
 
 Pipeline::Pipeline(const dns::PublicSuffixList& psl, const dns::DomainActivityIndex& activity,
                    const dns::PassiveDnsDb& pdns, SegugioConfig config)
-    : Pipeline(psl, std::move(config)) {
-  absorb_history(activity, pdns);
-}
+    : psl_(&psl), detector_(std::move(config)), activity_(&activity), pdns_(&pdns) {}
 
 void Pipeline::absorb_history(const dns::DomainActivityIndex& activity,
                               const dns::PassiveDnsDb& pdns) {
-  activity_.absorb(activity);
-  pdns_.absorb(pdns);
+  activity_ = &activity;
+  pdns_ = &pdns;
 }
 
 IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
@@ -208,14 +210,14 @@ IngestStats Pipeline::ingest_stream(dns::TraceSource& source,
 
 void Pipeline::train(const PreparedDay& day) {
   SEG_SPAN("pipeline/train");
-  detector_.train(day.graph, activity_, pdns_);
+  detector_.train(day.graph, *activity_, *pdns_);
   if (journal_enabled() && journal_pending_ && journal_pending_->day == day.day &&
       !journal_pending_->find_gauge("calibration_threshold")) {
     const std::uint64_t* malware = journal_pending_->find_counter("malware_domains");
     const std::uint64_t* benign = journal_pending_->find_counter("benign_domains");
     if (malware && benign && *malware > 0 && *benign > 0) {
       const CalibrationResult calibration = calibrate_threshold(
-          detector_, day.graph, activity_, pdns_, kJournalCalibrationMaxFpr);
+          detector_, day.graph, *activity_, *pdns_, kJournalCalibrationMaxFpr);
       journal_pending_->add_gauge("calibration_threshold", calibration.threshold);
       journal_pending_->add_gauge("calibration_tpr", calibration.achieved_tpr);
       journal_pending_->add_gauge("calibration_fpr", calibration.achieved_fpr);
@@ -228,7 +230,7 @@ void Pipeline::train(const PreparedDay& day) {
 
 DetectionReport Pipeline::classify(const PreparedDay& day) const {
   SEG_SPAN("pipeline/classify");
-  DetectionReport report = detector_.classify(day.graph, activity_, pdns_);
+  DetectionReport report = detector_.classify(day.graph, *activity_, *pdns_);
   if (journal_enabled()) {
     journal_annotate_classify(day, report);
   }
@@ -323,7 +325,7 @@ void Pipeline::journal_annotate_classify(const PreparedDay& day,
     feature_hists.push_back(
         obs::JournalHistogram::with_bounds(features::feature_histogram_bounds(i)));
   }
-  const features::FeatureExtractor extractor(day.graph, activity_, pdns_,
+  const features::FeatureExtractor extractor(day.graph, *activity_, *pdns_,
                                              config().features);
   for (std::size_t d = 0; d < day.graph.domain_count(); ++d) {
     const auto id = static_cast<graph::DomainId>(d);

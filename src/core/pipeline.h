@@ -1,10 +1,16 @@
 // The streaming multi-day pipeline (Figure 2, run day after day).
 //
 // A Pipeline is a long-lived session over one monitored network. It owns
-// the history stores (domain activity, passive DNS) and the detector; no
-// other state carries from one day to the next. F2/F3 read the stores per
-// domain inside the feature extraction's parallel loop; const lookups into
-// a hash map need no sharding to run in parallel.
+// the detector and reads the caller's history stores (domain activity,
+// passive DNS) in place: it keeps pointers to the stores given to its
+// constructor or to absorb_history(), never a copy, so each store is
+// resident once. The stores must outlive the session, as the public suffix
+// list must, and the caller must not change them while train() or
+// classify() run; between days the caller may grow them, and the session
+// reads them as they stand. No other state carries from one day to the
+// next. F2/F3 read the stores per domain inside the feature extraction's
+// parallel loop; const lookups into a hash map need no sharding to run in
+// parallel.
 //
 // Records enter through ingest_stream(). A producer thread parses a
 // TraceSource (dnstap capture, pcap, SEGTRC1 binlog, sim TSV, or an
@@ -32,8 +38,7 @@
 //
 // Typical deployment session:
 //
-//   core::Pipeline pipeline(psl, config);
-//   pipeline.absorb_history(warmup_activity, warmup_pdns);
+//   core::Pipeline pipeline(psl, activity, pdns, config);
 //   dns::FileTraceSource tap("resolver.dnstap");
 //   pipeline.ingest_stream(tap, blacklist_for_day, whitelist,
 //                          [&](PreparedDay&& day) {
@@ -43,9 +48,10 @@
 //
 // A restart needs only the history stores and the model
 // (DomainActivityIndex/PassiveDnsDb::save, Segugio::save): a Pipeline over
-// the reloaded stores, with detector() assigned Segugio::load's result,
-// prepares and scores later days exactly like the session that never
-// stopped (PipelineTest.RestartedSessionMatchesContinuousSession).
+// the reloaded stores, held in named objects that outlive it, with
+// detector() assigned Segugio::load's result, prepares and scores later
+// days exactly like the session that never stopped
+// (PipelineTest.RestartedSessionMatchesContinuousSession).
 #pragma once
 
 #include <cstddef>
@@ -99,20 +105,28 @@ class Pipeline {
   /// Receives each completed, prepared day in stream order.
   using DayCallback = std::function<void(PreparedDay&&)>;
 
-  /// Fresh session with empty history stores. `psl` must outlive the
-  /// pipeline.
+  /// Session that reads one shared pair of empty history stores until
+  /// absorb_history() names the caller's. `psl` must outlive the pipeline.
   explicit Pipeline(const dns::PublicSuffixList& psl, SegugioConfig config = {});
 
-  /// Session seeded from existing history (e.g. a warmup period or stores
-  /// loaded from disk); the stores are copied in.
+  /// Session that reads the caller's history stores (e.g. a warmup period
+  /// or stores loaded from disk). They are borrowed, not copied: `psl`,
+  /// `activity` and `pdns` must outlive the pipeline.
   Pipeline(const dns::PublicSuffixList& psl, const dns::DomainActivityIndex& activity,
            const dns::PassiveDnsDb& pdns, SegugioConfig config = {});
+  // A temporary store would die before the session that reads it.
+  Pipeline(const dns::PublicSuffixList&, dns::DomainActivityIndex&&, const dns::PassiveDnsDb&,
+           SegugioConfig = {}) = delete;
+  Pipeline(const dns::PublicSuffixList&, const dns::DomainActivityIndex&, dns::PassiveDnsDb&&,
+           SegugioConfig = {}) = delete;
 
-  /// Folds history into the session's stores (DomainActivityIndex::absorb,
-  /// PassiveDnsDb::absorb). Idempotent: absorbing the same snapshot twice
-  /// changes nothing, so callers may re-absorb a growing store after each
-  /// day.
+  /// Points the session at the caller's stores, which must outlive it; the
+  /// stores it read before are no longer read. Nothing is copied or
+  /// merged: calling it again with the same stores changes nothing, and a
+  /// store the caller grows between days is read as it stands.
   void absorb_history(const dns::DomainActivityIndex& activity, const dns::PassiveDnsDb& pdns);
+  void absorb_history(dns::DomainActivityIndex&&, const dns::PassiveDnsDb&) = delete;
+  void absorb_history(const dns::DomainActivityIndex&, dns::PassiveDnsDb&&) = delete;
 
   /// Consumes `source` to exhaustion: parses records into arenas on a
   /// producer thread, moves them through a bounded queue that blocks the
@@ -122,8 +136,8 @@ class Pipeline {
   /// prepared day to `on_day`. A day is complete when the next day's first
   /// record arrives or when the source ends cleanly. Each day's graph,
   /// PruneStats and timings.build.records are those of
-  /// Segugio::prepare_graph over that day's records. History stores are
-  /// fed separately through absorb_history(), keeping feature inputs
+  /// Segugio::prepare_graph over that day's records. The history stores
+  /// are the caller's (see absorb_history()), keeping feature inputs
   /// identical to the one-shot flow. Exceptions from the producer
   /// (malformed wire data) or from `on_day` propagate to the caller after
   /// the producer thread is joined. A producer failure discards the day
@@ -166,8 +180,9 @@ class Pipeline {
   const Segugio& detector() const { return detector_; }
   Segugio& detector() { return detector_; }
   const SegugioConfig& config() const { return detector_.config(); }
-  const dns::DomainActivityIndex& activity() const { return activity_; }
-  const dns::PassiveDnsDb& pdns() const { return pdns_; }
+  /// The stores the session reads: the caller's, or the shared empty pair.
+  const dns::DomainActivityIndex& activity() const { return *activity_; }
+  const dns::PassiveDnsDb& pdns() const { return *pdns_; }
 
  private:
   /// Opens the journal entry for a freshly prepared day (flushing the
@@ -181,8 +196,8 @@ class Pipeline {
 
   const dns::PublicSuffixList* psl_;
   Segugio detector_;
-  dns::DomainActivityIndex activity_;
-  dns::PassiveDnsDb pdns_;
+  const dns::DomainActivityIndex* activity_;
+  const dns::PassiveDnsDb* pdns_;
 
   std::unique_ptr<obs::JournalWriter> journal_writer_;
   mutable std::optional<obs::JournalEntry> journal_pending_;

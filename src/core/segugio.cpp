@@ -238,6 +238,13 @@ void Segugio::save(std::ostream& out) const {
   }
 }
 
+namespace {
+
+/// A share the engine and the prober filter take: in (0, 1], NaN excluded.
+bool is_share(double value) { return value > 0.0 && value <= 1.0; }
+
+}  // namespace
+
 Segugio Segugio::load(std::istream& in) {
   const int format_version = util::read_format_header(in, "segugio-model", kModelFormatVersion);
   std::string tag;
@@ -249,14 +256,24 @@ Segugio Segugio::load(std::istream& in) {
   in >> tag >> config.features.activity_window_days;
   util::require_data(static_cast<bool>(in) && tag == "activity_window",
                      "Segugio::load: malformed activity window");
+  // The values FeatureExtractor and the preparation engine refuse are load
+  // errors here, not a failure at the first classify.
+  util::require_data(config.features.activity_window_days > 0,
+                     "Segugio::load: activity_window must be positive");
   in >> tag >> config.features.pdns_window_days;
   util::require_data(static_cast<bool>(in) && tag == "pdns_window",
                      "Segugio::load: malformed pDNS window");
+  util::require_data(config.features.pdns_window_days > 0,
+                     "Segugio::load: pdns_window must be positive");
   in >> tag >> config.pruning.inactive_machine_max_degree >>
       config.pruning.proxy_degree_percentile >> config.pruning.min_domain_machines >>
       config.pruning.popular_e2ld_fraction;
   util::require_data(static_cast<bool>(in) && tag == "pruning",
                      "Segugio::load: malformed pruning block");
+  util::require_data(is_share(config.pruning.proxy_degree_percentile),
+                     "Segugio::load: pruning proxy_degree_percentile must be in (0, 1]");
+  util::require_data(is_share(config.pruning.popular_e2ld_fraction),
+                     "Segugio::load: pruning popular_e2ld_fraction must be in (0, 1]");
   std::size_t subset_size = 0;
   in >> tag >> subset_size;
   util::require_data(static_cast<bool>(in) && tag == "subset",
@@ -277,6 +294,9 @@ Segugio Segugio::load(std::istream& in) {
   if (prober_enabled != 0) {
     graph::ProberFilterConfig filter;
     in >> filter.min_blacklisted_domains >> filter.min_blacklisted_ratio;
+    util::require_data(static_cast<bool>(in), "Segugio::load: malformed prober block");
+    util::require_data(is_share(filter.min_blacklisted_ratio),
+                       "Segugio::load: prober min_blacklisted_ratio must be in (0, 1]");
     config.prober_filter = filter;
   }
   std::string kind;

@@ -2,8 +2,8 @@
 // (Figure 2's pipeline).
 //
 // Typical deployment flow — a multi-day streaming session through
-// core::Pipeline (core/pipeline.h), which owns the history stores and
-// prepares each completed day with prepare_graph():
+// core::Pipeline (core/pipeline.h), which reads the caller's history
+// stores and prepares each completed day with prepare_graph():
 //
 //   core::Pipeline pipeline(psl, activity, pdns, config);
 //   dns::FileTraceSource tap("resolver.dnstap");

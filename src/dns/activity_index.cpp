@@ -43,20 +43,6 @@ std::optional<Day> DomainActivityIndex::first_seen(std::string_view name) const 
   return it->second.first();
 }
 
-void DomainActivityIndex::absorb(const DomainActivityIndex& other) {
-  if (&other == this) {
-    return;
-  }
-  for (const auto& [name, days] : other.days_) {
-    // A new name takes an exact-size copy of its words, so absorbing into
-    // an empty index costs what a plain copy costs.
-    const auto [it, inserted] = days_.try_emplace(name, days);
-    if (!inserted) {
-      it->second.absorb(days);
-    }
-  }
-}
-
 void DomainActivityIndex::save(std::ostream& out) const {
   util::write_format_header(out, "activity", kFormatVersion);
   // Serialize names in sorted order so identical indexes always produce

@@ -40,11 +40,6 @@ class DomainActivityIndex {
 
   std::size_t tracked_names() const { return days_.size(); }
 
-  /// Folds `other`'s observations into this index: afterwards every name
-  /// holds the union of both day sets. Idempotent: absorbing the same index
-  /// twice changes nothing.
-  void absorb(const DomainActivityIndex& other);
-
   /// Text serialization: one `name day day ...` line per tracked name, days
   /// ascending, prefixed with the versioned `segf1 activity <version>`
   /// header (util/serialize.h). load() throws util::ParseError naming the

@@ -67,27 +67,6 @@ bool PassiveDnsDb::any_in_range(const DayIndex& index, std::uint32_t key, Day fr
   return it != index.end() && it->second.any_in(from, to);
 }
 
-void PassiveDnsDb::absorb(const PassiveDnsDb& other) {
-  if (&other != this) {
-    absorb_index(ip_malware_, other.ip_malware_);
-    absorb_index(ip_unknown_, other.ip_unknown_);
-    absorb_index(prefix_malware_, other.prefix_malware_);
-    absorb_index(prefix_unknown_, other.prefix_unknown_);
-  }
-  observations_ = std::max(observations_, other.observations_);
-}
-
-void PassiveDnsDb::absorb_index(DayIndex& into, const DayIndex& from) {
-  for (const auto& [key, days] : from) {
-    // A new key takes an exact-size copy of its words, so absorbing into an
-    // empty database costs what a plain copy costs.
-    const auto [it, inserted] = into.try_emplace(key, days);
-    if (!inserted) {
-      it->second.absorb(days);
-    }
-  }
-}
-
 namespace {
 
 void save_index(std::ostream& out, const char* tag,

@@ -51,12 +51,6 @@ class PassiveDnsDb {
   /// Number of distinct IPs with at least one observation.
   std::size_t distinct_ip_count() const;
 
-  /// Folds `other`'s day indexes into this database: afterwards every key
-  /// holds the union of both day sets. observation_count() becomes the max
-  /// of the two counts, so absorbing the same snapshot twice changes
-  /// nothing.
-  void absorb(const PassiveDnsDb& other);
-
   /// Text serialization of the malware/unknown indexes, prefixed with the
   /// versioned `segf1 pdns <version>` header (util/serialize.h). load()
   /// throws util::ParseError naming the section and the line on a stream
@@ -76,7 +70,6 @@ class PassiveDnsDb {
   // simulator and the loader feed append to or OR into the last word.
   using DayIndex = std::unordered_map<std::uint32_t, DaySet>;
 
-  static void absorb_index(DayIndex& into, const DayIndex& from);
   static bool any_in_range(const DayIndex& index, std::uint32_t key, Day from, Day to);
 
   DayIndex ip_malware_;

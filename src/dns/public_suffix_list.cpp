@@ -7,16 +7,11 @@ namespace seg::dns {
 
 namespace {
 
-// Returns the suffix of `domain` starting at label index `i` (0 = whole
-// domain). `boundaries[i]` is the byte offset where label i starts.
-std::vector<std::size_t> label_starts(std::string_view domain) {
-  std::vector<std::size_t> starts{0};
-  for (std::size_t i = 0; i < domain.size(); ++i) {
-    if (domain[i] == '.') {
-      starts.push_back(i + 1);
-    }
-  }
-  return starts;
+// Where the label after the one at `start` starts; npos when that label
+// is the last.
+std::size_t next_label(std::string_view domain, std::size_t start) {
+  const auto dot = domain.find('.', start);
+  return dot == std::string_view::npos ? dot : dot + 1;
 }
 
 }  // namespace
@@ -71,36 +66,33 @@ std::size_t PublicSuffixList::rule_count() const {
 }
 
 std::string_view PublicSuffixList::public_suffix(std::string_view domain) const {
-  const auto starts = label_starts(domain);
-  const std::size_t n = starts.size();
+  // Both walks visit the suffixes that start at a label, longest first, by
+  // their start offsets alone: the preparation engine calls this on its
+  // pool threads, which take nothing from malloc.
+  constexpr auto kNone = std::string_view::npos;
 
   // Exception rules win outright: the public suffix is the exception's
   // parent (one label shorter than the matched rule).
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string_view suffix = domain.substr(starts[i]);
-    if (exception_.contains(suffix)) {
-      const auto dot = suffix.find('.');
-      return dot == std::string_view::npos ? std::string_view() : suffix.substr(dot + 1);
+  for (std::size_t start = 0; start != kNone; start = next_label(domain, start)) {
+    if (exception_.contains(domain.substr(start))) {
+      const std::size_t parent = next_label(domain, start);
+      return parent == kNone ? std::string_view() : domain.substr(parent);
     }
   }
 
   // Otherwise the longest matching rule wins. A wildcard rule "*.ck"
   // (stored as "ck") matches any suffix with exactly one label before "ck".
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string_view suffix = domain.substr(starts[i]);
-    if (normal_.contains(suffix)) {
-      return suffix;
+  // With no match, the prevailing "*" rule makes the bare TLD the public
+  // suffix.
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t parent = next_label(domain, start);
+    if (normal_.contains(domain.substr(start)) || parent == kNone ||
+        wildcard_.contains(domain.substr(parent))) {
+      return domain.substr(start);
     }
-    if (i + 1 < n) {
-      const std::string_view parent = domain.substr(starts[i + 1]);
-      if (wildcard_.contains(parent)) {
-        return suffix;
-      }
-    }
+    start = parent;
   }
-
-  // Prevailing "*" rule: the bare TLD is a public suffix.
-  return domain.substr(starts.back());
 }
 
 std::optional<std::string_view> PublicSuffixList::registrable_domain(

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 namespace seg::dns {
@@ -45,37 +44,6 @@ class DaySet {
         words_.insert(it, word);
       }
     }
-  }
-
-  /// Adds every day of `other`: words both sets hold are ORed in place,
-  /// and the rest are merged in with one exact-size allocation. A set that
-  /// is empty takes an exact-size copy.
-  void absorb(const DaySet& other) {
-    if (words_.empty()) {
-      words_ = other.words_;
-      return;
-    }
-    std::size_t missing = 0;
-    auto it = words_.begin();
-    for (const auto& word : other.words_) {
-      while (it != words_.end() && it->index < word.index) {
-        ++it;
-      }
-      if (it != words_.end() && it->index == word.index) {
-        it->bits |= word.bits;
-      } else {
-        ++missing;
-      }
-    }
-    if (missing == 0) {
-      return;
-    }
-    std::vector<Word> merged;
-    merged.reserve(words_.size() + missing);
-    // Equal indexes take this set's word, which already holds the OR.
-    std::set_union(words_.begin(), words_.end(), other.words_.begin(), other.words_.end(),
-                   std::back_inserter(merged), by_index);
-    words_ = std::move(merged);
   }
 
   /// Releases the capacity that in-order appends leave spare.

@@ -237,13 +237,30 @@ MappedGraph map_graph(const std::string& path) {
     util::require_data(domain_e2ld[d] < counts.e2lds, "map_graph: e2LD id out of range");
   }
   // CSR targets index the other side's tables; an id past the end would be
-  // served straight into out-of-bounds reads by every graph consumer.
-  for (std::uint64_t e = 0; e < counts.edges; ++e) {
-    util::require_data(machine_targets[e] < counts.domains,
-                       "map_graph: machine CSR target (domain id) out of range");
-    util::require_data(domain_targets[e] < counts.machines,
-                       "map_graph: domain CSR target (machine id) out of range");
-  }
+  // served straight into out-of-bounds reads by every graph consumer. Each
+  // node's targets strictly ascend, as every writer emits them, so a zeroed
+  // target section (what a crashed prepare leaves in its gaps) fails at any
+  // node of degree 2 or more, as do unsorted or repeated targets; and once
+  // a node's targets ascend, its last one is its largest, so it alone needs
+  // the range check.
+  const auto check_targets = [](const std::uint64_t* offsets, std::uint64_t nodes,
+                                const std::uint32_t* targets, std::uint64_t bound,
+                                const char* what) {
+    for (std::uint64_t n = 0; n < nodes; ++n) {
+      const std::uint64_t begin = offsets[n];
+      const std::uint64_t end = offsets[n + 1];
+      for (std::uint64_t e = begin + 1; e < end; ++e) {
+        if (targets[e] <= targets[e - 1]) [[unlikely]] {
+          util::throw_parse_error({"map_graph: ", what, " CSR targets do not strictly ascend"});
+        }
+      }
+      if (begin < end && targets[end - 1] >= bound) [[unlikely]] {
+        util::throw_parse_error({"map_graph: ", what, " CSR target out of range"});
+      }
+    }
+  };
+  check_targets(machine_offsets, counts.machines, machine_targets, counts.domains, "machine");
+  check_targets(domain_offsets, counts.domains, domain_targets, counts.machines, "domain");
   for (std::uint64_t m = 0; m < counts.machines; ++m) {
     util::require_data(static_cast<unsigned char>(machine_labels[m]) <= 2,
                        "map_graph: malformed label byte");

@@ -21,7 +21,6 @@
 #include <span>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -593,12 +592,13 @@ std::string create_temporary_output(const std::string& out_path) {
 //      dictionary partition (a machine that repeats the previous row's
 //      needs no lookup);
 //   B  parallel over partitions: worker p resolves partition p's lookups
-//      chunk by chunk, so in row order, to id slots of its dictionaries,
-//      inserting a missing name with a pending id and listing where it saw
-//      it first (with a new domain's e2LD);
+//      chunk by chunk, so in row order, to entries of its dictionaries,
+//      inserting a missing name as a pending entry and listing where it
+//      saw it first (with a new domain's e2LD);
 //   C  serial, O(new names): merges the partitions' first-sight lists by
-//      row and assigns machine ids, then domain ids (interning e2LDs at
-//      domain first sight), in that order;
+//      row and names the pending entries with machine ids, then domain ids
+//      (interning e2LDs at domain first sight), in that order, appending
+//      each name to its kind's name table;
 //   D  parallel over row chunks: emits edge and (domain, IP) pairs, the
 //      latter through a filter that drops repeated pairs.
 //
@@ -616,8 +616,9 @@ constexpr std::size_t kScanChunks = 8;
 constexpr std::size_t kMaxPartitions = 64;
 constexpr unsigned kRepeatFilterBits = 16;
 
-/// Ids live below this; it is the pending id of a name inserted in phase B
-/// and, as a domain id, the empty-slot marker of the repeat filter.
+/// Ids live below this; it is the id of a pending dictionary entry, an
+/// empty dictionary slot and, as a domain id, the empty-slot marker of the
+/// repeat filter.
 constexpr std::uint32_t kNoId = 0xffffffffu;
 
 /// What phase A derives from one row of a batch, in 32 bytes: with its
@@ -656,56 +657,109 @@ struct HashedName {
   std::size_t hash = 0;
 };
 
-/// A dictionary key: the name and its hash, so a lookup compares hashes
-/// before bytes and a rehash never hashes a name again.
-struct DictionaryKey {
-  std::string text;
-  std::size_t hash = 0;
+/// The machine, domain or e2LD names of a prepare in id order, each name's
+/// bytes held once: one text buffer and each name's end offset.
+class NameTable {
+ public:
+  std::size_t size() const { return ends_.size(); }
+
+  std::string_view operator[](std::size_t id) const {
+    const std::uint64_t begin = id == 0 ? 0 : ends_[id - 1];
+    return {text_.data() + begin, static_cast<std::size_t>(ends_[id] - begin)};
+  }
+
+  void push_back(std::string_view name) {
+    text_.insert(text_.end(), name.begin(), name.end());
+    ends_.push_back(text_.size());
+  }
+
+ private:
+  StageVector<char> text_;
+  StageVector<std::uint64_t> ends_;
 };
 
-struct DictionaryHash {
-  using is_transparent = void;
-  std::size_t operator()(const DictionaryKey& key) const noexcept { return key.hash; }
-  std::size_t operator()(const HashedName& name) const noexcept { return name.hash; }
+/// Slots of a dictionary's first table. A table doubles before an insert
+/// would fill more than half of its slots, so probes stay short.
+constexpr std::size_t kDictionarySlots = 1024;
+
+/// A dictionary name -> id over names it does not hold: entries in insertion
+/// order, each with its name's hash, and an open-addressing table of entry
+/// indices probed linearly from the hash's low bits. An entry's index never
+/// changes, so the table may grow while phase B hands indices out. The
+/// caller's text(entry) gives an entry's name: a pending entry's is its
+/// batch row's, a named entry's is in its name table.
+class Dictionary {
+ public:
+  struct Entry {
+    std::size_t hash = 0;
+    std::uint32_t id = kNoId;  ///< kNoId while pending
+    std::uint32_t row = 0;     ///< the batch row of its first sight, while pending
+  };
+
+  /// The index of `name`'s entry, and whether this call inserted it, as a
+  /// pending entry first seen at `row`.
+  template <typename Text>
+  std::pair<std::uint32_t, bool> insert(const HashedName& name, std::uint32_t row,
+                                        const Text& text) {
+    if (2 * (entries_.size() + 1) > slots_.size()) {
+      grow();
+    }
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = name.hash & mask;
+    for (; slots_[s] != kEmptySlot; s = (s + 1) & mask) {
+      const Entry& entry = entries_[slots_[s]];
+      if (entry.hash == name.hash && text(entry) == name.text) {
+        return {slots_[s], false};
+      }
+    }
+    slots_[s] = static_cast<std::uint32_t>(entries_.size());
+    entries_.push_back({name.hash, kNoId, row});
+    return {slots_[s], true};
+  }
+
+  std::uint32_t id(std::uint32_t entry) const { return entries_[entry].id; }
+
+  /// Names a pending entry.
+  void assign(std::uint32_t entry, std::uint32_t id) { entries_[entry].id = id; }
+
+ private:
+  static constexpr std::uint32_t kEmptySlot = kNoId;
+
+  void grow() {
+    slots_.assign(std::max(kDictionarySlots, 2 * slots_.size()), kEmptySlot);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+      std::size_t s = entries_[e].hash & mask;
+      while (slots_[s] != kEmptySlot) {
+        s = (s + 1) & mask;
+      }
+      slots_[s] = static_cast<std::uint32_t>(e);
+    }
+  }
+
+  StageVector<Entry> entries_;
+  StageVector<std::uint32_t> slots_;
 };
 
-struct DictionaryEqual {
-  using is_transparent = void;
-  bool operator()(const DictionaryKey& a, const DictionaryKey& b) const noexcept {
-    return a.hash == b.hash && a.text == b.text;
-  }
-  bool operator()(const HashedName& a, const DictionaryKey& b) const noexcept {
-    return a.hash == b.hash && a.text == b.text;
-  }
-  bool operator()(const DictionaryKey& a, const HashedName& b) const noexcept {
-    return a.hash == b.hash && a.text == b.text;
-  }
-};
-
-/// One partition of the machine or the domain dictionary: name -> id.
-/// unordered_map element references survive rehashing, so an id slot
-/// handed out in phase B stays valid.
-using Dictionary =
-    std::unordered_map<DictionaryKey, std::uint32_t, DictionaryHash, DictionaryEqual>;
-
-/// A phase B lookup: the row whose name it resolves, and the id slot.
+/// A phase B lookup: the row whose name it resolves, and the entry of its
+/// partition's dictionary.
 struct Lookup {
   std::uint32_t row = 0;
-  std::uint32_t* slot = nullptr;
+  std::uint32_t entry = 0;
 };
 
-/// A name's first sight: its row and id slot, and for a domain the length
-/// of its e2LD (a suffix of the name).
+/// A name's first sight: its row and entry, and for a domain the length of
+/// its e2LD (a suffix of the name).
 struct FirstSight {
   std::uint32_t row = 0;
   std::uint32_t e2ld_size = 0;
-  std::uint32_t* slot = nullptr;
+  std::uint32_t entry = 0;
 };
 
 std::size_t name_hash(std::string_view name) { return std::hash<std::string_view>{}(name); }
 
-/// The dictionary partition of a name hash: its high bits, which the
-/// map's bucket index (the hash modulo a prime) does not lean on.
+/// The dictionary partition of a name hash: its high bits, which a
+/// dictionary's slot index (the low bits) does not use.
 std::uint8_t partition_of(std::size_t hash, std::size_t partitions) {
   return static_cast<std::uint8_t>(((static_cast<std::uint64_t>(hash) >> 32) * partitions) >>
                                    32);
@@ -740,20 +794,6 @@ void prepare_row(Batch& batch, std::size_t i, bool chunk_start, std::size_t part
   }
   scan.domain_hash = name_hash(records.qname(row));
   scan.domain_partition = partition_of(scan.domain_hash, partitions);
-}
-
-/// Phase B: the id slot of `name`, inserting it with a pending id (and
-/// recording its first sight, with e2ld_size()) when the dictionary lacks it.
-template <typename E2ldSize>
-std::uint32_t* resolve(Dictionary& dictionary, const HashedName& name, std::uint32_t row,
-                       std::vector<FirstSight>& first_seen, E2ldSize&& e2ld_size) {
-  if (const auto it = dictionary.find(name); it != dictionary.end()) {
-    return &it->second;
-  }
-  std::uint32_t& slot =
-      dictionary.emplace(DictionaryKey{std::string(name.text), name.hash}, kNoId).first->second;
-  first_seen.push_back({row, static_cast<std::uint32_t>(e2ld_size()), &slot});
-  return &slot;
 }
 
 /// Direct-mapped memory of recently emitted (domain, IP) pairs. It drops
@@ -800,15 +840,15 @@ struct alignas(64) ScanChunk {
 struct alignas(64) DictionaryPartition {
   Dictionary machines;
   Dictionary domains;
-  std::vector<FirstSight> machine_first_seen;
-  std::vector<FirstSight> domain_first_seen;
+  StageVector<FirstSight> machine_first_seen;
+  StageVector<FirstSight> domain_first_seen;
 };
 
-/// Phase C: calls fn(sight) for every entry of the partitions' `list`s of
-/// first sights (each ascending by row), in ascending row order.
+/// Phase C: calls fn(partition, sight) for every entry of the partitions'
+/// `list`s of first sights (each ascending by row), in ascending row order.
 template <typename Fn>
-void for_each_first_sight(const std::vector<DictionaryPartition>& partitions,
-                          std::vector<FirstSight> DictionaryPartition::*list,
+void for_each_first_sight(std::vector<DictionaryPartition>& partitions,
+                          StageVector<FirstSight> DictionaryPartition::*list,
                           std::vector<std::size_t>& cursors, Fn&& fn) {
   const std::size_t n = partitions.size();
   cursors.assign(n, 0);
@@ -824,7 +864,7 @@ void for_each_first_sight(const std::vector<DictionaryPartition>& partitions,
     if (best == n) {
       return;
     }
-    fn((partitions[best].*list)[cursors[best]++]);
+    fn(partitions[best], (partitions[best].*list)[cursors[best]++]);
   }
 }
 
@@ -862,10 +902,10 @@ void prepare_chunk(Batch& batch, std::size_t begin, std::size_t end, std::size_t
     const auto index = static_cast<std::uint32_t>(i);
     if (!scan.repeats_machine) {
       scan.machine_lookup = machine_counts[scan.machine_partition]++;
-      chunk.machine_lookups[scan.machine_lookup] = {index, nullptr};
+      chunk.machine_lookups[scan.machine_lookup] = {index, 0};
     }
     scan.domain_lookup = domain_counts[scan.domain_partition]++;
-    chunk.domain_lookups[scan.domain_lookup] = {index, nullptr};
+    chunk.domain_lookups[scan.domain_lookup] = {index, 0};
   }
 }
 
@@ -1064,10 +1104,10 @@ class Engine {
   std::vector<DictionaryPartition> dictionaries_;
   std::vector<ScanChunk> chunks_;
   std::vector<std::size_t> merge_cursors_;
-  std::vector<std::string> machine_names_;
-  std::vector<std::string> domain_names_;
-  util::StringMap<E2ldId> e2ld_ids_;
-  std::vector<std::string> e2ld_names_;
+  NameTable machine_names_;
+  NameTable domain_names_;
+  Dictionary e2ld_ids_;  ///< over e2ld_names_, never pending
+  NameTable e2ld_names_;
   std::vector<E2ldId> domain_e2ld_;
   SpillWriter edge_spill_;
   SpillWriter ip_spill_;
@@ -1082,8 +1122,9 @@ void Engine::scan(Batch& batch) {
   result_.records += n;
 
   // A: validate, normalize, hash, and file the lookups. The caller sizes
-  // every buffer a worker fills, so pool threads allocate only dictionary
-  // entries.
+  // every buffer a worker fills; the dictionaries and first-sight lists
+  // that grow in phase B are anonymous mappings, so pool threads take
+  // nothing from malloc.
   for (std::size_t c = 0; c < kScanChunks; ++c) {
     const auto [begin, end] = scan_chunk(n, c);
     chunks_[c].machine_lookups.resize(end - begin);
@@ -1097,54 +1138,66 @@ void Engine::scan(Batch& batch) {
     result_.skipped_records += chunk.skipped;
   }
 
-  // B: resolve partition p's lookups, chunk by chunk, so in row order.
+  // B: resolve partition p's lookups, chunk by chunk, so in row order. An
+  // entry still pending was first seen in this batch.
   util::parallel_for(partitions_, [&](std::size_t p) {
     auto& dictionary = dictionaries_[p];
     dictionary.machine_first_seen.clear();
     dictionary.domain_first_seen.clear();
+    const auto machine_text = [&](const Dictionary::Entry& entry) {
+      return entry.id == kNoId ? records.machine(rows[entry.row]) : machine_names_[entry.id];
+    };
+    const auto domain_text = [&](const Dictionary::Entry& entry) {
+      return entry.id == kNoId ? records.qname(rows[entry.row]) : domain_names_[entry.id];
+    };
     for (auto& chunk : chunks_) {
       for (auto i = chunk.machine_offsets[p]; i < chunk.machine_offsets[p + 1]; ++i) {
         Lookup& lookup = chunk.machine_lookups[i];
         const HashedName name{records.machine(rows[lookup.row]),
                               batch.scan[lookup.row].machine_hash};
-        lookup.slot = resolve(dictionary.machines, name, lookup.row,
-                              dictionary.machine_first_seen, [] { return 0; });
+        const auto [entry, inserted] = dictionary.machines.insert(name, lookup.row, machine_text);
+        lookup.entry = entry;
+        if (inserted) {
+          dictionary.machine_first_seen.push_back({lookup.row, 0, entry});
+        }
       }
       for (auto i = chunk.domain_offsets[p]; i < chunk.domain_offsets[p + 1]; ++i) {
         Lookup& lookup = chunk.domain_lookups[i];
         const HashedName name{records.qname(rows[lookup.row]),
                               batch.scan[lookup.row].domain_hash};
-        lookup.slot = resolve(dictionary.domains, name, lookup.row,
-                              dictionary.domain_first_seen,
-                              [&] { return psl_->e2ld_or_self(name.text).size(); });
+        const auto [entry, inserted] = dictionary.domains.insert(name, lookup.row, domain_text);
+        lookup.entry = entry;
+        if (inserted) {
+          const auto e2ld_size = static_cast<std::uint32_t>(psl_->e2ld_or_self(name.text).size());
+          dictionary.domain_first_seen.push_back({lookup.row, e2ld_size, entry});
+        }
       }
     }
   });
 
   // C: first-occurrence ids in row order.
   for_each_first_sight(dictionaries_, &DictionaryPartition::machine_first_seen, merge_cursors_,
-                       [&](const FirstSight& sight) {
+                       [&](DictionaryPartition& partition, const FirstSight& sight) {
     util::require_data(machine_names_.size() < kNoId, "oocore: too many machines");
-    *sight.slot = static_cast<MachineId>(machine_names_.size());
-    machine_names_.emplace_back(records.machine(rows[sight.row]));
+    partition.machines.assign(sight.entry, static_cast<MachineId>(machine_names_.size()));
+    machine_names_.push_back(records.machine(rows[sight.row]));
   });
+  const auto e2ld_text = [&](const Dictionary::Entry& entry) { return e2ld_names_[entry.id]; };
   for_each_first_sight(dictionaries_, &DictionaryPartition::domain_first_seen, merge_cursors_,
-                       [&](const FirstSight& sight) {
+                       [&](DictionaryPartition& partition, const FirstSight& sight) {
     util::require_data(domain_names_.size() < kNoId, "oocore: too many domains");
-    *sight.slot = static_cast<DomainId>(domain_names_.size());
+    partition.domains.assign(sight.entry, static_cast<DomainId>(domain_names_.size()));
     const std::string_view name = records.qname(rows[sight.row]);
-    domain_names_.emplace_back(name);
+    domain_names_.push_back(name);
     // e2LDs intern at domain first occurrence — the same sequence the
     // in-memory builder produces by iterating domains in id order.
     const std::string_view e2ld = name.substr(name.size() - sight.e2ld_size);
-    if (const auto it = e2ld_ids_.find(e2ld); it != e2ld_ids_.end()) {
-      domain_e2ld_.push_back(it->second);
-    } else {
-      const auto e = static_cast<E2ldId>(e2ld_names_.size());
-      e2ld_names_.emplace_back(e2ld);
-      e2ld_ids_.emplace(e2ld_names_.back(), e);
-      domain_e2ld_.push_back(e);
+    const auto [entry, inserted] = e2ld_ids_.insert({e2ld, name_hash(e2ld)}, 0, e2ld_text);
+    if (inserted) {
+      e2ld_ids_.assign(entry, static_cast<E2ldId>(e2ld_names_.size()));
+      e2ld_names_.push_back(e2ld);
     }
+    domain_e2ld_.push_back(e2ld_ids_.id(entry));
   });
 
   // D: emit pairs into per-chunk buffers reserved here, then hand them to
@@ -1158,6 +1211,7 @@ void Engine::scan(Batch& batch) {
       chunks_[c].ips.reserve(rows[end - 1].ips + rows[end - 1].ip_count - rows[begin].ips);
     }
   }
+  const DictionaryPartition* dictionaries = dictionaries_.data();
   util::parallel_for(kScanChunks, [&](std::size_t c) {
     const auto [begin, end] = scan_chunk(n, c);
     auto& chunk = chunks_[c];
@@ -1168,9 +1222,11 @@ void Engine::scan(Batch& batch) {
         continue;
       }
       if (!scan.repeats_machine) {
-        m = *chunk.machine_lookups[scan.machine_lookup].slot;
+        m = dictionaries[scan.machine_partition].machines.id(
+            chunk.machine_lookups[scan.machine_lookup].entry);
       }
-      const std::uint64_t d = *chunk.domain_lookups[scan.domain_lookup].slot;
+      const std::uint64_t d = dictionaries[scan.domain_partition].domains.id(
+          chunk.domain_lookups[scan.domain_lookup].entry);
       chunk.edges.push_back((m << 32) | d);
       for (const auto ip : records.row_ips(rows[i])) {
         const std::uint64_t pair = (d << 32) | ip.value();
@@ -1207,9 +1263,9 @@ OutOfCoreResult Engine::finish(dns::Day day, double scan_seconds, const NameSet&
   const std::size_t chunk_records = config_.chunk_records;
   OutOfCoreResult result = result_;
   result.scan_seconds = scan_seconds;
-  const std::vector<std::string> machine_names = std::move(machine_names_);
-  const std::vector<std::string> domain_names = std::move(domain_names_);
-  const std::vector<std::string> e2ld_names = std::move(e2ld_names_);
+  const NameTable machine_names = std::move(machine_names_);
+  const NameTable domain_names = std::move(domain_names_);
+  const NameTable e2ld_names = std::move(e2ld_names_);
   const std::vector<E2ldId> domain_e2ld = std::move(domain_e2ld_);
   const std::string temp_path = temp_path_;
   const std::string out_path = out_path_;
@@ -1433,16 +1489,16 @@ OutOfCoreResult Engine::finish(dns::Day day, double scan_seconds, const NameSet&
   stats.domains_after = nd_new;
 
   // Distinct e2LD ids name distinct e2LDs, so re-interning by old id is
-  // re-interning by name.
+  // re-interning by name. kept_e2lds lists the old ids in new id order.
   std::vector<E2ldId> e2ld_remap(ne, kNoId);
-  std::vector<std::string> new_e2ld_names;
+  std::vector<E2ldId> kept_e2lds;
   std::vector<E2ldId> new_domain_e2ld;
   new_domain_e2ld.reserve(nd_new);
   for (const auto d : kept_domains) {
     const E2ldId e = domain_e2ld[d];
     if (e2ld_remap[e] == kNoId) {
-      e2ld_remap[e] = static_cast<E2ldId>(new_e2ld_names.size());
-      new_e2ld_names.push_back(e2ld_names[e]);
+      e2ld_remap[e] = static_cast<E2ldId>(kept_e2lds.size());
+      kept_e2lds.push_back(e);
     }
     new_domain_e2ld.push_back(e2ld_remap[e]);
   }
@@ -1507,7 +1563,7 @@ OutOfCoreResult Engine::finish(dns::Day day, double scan_seconds, const NameSet&
   counts.day = day;
   counts.machines = nm_new;
   counts.domains = nd_new;
-  counts.e2lds = new_e2ld_names.size();
+  counts.e2lds = kept_e2lds.size();
   counts.edges = edges_after;
   counts.ips = ips_after;
   for (const auto m : kept_machines) {
@@ -1516,8 +1572,8 @@ OutOfCoreResult Engine::finish(dns::Day day, double scan_seconds, const NameSet&
   for (const auto d : kept_domains) {
     counts.domain_name_bytes += domain_names[d].size();
   }
-  for (const auto& name : new_e2ld_names) {
-    counts.e2ld_name_bytes += name.size();
+  for (const auto e : kept_e2lds) {
+    counts.e2ld_name_bytes += e2ld_names[e].size();
   }
 
   std::uint64_t machine_targets_at = 0;
@@ -1527,14 +1583,9 @@ OutOfCoreResult Engine::finish(dns::Day day, double scan_seconds, const NameSet&
     std::ofstream out(temp_path, std::ios::binary);
     util::require_data(out.is_open(), "oocore: cannot create output file '" + temp_path + "'");
     detail::PackedGraphcWriter writer(out, counts);
-    writer.name_table(nm_new, [&](std::size_t i) {
-      return std::string_view(machine_names[kept_machines[i]]);
-    });
-    writer.name_table(nd_new, [&](std::size_t i) {
-      return std::string_view(domain_names[kept_domains[i]]);
-    });
-    writer.name_table(new_e2ld_names.size(),
-                      [&](std::size_t i) { return std::string_view(new_e2ld_names[i]); });
+    writer.name_table(nm_new, [&](std::size_t i) { return machine_names[kept_machines[i]]; });
+    writer.name_table(nd_new, [&](std::size_t i) { return domain_names[kept_domains[i]]; });
+    writer.name_table(kept_e2lds.size(), [&](std::size_t i) { return e2ld_names[kept_e2lds[i]]; });
     const auto section = [&writer](const auto& values) {
       writer.bytes(values.data(), values.size() * sizeof(values[0]));
       writer.pad8();

@@ -14,7 +14,9 @@
 // Both feeders scan batches of kScanBatchRecords records.
 // Either way the engine never materializes the behavior graph in memory.
 // Node-level state — name dictionaries, labels, degrees, keep masks —
-// stays resident (O(machines + domains + e2LDs)); the edge and IP-pair
+// stays resident (O(machines + domains + e2LDs)), each name's bytes once,
+// in one id-ordered name table per kind that the scan's flat dictionaries
+// index (docs/graph-format.md); the edge and IP-pair
 // streams, which dominate at ISP scale, are spilled to sorted/deduplicated
 // delta+varint compressed runs and re-read through k-way merges. Peak RSS
 // is O(nodes + chunk_records + batch), independent of the edge count,

@@ -77,6 +77,15 @@ if "$CLI" classify --input "$DIR/day1.bin" --model "$DIR/model.txt" \
 fi
 grep -q "'$DIR/bad-pdns.txt': PassiveDnsDb::load: .*line 4:" "$DIR/bad-pdns-err.txt"
 
+# A model whose activity window the feature extractor would refuse fails
+# to load, naming the file and the field, before anything is prepared.
+sed 's/^activity_window .*/activity_window -3/' "$DIR/model.txt" > "$DIR/bad-model.txt"
+if "$CLI" inspect --model "$DIR/bad-model.txt" >/dev/null 2>"$DIR/bad-model-err.txt"; then
+  echo "expected failure on a model with activity_window -3" >&2
+  exit 1
+fi
+grep -q "'$DIR/bad-model.txt': Segugio::load: activity_window" "$DIR/bad-model-err.txt"
+
 # A write that fails is an error naming the file, never a silent success.
 # /dev/full opens for writing and fails every write; it is a device node,
 # so nothing here renames over it.

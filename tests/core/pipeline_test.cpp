@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/segugio.h"
@@ -58,6 +60,54 @@ class PipelineTest : public ::testing::Test {
   }
 };
 
+// A session borrows its history stores, so a temporary one must not bind:
+// it would die before the session that reads it.
+template <typename Activity, typename Pdns>
+concept AbsorbsHistory = requires(Pipeline& pipeline, Activity&& activity, Pdns&& pdns) {
+  pipeline.absorb_history(std::forward<Activity>(activity), std::forward<Pdns>(pdns));
+};
+using Psl = const dns::PublicSuffixList&;
+using Activity = const dns::DomainActivityIndex&;
+using Pdns = const dns::PassiveDnsDb&;
+static_assert(std::is_constructible_v<Pipeline, Psl, Activity, Pdns>);
+static_assert(!std::is_constructible_v<Pipeline, Psl, dns::DomainActivityIndex, Pdns>);
+static_assert(!std::is_constructible_v<Pipeline, Psl, Activity, dns::PassiveDnsDb>);
+static_assert(!std::is_constructible_v<Pipeline, Psl, dns::DomainActivityIndex, dns::PassiveDnsDb>);
+static_assert(AbsorbsHistory<Activity, Pdns>);
+static_assert(!AbsorbsHistory<dns::DomainActivityIndex, Pdns>);
+static_assert(!AbsorbsHistory<Activity, dns::PassiveDnsDb>);
+static_assert(!AbsorbsHistory<dns::DomainActivityIndex, dns::PassiveDnsDb>);
+
+TEST_F(PipelineTest, SessionReadsTheCallersStores) {
+  auto& w = world();
+  const Pipeline seeded(w.psl(), w.activity(), w.pdns(), fast_config());
+  EXPECT_EQ(&seeded.activity(), &w.activity());
+  EXPECT_EQ(&seeded.pdns(), &w.pdns());
+
+  // Without stores, every session reads one shared empty pair.
+  Pipeline pipeline(w.psl(), fast_config());
+  const Pipeline other(w.psl(), fast_config());
+  EXPECT_EQ(&pipeline.activity(), &other.activity());
+  EXPECT_EQ(&pipeline.pdns(), &other.pdns());
+  EXPECT_EQ(pipeline.activity().tracked_names(), 0u);
+  EXPECT_EQ(pipeline.pdns().observation_count(), 0u);
+
+  dns::DomainActivityIndex activity;
+  dns::PassiveDnsDb pdns;
+  pipeline.absorb_history(activity, pdns);
+  EXPECT_EQ(&pipeline.activity(), &activity);
+  EXPECT_EQ(&pipeline.pdns(), &pdns);
+  pipeline.absorb_history(activity, pdns);  // again: nothing changes
+  EXPECT_EQ(&pipeline.activity(), &activity);
+  EXPECT_EQ(&pipeline.pdns(), &pdns);
+  // A store the caller grows between days is read as it stands.
+  activity.mark_active("grown.example.com", 4);
+  pdns.add_observation(4, dns::IpV4::parse("10.1.2.3"), dns::PdnsAssociation::kMalware);
+  EXPECT_EQ(pipeline.activity().active_days("grown.example.com", 0, 9), 1);
+  EXPECT_TRUE(pipeline.pdns().ip_malware_associated(dns::IpV4::parse("10.1.2.3"), 0, 9));
+  EXPECT_EQ(other.activity().tracked_names(), 0u);
+}
+
 TEST_F(PipelineTest, ThreeDayStreamedIngestMatchesFromScratchBuilds) {
   auto& w = world();
   const auto config = fast_config();
@@ -69,9 +119,8 @@ TEST_F(PipelineTest, ThreeDayStreamedIngestMatchesFromScratchBuilds) {
   }
   const auto whitelist = w.whitelist().all();
 
-  Pipeline pipeline(w.psl(), config);
+  Pipeline pipeline(w.psl(), w.activity(), w.pdns(), config);
   for (dns::Day day = 0; day < 3; ++day) {
-    pipeline.absorb_history(w.activity(), w.pdns());
     const auto prepared =
         ingest(pipeline, traces[static_cast<std::size_t>(day)],
                blacklists[static_cast<std::size_t>(day)], whitelist);
@@ -418,8 +467,10 @@ TEST_F(PipelineTest, RestartedSessionMatchesContinuousSession) {
   std::istringstream activity_in(activity_blob.str());
   std::istringstream pdns_in(pdns_blob.str());
   std::istringstream model_in(model_blob.str());
-  Pipeline after_restart(w.psl(), dns::DomainActivityIndex::load(activity_in),
-                         dns::PassiveDnsDb::load(pdns_in), config);
+  // The session reads the reloaded stores in place, so they outlive it.
+  const auto activity = dns::DomainActivityIndex::load(activity_in);
+  const auto pdns = dns::PassiveDnsDb::load(pdns_in);
+  Pipeline after_restart(w.psl(), activity, pdns, config);
   after_restart.detector() = Segugio::load(model_in);
 
   const auto post_day2 = ingest(after_restart, day2_trace, day2_blacklist, whitelist);

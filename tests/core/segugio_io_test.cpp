@@ -199,5 +199,79 @@ TEST_F(SegugioIoTest, LoadRejectsHostileModels) {
   }
 }
 
+// A loadable crafted model with `field` (a whole header line, or the start
+// of one) replaced by `value`.
+std::string model_with(const std::string& field, const std::string& value) {
+  std::string text =
+      crafted_model("subset 2 0 1", "forest 2 1\ntree 2 1\n-1 0 -1 -1 0.5 0\n");
+  const auto at = text.find(field);
+  EXPECT_NE(at, std::string::npos) << field;
+  return text.replace(at, field.size(), value);
+}
+
+// What Segugio::load throws for `text`; empty when it loads.
+std::string load_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    Segugio::load(in);
+  } catch (const util::ParseError& error) {
+    return error.what();
+  }
+  return {};
+}
+
+// Each window and share that FeatureExtractor or the preparation engine
+// refuses is a ParseError at load naming its field, not a failure at the
+// first classify.
+TEST_F(SegugioIoTest, LoadRejectsANonPositiveActivityWindow) {
+  EXPECT_EQ(load_error(model_with("activity_window 14", "activity_window 1")), "");
+  for (const std::string days : {"0", "-3"}) {
+    EXPECT_NE(load_error(model_with("activity_window 14", "activity_window " + days))
+                  .find("activity_window must be positive"),
+              std::string::npos)
+        << days;
+  }
+}
+
+TEST_F(SegugioIoTest, LoadRejectsANonPositivePdnsWindow) {
+  EXPECT_EQ(load_error(model_with("pdns_window 150", "pdns_window 1")), "");
+  for (const std::string days : {"0", "-5"}) {
+    EXPECT_NE(load_error(model_with("pdns_window 150", "pdns_window " + days))
+                  .find("pdns_window must be positive"),
+              std::string::npos)
+        << days;
+  }
+}
+
+TEST_F(SegugioIoTest, LoadRejectsAProxyDegreePercentileOutsideZeroToOne) {
+  EXPECT_EQ(load_error(model_with("pruning 3 0.999", "pruning 3 1")), "");
+  for (const std::string percentile : {"0", "-0.5", "1.5"}) {
+    EXPECT_NE(load_error(model_with("pruning 3 0.999", "pruning 3 " + percentile))
+                  .find("proxy_degree_percentile must be in (0, 1]"),
+              std::string::npos)
+        << percentile;
+  }
+}
+
+TEST_F(SegugioIoTest, LoadRejectsAPopularE2ldFractionOutsideZeroToOne) {
+  EXPECT_EQ(load_error(model_with("5 0.01\n", "5 1\n")), "");
+  for (const std::string fraction : {"0", "-0.01", "2"}) {
+    EXPECT_NE(load_error(model_with("5 0.01\n", "5 " + fraction + "\n"))
+                  .find("popular_e2ld_fraction must be in (0, 1]"),
+              std::string::npos)
+        << fraction;
+  }
+}
+
+TEST_F(SegugioIoTest, LoadRejectsAProberRatioOutsideZeroToOne) {
+  EXPECT_EQ(load_error(model_with("prober 0", "prober 1 30 1")), "");
+  for (const std::string ratio : {"0", "-0.3", "1.01"}) {
+    EXPECT_NE(load_error(model_with("prober 0", "prober 1 30 " + ratio))
+                  .find("min_blacklisted_ratio must be in (0, 1]"),
+              std::string::npos)
+        << ratio;
+  }
+}
+
 }  // namespace
 }  // namespace seg::core

@@ -2,7 +2,7 @@
 // it: every query must answer what the sorted day list the stores kept
 // before (sorted_day_list.h) answers, for random sets around the word
 // edges near day 0 and both ends of Day's range, inserted in order, in
-// reverse and shuffled, with repeats, and after absorbs.
+// reverse and shuffled, with repeats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,60 +164,6 @@ TEST_P(DaySetPropertyTest, QueriesMatchTheSortedList) {
     const auto points = query_days(rng, oracle.days());
     expect_same_set(set, oracle, points);
     expect_same_stores(activity, pdns, oracle, points);
-  }
-}
-
-TEST_P(DaySetPropertyTest, AbsorbMatchesTheSortedUnion) {
-  util::Rng rng(GetParam());
-  for (int round = 0; round < 40; ++round) {
-    // Even rounds draw both sets around one anchor (overlapping words),
-    // odd rounds around two anchors (mostly disjoint words).
-    const auto anchor_a = kAnchors[rng.next_below(std::size(kAnchors))];
-    const auto anchor_b =
-        round % 2 == 0 ? anchor_a : kAnchors[rng.next_below(std::size(kAnchors))];
-    const auto days_a = random_days(rng, anchor_a);
-    const auto days_b = random_days(rng, anchor_b);
-    DaySet a;
-    DaySet b;
-    SortedDayList oracle_a;
-    SortedDayList oracle_b;
-    DomainActivityIndex activity_a;
-    DomainActivityIndex activity_b;
-    PassiveDnsDb pdns_a;
-    PassiveDnsDb pdns_b;
-    const auto ip = IpV4::parse("10.20.30.40");
-    for (const auto day : days_a) {
-      a.insert(day);
-      oracle_a.insert(day);
-      activity_a.mark_active("a.com", day);
-      pdns_a.add_observation(day, ip, PdnsAssociation::kMalware);
-    }
-    for (const auto day : days_b) {
-      b.insert(day);
-      oracle_b.insert(day);
-      activity_b.mark_active("a.com", day);
-      pdns_b.add_observation(day, ip, PdnsAssociation::kMalware);
-    }
-    SCOPED_TRACE("round " + std::to_string(round) + ", anchors " + std::to_string(anchor_a) +
-                 " and " + std::to_string(anchor_b));
-    auto oracle = oracle_a;
-    oracle.absorb(oracle_b);
-    const auto points = query_days(rng, oracle.days());
-
-    DaySet empty;  // absorbing into an empty set copies
-    empty.absorb(b);
-    expect_same_set(empty, oracle_b, points);
-    auto merged = a;
-    merged.absorb(b);
-    expect_same_set(merged, oracle, points);
-    merged.absorb(b);  // again: nothing changes
-    expect_same_set(merged, oracle, points);
-    merged.absorb(merged);
-    expect_same_set(merged, oracle, points);
-
-    activity_a.absorb(activity_b);
-    pdns_a.absorb(pdns_b);
-    expect_same_stores(activity_a, pdns_a, oracle, points);
   }
 }
 

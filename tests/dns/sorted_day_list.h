@@ -34,12 +34,6 @@ class SortedDayList {
     }
   }
 
-  void absorb(const SortedDayList& other) {
-    for (const auto day : other.days_) {
-      insert(day);
-    }
-  }
-
   int active_days(Day from, Day to) const {
     const auto lo = std::lower_bound(days_.begin(), days_.end(), from);
     const auto hi = std::upper_bound(days_.begin(), days_.end(), to);

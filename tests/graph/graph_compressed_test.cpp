@@ -257,6 +257,48 @@ TEST_F(GraphCompressedTest, MappedFileRejectsOutOfRangeCsrTargets) {
   EXPECT_EQ(map_graph(path_).view.edge_count(), graph.edge_count());
 }
 
+// What map_graph throws for `bytes`; empty when the file maps.
+std::string map_error(const std::string& path, const std::string& bytes) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  try {
+    map_graph(path);
+  } catch (const util::ParseError& error) {
+    return error.what();
+  }
+  return {};
+}
+
+TEST_F(GraphCompressedTest, MappedFileRejectsAZeroedTargetSection) {
+  // A prepare that crashes after writing the in-order sections leaves the
+  // target sections' gaps zeroed: every domain's machines then read 0.
+  const auto graph = make_graph();
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob);
+  const auto original = blob.str();
+  ASSERT_EQ(map_error(path_, original), "");
+  auto zeroed = original;
+  std::memset(zeroed.data() + csr_sections(original).domain_targets, 0,
+              graph.edge_count() * sizeof(MachineId));
+  EXPECT_NE(map_error(path_, zeroed).find("domain CSR targets do not strictly ascend"),
+            std::string::npos);
+}
+
+TEST_F(GraphCompressedTest, MappedFileRejectsSwappedTargetsOfOneNode) {
+  const auto graph = make_graph();
+  ASSERT_GE(graph.domains_of(0).size(), 2u);
+  std::ostringstream blob;
+  save_graph_compressed(graph, blob);
+  auto swapped = blob.str();
+  // Machine 0's first two domains, at the start of machine_targets.
+  char* first = swapped.data() + csr_sections(swapped).machine_targets;
+  std::swap_ranges(first, first + sizeof(DomainId), first + sizeof(DomainId));
+  EXPECT_NE(map_error(path_, swapped).find("machine CSR targets do not strictly ascend"),
+            std::string::npos);
+}
+
 TEST_F(GraphCompressedTest, MappedFileRejectsWrappingSectionCounts) {
   const auto graph = make_graph();
   std::ostringstream blob;

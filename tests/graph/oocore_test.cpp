@@ -237,6 +237,51 @@ class OutOfCoreTest : public ::testing::Test {
     return trace;
   }
 
+  // One scan batch shaped for the scan's flat dictionaries: 5000 new
+  // machines and 5000 new domains, more than a partition's first table
+  // holds (kDictionarySlots / 2 entries, graph/oocore.cpp) at any pool size
+  // up to 8, so the tables grow while the batch resolves; each machine and
+  // domain again in the batch's second and third thirds, so in other scan
+  // chunks, before phase C names it; and each domain's later sightings
+  // upper-cased, the last with a trailing dot, so they are equal only after
+  // normalization. Every machine queries three domains and every domain has
+  // three machines, so the graph survives pruning with
+  // inactive_machine_max_degree at 2.
+  static dns::DayTrace make_one_batch_trace() {
+    constexpr std::uint64_t kNames = 5000;
+    dns::DayTrace trace;
+    trace.day = 11;
+    util::Rng rng(23);
+    std::vector<std::uint64_t> order(kNames);
+    for (std::uint64_t pass = 0; pass < 3; ++pass) {
+      for (std::uint64_t i = 0; i < kNames; ++i) {
+        order[i] = i;
+      }
+      for (std::uint64_t i = kNames; i > 1; --i) {
+        std::swap(order[i - 1], order[rng.next_below(i)]);
+      }
+      for (const auto m : order) {
+        const std::uint64_t j = (m + pass * 1237) % kNames;
+        std::string qname = "n" + std::to_string(j) + ".e" + std::to_string(j / 3) + ".net";
+        if (pass > 0) {
+          for (auto& c : qname) {
+            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+          }
+        }
+        if (pass == 2) {
+          qname += ".";
+        }
+        dns::QueryRecord record;
+        record.day = trace.day;
+        record.machine = "client-" + std::to_string(m);
+        record.qname = std::move(qname);
+        record.resolved_ips.push_back(dns::IpV4((10u << 24) | static_cast<std::uint32_t>(j)));
+        trace.records.push_back(std::move(record));
+      }
+    }
+    return trace;
+  }
+
   static void expect_same_stats(const PruneStats& a, const PruneStats& b,
                                 const std::string& context) {
     EXPECT_EQ(a.machines_before, b.machines_before) << context;
@@ -529,6 +574,46 @@ TEST_F(OutOfCoreTest, MultiBatchTraceMatchesInMemoryPipelineAtEveryPoolSize) {
   pruning.proxy_degree_percentile = 0.95;
   for (const std::size_t chunk : {std::size_t{7}, std::size_t{4096}, std::size_t{1} << 20}) {
     expect_in_memory_bytes_at_every_pool_size(trace, pruning, chunk, "multi-batch");
+  }
+}
+
+TEST_F(OutOfCoreTest, OneBatchThatGrowsTheDictionariesMatchesInMemoryPipeline) {
+  const auto trace = make_one_batch_trace();
+  ASSERT_LE(trace.records.size(), kScanBatchRecords);
+  PruningConfig pruning;
+  pruning.inactive_machine_max_degree = 2;
+  PruneStats reference_stats;
+  const auto expected = reference_bytes(trace, pruning, &reference_stats);
+  ASSERT_EQ(reference_stats.machines_after, 5000u);
+  ASSERT_EQ(reference_stats.domains_after, 5000u);
+  // The trace feeder at pools 1, 2, 3 and 8.
+  expect_in_memory_bytes_at_every_pool_size(trace, pruning, std::size_t{1} << 20, "one batch");
+
+  // The streaming feeder, one record at a time and in 1024-record arenas.
+  struct RestorePool {
+    ~RestorePool() { util::set_parallelism(0); }
+  } restore;
+  OutOfCoreConfig config;
+  config.pruning = pruning;
+  for (const std::size_t pool : {1, 3, 8}) {
+    util::set_parallelism(pool);
+    for (const std::size_t arena_records : {1, 1024}) {
+      const std::string context =
+          "pool " + std::to_string(pool) + ", arenas of " + std::to_string(arena_records);
+      StreamingPrepare prepare(trace.day, psl_, out_path_, config);
+      dns::RecordArena arena;
+      for (const auto& record : trace.records) {
+        arena.add(record);
+        if (arena.size() == arena_records) {
+          prepare.add(arena);
+          arena.clear();
+        }
+      }
+      prepare.add(arena);
+      const auto result = prepare.finish(blacklist(), whitelist());
+      EXPECT_TRUE(file_bytes(out_path_) == expected) << context;
+      expect_same_stats(result.prune_stats, reference_stats, context);
+    }
   }
 }
 

@@ -112,15 +112,15 @@ void save_name_set(const graph::NameSet& set, const std::string& path) {
   util::close_output(out, path);
 }
 
-// Loads a history store (dns::DomainActivityIndex or dns::PassiveDnsDb); a
-// malformed file is a ParseError that names it before the loader's message,
-// which names the section and the line.
-template <typename Store>
-Store load_store(const std::string& path) {
+// Loads a history store (dns::DomainActivityIndex or dns::PassiveDnsDb) or a
+// model (core::Segugio); a malformed file is a ParseError that names it
+// before the loader's message, which names the section and line or field.
+template <typename Loaded>
+Loaded load_file(const std::string& path) {
   std::ifstream in(path);
   util::require_data(in.is_open(), "cannot open '" + path + "'");
   try {
-    return Store::load(in);
+    return Loaded::load(in);
   } catch (const util::ParseError& error) {
     throw util::ParseError("'" + path + "': " + error.what());
   }
@@ -224,8 +224,8 @@ int cmd_train(const util::Args& args) {
   const auto trace = load_input(args);
   const auto blacklist = load_name_set(args.get("blacklist"));
   const auto whitelist = load_name_set(args.get("whitelist"));
-  const auto activity = load_store<dns::DomainActivityIndex>(args.get("activity"));
-  const auto pdns = load_store<dns::PassiveDnsDb>(args.get("pdns"));
+  const auto activity = load_file<dns::DomainActivityIndex>(args.get("activity"));
+  const auto pdns = load_file<dns::PassiveDnsDb>(args.get("pdns"));
   const auto psl = dns::PublicSuffixList::with_default_rules();
 
   core::SegugioConfig config;
@@ -265,12 +265,10 @@ DayRun run_day(const util::Args& args) {
   const auto path = input_path(args);
   const auto blacklist = load_name_set(args.get("blacklist"));
   const auto whitelist = load_name_set(args.get("whitelist"));
-  const auto activity = load_store<dns::DomainActivityIndex>(args.get("activity"));
-  const auto pdns = load_store<dns::PassiveDnsDb>(args.get("pdns"));
+  const auto activity = load_file<dns::DomainActivityIndex>(args.get("activity"));
+  const auto pdns = load_file<dns::PassiveDnsDb>(args.get("pdns"));
   const auto psl = dns::PublicSuffixList::with_default_rules();
-  std::ifstream model_in(args.get("model"));
-  util::require_data(model_in.is_open(), "cannot open model file");
-  auto segugio = core::Segugio::load(model_in);
+  auto segugio = load_file<core::Segugio>(args.get("model"));
 
   core::Pipeline pipeline(psl, activity, pdns, segugio.config());
   pipeline.detector() = std::move(segugio);
@@ -373,9 +371,7 @@ int cmd_report(const util::Args& args) {
 }
 
 int cmd_inspect(const util::Args& args) {
-  std::ifstream model_in(args.get("model"));
-  util::require_data(model_in.is_open(), "cannot open model file");
-  const auto segugio = core::Segugio::load(model_in);
+  const auto segugio = load_file<core::Segugio>(args.get("model"));
   std::printf("%s", core::describe_model(segugio).c_str());
   return 0;
 }
